@@ -233,8 +233,8 @@ def run_sweep(config: RunConfig) -> list[dict]:
     trials.
     """
     plans = _parse_algorithms(config)
-    if config.m < 2 and any(p.kind == "linear" for p in plans):
-        raise ConfigError("linear fusers require m >= 2 (field 'm')")
+    if config.m != 2 and any(p.kind == "linear" for p in plans):
+        raise ConfigError(f"linear fusers require m=2 agents (field 'm'), got m={config.m}")
     rows: list[dict] = []
     for tau in config.taus:
         params = config.scenario(tau)

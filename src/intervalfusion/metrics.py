@@ -126,17 +126,25 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / np.sqrt(t))
 
 
+def _objective_per_trial(sq_err: np.ndarray, gap_sq: np.ndarray, lam: float) -> np.ndarray:
+    """Per-trial objective from sq_err (m x trials) and pair gaps (pairs x trials).
+
+    lam * sum_j sq_err_j, plus (1-lam)/(m-1) * sum of pair gaps when m > 1.
+    """
+    m = sq_err.shape[0]
+    per_trial = lam * sq_err.sum(axis=0)
+    if m > 1:
+        per_trial = per_trial + (1.0 - lam) / (m - 1) * gap_sq.sum(axis=0)
+    return per_trial
+
+
 def combine_objective(report: MetricsReport, lam: float) -> tuple[float, float]:
     """Objective mean and stderr at lam, recombined from a report's per-trial arrays."""
     if report.sq_err is None or report.pair_gap_sq is None:
         raise ValueError("report lacks per-trial arrays; evaluate with keep_per_trial=True")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    m = report.mse.size
-    per_trial = lam * report.sq_err.sum(axis=0)
-    if m > 1:
-        per_trial = per_trial + (1.0 - lam) / (m - 1) * report.pair_gap_sq.sum(axis=0)
-    return _mean_stderr(per_trial)
+    return _mean_stderr(_objective_per_trial(report.sq_err, report.pair_gap_sq, lam))
 
 
 def evaluate(
@@ -199,10 +207,7 @@ def evaluate(
             cns[p], cns_se[p] = _mean_stderr(gap_sq[a, p])
         objective = objective_se = None
         if lam is not None:
-            per_trial = lam * sq_err[a].sum(axis=0)
-            if m > 1:
-                per_trial = per_trial + (1.0 - lam) / (m - 1) * gap_sq[a].sum(axis=0)
-            objective, objective_se = _mean_stderr(per_trial)
+            objective, objective_se = _mean_stderr(_objective_per_trial(sq_err[a], gap_sq[a], lam))
         reports.append(
             MetricsReport(
                 algorithm=spec.label,

@@ -8,7 +8,9 @@ system (amplitude_solution).  For two agents and endpoint-sum directions there
 is a closed-form moment recipe (solve_linear_two_agent); it is implemented
 exactly as published even though parts of it look inconsistent, so its output
 must always be cross-checked against fit_linear_empirical, which minimizes the
-empirical objective directly and serves as the authority when they disagree.
+empirical objective exactly (one least-squares solve of the same quadratic
+system, built from sample second moments of the fitting batch) and serves as
+the authority when they disagree.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from scipy import optimize
 
 from .fusion import LinearCoefficients
+from .metrics import _objective_per_trial
 from .scenario import ScenarioParams, TrialBatch, sample_batch
 
 __all__ = [
@@ -371,30 +374,6 @@ def solve_linear_two_agent(
     )
 
 
-def _endpoint_sums(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial per-agent endpoint sums: arrays of shape (size, m)."""
-    return batch.lo.sum(axis=1), batch.hi.sum(axis=1)
-
-
-def _objective_from_sums(
-    x: np.ndarray,
-    sl: np.ndarray,
-    su: np.ndarray,
-    eps: np.ndarray,
-    delta: np.ndarray,
-    gamma: np.ndarray,
-    lam: float,
-) -> float:
-    est = eps[None, :] * sl + delta[None, :] * su + gamma[None, :]
-    mse = ((x[:, None] - est) ** 2).mean(axis=0).sum()
-    m = est.shape[1]
-    cns = 0.0
-    for j in range(m):
-        for k in range(j + 1, m):
-            cns += ((est[:, j] - est[:, k]) ** 2).mean()
-    return float(lam * mse + (1.0 - lam) / (m - 1) * cns)
-
-
 def empirical_objective(
     batch: TrialBatch,
     coeffs: tuple[LinearCoefficients, ...],
@@ -409,22 +388,20 @@ def empirical_objective(
          for j in range(m)],
         axis=1,
     )
-    mse = ((batch.x[:, None] - est) ** 2).mean(axis=0).sum()
-    cns = 0.0
-    for j in range(m):
-        for k in range(j + 1, m):
-            cns += ((est[:, j] - est[:, k]) ** 2).mean()
-    return float(lam * mse + (1.0 - lam) / (m - 1) * cns)
+    j, k = np.triu_indices(m, 1)
+    sq_err = ((batch.x[:, None] - est) ** 2).T
+    gap_sq = ((est[:, j] - est[:, k]) ** 2).T
+    return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
 
 
 @dataclass(frozen=True)
 class LinearFitResult:
-    """Directly fitted shared-coefficient linear fusers for two agents."""
+    """Exact least-squares shared-coefficient linear fusers, one per agent."""
 
-    coeffs: tuple[LinearCoefficients, LinearCoefficients]
-    eps: tuple[float, float]
-    delta: tuple[float, float]
-    gamma: tuple[float, float]
+    coeffs: tuple[LinearCoefficients, ...]
+    eps: tuple[float, ...]
+    delta: tuple[float, ...]
+    gamma: tuple[float, ...]
     objective_value: float
     sample_count: int
 
@@ -434,15 +411,21 @@ def fit_linear_empirical(
     lam: float,
     samples: int,
     rng: np.random.Generator,
-    restarts: int = 12,
 ) -> LinearFitResult:
-    """Minimize the empirical objective over (eps_1, delta_1, eps_2, delta_2).
+    """Minimize the empirical objective over (eps_j, delta_j) exactly.
 
     Coefficients are shared across sensors within an agent, and each agent's
     intercept is tied to the fitting batch's endpoint means:
-    gamma_j = -n*(eps_j*mean(L) + delta_j*mean(U)).  Nelder-Mead from several
-    deterministic and random starts; the best found is returned together with
-    its in-sample objective.
+    gamma_j = -n*(eps_j*mean(L) + delta_j*mean(U)).  Agent j's estimate is
+    then v_j . F_j with F_j = (sum L_j - n*mean(L), sum U_j - n*mean(U)), and
+    the objective is the quadratic v^T Q v - 2 b^T v + const in
+    v = (eps_1, delta_1, ..., eps_m, delta_m): Q has diagonal blocks
+    E[F_j F_j^T] (lam from agent j's mse plus 1-lam from its m-1 gaps) and
+    off-diagonal blocks -(1-lam)/(m-1) * E[F_j F_k^T], and b_j = lam * E[X F_j]
+    (amplitude_solution's system with two features per agent).  Q is positive
+    semidefinite, so the minimum-norm least-squares solution of Q v = b is a
+    global minimizer, also when Q is singular (lam=0, single-cell scenarios).
+    objective_value is the in-sample objective.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
@@ -451,48 +434,38 @@ def fit_linear_empirical(
     if samples < 10_000:
         raise ValueError(f"need at least 10000 samples for a stable fit, got {samples}")
     batch = sample_batch(params, samples, rng)
-    n = params.n
-    sl, su = _endpoint_sums(batch)
+    n, m = params.n, params.m
     mean_l = float(batch.lo[:, :, 0].mean())
     mean_u = float(batch.hi[:, :, 0].mean())
 
-    def unpack(v: np.ndarray):
-        eps = np.array([v[0], v[2]])
-        delta = np.array([v[1], v[3]])
-        gamma = -n * (eps * mean_l + delta * mean_u)
-        return eps, delta, gamma
+    # columns (F_1L, F_1U, ..., F_mL, F_mU), matching the layout of v
+    feats = np.stack(
+        [batch.lo.sum(axis=1) - n * mean_l, batch.hi.sum(axis=1) - n * mean_u], axis=2
+    ).reshape(samples, 2 * m)
+    gram = feats.T @ feats / samples
+    agent = np.arange(2 * m) // 2
+    q = np.where(agent[:, None] == agent[None, :], gram, -(1.0 - lam) / (m - 1) * gram)
+    b = lam * (feats.T @ batch.x) / samples
+    v = np.linalg.lstsq(q, b, rcond=None)[0]
 
-    def objective(v: np.ndarray) -> float:
-        eps, delta, gamma = unpack(v)
-        return _objective_from_sums(batch.x, sl, su, eps, delta, gamma, lam)
-
-    scale = 1.0 / (2.0 * n)
-    starts = [np.zeros(4), np.full(4, scale), np.array([scale, scale, -scale, -scale])]
-    starts += list(rng.uniform(-4.0 * scale, 4.0 * scale, size=(restarts, 4)))
-
-    nm_options = {"xatol": 1e-11, "fatol": 1e-14, "maxiter": 4000}
-    best = None
-    for start in starts:
-        res = optimize.minimize(objective, start, method="Nelder-Mead", options=nm_options)
-        if best is None or res.fun < best.fun:
-            best = res
-    eps, delta, gamma = unpack(best.x)
+    eps, delta = v[0::2], v[1::2]
+    gamma = -n * (eps * mean_l + delta * mean_u)
     coeffs = tuple(
-        LinearCoefficients(np.full(n, eps[j]), np.full(n, delta[j]), float(gamma[j])) for j in range(2)
+        LinearCoefficients(np.full(n, eps[j]), np.full(n, delta[j]), float(gamma[j])) for j in range(m)
     )
     return LinearFitResult(
-        coeffs=coeffs,  # type: ignore[arg-type]
-        eps=(float(eps[0]), float(eps[1])),
-        delta=(float(delta[0]), float(delta[1])),
-        gamma=(float(gamma[0]), float(gamma[1])),
-        objective_value=float(best.fun),
+        coeffs=coeffs,
+        eps=tuple(float(e) for e in eps),
+        delta=tuple(float(d) for d in delta),
+        gamma=tuple(float(g) for g in gamma),
+        objective_value=empirical_objective(batch, coeffs, lam),
         sample_count=samples,
     )
 
 
 @dataclass(frozen=True)
 class LinearSelection:
-    """Outcome of cross-validating the moment recipe against the direct fit."""
+    """Outcome of cross-validating the moment recipe against the exact empirical fit."""
 
     coeffs: tuple[LinearCoefficients, LinearCoefficients]
     closed_form_used: bool

@@ -82,10 +82,10 @@ class ScenarioParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0 <= self.tau < self.n:
             raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={self.tau}, n={self.n}")
-        if self.x_max < 1:
-            raise ValueError(f"x_max must be a positive integer, got {self.x_max}")
         if not isinstance(self.x_max, int):
             raise ValueError(f"x_max must be an integer, got {self.x_max!r}")
+        if self.x_max < 1:
+            raise ValueError(f"x_max must be a positive integer, got {self.x_max}")
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,11 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(config)
 
+    def test_linear_rejects_three_agents(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, m=3, algorithms=["linear@0.5"])
+        assert main(["sweep", "--config", path]) == 2
+        assert "'m'" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, trials=5)
         assert main(["sweep", "--config", path]) == 2

@@ -17,6 +17,7 @@ from intervalfusion import (
     AlgorithmSpec,
     DirectionMoments,
     InfeasibleSearchError,
+    LinearCoefficients,
     MomentSet,
     ScenarioParams,
     SingularSystemError,
@@ -306,6 +307,30 @@ class TestFitLinearEmpirical:
             fit.objective_value, rel=1e-9
         )
 
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_coordinate_perturbations_never_improve(self, lam):
+        # the fit is the exact minimizer over the tied-intercept family, so a
+        # +-1% bump of any eps_j/delta_j (1e-3 where it is 0) with the intercept
+        # re-tied cannot lower the in-sample objective beyond round-off
+        n = 5
+        params = ScenarioParams(n=n, m=2, tau=1, x_max=5, seed=51)
+        fit = fit_linear_empirical(params, lam, 10_000, np.random.default_rng(7))
+        batch = sample_batch(params, 10_000, np.random.default_rng(7))
+        mean_l = float(batch.lo[:, :, 0].mean())
+        mean_u = float(batch.hi[:, :, 0].mean())
+        base = empirical_objective(batch, fit.coeffs, lam)
+        point = np.array([fit.eps, fit.delta]).T
+        for j in range(2):
+            for c in range(2):
+                for sign in (1.0, -1.0):
+                    bumped = point.copy()
+                    bumped[j, c] += sign * (0.01 * abs(bumped[j, c]) if bumped[j, c] else 1e-3)
+                    coeffs = tuple(
+                        LinearCoefficients(np.full(n, e), np.full(n, d), -n * (e * mean_l + d * mean_u))
+                        for e, d in bumped
+                    )
+                    assert empirical_objective(batch, coeffs, lam) >= base * (1.0 - 1e-12)
+
     def test_full_accuracy_weight_cannot_beat_posterior_mean(self):
         # the posterior-mean fuser minimizes MSE over all estimators, so the
         # fitted linear fuser cannot undercut it beyond paired noise
@@ -340,8 +365,6 @@ class TestEmpiricalObjective:
             hi=np.array([[[2.0, 3.0]]]),
             faulty=np.zeros((1, 1), dtype=bool),
         )
-        from intervalfusion import LinearCoefficients
-
         coeffs = (
             LinearCoefficients(np.array([0.5]), np.array([0.5]), 0.0),
             LinearCoefficients(np.array([1.0]), np.array([0.0]), -1.0),
@@ -351,6 +374,20 @@ class TestEmpiricalObjective:
         assert empirical_objective(batch, coeffs, 1.0) == pytest.approx(1.0)
         assert empirical_objective(batch, coeffs, 0.0) == pytest.approx(1.0)
 
+    def test_single_agent_is_weighted_mse(self):
+        # one agent has no pairs, so the objective is lam * mse with no
+        # consensus term (and no division by m-1)
+        batch = TrialBatch(
+            x=np.array([0.0, 1.0]),
+            lo=np.array([[[0.0]], [[1.0]]]),
+            hi=np.array([[[2.0]], [[3.0]]]),
+            faulty=np.zeros((2, 1), dtype=bool),
+        )
+        coeffs = (LinearCoefficients(np.array([0.5]), np.array([0.5]), 0.0),)
+        # estimates 1.0 and 2.0 give squared errors 1 and 1
+        assert empirical_objective(batch, coeffs, 0.3) == pytest.approx(0.3)
+        assert empirical_objective(batch, coeffs, 0.0) == 0.0
+
     def test_coefficient_count_checked(self):
         batch = TrialBatch(
             x=np.zeros(2),
@@ -358,8 +395,6 @@ class TestEmpiricalObjective:
             hi=np.ones((2, 1, 2)),
             faulty=np.zeros((2, 1), dtype=bool),
         )
-        from intervalfusion import LinearCoefficients
-
         one = (LinearCoefficients(np.array([0.1]), np.array([0.1]), 0.0),)
         with pytest.raises(ValueError):
             empirical_objective(batch, one, 0.5)

@@ -54,6 +54,8 @@ class TestScenarioParams:
             dict(tau=-1),
             dict(tau=5, n=5),
             dict(x_max=0),
+            dict(x_max="5"),
+            dict(x_max=None),
         ],
     )
     def test_invalid(self, kwargs):
