@@ -19,6 +19,7 @@ from .fusion import (
     fuse_bi_with_flag,
     fuse_gbi,
     fuse_gbi_oneopt,
+    fuse_gbi_regions,
     fuse_linear,
     fuse_marzullo,
     gbi_bayes_weights,
@@ -101,6 +102,7 @@ __all__ = [
     "fuse_bi_with_flag",
     "fuse_gbi",
     "fuse_gbi_oneopt",
+    "fuse_gbi_regions",
     "fuse_linear",
     "fuse_marzullo",
     "gbi_bayes_weights",

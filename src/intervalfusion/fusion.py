@@ -28,6 +28,9 @@ __all__ = [
     "gbi_bayes_weights",
     "fuse_gbi",
     "fuse_gbi_oneopt",
+    "bi_from_profile",
+    "gbi_from_profile",
+    "fuse_gbi_regions",
     "fuse_linear",
 ]
 
@@ -74,14 +77,19 @@ def fuse_marzullo(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
 class TransitionProfile:
     """Coverage structure of an interval family.
 
-    points holds the sorted distinct endpoints; counts[k] is the number of
-    intervals covering the whole open region (points[k], points[k+1]).
-    Coverage is evaluated on open regions only, so a zero-width interval or
-    two intervals touching at a single point never contribute a count.
+    points holds the sorted distinct endpoints; cover[i, k] is True when
+    reading i covers the whole open region (points[k], points[k+1]) and
+    counts[k] is the number of readings that do.  Coverage is evaluated on
+    open regions only, so a zero-width interval or two intervals touching at
+    a single point never contribute a count.  lo and hi are the endpoints of
+    the readings the profile was built from, in their original order.
     """
 
     points: np.ndarray
     counts: np.ndarray
+    cover: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     @property
     def region_midpoints(self) -> np.ndarray:
@@ -89,31 +97,27 @@ class TransitionProfile:
 
 
 def transition_profile(readings: Sequence[Interval] | np.ndarray) -> TransitionProfile:
-    """Distinct endpoints and per-open-region coverage counts."""
+    """Distinct endpoints, per-reading region membership and coverage counts."""
     lo, hi = _bounds(readings)
     points = np.unique(np.concatenate([lo, hi]))
-    if points.size < 2:
-        return TransitionProfile(points=points, counts=np.zeros(0, dtype=np.int64))
-    left = points[:-1]
-    right = points[1:]
-    counts = ((lo[:, None] <= left) & (hi[:, None] >= right)).sum(axis=0)
-    return TransitionProfile(points=points, counts=counts)
+    cover = (lo[:, None] <= points[:-1]) & (hi[:, None] >= points[1:])
+    return TransitionProfile(points=points, counts=cover.sum(axis=0), cover=cover, lo=lo, hi=hi)
 
 
-def fuse_bi_with_flag(readings: Sequence[Interval] | np.ndarray, tau: int) -> tuple[float, bool]:
-    """Brooks-Iyengar estimate plus a flag marking degenerate inputs.
-
-    Regions covered by at least n - tau intervals are averaged by their
-    midpoints, weighted by coverage count.  If no region reaches the
-    threshold (impossible under the in-model guarantee, possible for
-    arbitrary inputs) the maximal-coverage regions are used instead and the
-    flag is set.
-    """
-    lo, hi = _bounds(readings)
-    n = lo.size
+def _check_tau(tau: int, n: int) -> None:
     if not 0 <= tau < n:
         raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
-    profile = transition_profile(readings)
+
+
+def bi_from_profile(profile: TransitionProfile, tau: int) -> tuple[float, bool]:
+    """Brooks-Iyengar estimate and degenerate flag from a coverage profile.
+
+    See `fuse_bi_with_flag`; callers that fuse the same readings several
+    ways build the profile once and pass it here.
+    """
+    lo, hi = profile.lo, profile.hi
+    n = lo.size
+    _check_tau(tau, n)
     counts = profile.counts
     if counts.size == 0 or counts.max() == 0:
         # nothing covers any open region; fall back to the plain midpoint mean
@@ -125,6 +129,18 @@ def fuse_bi_with_flag(readings: Sequence[Interval] | np.ndarray, tau: int) -> tu
         qualified = counts == counts.max()
     w = counts[qualified].astype(float)
     return float(np.dot(w, mids[qualified]) / w.sum()), degenerate
+
+
+def fuse_bi_with_flag(readings: Sequence[Interval] | np.ndarray, tau: int) -> tuple[float, bool]:
+    """Brooks-Iyengar estimate plus a flag marking degenerate inputs.
+
+    Regions covered by at least n - tau intervals are averaged by their
+    midpoints, weighted by coverage count.  If no region reaches the
+    threshold (impossible under the in-model guarantee, possible for
+    arbitrary inputs) the maximal-coverage regions are used instead and the
+    flag is set.
+    """
+    return bi_from_profile(transition_profile(readings), tau)
 
 
 def fuse_bi(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
@@ -190,8 +206,64 @@ def fuse_gbi(weights: GbiWeights) -> float:
 
 
 def fuse_gbi_oneopt(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
-    """Generalized Brooks-Iyengar estimate with the posterior-mean weights."""
+    """Generalized Brooks-Iyengar estimate with the posterior-mean weights,
+    by enumeration.
+
+    Builds all C(n, n - tau) subset weights, so time and memory grow
+    combinatorially and the product of n - tau inverse widths can overflow or
+    underflow; practical only for small n.  It is kept as the reference that
+    `fuse_gbi_regions` is tested against.
+    """
     return fuse_gbi(gbi_bayes_weights(readings, tau))
+
+
+def gbi_from_profile(profile: TransitionProfile, tau: int) -> float:
+    """Posterior-mean generalized Brooks-Iyengar estimate from a coverage profile.
+
+    See `fuse_gbi_regions`; callers that fuse the same readings several
+    ways build the profile once and pass it here.
+    """
+    lo, hi = profile.lo, profile.hi
+    n = lo.size
+    _check_tau(tau, n)
+    widths = hi - lo
+    shortest = widths.min()
+    if shortest <= 0:
+        raise ValueError("every reading must have positive width")
+    k = n - tau
+    keep = profile.counts >= k
+    if not keep.any():
+        raise DegenerateInputError("no open region is covered by n - tau readings")
+    # e_k(c*v) = c^k e_k(v) cancels in the ratio; scaling the inverse widths
+    # so that the largest is 1 keeps every product in range
+    scaled = profile.cover.compress(keep, axis=1) * (shortest / widths)[:, None]
+    esym = np.zeros((k + 1, scaled.shape[1]))
+    esym[0] = 1.0
+    upper, lower = esym[1:], esym[:-1]
+    for row in scaled:
+        # the product is formed before the in-place add, so lower still holds
+        # the previous degree's values
+        upper += row * lower
+    left = profile.points[:-1][keep]
+    right = profile.points[1:][keep]
+    weights = esym[k] * (right - left)
+    return float(np.dot(weights, (left + right) / 2.0) / weights.sum())
+
+
+def fuse_gbi_regions(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
+    """Generalized Brooks-Iyengar estimate with the posterior-mean weights,
+    summed over coverage regions instead of sensor subsets.
+
+    The subset sum of `fuse_gbi_oneopt` regroups by elementary region r of
+    the coverage profile: the estimate is
+    sum_r e_k(v_r) * integral_r x dx / sum_r e_k(v_r) * |r|, where k = n - tau,
+    v_r holds the inverse widths of the readings covering r and e_k is the
+    elementary symmetric polynomial of degree k.  Each e_k comes from an
+    O(n * k) recurrence, so the cost is polynomial in n.  Raises
+    DegenerateInputError when no open region is covered by n - tau readings
+    and ValueError on zero-width readings.
+    """
+    return gbi_from_profile(transition_profile(readings), tau)
 
 
 @dataclass(frozen=True)

@@ -96,18 +96,28 @@ class MetricsReport:
     pair_gap_sq: np.ndarray | None = None
 
 
-def _estimate(spec: AlgorithmSpec, bounds: np.ndarray, agent: int, tau: int) -> tuple[float, bool]:
-    """One algorithm's estimate from one agent's (n, 2) reading bounds."""
+def _estimate(
+    spec: AlgorithmSpec,
+    bounds: np.ndarray,
+    profile: fusion.TransitionProfile | None,
+    agent: int,
+    tau: int,
+) -> tuple[float, bool]:
+    """One algorithm's estimate from one agent's (n, 2) reading bounds.
+
+    profile is the coverage profile of bounds; BI and GBI read it, so it is
+    built once per agent and trial instead of once per fuser.
+    """
     if spec.kind == "marzullo":
         return fusion.fuse_marzullo(bounds, tau), False
     if spec.kind == "bi":
-        return fusion.fuse_bi_with_flag(bounds, tau)
+        return fusion.bi_from_profile(profile, tau)
     if spec.kind == "gbi_oneopt":
         try:
-            return fusion.fuse_gbi_oneopt(bounds, tau), False
+            return fusion.gbi_from_profile(profile, tau), False
         except fusion.DegenerateInputError:
-            # no subset intersects; reuse the coverage-based fallback
-            value, _ = fusion.fuse_bi_with_flag(bounds, tau)
+            # no region reaches n - tau coverage; reuse the coverage-based fallback
+            value, _ = fusion.bi_from_profile(profile, tau)
             return value, True
     if spec.kind == "linear":
         return fusion.fuse_linear(bounds, spec.coeffs[agent]), False
@@ -181,13 +191,15 @@ def evaluate(
     gap_sq = np.empty((n_alg, len(pair_list), trials))
     degenerate = np.zeros(n_alg, dtype=int)
 
+    needs_profile = any(spec.kind in ("bi", "gbi_oneopt") for spec in algos)
     estimates = np.empty((n_alg, m))
     for t in range(trials):
         trial = make_trial(params, t)
         for j in range(m):
             bounds = _agent_bounds(trial, j)
+            profile = fusion.transition_profile(bounds) if needs_profile else None
             for a, spec in enumerate(algos):
-                value, flagged = _estimate(spec, bounds, j, params.tau)
+                value, flagged = _estimate(spec, bounds, profile, j, params.tau)
                 estimates[a, j] = value
                 if flagged:
                     degenerate[a] += 1

@@ -175,6 +175,14 @@ class TestSweep:
         assert objective == pytest.approx(recombined, rel=1e-9)
         assert row["flags"] in ("", "fit_substituted")
 
+    def test_large_n_gbi_sweep(self, tmp_path):
+        # C(40, 20) ~ 1.4e11 subsets: only the region fuser can run this cell
+        path, raw = write_config(tmp_path, n=40, taus=[20], algorithms=["gbi_oneopt", "marzullo"],
+                                 trials=100)
+        rows = run_sweep(load_config(path))
+        assert [r["algorithm"] for r in rows] == ["gbi_oneopt", "marzullo"]
+        assert all(r["flags"] == "" for r in rows)
+
     def test_empty_algorithms_header_only(self, tmp_path):
         path, raw = write_config(tmp_path, algorithms=[])
         assert main(["sweep", "--config", path]) == 0

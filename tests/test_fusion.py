@@ -11,13 +11,16 @@ from intervalfusion import (
     DegenerateInputError,
     Interval,
     LinearCoefficients,
+    ScenarioParams,
     fuse_bi,
     fuse_bi_with_flag,
     fuse_gbi,
     fuse_gbi_oneopt,
+    fuse_gbi_regions,
     fuse_linear,
     fuse_marzullo,
     gbi_bayes_weights,
+    make_trial,
     transition_profile,
 )
 
@@ -81,6 +84,13 @@ class TestTransitionProfile:
     def test_all_degenerate(self):
         prof = transition_profile(ivs((1, 1), (1, 1)))
         assert prof.counts.size == 0
+        assert prof.cover.shape == (2, 0)
+
+    def test_cover_rows_and_readings(self):
+        prof = transition_profile(ivs((0, 4), (1, 2), (5, 6)))
+        assert prof.cover.astype(int).tolist() == [[1, 1, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
+        assert prof.lo.tolist() == [0, 1, 5]
+        assert prof.hi.tolist() == [4, 2, 6]
 
     @given(interval_family())
     @settings(max_examples=150)
@@ -211,6 +221,69 @@ class TestFuseGbi:
             assert fuse_gbi_oneopt(family, tau) == pytest.approx(num / den, rel=1e-12, abs=1e-12)
 
 
+def _reading_bounds(trial, agent=0):
+    return np.array([(row[agent].lo, row[agent].hi) for row in trial.readings])
+
+
+class TestFuseGbiRegions:
+    def test_two_sensor_value(self):
+        assert fuse_gbi_regions(ivs((0, 2), (1, 3)), 1) == pytest.approx(1.5, abs=1e-15)
+
+    def test_three_sensor_value(self):
+        assert fuse_gbi_regions(ivs((0, 2), (1, 3), (2, 4)), 1) == pytest.approx(2.0, abs=1e-15)
+
+    def test_degenerate_error(self):
+        with pytest.raises(DegenerateInputError):
+            fuse_gbi_regions(ivs((0, 1), (2, 3)), 0)
+
+    def test_tau_validated(self):
+        with pytest.raises(ValueError):
+            fuse_gbi_regions(ivs((0, 2), (1, 3)), 2)
+
+    @given(interval_family(max_n=10), st.data())
+    @settings(max_examples=300)
+    def test_matches_enumeration(self, family, data):
+        tau = data.draw(st.integers(0, len(family) - 1))
+        try:
+            expected = fuse_gbi_oneopt(family, tau)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                fuse_gbi_regions(family, tau)
+            return
+        assert fuse_gbi_regions(family, tau) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @given(interval_family(max_n=10), st.data())
+    @settings(max_examples=50)
+    def test_both_reject_zero_width(self, family, data):
+        family = family + [Interval(family[0].lo, family[0].lo)]
+        tau = data.draw(st.integers(0, len(family) - 1))
+        with pytest.raises(ValueError):
+            fuse_gbi_oneopt(family, tau)
+        with pytest.raises(ValueError):
+            fuse_gbi_regions(family, tau)
+
+    def test_large_n_inside_hull(self):
+        # enumeration would need C(60, 35) ~ 1e17 subsets
+        params = ScenarioParams(n=60, m=1, tau=25, x_max=5, seed=31)
+        for i in range(20):
+            bounds = _reading_bounds(make_trial(params, i))
+            value = fuse_gbi_regions(bounds, params.tau)
+            assert np.isfinite(value)
+            assert bounds[:, 0].min() <= value <= bounds[:, 1].max()
+
+    @pytest.mark.parametrize("n,tau,scale", [(40, 20, 1e-12), (40, 20, 1e12), (24, 2, 1e-30)])
+    def test_affine_equivariance_at_extreme_scales(self, n, tau, scale):
+        # a product of n - tau unnormalised inverse widths leaves the float
+        # range at these scales (enumeration returns nan at n=24, 1e-30)
+        params = ScenarioParams(n=n, m=1, tau=tau, x_max=5, seed=32)
+        offset = 0.75 * scale
+        for i in range(20):
+            bounds = _reading_bounds(make_trial(params, i))
+            base = fuse_gbi_regions(bounds, tau)
+            scaled = fuse_gbi_regions(scale * bounds + offset, tau)
+            assert scaled == pytest.approx(scale * base + offset, rel=1e-9, abs=1e-9 * scale)
+
+
 class TestFuseLinear:
     def test_midpoint_average(self):
         coeffs = LinearCoefficients(np.full(2, 0.25), np.full(2, 0.25), 0.0)
@@ -252,6 +325,7 @@ class TestStructuralProperties:
         except DegenerateInputError:
             return
         assert fuse_gbi_oneopt(shifted, tau) == pytest.approx(base + c, abs=1e-9)
+        assert fuse_gbi_regions(shifted, tau) == pytest.approx(fuse_gbi_regions(family, tau) + c, abs=1e-9)
 
     @given(interval_family(), st.data())
     @settings(max_examples=150)
@@ -266,6 +340,7 @@ class TestStructuralProperties:
         except DegenerateInputError:
             return
         assert fuse_gbi_oneopt(shuffled, tau) == pytest.approx(base, abs=1e-12)
+        assert fuse_gbi_regions(shuffled, tau) == pytest.approx(fuse_gbi_regions(family, tau), abs=1e-12)
 
     @given(interval_family(), st.data())
     @settings(max_examples=150)
@@ -280,6 +355,7 @@ class TestStructuralProperties:
         except DegenerateInputError:
             return
         assert lo <= g <= hi
+        assert lo <= fuse_gbi_regions(family, tau) <= hi
 
     @given(st.integers(2, 7), st.data())
     @settings(max_examples=100)
@@ -293,4 +369,5 @@ class TestStructuralProperties:
         assert fuse_marzullo(family, tau) == pytest.approx(mid, abs=1e-12)
         assert fuse_bi(family, tau) == pytest.approx(mid, abs=1e-12)
         assert fuse_gbi_oneopt(family, tau) == pytest.approx(mid, abs=1e-12)
+        assert fuse_gbi_regions(family, tau) == pytest.approx(mid, abs=1e-12)
         assert fuse_linear(family, coeffs) == pytest.approx(mid, abs=1e-12)

@@ -9,6 +9,7 @@ from intervalfusion import (
     OffLatticeError,
     ScenarioParams,
     fuse_gbi_oneopt,
+    fuse_gbi_regions,
     implied_precision,
     make_trial,
     posterior_density,
@@ -130,14 +131,16 @@ class TestDensityStructure:
 
 
 class TestGbiEquivalence:
-    @pytest.mark.parametrize("n,tau", [(2, 1), (3, 1), (4, 2), (5, 3)])
+    @pytest.mark.parametrize("n,tau", [(2, 1), (3, 1), (4, 2), (5, 3), (8, 4)])
     def test_matches_gbi(self, n, tau):
         params = ScenarioParams(n=n, m=2, tau=tau, x_max=5, seed=100 + n)
-        worst = 0.0
+        worst = worst_regions = 0.0
         for i in range(75):
             trial = make_trial(params, i)
             for j in range(2):
                 readings = agent_readings(trial, j)
-                gap = abs(fuse_gbi_oneopt(readings, tau) - posterior_mean_exact(readings, params))
-                worst = max(worst, gap)
+                exact = posterior_mean_exact(readings, params)
+                worst = max(worst, abs(fuse_gbi_oneopt(readings, tau) - exact))
+                worst_regions = max(worst_regions, abs(fuse_gbi_regions(readings, tau) - exact))
         assert worst < 1e-9
+        assert worst_regions < 1e-9
