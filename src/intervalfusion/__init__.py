@@ -60,6 +60,7 @@ from .scenario import (
     draw_target,
     generate_trial,
     make_trial,
+    make_trials,
     sample_batch,
     trial_rng,
     truthful_interval,
@@ -109,6 +110,7 @@ __all__ = [
     "generate_trial",
     "implied_precision",
     "make_trial",
+    "make_trials",
     "posterior_density",
     "posterior_mean_exact",
     "sample_batch",

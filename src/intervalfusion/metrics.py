@@ -15,11 +15,16 @@ import numpy as np
 
 from . import fusion
 from .fusion import LinearCoefficients
-from .scenario import ScenarioParams, TrialData, make_trial
+# make_trial stays importable from this module: benchmarks/tracing.py wraps it here
+from .scenario import ScenarioParams, TrialBatch, make_trial, make_trials  # noqa: F401
 
 __all__ = ["AlgorithmSpec", "MetricsReport", "evaluate", "combine_objective"]
 
 _KINDS = ("marzullo", "bi", "gbi_oneopt", "linear", "constant")
+
+# trials fused per block: large enough to amortise numpy call overhead, small
+# enough that the (rows, n, 2n) coverage temporaries stay a few MB at n=16
+_BLOCK_TRIALS = 128
 
 
 @dataclass(frozen=True)
@@ -96,36 +101,43 @@ class MetricsReport:
     pair_gap_sq: np.ndarray | None = None
 
 
-def _estimate(
-    spec: AlgorithmSpec,
-    bounds: np.ndarray,
-    profile: fusion.TransitionProfile | None,
-    agent: int,
-    tau: int,
-) -> tuple[float, bool]:
-    """One algorithm's estimate from one agent's (n, 2) reading bounds.
+def _block_estimates(
+    algos: list[AlgorithmSpec] | tuple[AlgorithmSpec, ...], batch: TrialBatch, tau: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every algorithm's estimates on a block of trials.
 
-    profile is the coverage profile of bounds; BI and GBI read it, so it is
-    built once per agent and trial instead of once per fuser.
+    Returns estimates of shape (algorithms, m, trials) and each algorithm's
+    count of degenerate (trial, agent) estimates.  Each agent's readings of
+    one trial are one row of the batch fusers; BI and GBI share one coverage
+    profile per row, and GBI falls back to the BI estimate on its degenerate
+    rows.
     """
-    if spec.kind == "marzullo":
-        return fusion.fuse_marzullo(bounds, tau), False
-    if spec.kind == "bi":
-        return fusion.bi_from_profile(profile, tau)
-    if spec.kind == "gbi_oneopt":
-        try:
-            return fusion.gbi_from_profile(profile, tau), False
-        except fusion.DegenerateInputError:
-            # no region reaches n - tau coverage; reuse the coverage-based fallback
-            value, _ = fusion.bi_from_profile(profile, tau)
-            return value, True
-    if spec.kind == "linear":
-        return fusion.fuse_linear(bounds, spec.coeffs[agent]), False
-    return float(spec.constant_value), False
-
-
-def _agent_bounds(trial: TrialData, agent: int) -> np.ndarray:
-    return np.array([(iv.lo, iv.hi) for row in trial.readings for iv in (row[agent],)], dtype=float)
+    size, n, m = batch.lo.shape
+    # row j * size + t holds agent j's readings of trial t
+    lo = batch.lo.transpose(2, 0, 1).reshape(m * size, n)
+    hi = batch.hi.transpose(2, 0, 1).reshape(m * size, n)
+    if any(spec.kind in ("bi", "gbi_oneopt") for spec in algos):
+        cov = fusion.coverage_rows(lo, hi)
+        bi = fusion.bi_rows(cov, tau)
+    estimates = np.empty((len(algos), m * size))
+    degenerate = np.zeros(len(algos), dtype=int)
+    for a, spec in enumerate(algos):
+        if spec.kind == "marzullo":
+            estimates[a] = fusion.marzullo_rows(lo, hi, tau)
+        elif spec.kind == "bi":
+            estimates[a], flags = bi
+            degenerate[a] = flags.sum()
+        elif spec.kind == "gbi_oneopt":
+            values, flags = fusion.gbi_rows(cov, tau)
+            estimates[a] = np.where(flags, bi[0], values)
+            degenerate[a] = flags.sum()
+        elif spec.kind == "linear":
+            for j, coeffs in enumerate(spec.coeffs):
+                rows = slice(j * size, (j + 1) * size)
+                estimates[a, rows] = fusion.linear_rows(lo[rows], hi[rows], coeffs)
+        else:
+            estimates[a] = spec.constant_value
+    return estimates.reshape(len(algos), m, size), degenerate
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -167,8 +179,10 @@ def evaluate(
     """Evaluate every algorithm on the same `trials` generated trials.
 
     Trials are drawn from per-index substreams of params.seed (common random
-    numbers), accumulated in trial-index order.  Pass lam=None to skip the
-    combined objective for algorithms that do not carry one.
+    numbers) in blocks of _BLOCK_TRIALS, and every algorithm fuses a whole
+    block at once; a trial's values never depend on the block it falls in.
+    Pass lam=None to skip the combined objective for algorithms that do not
+    carry one.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials for meaningful statistics, got {trials}")
@@ -178,6 +192,10 @@ def evaluate(
     if len(set(labels)) != len(labels):
         raise ValueError(f"algorithm labels must be unique, got {labels}")
     for spec in algos:
+        if spec.kind == "marzullo" and params.tau > params.n - 2:
+            raise ValueError(
+                f"marzullo algorithm {spec.label!r} needs tau <= n - 2, got tau={params.tau}, n={params.n}"
+            )
         if spec.kind == "linear" and len(spec.coeffs) != params.m:
             raise ValueError(
                 f"linear algorithm {spec.label!r} carries {len(spec.coeffs)} coefficient sets "
@@ -191,21 +209,14 @@ def evaluate(
     gap_sq = np.empty((n_alg, len(pair_list), trials))
     degenerate = np.zeros(n_alg, dtype=int)
 
-    needs_profile = any(spec.kind in ("bi", "gbi_oneopt") for spec in algos)
-    estimates = np.empty((n_alg, m))
-    for t in range(trials):
-        trial = make_trial(params, t)
-        for j in range(m):
-            bounds = _agent_bounds(trial, j)
-            profile = fusion.transition_profile(bounds) if needs_profile else None
-            for a, spec in enumerate(algos):
-                value, flagged = _estimate(spec, bounds, profile, j, params.tau)
-                estimates[a, j] = value
-                if flagged:
-                    degenerate[a] += 1
-        sq_err[:, :, t] = (trial.x - estimates) ** 2
+    for start in range(0, trials, _BLOCK_TRIALS):
+        stop = min(start + _BLOCK_TRIALS, trials)
+        batch = make_trials(params, start, stop)
+        estimates, flagged = _block_estimates(algos, batch, params.tau)
+        degenerate += flagged
+        sq_err[:, :, start:stop] = (batch.x - estimates) ** 2
         for p, (j, k) in enumerate(pair_list):
-            gap_sq[:, p, t] = (estimates[:, j] - estimates[:, k]) ** 2
+            gap_sq[:, p, start:stop] = (estimates[:, j] - estimates[:, k]) ** 2
 
     reports = []
     for a, spec in enumerate(algos):

@@ -29,6 +29,7 @@ __all__ = [
     "generate_trial",
     "trial_rng",
     "make_trial",
+    "make_trials",
     "sample_batch",
 ]
 
@@ -153,38 +154,77 @@ def draw_faulty_reading(params: ScenarioParams, rng: np.random.Generator) -> Int
 
     Independent of the real target and of every other reading.
     """
-    precision = int(rng.integers(1, params.x_max + 1))
-    phantom = float(rng.uniform(-params.x_max, params.x_max))
+    precision, phantom = _faulty_draws(params, rng)
     return truthful_interval(phantom, precision, params.x_max)
+
+
+def _faulty_draws(params: ScenarioParams, rng: np.random.Generator) -> tuple[int, float]:
+    """A faulty reading's draws, in order: its precision, then its phantom target."""
+    return int(rng.integers(1, params.x_max + 1)), float(rng.uniform(-params.x_max, params.x_max))
+
+
+def _draw_trial(params: ScenarioParams, rng: np.random.Generator) -> tuple:
+    """One trial's random draws, in the fixed order `generate_trial` documents.
+
+    Returns (faulty sensor indices, per-sensor precisions, target,
+    [(precision, phantom target)] of the faulty readings in sensor-major
+    agent-minor order).
+    """
+    faulty = rng.choice(params.n, size=params.tau, replace=False)
+    precisions = rng.integers(1, params.x_max + 1, size=params.n)
+    x = draw_target(params, rng)
+    fakes = [_faulty_draws(params, rng) for _ in range(params.tau * params.m)]
+    return faulty, precisions, x, fakes
+
+
+def _trial_arrays(params: ScenarioParams, draws: list[tuple]) -> tuple[np.ndarray, ...]:
+    """Arrays (x, lo, hi, faulty, precisions) of the trials whose draws are given.
+
+    x has shape (T,), lo/hi (T, n, m), faulty and precisions (T, n).  Cells
+    come from the same arithmetic as truthful_interval, so every endpoint is
+    bit-identical to the per-reading construction.
+    """
+    n, m, x_max = params.n, params.m, params.x_max
+    size = len(draws)
+    faulty = np.zeros((size, n), dtype=bool)
+    for t, (idx, _, _, _) in enumerate(draws):
+        faulty[t, idx] = True
+    precisions = np.array([d[1] for d in draws])
+    x = np.array([d[2] for d in draws], dtype=float)
+    fakes = np.array([d[3] for d in draws], dtype=float).reshape(size * params.tau, m, 2)
+
+    # every reading's (target, precision): a truthful sensor's cell is
+    # replicated to all m agents, a faulty one has its own per agent;
+    # boolean indexing walks (trial, sensor) in C order, the order of fakes
+    targets = np.repeat(x, n * m).reshape(size, n, m)
+    cells = np.repeat(precisions, m).reshape(size, n, m)
+    targets[faulty] = fakes[:, :, 1]
+    cells[faulty] = fakes[:, :, 0]
+    lo, hi = _cells_from_targets(targets, cells, x_max)
+    return x, lo, hi, faulty, precisions
 
 
 def generate_trial(params: ScenarioParams, rng: np.random.Generator) -> TrialData:
     """Generate one trial from the given stream.
 
     Draw order is fixed (fault pattern, per-sensor precisions, target, then
-    faulty readings in sensor-major agent-minor order) so a given stream
-    always yields the same trial.
+    faulty readings in sensor-major agent-minor order, each a precision and a
+    phantom target) so a given stream always yields the same trial.  The
+    trial is an `Interval` view of the arrays `make_trials` builds.
     """
-    n, m = params.n, params.m
-    faulty_idx = rng.choice(n, size=params.tau, replace=False)
-    flags = [False] * n
-    for i in faulty_idx:
-        flags[int(i)] = True
-    precisions = rng.integers(1, params.x_max + 1, size=n)
-    x = draw_target(params, rng)
-
+    x, lo, hi, faulty, precisions = _trial_arrays(params, [_draw_trial(params, rng)])
+    lo_rows, hi_rows = lo[0].tolist(), hi[0].tolist()
     rows: list[tuple[Interval, ...]] = []
-    for i in range(n):
-        if flags[i]:
-            rows.append(tuple(draw_faulty_reading(params, rng) for _ in range(m)))
+    for i, flag in enumerate(faulty[0].tolist()):
+        if flag:
+            rows.append(tuple(Interval(a, b) for a, b in zip(lo_rows[i], hi_rows[i])))
         else:
-            reading = truthful_interval(x, int(precisions[i]), params.x_max)
-            rows.append((reading,) * m)
+            rows.append((Interval(lo_rows[i][0], hi_rows[i][0]),) * params.m)
     return TrialData(
-        x=x,
+        x=float(x[0]),
         readings=tuple(rows),
-        pattern=FaultPattern(tuple(flags)),
-        precisions=tuple(int(p) for p in precisions),
+        pattern=FaultPattern(tuple(faulty[0].tolist())),
+        precisions=tuple(precisions[0].tolist()),
     )
 
 
@@ -204,12 +244,27 @@ def make_trial(params: ScenarioParams, trial_index: int) -> TrialData:
     return generate_trial(params, trial_rng(params.seed, trial_index))
 
 
+def make_trials(params: ScenarioParams, start: int, stop: int) -> TrialBatch:
+    """Trials start..stop-1 of the stream rooted at params.seed, as arrays.
+
+    Trial t is drawn from trial_rng(params.seed, t) exactly as make_trial
+    draws it, so batch row t - start holds the endpoints of
+    make_trial(params, t) bit for bit, whatever the range.
+    """
+    if not 0 <= start < stop:
+        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
+    draws = [_draw_trial(params, trial_rng(params.seed, t)) for t in range(start, stop)]
+    x, lo, hi, faulty, _ = _trial_arrays(params, draws)
+    return TrialBatch(x=x, lo=lo, hi=hi, faulty=faulty)
+
+
 @dataclass(frozen=True)
 class TrialBatch:
-    """Vectorized trials for moment estimation and coefficient fitting.
+    """Vectorized trials for evaluation, moment estimation and coefficient fitting.
 
     lo/hi have shape (size, n, m); faulty has shape (size, n).  Same trial
-    law as generate_trial, drawn in bulk from a single stream.
+    law as generate_trial: `make_trials` draws each trial from its own
+    substream, `sample_batch` draws in bulk from a single stream.
     """
 
     x: np.ndarray
@@ -224,7 +279,7 @@ class TrialBatch:
 
 def _cells_from_targets(x: np.ndarray, prec: np.ndarray, x_max: int) -> tuple[np.ndarray, np.ndarray]:
     u = (x + x_max) * prec / (2.0 * x_max)
-    d = np.clip(np.ceil(u), 1, prec)
+    d = np.minimum(np.maximum(np.ceil(u), 1), prec)
     lo = -x_max + (d - 1) * (2.0 * x_max) / prec
     hi = -x_max + d * (2.0 * x_max) / prec
     return lo, hi

@@ -23,6 +23,7 @@ from intervalfusion import (
     make_trial,
     transition_profile,
 )
+from intervalfusion.fusion import bi_rows, coverage_rows, gbi_rows, linear_rows, marzullo_rows
 
 
 def ivs(*pairs):
@@ -282,6 +283,118 @@ class TestFuseGbiRegions:
             base = fuse_gbi_regions(bounds, tau)
             scaled = fuse_gbi_regions(scale * bounds + offset, tau)
             assert scaled == pytest.approx(scale * base + offset, rel=1e-9, abs=1e-9 * scale)
+
+    def test_enumeration_overflow_is_an_error(self):
+        # 22 inverse widths near 1e29 multiply past the float range
+        params = ScenarioParams(n=24, m=1, tau=2, x_max=5, seed=32)
+        bounds = 1e-30 * _reading_bounds(make_trial(params, 0))
+        with pytest.raises(ValueError, match="overflow"):
+            fuse_gbi_oneopt(bounds, params.tau)
+        assert np.isfinite(fuse_gbi_regions(bounds, params.tau))
+
+
+@st.composite
+def row_batch(draw, max_rows=6):
+    """Rows of one size n, some with zero-width readings; returns (families, tau)."""
+    n = draw(st.integers(2, 8))
+    families = draw(st.lists(interval_family(min_n=n, max_n=n), min_size=1, max_size=max_rows))
+    if draw(st.booleans()):
+        row = draw(st.integers(0, len(families) - 1))
+        i = draw(st.integers(0, n - 1))
+        families[row] = list(families[row])
+        families[row][i] = Interval(families[row][i].lo, families[row][i].lo)
+    return families, draw(st.integers(0, n - 1))
+
+
+def _rows(families):
+    lo = np.array([[iv.lo for iv in family] for family in families])
+    hi = np.array([[iv.hi for iv in family] for family in families])
+    return lo, hi
+
+
+class TestBatchKernels:
+    @given(row_batch())
+    @settings(max_examples=300)
+    def test_stacked_rows_match_scalar_fusers(self, case):
+        families, tau = case
+        lo, hi = _rows(families)
+        n = lo.shape[1]
+        if tau <= n - 2:
+            marzullo = marzullo_rows(lo, hi, tau)
+            for row, family in enumerate(families):
+                assert marzullo[row] == fuse_marzullo(family, tau)
+        cov = coverage_rows(lo, hi)
+        bi, bi_flags = bi_rows(cov, tau)
+        for row, family in enumerate(families):
+            value, flagged = fuse_bi_with_flag(family, tau)
+            assert bi[row] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            assert bi_flags[row] == flagged
+        if (hi - lo).min() <= 0:
+            with pytest.raises(ValueError):
+                gbi_rows(cov, tau)
+            for family in families:
+                if min(iv.width for iv in family) <= 0:
+                    with pytest.raises(ValueError):
+                        fuse_gbi_regions(family, tau)
+            return
+        gbi, gbi_flags = gbi_rows(cov, tau)
+        for row, family in enumerate(families):
+            try:
+                value = fuse_gbi_regions(family, tau)
+            except DegenerateInputError:
+                assert gbi_flags[row]
+                assert np.isnan(gbi[row])
+                continue
+            assert not gbi_flags[row]
+            assert gbi[row] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            assert gbi[row] == pytest.approx(fuse_gbi_oneopt(family, tau), rel=1e-12, abs=1e-12)
+
+    @given(row_batch(max_rows=1))
+    @settings(max_examples=100)
+    def test_single_row_matches_profile(self, case):
+        families, _ = case
+        lo, hi = _rows(families)
+        cov = coverage_rows(lo, hi)
+        prof = transition_profile(families[0])
+        regions = cov.right[0] > cov.left[0]
+        assert (cov.counts[0][~regions] == 0).all()
+        assert cov.counts[0][regions].tolist() == prof.counts.tolist()
+        assert cov.left[0][regions].tolist() == prof.points[:-1].tolist()
+
+    def test_rows_at_far_apart_scales(self):
+        # each row is scaled by its own shortest width; one scale for the
+        # whole batch would underflow e_k on the widest row
+        params = ScenarioParams(n=40, m=1, tau=20, x_max=5, seed=33)
+        bounds = [_reading_bounds(make_trial(params, i)) for i in range(3)]
+        rows = [scale * b for scale, b in zip((1e-12, 1.0, 1e12), bounds)]
+        lo = np.array([r[:, 0] for r in rows])
+        hi = np.array([r[:, 1] for r in rows])
+        values, flags = gbi_rows(coverage_rows(lo, hi), params.tau)
+        assert not flags.any()
+        for value, r in zip(values, rows):
+            assert value == pytest.approx(fuse_gbi_regions(r, params.tau), rel=1e-12)
+
+    def test_linear_rows_match_scalar(self):
+        rng = np.random.default_rng(5)
+        lo = rng.normal(size=(7, 4))
+        hi = lo + rng.uniform(0.1, 2.0, size=(7, 4))
+        coeffs = LinearCoefficients(rng.normal(size=4), rng.normal(size=4), 0.3)
+        values = linear_rows(lo, hi, coeffs)
+        for row in range(7):
+            assert values[row] == pytest.approx(fuse_linear(np.stack([lo[row], hi[row]], axis=1), coeffs), rel=1e-12)
+
+    def test_batch_validation(self):
+        lo = np.zeros((3, 2))
+        hi = np.ones((3, 2))
+        hi[1, 1] = -1.0
+        with pytest.raises(ValueError, match="lower endpoint above"):
+            coverage_rows(lo, hi)
+        with pytest.raises(ValueError, match="lower endpoint above"):
+            marzullo_rows(lo, hi, 0)
+        with pytest.raises(ValueError):
+            coverage_rows(np.zeros((3, 2)), np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            marzullo_rows(np.zeros((3, 2)), np.ones((3, 2)), 1)
 
 
 class TestFuseLinear:

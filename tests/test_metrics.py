@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from intervalfusion import metrics
 from intervalfusion import (
     AlgorithmSpec,
     LinearCoefficients,
@@ -136,6 +137,46 @@ class TestEvaluate:
         short = (LinearCoefficients(np.full(5, 0.1), np.full(5, 0.1), 0.0),)
         with pytest.raises(ValueError):
             evaluate([AlgorithmSpec.linear(short)], params, None, 100)
+
+    def test_marzullo_tau_checked_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(metrics, "make_trials", no_trials)
+        params = ScenarioParams(n=5, m=2, tau=4, x_max=5, seed=73)
+        with pytest.raises(ValueError, match="tau"):
+            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.marzullo()], params, None, 100)
+
+    def test_bi_and_gbi_at_tau_n_minus_one(self):
+        params = ScenarioParams(n=5, m=2, tau=4, x_max=5, seed=74)
+        reports = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, None, 100)
+        for report in reports:
+            assert np.isfinite(report.mse).all()
+            assert np.isfinite(report.cns).all()
+
+    def test_per_trial_arrays_independent_of_blocks(self, monkeypatch):
+        params = ScenarioParams(n=6, m=3, tau=2, x_max=5, seed=75)
+        coeffs = tuple(
+            LinearCoefficients(np.full(6, 0.05 * (j + 1)), np.full(6, 0.05), 0.1 * j) for j in range(3)
+        )
+        algos = [
+            AlgorithmSpec.marzullo(),
+            AlgorithmSpec.bi(),
+            AlgorithmSpec.gbi_oneopt(),
+            AlgorithmSpec.linear(coeffs),
+            AlgorithmSpec.constant(0.5),
+        ]
+        block = metrics._BLOCK_TRIALS
+        long = evaluate(algos, params, None, block + 50, keep_per_trial=True)
+        short = evaluate(algos, params, None, block - 20, keep_per_trial=True)
+        monkeypatch.setattr(metrics, "_BLOCK_TRIALS", 7)
+        split = evaluate(algos, params, None, block + 50, keep_per_trial=True)
+        for a, b, c in zip(long, short, split):
+            assert np.array_equal(a.sq_err[:, : block - 20], b.sq_err)
+            assert np.array_equal(a.pair_gap_sq[:, : block - 20], b.pair_gap_sq)
+            assert np.array_equal(a.sq_err, c.sq_err)
+            assert np.array_equal(a.pair_gap_sq, c.pair_gap_sq)
+            assert a.degenerate_count == c.degenerate_count
 
 
 class TestCombineObjective:

@@ -13,11 +13,12 @@ from intervalfusion import (
     draw_target,
     generate_trial,
     make_trial,
+    make_trials,
     sample_batch,
     trial_rng,
     truthful_interval,
 )
-from intervalfusion.scenario import draw_faulty_reading
+from intervalfusion.scenario import FaultPattern, TrialData, draw_faulty_reading
 
 
 def params_for(n=5, m=2, tau=1, x_max=5, seed=1234):
@@ -280,6 +281,54 @@ class TestDeterminism:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             trial_rng(1, -1)
+
+
+def _reference_trial(params, rng):
+    """The documented draw order, one Interval at a time."""
+    faulty = {int(i) for i in rng.choice(params.n, size=params.tau, replace=False)}
+    flags = [i in faulty for i in range(params.n)]
+    precisions = rng.integers(1, params.x_max + 1, size=params.n)
+    x = draw_target(params, rng)
+    rows = []
+    for i in range(params.n):
+        if flags[i]:
+            rows.append(tuple(draw_faulty_reading(params, rng) for _ in range(params.m)))
+        else:
+            rows.append((truthful_interval(x, int(precisions[i]), params.x_max),) * params.m)
+    return TrialData(x=x, readings=tuple(rows), pattern=FaultPattern(tuple(flags)),
+                     precisions=tuple(int(p) for p in precisions))
+
+
+class TestMakeTrials:
+    @pytest.mark.parametrize(
+        "n,m,tau,x_max",
+        [(5, 2, 1, 5), (6, 3, 0, 5), (10, 2, 7, 5), (4, 3, 3, 7), (1, 1, 0, 1), (16, 2, 12, 3)],
+    )
+    def test_rows_match_reference_bit_for_bit(self, n, m, tau, x_max):
+        params = params_for(n=n, m=m, tau=tau, x_max=x_max, seed=91)
+        start, stop = 3, 43
+        batch = make_trials(params, start, stop)
+        assert batch.lo.shape == batch.hi.shape == (stop - start, n, m)
+        for t in range(start, stop):
+            expected = _reference_trial(params, trial_rng(params.seed, t))
+            assert make_trial(params, t) == expected
+            row = t - start
+            assert batch.x[row] == expected.x
+            assert batch.faulty[row].tolist() == list(expected.pattern.flags)
+            assert batch.lo[row].tolist() == [[iv.lo for iv in r] for r in expected.readings]
+            assert batch.hi[row].tolist() == [[iv.hi for iv in r] for r in expected.readings]
+
+    def test_range_split_independent(self):
+        params = params_for(n=6, m=2, tau=2, seed=92)
+        whole = make_trials(params, 0, 30)
+        parts = [make_trials(params, a, b) for a, b in ((0, 1), (1, 17), (17, 30))]
+        for name in ("x", "lo", "hi", "faulty"):
+            assert np.array_equal(getattr(whole, name), np.concatenate([getattr(p, name) for p in parts]))
+
+    @pytest.mark.parametrize("start,stop", [(-1, 3), (4, 4), (5, 2)])
+    def test_invalid_range(self, start, stop):
+        with pytest.raises(ValueError):
+            make_trials(params_for(), start, stop)
 
 
 class TestSampleBatch:
