@@ -56,13 +56,9 @@ from .scenario import (
     ScenarioParams,
     TrialBatch,
     TrialData,
-    draw_faulty_reading,
-    draw_target,
-    generate_trial,
     make_trial,
     make_trials,
     sample_batch,
-    trial_rng,
     truthful_interval,
 )
 
@@ -93,8 +89,6 @@ __all__ = [
     "TwoAgentLinearSolution",
     "amplitude_solution",
     "combine_objective",
-    "draw_faulty_reading",
-    "draw_target",
     "empirical_objective",
     "estimate_moments",
     "evaluate",
@@ -107,7 +101,6 @@ __all__ = [
     "fuse_linear",
     "fuse_marzullo",
     "gbi_bayes_weights",
-    "generate_trial",
     "implied_precision",
     "make_trial",
     "make_trials",
@@ -117,6 +110,5 @@ __all__ = [
     "select_linear_coefficients",
     "solve_linear_two_agent",
     "transition_profile",
-    "trial_rng",
     "truthful_interval",
 ]

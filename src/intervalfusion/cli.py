@@ -39,7 +39,8 @@ from .fusion import GbiWeights, fuse_gbi, gbi_bayes_weights
 from .metrics import AlgorithmSpec, combine_objective, evaluate
 from .optimal import LinearSelection, select_linear_coefficients
 from .oracle import posterior_mean_exact
-from .scenario import Interval, ScenarioParams, make_trial
+# make_trial stays importable from this module: benchmarks/tracing.py wraps it here
+from .scenario import Interval, ScenarioParams, make_trial, make_trials  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run_sweep", "run_oracle_check", "run_fit_linear", "main"]
 
@@ -216,8 +217,10 @@ def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
 
 
 def _fit_rng(seed: int, tau: int, lam: float) -> np.random.Generator:
-    # fitting stream disjoint from the per-trial evaluation streams
-    return np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 0xF17, tau, int(round(lam * 10**9)))))
+    # fitting stream disjoint from the evaluation blocks' streams; keyed on
+    # lam's exact bit pattern, so distinct lambdas never share a stream
+    lam_bits = int(np.float64(lam).view(np.uint64))
+    return np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 0xF17, tau, lam_bits)))
 
 
 def _float_cell(value: float | None) -> str:
@@ -254,7 +257,7 @@ def run_sweep(config: RunConfig) -> list[dict]:
                 specs.append(AlgorithmSpec(kind=plan.kind))
         if not specs:
             continue
-        reports = evaluate(specs, params, None, config.trials, keep_per_trial=True)
+        reports = evaluate(specs, params, None, config.trials)
         for plan, report in zip(plans, reports):
             objective = None
             if plan.lam is not None:
@@ -332,10 +335,13 @@ def run_oracle_check(
     failures: list[tuple[int, int, int, float]] = []
     for tau in config.taus:
         params = config.scenario(tau)
+        batch = make_trials(params, 0, config.trials)
+        # lo[t][j] lists agent j's n endpoints in trial t
+        lo = batch.lo.transpose(0, 2, 1).tolist()
+        hi = batch.hi.transpose(0, 2, 1).tolist()
         for t in range(config.trials):
-            trial = make_trial(params, t)
             for j in range(config.m):
-                readings = [trial.readings[i][j] for i in range(config.n)]
+                readings = [Interval(a, b) for a, b in zip(lo[t][j], hi[t][j])]
                 fused = fuse_gbi(weight_fn(readings, tau))
                 exact = posterior_mean_exact(readings, params)
                 dev = abs(fused - exact)

@@ -1,9 +1,9 @@
 """Monte Carlo evaluation of fusers: squared error, inter-agent gap, objective.
 
-All algorithms in a run see bit-identical trials: trial i is always generated
-from the substream derived from (seed, i), so comparisons are paired and the
-result is independent of evaluation order or any partitioning of the trial
-range across workers.
+All algorithms in a run see bit-identical trials: trial i is always row i of
+the stream `scenario.make_trials` numbers from the seed, so comparisons are
+paired and the result is independent of evaluation order or any partitioning
+of the trial range across workers.
 """
 
 from __future__ import annotations
@@ -16,15 +16,11 @@ import numpy as np
 from . import fusion
 from .fusion import LinearCoefficients
 # make_trial stays importable from this module: benchmarks/tracing.py wraps it here
-from .scenario import ScenarioParams, TrialBatch, make_trial, make_trials  # noqa: F401
+from .scenario import _BLOCK_TRIALS, ScenarioParams, TrialBatch, make_trial, make_trials  # noqa: F401
 
 __all__ = ["AlgorithmSpec", "MetricsReport", "evaluate", "combine_objective"]
 
 _KINDS = ("marzullo", "bi", "gbi_oneopt", "linear", "constant")
-
-# trials fused per block: large enough to amortise numpy call overhead, small
-# enough that the (rows, n, 2n) coverage temporaries stay a few MB at n=16
-_BLOCK_TRIALS = 128
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class MetricsReport:
     Standard errors are per-trial sample standard deviations over sqrt(trials).
     degenerate_count tallies trials where the fuser needed its fallback rule.
     Per-trial arrays (sq_err: m x trials, pair_gap_sq: pairs x trials) are
-    attached when evaluate(..., keep_per_trial=True) for paired comparisons.
+    attached for paired comparisons and for combine_objective.
     """
 
     algorithm: str
@@ -163,7 +159,7 @@ def _objective_per_trial(sq_err: np.ndarray, gap_sq: np.ndarray, lam: float) -> 
 def combine_objective(report: MetricsReport, lam: float) -> tuple[float, float]:
     """Objective mean and stderr at lam, recombined from a report's per-trial arrays."""
     if report.sq_err is None or report.pair_gap_sq is None:
-        raise ValueError("report lacks per-trial arrays; evaluate with keep_per_trial=True")
+        raise ValueError("report lacks the per-trial arrays sq_err and pair_gap_sq")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     return _mean_stderr(_objective_per_trial(report.sq_err, report.pair_gap_sq, lam))
@@ -174,13 +170,13 @@ def evaluate(
     params: ScenarioParams,
     lam: float | None,
     trials: int,
-    keep_per_trial: bool = False,
 ) -> list[MetricsReport]:
     """Evaluate every algorithm on the same `trials` generated trials.
 
-    Trials are drawn from per-index substreams of params.seed (common random
-    numbers) in blocks of _BLOCK_TRIALS, and every algorithm fuses a whole
-    block at once; a trial's values never depend on the block it falls in.
+    Trials 0..trials-1 of the stream rooted at params.seed (common random
+    numbers) are drawn in blocks of _BLOCK_TRIALS, and every algorithm fuses
+    a whole block at once; a trial's values never depend on the block it
+    falls in.  Every report carries its per-trial arrays as views.
     Pass lam=None to skip the combined objective for algorithms that do not
     carry one.
     """
@@ -245,8 +241,8 @@ def evaluate(
                 objective_stderr=objective_se,
                 trials=trials,
                 degenerate_count=int(degenerate[a]),
-                sq_err=sq_err[a].copy() if keep_per_trial else None,
-                pair_gap_sq=gap_sq[a].copy() if keep_per_trial else None,
+                sq_err=sq_err[a],
+                pair_gap_sq=gap_sq[a],
             )
         )
     return reports

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e10
+_RECIPE_RESTARTS = 20
 
 
 class SingularSystemError(ValueError):
@@ -245,8 +246,6 @@ def solve_linear_two_agent(
     moments: MomentSet,
     lam: float,
     n: int,
-    restarts: int = 20,
-    rng: np.random.Generator | None = None,
 ) -> TwoAgentLinearSolution:
     """Two-agent coefficient recipe from pooled moments, implemented literally.
 
@@ -262,9 +261,10 @@ def solve_linear_two_agent(
     and the searched objective is
         (th1^2 + th2^2)/(1-z^2) + 2*z*(th1+th2)^2/(1-z^2)^2,
     th_j = n*eps_j*Cov(L1,X) + n*delta_j*Cov(U1,X), minimized by Nelder-Mead
-    restarts seeded in a box of half-width 1/sqrt(n*Var(L1)) plus seeds at the
-    root-feasibility boundary.  |z| >= 1 leaves the objective undefined, so
-    such candidates are rejected with a graded penalty.
+    restarts: _RECIPE_RESTARTS starts drawn from default_rng(0) in a box of
+    half-width 1/sqrt(n*Var(L1)), plus seeds at the root-feasibility
+    boundary.  |z| >= 1 leaves the objective undefined, so such candidates are
+    rejected with a graded penalty.
 
     This recipe is kept verbatim; on realistic moments its objective can be
     unbounded below near the |z| = 1 wall, which makes the returned point a
@@ -275,8 +275,6 @@ def solve_linear_two_agent(
         raise ValueError(f"lam must lie in (0, 1) for the two-agent recipe, got {lam}")
     if n < 2:
         raise ValueError(f"need n >= 2 sensors, got {n}")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     nn1 = n * (n - 1)
     xi1 = n * moments.var_u + nn1 * moments.cov_uu
@@ -326,7 +324,7 @@ def solve_linear_two_agent(
 
     box = 1.0 / np.sqrt(n * moments.var_l + 1e-12)
     starts = [np.zeros(2), np.full(2, box / 2.0), np.full(2, -box / 2.0)]
-    starts += list(rng.uniform(-box, box, size=(restarts, 2)))
+    starts += list(np.random.default_rng(0).uniform(-box, box, size=(_RECIPE_RESTARTS, 2)))
     if kappa != 0.0 and xi1 * xi3 > 0.0:
         edge = 1.02 * np.sqrt(xi1 * xi3) / abs(kappa)
         for s1 in (1.0, -1.0):

@@ -8,12 +8,18 @@ agent.  A uniformly random subset of tau sensors is faulty: a faulty sensor
 sends each agent an independent fresh draw from the truthful marginal law
 (independent precision, independent phantom target), so its readings carry no
 information about the target and are mutually independent across agents.
+
+`sample_batch` is the one implementation of this law.  `make_trials` numbers
+the trials of the stream rooted at a seed: with B = 128 trials per block,
+trial t is row t % B of block t // B, and block b is `sample_batch` drawn
+from the substream derived from (seed, b), so a trial never depends on which
+other trials are drawn or how a range of trials is split.  `make_trial` is one trial as `Interval` objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,17 +29,19 @@ __all__ = [
     "FaultPattern",
     "TrialData",
     "TrialBatch",
-    "draw_target",
     "truthful_interval",
-    "draw_faulty_reading",
-    "generate_trial",
-    "trial_rng",
     "make_trial",
     "make_trials",
     "sample_batch",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# trials per substream block.  A block is drawn whole, so this is also the
+# cost of one make_trial call and the batch evaluate fuses at once: large
+# enough to amortise numpy call overhead, small enough that the (rows, n, 2n)
+# coverage temporaries stay a few MB at n=16
+_BLOCK_TRIALS = 128
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,25 @@ class TrialData:
     precisions: tuple[int, ...]
 
 
-def draw_target(params: ScenarioParams, rng: np.random.Generator) -> float:
-    """Draw the ground-truth target, uniform on [-x_max, x_max]."""
-    return float(rng.uniform(-params.x_max, params.x_max))
+@dataclass(frozen=True)
+class TrialBatch:
+    """Trials as arrays, for evaluation, moment estimation and coefficient fitting.
+
+    x has shape (size,), lo/hi (size, n, m), faulty and precisions (size, n).
+    [lo[t, i, j], hi[t, i, j]] is sensor i's interval as seen by agent j in
+    trial t, and precisions[t, i] is sensor i's truthful cell count, as in
+    TrialData.
+    """
+
+    x: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    faulty: np.ndarray
+    precisions: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.x.shape[0]
 
 
 def _cell_index(x: float, precision: int, x_max: int) -> int:
@@ -149,134 +173,6 @@ def truthful_interval(x: float, precision: int, x_max: int) -> Interval:
     return Interval(lo, hi)
 
 
-def draw_faulty_reading(params: ScenarioParams, rng: np.random.Generator) -> Interval:
-    """One faulty transmission: a fresh draw from the truthful marginal law.
-
-    Independent of the real target and of every other reading.
-    """
-    precision, phantom = _faulty_draws(params, rng)
-    return truthful_interval(phantom, precision, params.x_max)
-
-
-def _faulty_draws(params: ScenarioParams, rng: np.random.Generator) -> tuple[int, float]:
-    """A faulty reading's draws, in order: its precision, then its phantom target."""
-    return int(rng.integers(1, params.x_max + 1)), float(rng.uniform(-params.x_max, params.x_max))
-
-
-def _draw_trial(params: ScenarioParams, rng: np.random.Generator) -> tuple:
-    """One trial's random draws, in the fixed order `generate_trial` documents.
-
-    Returns (faulty sensor indices, per-sensor precisions, target,
-    [(precision, phantom target)] of the faulty readings in sensor-major
-    agent-minor order).
-    """
-    faulty = rng.choice(params.n, size=params.tau, replace=False)
-    precisions = rng.integers(1, params.x_max + 1, size=params.n)
-    x = draw_target(params, rng)
-    fakes = [_faulty_draws(params, rng) for _ in range(params.tau * params.m)]
-    return faulty, precisions, x, fakes
-
-
-def _trial_arrays(params: ScenarioParams, draws: list[tuple]) -> tuple[np.ndarray, ...]:
-    """Arrays (x, lo, hi, faulty, precisions) of the trials whose draws are given.
-
-    x has shape (T,), lo/hi (T, n, m), faulty and precisions (T, n).  Cells
-    come from the same arithmetic as truthful_interval, so every endpoint is
-    bit-identical to the per-reading construction.
-    """
-    n, m, x_max = params.n, params.m, params.x_max
-    size = len(draws)
-    faulty = np.zeros((size, n), dtype=bool)
-    for t, (idx, _, _, _) in enumerate(draws):
-        faulty[t, idx] = True
-    precisions = np.array([d[1] for d in draws])
-    x = np.array([d[2] for d in draws], dtype=float)
-    fakes = np.array([d[3] for d in draws], dtype=float).reshape(size * params.tau, m, 2)
-
-    # every reading's (target, precision): a truthful sensor's cell is
-    # replicated to all m agents, a faulty one has its own per agent;
-    # boolean indexing walks (trial, sensor) in C order, the order of fakes
-    targets = np.repeat(x, n * m).reshape(size, n, m)
-    cells = np.repeat(precisions, m).reshape(size, n, m)
-    targets[faulty] = fakes[:, :, 1]
-    cells[faulty] = fakes[:, :, 0]
-    lo, hi = _cells_from_targets(targets, cells, x_max)
-    return x, lo, hi, faulty, precisions
-
-
-def generate_trial(params: ScenarioParams, rng: np.random.Generator) -> TrialData:
-    """Generate one trial from the given stream.
-
-    Draw order is fixed (fault pattern, per-sensor precisions, target, then
-    faulty readings in sensor-major agent-minor order, each a precision and a
-    phantom target) so a given stream always yields the same trial.  The
-    trial is an `Interval` view of the arrays `make_trials` builds.
-    """
-    x, lo, hi, faulty, precisions = _trial_arrays(params, [_draw_trial(params, rng)])
-    lo_rows, hi_rows = lo[0].tolist(), hi[0].tolist()
-    rows: list[tuple[Interval, ...]] = []
-    for i, flag in enumerate(faulty[0].tolist()):
-        if flag:
-            rows.append(tuple(Interval(a, b) for a, b in zip(lo_rows[i], hi_rows[i])))
-        else:
-            rows.append((Interval(lo_rows[i][0], hi_rows[i][0]),) * params.m)
-    return TrialData(
-        x=float(x[0]),
-        readings=tuple(rows),
-        pattern=FaultPattern(tuple(faulty[0].tolist())),
-        precisions=tuple(precisions[0].tolist()),
-    )
-
-
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent substream for one trial, derived from (seed, trial_index).
-
-    Trial i's stream never depends on whether other trials were generated,
-    so partitioning trials across workers cannot change any result.
-    """
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, trial_index)))
-
-
-def make_trial(params: ScenarioParams, trial_index: int) -> TrialData:
-    """Trial `trial_index` of the deterministic stream rooted at params.seed."""
-    return generate_trial(params, trial_rng(params.seed, trial_index))
-
-
-def make_trials(params: ScenarioParams, start: int, stop: int) -> TrialBatch:
-    """Trials start..stop-1 of the stream rooted at params.seed, as arrays.
-
-    Trial t is drawn from trial_rng(params.seed, t) exactly as make_trial
-    draws it, so batch row t - start holds the endpoints of
-    make_trial(params, t) bit for bit, whatever the range.
-    """
-    if not 0 <= start < stop:
-        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
-    draws = [_draw_trial(params, trial_rng(params.seed, t)) for t in range(start, stop)]
-    x, lo, hi, faulty, _ = _trial_arrays(params, draws)
-    return TrialBatch(x=x, lo=lo, hi=hi, faulty=faulty)
-
-
-@dataclass(frozen=True)
-class TrialBatch:
-    """Vectorized trials for evaluation, moment estimation and coefficient fitting.
-
-    lo/hi have shape (size, n, m); faulty has shape (size, n).  Same trial
-    law as generate_trial: `make_trials` draws each trial from its own
-    substream, `sample_batch` draws in bulk from a single stream.
-    """
-
-    x: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    faulty: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.x.shape[0]
-
-
 def _cells_from_targets(x: np.ndarray, prec: np.ndarray, x_max: int) -> tuple[np.ndarray, np.ndarray]:
     u = (x + x_max) * prec / (2.0 * x_max)
     d = np.minimum(np.maximum(np.ceil(u), 1), prec)
@@ -289,7 +185,7 @@ def sample_batch(params: ScenarioParams, size: int, rng: np.random.Generator) ->
     """Draw `size` independent trials as arrays.
 
     Faulty slots are drawn for every (trial, sensor, agent) and masked in,
-    which leaves the joint law identical to generate_trial's.
+    which leaves the joint law the one the module docstring states.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -311,4 +207,44 @@ def sample_batch(params: ScenarioParams, size: int, rng: np.random.Generator) ->
     mask = faulty[:, :, None]
     lo = np.where(mask, fake_lo, true_lo[:, :, None])
     hi = np.where(mask, fake_hi, true_hi[:, :, None])
-    return TrialBatch(x=x, lo=lo, hi=hi, faulty=faulty)
+    return TrialBatch(x=x, lo=lo, hi=hi, faulty=faulty, precisions=precisions)
+
+
+def _block(params: ScenarioParams, index: int) -> TrialBatch:
+    rng = np.random.default_rng(np.random.SeedSequence((params.seed & _MASK64, index)))
+    return sample_batch(params, _BLOCK_TRIALS, rng)
+
+
+def make_trials(params: ScenarioParams, start: int, stop: int) -> TrialBatch:
+    """Trials start..stop-1 of the stream rooted at params.seed, as arrays.
+
+    Row t - start is trial t, the same values whatever the range: it is cut
+    from the substream block that holds trial t.
+    """
+    if not 0 <= start < stop:
+        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
+    first = start // _BLOCK_TRIALS
+    blocks = [_block(params, b) for b in range(first, (stop - 1) // _BLOCK_TRIALS + 1)]
+    rows = slice(start - first * _BLOCK_TRIALS, stop - first * _BLOCK_TRIALS)
+    return TrialBatch(**{
+        f.name: np.concatenate([getattr(block, f.name) for block in blocks])[rows]
+        for f in fields(TrialBatch)
+    })
+
+
+def make_trial(params: ScenarioParams, trial_index: int) -> TrialData:
+    """Trial `trial_index` of the stream rooted at params.seed, as `Interval` objects.
+
+    The view of make_trials(params, trial_index, trial_index + 1).
+    """
+    batch = make_trials(params, trial_index, trial_index + 1)
+    readings = tuple(
+        tuple(Interval(a, b) for a, b in zip(lo_row, hi_row))
+        for lo_row, hi_row in zip(batch.lo[0].tolist(), batch.hi[0].tolist())
+    )
+    return TrialData(
+        x=float(batch.x[0]),
+        readings=readings,
+        pattern=FaultPattern(tuple(batch.faulty[0].tolist())),
+        precisions=tuple(batch.precisions[0].tolist()),
+    )

@@ -87,7 +87,7 @@ def study():
             for lam in LAMBDAS
         ]
         start = time.perf_counter()
-        out = evaluate(specs, study_params(tau), None, STUDY_TRIALS, keep_per_trial=True)
+        out = evaluate(specs, study_params(tau), None, STUDY_TRIALS)
         eval_seconds += time.perf_counter() - start
         reports[tau] = {r.algorithm: r for r in out}
     return {

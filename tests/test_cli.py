@@ -8,6 +8,7 @@ import pytest
 from intervalfusion import GbiWeights, gbi_bayes_weights
 from intervalfusion.cli import (
     ConfigError,
+    _fit_rng,
     load_config,
     main,
     run_oracle_check,
@@ -266,6 +267,15 @@ class TestOracleCheck:
         assert 0 <= trial < 120
         assert agent in (0, 1)
         assert dev > 1e-9
+
+
+def test_nearby_lambdas_fit_on_distinct_streams():
+    # the two selectors get distinct labels, linear@0.123456 and
+    # linear@0.123457, so they must not share one fitting stream
+    a, b = 0.1234564999, 0.1234565001
+    assert f"{a:g}" != f"{b:g}"
+    assert _fit_rng(4242, 1, a).random() != _fit_rng(4242, 1, b).random()
+    assert _fit_rng(4242, 1, a).random() == _fit_rng(4242, 1, a).random()
 
 
 class TestFitLinear:

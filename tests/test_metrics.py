@@ -1,5 +1,7 @@
 """Monte Carlo evaluation harness: paired trials, error accounting, reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,11 @@ from intervalfusion import metrics
 from intervalfusion import (
     AlgorithmSpec,
     LinearCoefficients,
+    Interval,
     ScenarioParams,
     combine_objective,
     evaluate,
-    make_trial,
+    make_trials,
     posterior_mean_exact,
 )
 
@@ -99,7 +102,7 @@ class TestEvaluate:
             AlgorithmSpec.linear(midpoint_coeffs(6)),
             AlgorithmSpec.constant(0.0),
         ]
-        reports = evaluate(algos, params, None, 4_000, keep_per_trial=True)
+        reports = evaluate(algos, params, None, 4_000)
         gbi = reports[0]
         for other in reports[1:]:
             for j in range(2):
@@ -112,12 +115,12 @@ class TestEvaluate:
         params = ScenarioParams(n=4, m=2, tau=1, x_max=5, seed=67)
         trials = 10_000
         report, = evaluate([AlgorithmSpec.gbi_oneopt()], params, None, trials)
+        batch = make_trials(params, 0, trials)
         sq = np.empty((2, trials))
         for t in range(trials):
-            trial = make_trial(params, t)
             for j in range(2):
-                readings = [row[j] for row in trial.readings]
-                sq[j, t] = (trial.x - posterior_mean_exact(readings, params)) ** 2
+                readings = [Interval(a, b) for a, b in zip(batch.lo[t, :, j].tolist(), batch.hi[t, :, j].tolist())]
+                sq[j, t] = (batch.x[t] - posterior_mean_exact(readings, params)) ** 2
         for j in range(2):
             assert abs(report.mse[j] - sq[j].mean()) < 1e-9
 
@@ -167,10 +170,10 @@ class TestEvaluate:
             AlgorithmSpec.constant(0.5),
         ]
         block = metrics._BLOCK_TRIALS
-        long = evaluate(algos, params, None, block + 50, keep_per_trial=True)
-        short = evaluate(algos, params, None, block - 20, keep_per_trial=True)
+        long = evaluate(algos, params, None, block + 50)
+        short = evaluate(algos, params, None, block - 20)
         monkeypatch.setattr(metrics, "_BLOCK_TRIALS", 7)
-        split = evaluate(algos, params, None, block + 50, keep_per_trial=True)
+        split = evaluate(algos, params, None, block + 50)
         for a, b, c in zip(long, short, split):
             assert np.array_equal(a.sq_err[:, : block - 20], b.sq_err)
             assert np.array_equal(a.pair_gap_sq[:, : block - 20], b.pair_gap_sq)
@@ -183,7 +186,7 @@ class TestCombineObjective:
     def test_matches_direct_evaluation(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=70)
         lam = 0.6
-        kept, = evaluate([AlgorithmSpec.bi()], params, None, 500, keep_per_trial=True)
+        kept, = evaluate([AlgorithmSpec.bi()], params, None, 500)
         direct, = evaluate([AlgorithmSpec.bi()], params, lam, 500)
         objective, stderr = combine_objective(kept, lam)
         assert objective == pytest.approx(direct.objective, rel=1e-12)
@@ -192,11 +195,12 @@ class TestCombineObjective:
     def test_requires_per_trial_arrays(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=71)
         report, = evaluate([AlgorithmSpec.bi()], params, None, 200)
+        hand_built = dataclasses.replace(report, sq_err=None, pair_gap_sq=None)
         with pytest.raises(ValueError):
-            combine_objective(report, 0.5)
+            combine_objective(hand_built, 0.5)
 
     def test_lam_checked(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=72)
-        report, = evaluate([AlgorithmSpec.bi()], params, None, 200, keep_per_trial=True)
+        report, = evaluate([AlgorithmSpec.bi()], params, None, 200)
         with pytest.raises(ValueError):
             combine_objective(report, -0.1)

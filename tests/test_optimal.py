@@ -338,7 +338,7 @@ class TestFitLinearEmpirical:
         fit = fit_linear_empirical(params, 1.0, 20_000, np.random.default_rng(8))
         reports = evaluate(
             [AlgorithmSpec.gbi_oneopt(), AlgorithmSpec.linear(fit.coeffs)],
-            params, 1.0, 20_000, keep_per_trial=True,
+            params, 1.0, 20_000,
         )
         gbi, linear = reports
         for j in range(2):
@@ -364,6 +364,7 @@ class TestEmpiricalObjective:
             lo=np.array([[[0.0, 1.0]]]),
             hi=np.array([[[2.0, 3.0]]]),
             faulty=np.zeros((1, 1), dtype=bool),
+            precisions=np.ones((1, 1), dtype=int),
         )
         coeffs = (
             LinearCoefficients(np.array([0.5]), np.array([0.5]), 0.0),
@@ -382,6 +383,7 @@ class TestEmpiricalObjective:
             lo=np.array([[[0.0]], [[1.0]]]),
             hi=np.array([[[2.0]], [[3.0]]]),
             faulty=np.zeros((2, 1), dtype=bool),
+            precisions=np.ones((2, 1), dtype=int),
         )
         coeffs = (LinearCoefficients(np.array([0.5]), np.array([0.5]), 0.0),)
         # estimates 1.0 and 2.0 give squared errors 1 and 1
@@ -394,6 +396,7 @@ class TestEmpiricalObjective:
             lo=np.zeros((2, 1, 2)),
             hi=np.ones((2, 1, 2)),
             faulty=np.zeros((2, 1), dtype=bool),
+            precisions=np.ones((2, 1), dtype=int),
         )
         one = (LinearCoefficients(np.array([0.1]), np.array([0.1]), 0.0),)
         with pytest.raises(ValueError):

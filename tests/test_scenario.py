@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from intervalfusion import (
     Interval,
     ScenarioParams,
-    draw_target,
-    generate_trial,
     make_trial,
     make_trials,
     sample_batch,
-    trial_rng,
     truthful_interval,
 )
-from intervalfusion.scenario import FaultPattern, TrialData, draw_faulty_reading
+from intervalfusion.scenario import FaultPattern, TrialData
 
 
 def params_for(n=5, m=2, tau=1, x_max=5, seed=1234):
@@ -65,25 +62,23 @@ class TestScenarioParams:
 
 
 class TestDrawTarget:
+    # the target marginal of the one generator; n=1, m=1 keeps 10^6 trials small
     def test_range(self):
-        params = params_for(x_max=5)
-        rng = np.random.default_rng(0)
-        draws = [draw_target(params, rng) for _ in range(2000)]
-        assert all(-5.0 <= x <= 5.0 for x in draws)
+        params = params_for(n=1, tau=0, x_max=5)
+        draws = sample_batch(params, 2000, np.random.default_rng(0)).x
+        assert ((-5.0 <= draws) & (draws <= 5.0)).all()
 
     def test_mean_zero(self):
         # 10^6 draws at x_max=1: sample mean within 3 standard errors of 0
-        params = params_for(x_max=1)
-        rng = np.random.default_rng(7)
-        draws = np.array([draw_target(params, rng) for _ in range(1_000_000)])
+        params = params_for(n=1, m=1, tau=0, x_max=1)
+        draws = sample_batch(params, 1_000_000, np.random.default_rng(7)).x
         stderr = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean()) <= 3 * stderr
 
     def test_variance(self):
         # 10^6 draws at x_max=5: sample variance within 3 standard errors of 25/3
-        params = params_for(x_max=5)
-        rng = np.random.default_rng(8)
-        draws = np.array([draw_target(params, rng) for _ in range(1_000_000)])
+        params = params_for(n=1, m=1, tau=0, x_max=5)
+        draws = sample_batch(params, 1_000_000, np.random.default_rng(8)).x
         sq = (draws - draws.mean()) ** 2
         stderr = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(draws.var(ddof=1) - 25.0 / 3.0) <= 3 * stderr
@@ -150,28 +145,26 @@ class TestTruthfulInterval:
 
 @pytest.fixture(scope="module")
 def million_draws():
-    params = params_for(x_max=5)
-    rng = np.random.default_rng(20240611)
-    widths = np.empty(1_000_000)
-    lows = np.empty(1_000_000)
-    for i in range(widths.size):
-        iv = draw_faulty_reading(params, rng)
-        widths[i] = iv.width
-        lows[i] = iv.lo
+    # 10^6 faulty cells: n=2, tau=1, m=1 gives exactly one per trial
+    params = params_for(n=2, m=1, tau=1, x_max=5)
+    batch = sample_batch(params, 1_000_000, np.random.default_rng(20240611))
+    widths = (batch.hi - batch.lo)[batch.faulty][:, 0]
+    lows = batch.lo[batch.faulty][:, 0]
     return widths, lows
 
 
 class TestDrawFaultyReading:
     def test_single_cell_case(self):
-        params = params_for(x_max=1, tau=0, n=2)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            assert draw_faulty_reading(params, rng) == Interval(-1.0, 1.0)
+        params = params_for(x_max=1, tau=1, n=2)
+        batch = sample_batch(params, 50, np.random.default_rng(3))
+        assert (batch.lo[batch.faulty] == -1.0).all()
+        assert (batch.hi[batch.faulty] == 1.0).all()
 
     def test_width_distribution(self, million_draws):
         # precision uniform on {1..5}: each width 10/d has probability 1/5
         widths, _ = million_draws
         size = widths.size
+        assert size == 1_000_000
         for d in range(1, 6):
             p_hat = np.isclose(widths, 10.0 / d).mean()
             stderr = math.sqrt(p_hat * (1 - p_hat) / size)
@@ -210,11 +203,8 @@ class TestGenerateTrial:
     def test_fault_probability(self):
         # 10^5 trials at n=10, tau=7: each sensor is faulty with probability 0.7
         params = params_for(n=10, m=1, tau=7, seed=11)
-        hits = 0
         trials = 100_000
-        for i in range(trials):
-            hits += make_trial(params, i).pattern.flags[0]
-        p_hat = hits / trials
+        p_hat = make_trials(params, 0, trials).faulty[:, 0].mean()
         stderr = math.sqrt(p_hat * (1 - p_hat) / trials)
         assert abs(p_hat - 0.7) <= 3 * stderr
 
@@ -226,16 +216,10 @@ class TestGenerateTrial:
     def test_faulty_agents_independent(self):
         # where sensor 0 is faulty, its two agents' midpoints are uncorrelated
         params = params_for(n=2, m=2, tau=1, seed=13)
-        a, b = [], []
-        i = 0
-        while len(a) < 30_000:
-            trial = make_trial(params, i)
-            i += 1
-            if trial.pattern.flags[0]:
-                a.append(trial.readings[0][0].midpoint)
-                b.append(trial.readings[0][1].midpoint)
-        a = np.array(a)
-        b = np.array(b)
+        batch = make_trials(params, 0, 70_000)
+        mid = (batch.lo[batch.faulty[:, 0], 0] + batch.hi[batch.faulty[:, 0], 0]) / 2.0
+        assert mid.shape[0] >= 30_000
+        a, b = mid[:30_000, 0], mid[:30_000, 1]
         prod = (a - a.mean()) * (b - b.mean())
         corr = prod.mean() / (a.std() * b.std())
         stderr = prod.std(ddof=1) / (a.std() * b.std()) / math.sqrt(a.size)
@@ -273,30 +257,39 @@ class TestDeterminism:
         assert make_trial(params, 0) != make_trial(params, 1)
 
     def test_order_independent(self):
-        # generating trial 5 never depends on whether trials 0..4 were generated
+        # a trial never depends on which trials were drawn before it: trials on
+        # both sides of the block edges 128 and 256, alone and in one range
         params = params_for(seed=78)
-        fresh = generate_trial(params, trial_rng(params.seed, 5))
-        assert fresh == make_trial(params, 5)
+        batch = make_trials(params, 0, 300)
+        for t in (256, 255, 128, 127, 5):
+            assert make_trial(params, t) == _trial_view(batch, t)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            trial_rng(1, -1)
+            make_trial(params_for(), -1)
 
 
-def _reference_trial(params, rng):
-    """The documented draw order, one Interval at a time."""
-    faulty = {int(i) for i in rng.choice(params.n, size=params.tau, replace=False)}
-    flags = [i in faulty for i in range(params.n)]
-    precisions = rng.integers(1, params.x_max + 1, size=params.n)
-    x = draw_target(params, rng)
-    rows = []
-    for i in range(params.n):
-        if flags[i]:
-            rows.append(tuple(draw_faulty_reading(params, rng) for _ in range(params.m)))
-        else:
-            rows.append((truthful_interval(x, int(precisions[i]), params.x_max),) * params.m)
-    return TrialData(x=x, readings=tuple(rows), pattern=FaultPattern(tuple(flags)),
-                     precisions=tuple(int(p) for p in precisions))
+_FIELDS = ("x", "lo", "hi", "faulty", "precisions")
+
+
+def _trial_view(batch, row):
+    """Row `row` of a TrialBatch as the TrialData make_trial documents."""
+    readings = tuple(
+        tuple(Interval(float(a), float(b)) for a, b in zip(lo_row, hi_row))
+        for lo_row, hi_row in zip(batch.lo[row], batch.hi[row])
+    )
+    return TrialData(x=float(batch.x[row]), readings=readings,
+                     pattern=FaultPattern(tuple(bool(f) for f in batch.faulty[row])),
+                     precisions=tuple(int(p) for p in batch.precisions[row]))
+
+
+def _reference_blocks(params, count):
+    """The documented layout: block b is sample_batch on the substream (seed, b)."""
+    blocks = [
+        sample_batch(params, 128, np.random.default_rng(np.random.SeedSequence((params.seed & (2**64 - 1), b))))
+        for b in range(count)
+    ]
+    return {name: np.concatenate([getattr(b, name) for b in blocks]) for name in _FIELDS}
 
 
 class TestMakeTrials:
@@ -306,29 +299,63 @@ class TestMakeTrials:
     )
     def test_rows_match_reference_bit_for_bit(self, n, m, tau, x_max):
         params = params_for(n=n, m=m, tau=tau, x_max=x_max, seed=91)
-        start, stop = 3, 43
+        start, stop = 120, 265
+        reference = _reference_blocks(params, 3)
         batch = make_trials(params, start, stop)
         assert batch.lo.shape == batch.hi.shape == (stop - start, n, m)
-        for t in range(start, stop):
-            expected = _reference_trial(params, trial_rng(params.seed, t))
-            assert make_trial(params, t) == expected
-            row = t - start
-            assert batch.x[row] == expected.x
-            assert batch.faulty[row].tolist() == list(expected.pattern.flags)
-            assert batch.lo[row].tolist() == [[iv.lo for iv in r] for r in expected.readings]
-            assert batch.hi[row].tolist() == [[iv.hi for iv in r] for r in expected.readings]
+        for name in _FIELDS:
+            assert np.array_equal(getattr(batch, name), reference[name][start:stop])
+        for t in (127, 128, 255, 256):
+            assert make_trial(params, t) == _trial_view(batch, t - start)
+
+    def test_negative_seed_uses_its_64_bit_pattern(self):
+        params = params_for(seed=-5)
+        reference = _reference_blocks(params, 1)
+        assert np.array_equal(make_trials(params, 0, 128).lo, reference["lo"])
 
     def test_range_split_independent(self):
         params = params_for(n=6, m=2, tau=2, seed=92)
-        whole = make_trials(params, 0, 30)
-        parts = [make_trials(params, a, b) for a, b in ((0, 1), (1, 17), (17, 30))]
-        for name in ("x", "lo", "hi", "faulty"):
+        whole = make_trials(params, 0, 300)
+        parts = [make_trials(params, a, b) for a, b in ((0, 1), (1, 130), (130, 300))]
+        for name in _FIELDS:
             assert np.array_equal(getattr(whole, name), np.concatenate([getattr(p, name) for p in parts]))
 
     @pytest.mark.parametrize("start,stop", [(-1, 3), (4, 4), (5, 2)])
     def test_invalid_range(self, start, stop):
         with pytest.raises(ValueError):
             make_trials(params_for(), start, stop)
+
+    @given(
+        shape=st.integers(1, 8).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, 3), st.integers(0, n - 1), st.integers(1, 7))
+        ),
+        span=st.integers(0, 400).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, a + 300))),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_law_of_any_range(self, shape, span):
+        n, m, tau, x_max = shape
+        start, stop = span
+        params = params_for(n=n, m=m, tau=tau, x_max=x_max, seed=93)
+        batch = make_trials(params, start, stop)
+        prefix = make_trials(params, 0, stop)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(batch, name), getattr(prefix, name)[start:])
+        assert (batch.faulty.sum(axis=1) == tau).all()
+        # truthful cells: one cell of the sensor's precision, replicated to
+        # every agent, containing the target
+        truthful = ~batch.faulty
+        lo_t, hi_t = batch.lo[truthful], batch.hi[truthful]
+        x_t = np.broadcast_to(batch.x[:, None], truthful.shape)[truthful]
+        assert (lo_t == lo_t[:, :1]).all() and (hi_t == hi_t[:, :1]).all()
+        assert ((lo_t[:, 0] <= x_t) & (x_t <= hi_t[:, 0])).all()
+        assert np.allclose(hi_t[:, 0] - lo_t[:, 0], 2.0 * x_max / batch.precisions[truthful], rtol=0, atol=1e-12)
+        # every endpoint, faulty or not, sits on its precision's lattice
+        width = batch.hi - batch.lo
+        d = np.round(2.0 * x_max / width)
+        assert ((1 <= d) & (d <= x_max)).all()
+        assert np.allclose(width, 2.0 * x_max / d, rtol=0, atol=1e-12)
+        slot = (batch.lo + x_max) / width
+        assert np.allclose(slot, np.round(slot), rtol=0, atol=1e-9)
 
 
 class TestSampleBatch:
