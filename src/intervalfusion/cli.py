@@ -3,10 +3,11 @@
 Configuration is a flat JSON object.  Keys:
 
     n               sensors per trial (int)
-    m               agents (int)
+    m               agents (int; linear fusers and fit-linear need m >= 2)
     x_max           half-width of the target range (positive int)
     seed            root seed for every derived stream (int)
-    taus            fault counts to sweep (list of ints, each 0..n-2)
+    taus            fault counts to sweep (list of ints, each 0..n-1, or
+                    0..n-2 when "marzullo" is among the algorithms)
     lambdas         objective weights for linear fusers (list of floats in [0, 1])
     algorithms      fusers to run: "marzullo", "bi", "gbi_oneopt",
                     "linear" (one instance per entry of lambdas),
@@ -126,9 +127,6 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
     if not isinstance(taus_raw, list) or not taus_raw:
         raise ConfigError("field 'taus' must be a non-empty list of integers")
     taus = tuple(_require_int(t, "taus", minimum=0) for t in taus_raw)
-    for t in taus:
-        if t > n - 2:
-            raise ConfigError(f"field 'taus' entry {t} exceeds n-2 = {n - 2}")
 
     lambdas_raw = raw.get("lambdas", list(_DEFAULTS["lambdas"]))
     if not isinstance(lambdas_raw, list):
@@ -144,6 +142,12 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
     algorithms_raw = raw["algorithms"]
     if not isinstance(algorithms_raw, list) or not all(isinstance(a, str) for a in algorithms_raw):
         raise ConfigError("field 'algorithms' must be a list of strings")
+    # Marzullo needs two order statistics; the other fusers run up to n-1 faults
+    tau_max = n - 2 if "marzullo" in algorithms_raw else n - 1
+    for t in taus:
+        if t > tau_max:
+            raise ConfigError(f"field 'taus' entry {t} exceeds {tau_max} "
+                              f"(n-2 with a marzullo selector, else n-1)")
 
     trials = raw["trials"]
     if ENV_TRIALS in os.environ:
@@ -231,13 +235,13 @@ def run_sweep(config: RunConfig) -> list[dict]:
     """Evaluate every configured algorithm at every tau; return one row per cell.
 
     Linear fusers are fitted per (tau, lambda) via the cross-validated
-    selection; when the closed-form recipe was rejected the row's flags field
-    records fit_substituted.  All algorithms at one tau share bit-identical
-    trials.
+    selection at any m >= 2; when the closed-form recipe was rejected, or not
+    run because m != 2, the row's flags field records fit_substituted.  All
+    algorithms at one tau share bit-identical trials.
     """
     plans = _parse_algorithms(config)
-    if config.m != 2 and any(p.kind == "linear" for p in plans):
-        raise ConfigError(f"linear fusers require m=2 agents (field 'm'), got m={config.m}")
+    if config.m < 2 and any(p.kind == "linear" for p in plans):
+        raise ConfigError(f"linear fusers require m >= 2 agents (field 'm'), got m={config.m}")
     rows: list[dict] = []
     for tau in config.taus:
         params = config.scenario(tau)
@@ -257,7 +261,7 @@ def run_sweep(config: RunConfig) -> list[dict]:
                 specs.append(AlgorithmSpec(kind=plan.kind))
         if not specs:
             continue
-        reports = evaluate(specs, params, None, config.trials)
+        reports = evaluate(specs, params, config.trials)
         for plan, report in zip(plans, reports):
             objective = None
             if plan.lam is not None:
@@ -353,8 +357,8 @@ def run_oracle_check(
 
 def run_fit_linear(config: RunConfig, lam: float) -> list[dict]:
     """Fit linear fuser coefficients at weight lam for every configured tau."""
-    if config.m != 2:
-        raise ConfigError(f"fit-linear requires m=2 agents (field 'm'), got m={config.m}")
+    if config.m < 2:
+        raise ConfigError(f"fit-linear requires m >= 2 agents (field 'm'), got m={config.m}")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"--lambda must lie in [0, 1], got {lam}")
     results = []

@@ -69,13 +69,6 @@ def _check_rows(lo: np.ndarray, hi: np.ndarray) -> None:
         raise ValueError("interval with lower endpoint above upper endpoint")
 
 
-def _bounds(readings: Sequence[Interval] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize readings to validated 1-d (lo, hi) float arrays."""
-    lo, hi = _as_row(readings)
-    _check_rows(lo, hi)
-    return lo[0], hi[0]
-
-
 def _check_tau(tau: int, n: int) -> None:
     if not 0 <= tau < n:
         raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
@@ -249,10 +242,11 @@ def gbi_bayes_weights(readings: Sequence[Interval] | np.ndarray, tau: int) -> Gb
     widths; the midpoint is the intersection midpoint.  Zero-width readings
     are rejected (their inverse width is undefined).
     """
-    lo, hi = _bounds(readings)
+    lo, hi = _as_row(readings)
+    _check_rows(lo, hi)
+    lo, hi = lo[0], hi[0]
     n = lo.size
-    if not 0 <= tau < n:
-        raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
+    _check_tau(tau, n)
     widths = hi - lo
     if np.any(widths <= 0):
         raise ValueError("every reading must have positive width")

@@ -1,5 +1,8 @@
 """Monte Carlo evaluation of fusers: squared error, inter-agent gap, objective.
 
+`evaluate` reports per-agent squared errors and per-pair gaps;
+`combine_objective` is the one place their weighted objective is formed.
+
 All algorithms in a run see bit-identical trials: trial i is always row i of
 the stream `scenario.make_trials` numbers from the seed, so comparisons are
 paired and the result is independent of evaluation order or any partitioning
@@ -74,23 +77,20 @@ class MetricsReport:
 
     mse[j] estimates E[(X - Xhat_j)^2] for agent j; cns[p] estimates
     E[(Xhat_j - Xhat_k)^2] for the p-th unordered agent pair in `pairs`.
-    objective = lam * sum(mse) + (1-lam)/(m-1) * sum(cns) when lam is given.
     Standard errors are per-trial sample standard deviations over sqrt(trials).
     degenerate_count tallies trials where the fuser needed its fallback rule.
     Per-trial arrays (sq_err: m x trials, pair_gap_sq: pairs x trials) are
-    attached for paired comparisons and for combine_objective.
+    attached for paired comparisons and for combine_objective, which forms
+    the objective lam * sum(mse) + (1-lam)/(m-1) * sum(cns) at any lam.
     """
 
     algorithm: str
     tau: int
-    lam: float | None
     mse: np.ndarray
     mse_stderr: np.ndarray
     cns: np.ndarray
     cns_stderr: np.ndarray
     pairs: tuple[tuple[int, int], ...]
-    objective: float | None
-    objective_stderr: float | None
     trials: int
     degenerate_count: int
     sq_err: np.ndarray | None = None
@@ -168,7 +168,6 @@ def combine_objective(report: MetricsReport, lam: float) -> tuple[float, float]:
 def evaluate(
     algos: list[AlgorithmSpec] | tuple[AlgorithmSpec, ...],
     params: ScenarioParams,
-    lam: float | None,
     trials: int,
 ) -> list[MetricsReport]:
     """Evaluate every algorithm on the same `trials` generated trials.
@@ -177,13 +176,9 @@ def evaluate(
     numbers) are drawn in blocks of _BLOCK_TRIALS, and every algorithm fuses
     a whole block at once; a trial's values never depend on the block it
     falls in.  Every report carries its per-trial arrays as views.
-    Pass lam=None to skip the combined objective for algorithms that do not
-    carry one.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials for meaningful statistics, got {trials}")
-    if lam is not None and not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
     labels = [spec.label for spec in algos]
     if len(set(labels)) != len(labels):
         raise ValueError(f"algorithm labels must be unique, got {labels}")
@@ -224,21 +219,15 @@ def evaluate(
         cns_se = np.empty(len(pair_list))
         for p in range(len(pair_list)):
             cns[p], cns_se[p] = _mean_stderr(gap_sq[a, p])
-        objective = objective_se = None
-        if lam is not None:
-            objective, objective_se = _mean_stderr(_objective_per_trial(sq_err[a], gap_sq[a], lam))
         reports.append(
             MetricsReport(
                 algorithm=spec.label,
                 tau=params.tau,
-                lam=lam,
                 mse=mse,
                 mse_stderr=mse_se,
                 cns=cns,
                 cns_stderr=cns_se,
                 pairs=pair_list,
-                objective=objective,
-                objective_stderr=objective_se,
                 trials=trials,
                 degenerate_count=int(degenerate[a]),
                 sq_err=sq_err[a],

@@ -2,25 +2,28 @@
 
 The tunable objective is L = lam * sum_j mse_j + (1-lam)/(m-1) * sum_pairs cns
 with mse_j the squared error of agent j's estimate and cns the squared gap
-between two agents' estimates, summed over unordered agent pairs.  Given unit
-variance zero-mean directions f_j, the optimal amplitudes solve a small linear
-system (amplitude_solution).  For two agents and endpoint-sum directions there
-is a closed-form moment recipe (solve_linear_two_agent); it is implemented
-exactly as published even though parts of it look inconsistent, so its output
-must always be cross-checked against fit_linear_empirical, which minimizes the
-empirical objective exactly (one least-squares solve of the same quadratic
-system, built from sample second moments of the fitting batch) and serves as
-the authority when they disagree.
+between two agents' estimates, summed over unordered agent pairs.  It is
+defined for any number m >= 2 of agents; m = 1 is refused, since the
+consensus term has no pairs to count.  Given unit variance zero-mean
+directions f_j, the optimal amplitudes solve a small linear system
+(amplitude_solution), and fit_linear_empirical minimizes the empirical
+objective exactly (one least-squares solve of the same quadratic system,
+built from sample second moments of the fitting batch).  For two agents and
+endpoint-sum directions there is also a closed-form moment recipe
+(solve_linear_two_agent); it is implemented exactly as published even though
+parts of it look inconsistent, so select_linear_coefficients cross-checks it
+against the fit, which serves as the authority when they disagree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .fusion import LinearCoefficients
+from .fusion import LinearCoefficients, linear_rows
 from .metrics import _objective_per_trial
 from .scenario import ScenarioParams, TrialBatch, sample_batch
 
@@ -170,21 +173,24 @@ def amplitude_solution(dm: DirectionMoments, mean_x: float, lam: float) -> Ampli
     Solves A c = theta where A has unit diagonal and off-diagonal entries
     -(1-lam)/(m-1) * cross[j][k], and theta = lam * target.  The intercept is
     b_j = mean_x (the estimators are built on centered directions).  Raises
-    SingularSystemError when A's condition number exceeds 1e10.
+    SingularSystemError when A's condition number exceeds 1e10, and
+    ValueError for fewer than two agents.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     m = dm.target.size
+    if m < 2:
+        raise ValueError(f"the objective is defined for m >= 2 agents, got m={m}")
     theta = lam * dm.target
-    if m == 1:
-        a = np.array([[1.0]])
+    if lam == 1.0:
+        # A is the identity and the answer exact
+        a = np.eye(m)
         c = theta.copy()
     else:
         a = -(1.0 - lam) / (m - 1) * dm.cross
         np.fill_diagonal(a, 1.0)
-        if lam == 1.0 or not theta.any():
-            # A is the identity (lam=1) or theta vanishes; both give exact answers
-            c = theta.copy() if lam == 1.0 else np.zeros(m)
+        if not theta.any():
+            c = np.zeros(m)
         else:
             cond = float(np.linalg.cond(a))
             if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -193,8 +199,6 @@ def amplitude_solution(dm: DirectionMoments, mean_x: float, lam: float) -> Ampli
                     f"cross matrix:\n{dm.cross}"
                 )
             c = np.linalg.solve(a, theta)
-    if lam == 1.0:
-        a = np.eye(m)
     objective = float(theta @ np.linalg.solve(a @ a.T, theta)) if theta.any() else 0.0
     b = np.full(m, float(mean_x))
     return AmplitudeSolution(c=c, b=b, a_matrix=a, theta=theta, objective_value=objective)
@@ -234,8 +238,8 @@ def _delta_roots(xi1: float, xi2: float, xi3: float) -> tuple[float, ...]:
     disc = xi2 * xi2 - 4.0 * xi1 * xi3
     if disc < 0.0:
         return ()
-    root = np.sqrt(disc)
-    q = -(xi2 + np.copysign(root, xi2)) / 2.0 if xi2 != 0.0 else root / 2.0
+    root = math.sqrt(disc)
+    q = -(xi2 + math.copysign(root, xi2)) / 2.0 if xi2 != 0.0 else root / 2.0
     if q == 0.0:
         return (0.0,)
     r1, r2 = q / xi1, xi3 / q
@@ -381,11 +385,7 @@ def empirical_objective(
     m = batch.lo.shape[2]
     if len(coeffs) != m:
         raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
-    est = np.stack(
-        [batch.lo[:, :, j] @ coeffs[j].eps + batch.hi[:, :, j] @ coeffs[j].delta + coeffs[j].gamma
-         for j in range(m)],
-        axis=1,
-    )
+    est = np.stack([linear_rows(batch.lo[:, :, j], batch.hi[:, :, j], coeffs[j]) for j in range(m)], axis=1)
     j, k = np.triu_indices(m, 1)
     sq_err = ((batch.x[:, None] - est) ** 2).T
     gap_sq = ((est[:, j] - est[:, k]) ** 2).T
@@ -423,12 +423,13 @@ def fit_linear_empirical(
     (amplitude_solution's system with two features per agent).  Q is positive
     semidefinite, so the minimum-norm least-squares solution of Q v = b is a
     global minimizer, also when Q is singular (lam=0, single-cell scenarios).
-    objective_value is the in-sample objective.
+    objective_value is the in-sample objective.  Needs m >= 2: at m = 1 the
+    diagonal would count 1-lam of gap terms that do not exist.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    if params.m != 2:
-        raise ValueError(f"the shared-coefficient fit is defined for m=2 agents, got m={params.m}")
+    if params.m < 2:
+        raise ValueError(f"the shared-coefficient fit is defined for m >= 2 agents, got m={params.m}")
     if samples < 10_000:
         raise ValueError(f"need at least 10000 samples for a stable fit, got {samples}")
     batch = sample_batch(params, samples, rng)
@@ -465,7 +466,7 @@ def fit_linear_empirical(
 class LinearSelection:
     """Outcome of cross-validating the moment recipe against the exact empirical fit."""
 
-    coeffs: tuple[LinearCoefficients, LinearCoefficients]
+    coeffs: tuple[LinearCoefficients, ...]
     closed_form_used: bool
     closed_form_objective: float | None
     empirical_objective: float
@@ -480,38 +481,33 @@ def select_linear_coefficients(
 ) -> LinearSelection:
     """Fit linear fusers and pick the moment-recipe solution only when it holds up.
 
-    Both candidate coefficient sets are scored on a common validation batch;
-    the closed-form recipe is selected when its objective is within 5% of the
-    empirical fit's, otherwise the empirical fit is returned and the
-    substitution is recorded.  Recipe failures (infeasible search) are caught
-    and recorded the same way.
+    The two-agent recipe runs only at m=2, from a moment batch drawn before
+    the fit's batch; at any other m no moment batch is drawn and
+    closed_form_error names the reason.  Both candidate coefficient sets are
+    scored on a common validation batch, drawn last; the closed-form recipe
+    is selected when its objective is within 5% of the empirical fit's,
+    otherwise the empirical fit is returned and the substitution is
+    recorded.  Recipe failures (infeasible search) are caught and recorded
+    the same way.
     """
-    moments = estimate_moments(params, samples, rng)
+    moments = estimate_moments(params, samples, rng) if params.m == 2 else None
     fit = fit_linear_empirical(params, lam, samples, rng)
-    closed_objective = None
-    error = None
     closed_coeffs = None
-    try:
-        solution = solve_linear_two_agent(moments, lam, params.n)
-        closed_coeffs = solution.to_coefficients(params.n)
-    except (InfeasibleSearchError, ValueError) as exc:
-        error = str(exc)
+    error = f"the closed-form recipe is defined for m=2 agents, got m={params.m}"
+    if moments is not None:
+        try:
+            closed_coeffs = solve_linear_two_agent(moments, lam, params.n).to_coefficients(params.n)
+            error = None
+        except (InfeasibleSearchError, ValueError) as exc:
+            error = str(exc)
 
     validation = sample_batch(params, samples, rng)
     fit_objective = empirical_objective(validation, fit.coeffs, lam)
-    if closed_coeffs is not None:
-        closed_objective = empirical_objective(validation, closed_coeffs, lam)
-        if closed_objective <= 1.05 * fit_objective:
-            return LinearSelection(
-                coeffs=closed_coeffs,
-                closed_form_used=True,
-                closed_form_objective=closed_objective,
-                empirical_objective=fit_objective,
-                closed_form_error=None,
-            )
+    closed_objective = None if closed_coeffs is None else empirical_objective(validation, closed_coeffs, lam)
+    used = closed_objective is not None and closed_objective <= 1.05 * fit_objective
     return LinearSelection(
-        coeffs=fit.coeffs,
-        closed_form_used=False,
+        coeffs=closed_coeffs if used else fit.coeffs,
+        closed_form_used=used,
         closed_form_objective=closed_objective,
         empirical_objective=fit_objective,
         closed_form_error=error,

@@ -87,7 +87,7 @@ def study():
             for lam in LAMBDAS
         ]
         start = time.perf_counter()
-        out = evaluate(specs, study_params(tau), None, STUDY_TRIALS)
+        out = evaluate(specs, study_params(tau), STUDY_TRIALS)
         eval_seconds += time.perf_counter() - start
         reports[tau] = {r.algorithm: r for r in out}
     return {
@@ -189,7 +189,7 @@ def test_criterion_4_consensus_only_weight_degenerates(capsys):
         assert sol.objective_value == 0.0
     params = study_params(3)
     mo = estimate_moments(params, 20_000, np.random.default_rng(44))
-    rep, = evaluate([AlgorithmSpec.constant(mo.mean_x)], params, None, 5_000)
+    rep, = evaluate([AlgorithmSpec.constant(mo.mean_x)], params, 5_000)
     assert np.all(rep.cns == 0.0)
     var = 25.0 / 3.0
     for j in range(2):

@@ -70,6 +70,24 @@ class TestLoadConfig:
             load_config(path)
         assert needle in str(info.value)
 
+    def test_tau_bound_without_marzullo_is_n_minus_one(self, tmp_path):
+        # BI, GBI and linear fusers run with a single truthful sensor
+        path, _ = write_config(tmp_path, taus=[4], algorithms=["bi", "gbi_oneopt", "linear@0.5"])
+        config = load_config(path)
+        assert config.taus == (4,)
+        rows = run_sweep(config)
+        assert [r["algorithm"] for r in rows] == ["bi", "gbi_oneopt", "linear@0.5"]
+        path, _ = write_config(tmp_path, taus=[5], algorithms=["bi"])
+        with pytest.raises(ConfigError, match="'taus'"):
+            load_config(path)
+
+    def test_tau_bound_with_marzullo_is_n_minus_two(self, tmp_path):
+        path, _ = write_config(tmp_path, taus=[3], algorithms=["bi", "marzullo"])
+        assert load_config(path).taus == (3,)
+        path, _ = write_config(tmp_path, taus=[4], algorithms=["bi", "marzullo"])
+        with pytest.raises(ConfigError, match="'taus'"):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path, _ = write_config(tmp_path, banana=1)
         with pytest.raises(ConfigError) as info:
@@ -219,16 +237,25 @@ class TestSweep:
         assert rows[0]["algorithm"] == "marzullo"
         assert rows[0]["lambda"] is None
 
-    def test_linear_needs_two_agents(self, tmp_path):
+    def test_linear_needs_two_agents(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, m=1, algorithms=["linear@0.5"])
         config = load_config(path)
         with pytest.raises(ConfigError):
             run_sweep(config)
-
-    def test_linear_rejects_three_agents(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, m=3, algorithms=["linear@0.5"])
         assert main(["sweep", "--config", path]) == 2
         assert "'m'" in capsys.readouterr().err
+
+    def test_linear_runs_three_agents(self, tmp_path):
+        path, raw = write_config(tmp_path, m=3, algorithms=["linear@0.5", "bi"], trials=150)
+        assert main(["sweep", "--config", path]) == 0
+        linear, bi = read_rows(raw["output_path"])
+        assert linear["algorithm"] == "linear@0.5"
+        # the recipe is two-agent only, so the fit always stands in for it
+        assert linear["flags"] == "fit_substituted"
+        mse = sum(float(linear[f"mse_agent_{j}"]) for j in (1, 2, 3))
+        cns = sum(float(linear[f"cns_pair_{j}_{k}"]) for j, k in ((1, 2), (1, 3), (2, 3)))
+        assert float(linear["objective"]) == pytest.approx(0.5 * mse + 0.5 / 2 * cns, rel=1e-9)
+        assert bi["objective"] == ""
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, trials=5)
@@ -243,6 +270,12 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "passed" in out
         assert "600 comparisons" in out
+
+    def test_passes_at_tau_n_minus_one(self, tmp_path):
+        path, _ = write_config(tmp_path, n=5, taus=[4], algorithms=["bi"], trials=100)
+        worst, failures = run_oracle_check(load_config(path))
+        assert not failures
+        assert worst < 1e-9
 
     def test_large_n_rejected(self, tmp_path):
         path, _ = write_config(tmp_path, n=9, taus=[1])
@@ -298,6 +331,20 @@ class TestFitLinear:
         path, _ = write_config(tmp_path)
         assert main(["fit-linear", "--config", path, "--lambda", "1.5"]) == 2
 
-    def test_requires_two_agents(self, tmp_path):
-        path, _ = write_config(tmp_path, m=3)
+    def test_requires_two_agents(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, m=1)
         assert main(["fit-linear", "--config", path, "--lambda", "0.5"]) == 2
+        assert "'m'" in capsys.readouterr().err
+
+    def test_three_agents_get_three_coefficient_sets(self, tmp_path):
+        out = tmp_path / "fit.json"
+        path, _ = write_config(tmp_path, m=3, taus=[0, 2])
+        assert main(["fit-linear", "--config", path, "--lambda", "0.5", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert [entry["tau"] for entry in payload] == [0, 2]
+        for entry in payload:
+            assert len(entry["eps"]) == len(entry["delta"]) == len(entry["gamma"]) == 3
+            assert all(len(eps) == 5 for eps in entry["eps"])
+            assert entry["closed_form_used"] is False
+            assert entry["closed_form_objective"] is None
+            assert "m=3" in entry["closed_form_error"]

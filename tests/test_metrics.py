@@ -49,7 +49,7 @@ class TestEvaluate:
         # X has variance 25/3 on [-5, 5]; a constant-zero estimator's squared
         # error is X^2 and both agents agree exactly
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=61)
-        report, = evaluate([AlgorithmSpec.constant(0.0)], params, 0.5, 5_000)
+        report, = evaluate([AlgorithmSpec.constant(0.0)], params, 5_000)
         for j in range(2):
             assert abs(report.mse[j] - 25.0 / 3.0) <= 3 * report.mse_stderr[j]
         assert report.cns.tolist() == [0.0]
@@ -67,31 +67,26 @@ class TestEvaluate:
                 )
             ),
         ]
-        reports = evaluate(algos, params, None, 500)
+        reports = evaluate(algos, params, 500)
         for report in reports:
             assert np.all(report.cns == 0.0)
             assert report.pairs == ((0, 1), (0, 2), (1, 2))
 
     def test_common_random_numbers_across_calls(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=63)
-        solo, = evaluate([AlgorithmSpec.marzullo()], params, None, 300)
-        paired = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.marzullo()], params, None, 300)
+        solo, = evaluate([AlgorithmSpec.marzullo()], params, 300)
+        paired = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.marzullo()], params, 300)
         assert np.array_equal(solo.mse, paired[1].mse)
         assert np.array_equal(solo.cns, paired[1].cns)
 
     def test_objective_recombines_from_components(self):
         params = ScenarioParams(n=6, m=3, tau=2, x_max=5, seed=64)
         lam = 0.35
-        reports = evaluate([AlgorithmSpec.marzullo(), AlgorithmSpec.bi()], params, lam, 400)
+        reports = evaluate([AlgorithmSpec.marzullo(), AlgorithmSpec.bi()], params, 400)
         for report in reports:
             recombined = lam * report.mse.sum() + (1 - lam) / 2 * report.cns.sum()
-            assert report.objective == pytest.approx(recombined, rel=1e-12)
-
-    def test_lam_none_skips_objective(self):
-        params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=65)
-        report, = evaluate([AlgorithmSpec.bi()], params, None, 200)
-        assert report.objective is None
-        assert report.objective_stderr is None
+            objective, _ = combine_objective(report, lam)
+            assert objective == pytest.approx(recombined, rel=1e-12)
 
     def test_posterior_mean_fuser_wins_on_mse(self):
         params = ScenarioParams(n=6, m=2, tau=2, x_max=5, seed=66)
@@ -102,7 +97,7 @@ class TestEvaluate:
             AlgorithmSpec.linear(midpoint_coeffs(6)),
             AlgorithmSpec.constant(0.0),
         ]
-        reports = evaluate(algos, params, None, 4_000)
+        reports = evaluate(algos, params, 4_000)
         gbi = reports[0]
         for other in reports[1:]:
             for j in range(2):
@@ -114,7 +109,7 @@ class TestEvaluate:
         # replay the identical trial stream through the exact posterior mean
         params = ScenarioParams(n=4, m=2, tau=1, x_max=5, seed=67)
         trials = 10_000
-        report, = evaluate([AlgorithmSpec.gbi_oneopt()], params, None, trials)
+        report, = evaluate([AlgorithmSpec.gbi_oneopt()], params, trials)
         batch = make_trials(params, 0, trials)
         sq = np.empty((2, trials))
         for t in range(trials):
@@ -126,20 +121,18 @@ class TestEvaluate:
 
     def test_no_degenerate_trials_in_model(self):
         params = ScenarioParams(n=5, m=2, tau=2, x_max=5, seed=68)
-        reports = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, None, 2_000)
+        reports = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 2_000)
         assert all(r.degenerate_count == 0 for r in reports)
 
     def test_validation(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=69)
         with pytest.raises(ValueError):
-            evaluate([AlgorithmSpec.bi()], params, None, 99)
+            evaluate([AlgorithmSpec.bi()], params, 99)
         with pytest.raises(ValueError):
-            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.bi()], params, None, 100)
-        with pytest.raises(ValueError):
-            evaluate([AlgorithmSpec.bi()], params, 1.5, 100)
+            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.bi()], params, 100)
         short = (LinearCoefficients(np.full(5, 0.1), np.full(5, 0.1), 0.0),)
         with pytest.raises(ValueError):
-            evaluate([AlgorithmSpec.linear(short)], params, None, 100)
+            evaluate([AlgorithmSpec.linear(short)], params, 100)
 
     def test_marzullo_tau_checked_before_any_trial(self, monkeypatch):
         def no_trials(*args):
@@ -148,11 +141,11 @@ class TestEvaluate:
         monkeypatch.setattr(metrics, "make_trials", no_trials)
         params = ScenarioParams(n=5, m=2, tau=4, x_max=5, seed=73)
         with pytest.raises(ValueError, match="tau"):
-            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.marzullo()], params, None, 100)
+            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.marzullo()], params, 100)
 
     def test_bi_and_gbi_at_tau_n_minus_one(self):
         params = ScenarioParams(n=5, m=2, tau=4, x_max=5, seed=74)
-        reports = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, None, 100)
+        reports = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 100)
         for report in reports:
             assert np.isfinite(report.mse).all()
             assert np.isfinite(report.cns).all()
@@ -170,10 +163,10 @@ class TestEvaluate:
             AlgorithmSpec.constant(0.5),
         ]
         block = metrics._BLOCK_TRIALS
-        long = evaluate(algos, params, None, block + 50)
-        short = evaluate(algos, params, None, block - 20)
+        long = evaluate(algos, params, block + 50)
+        short = evaluate(algos, params, block - 20)
         monkeypatch.setattr(metrics, "_BLOCK_TRIALS", 7)
-        split = evaluate(algos, params, None, block + 50)
+        split = evaluate(algos, params, block + 50)
         for a, b, c in zip(long, short, split):
             assert np.array_equal(a.sq_err[:, : block - 20], b.sq_err)
             assert np.array_equal(a.pair_gap_sq[:, : block - 20], b.pair_gap_sq)
@@ -184,23 +177,24 @@ class TestEvaluate:
 
 class TestCombineObjective:
     def test_matches_direct_evaluation(self):
+        # the mean and standard error of the per-trial objective, by hand
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=70)
         lam = 0.6
-        kept, = evaluate([AlgorithmSpec.bi()], params, None, 500)
-        direct, = evaluate([AlgorithmSpec.bi()], params, lam, 500)
-        objective, stderr = combine_objective(kept, lam)
-        assert objective == pytest.approx(direct.objective, rel=1e-12)
-        assert stderr == pytest.approx(direct.objective_stderr, rel=1e-12)
+        report, = evaluate([AlgorithmSpec.bi()], params, 500)
+        per_trial = lam * report.sq_err.sum(axis=0) + (1 - lam) * report.pair_gap_sq[0]
+        objective, stderr = combine_objective(report, lam)
+        assert objective == pytest.approx(per_trial.mean(), rel=1e-12)
+        assert stderr == pytest.approx(per_trial.std(ddof=1) / np.sqrt(500), rel=1e-12)
 
     def test_requires_per_trial_arrays(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=71)
-        report, = evaluate([AlgorithmSpec.bi()], params, None, 200)
+        report, = evaluate([AlgorithmSpec.bi()], params, 200)
         hand_built = dataclasses.replace(report, sq_err=None, pair_gap_sq=None)
         with pytest.raises(ValueError):
             combine_objective(hand_built, 0.5)
 
     def test_lam_checked(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=72)
-        report, = evaluate([AlgorithmSpec.bi()], params, None, 200)
+        report, = evaluate([AlgorithmSpec.bi()], params, 200)
         with pytest.raises(ValueError):
             combine_objective(report, -0.1)

@@ -203,6 +203,13 @@ class TestAmplitudeSolution:
         with pytest.raises(ValueError):
             amplitude_solution(dm, 0.0, 1.2)
 
+    def test_single_agent_refused(self):
+        # one agent has no gap terms to trade against, so the system is not
+        # the objective's; c = lam * target would not even be stationary
+        dm = DirectionMoments(cross=np.eye(1), target=np.array([0.5]))
+        with pytest.raises(ValueError, match="m=1"):
+            amplitude_solution(dm, 0.0, 0.5)
+
 
 class TestSolveLinearTwoAgent:
     def test_degenerate_moments_return_zero(self):
@@ -311,25 +318,51 @@ class TestFitLinearEmpirical:
     def test_coordinate_perturbations_never_improve(self, lam):
         # the fit is the exact minimizer over the tied-intercept family, so a
         # +-1% bump of any eps_j/delta_j (1e-3 where it is 0) with the intercept
-        # re-tied cannot lower the in-sample objective beyond round-off
+        # re-tied cannot lower the in-sample objective beyond round-off, for
+        # any number of agents
         n = 5
-        params = ScenarioParams(n=n, m=2, tau=1, x_max=5, seed=51)
-        fit = fit_linear_empirical(params, lam, 10_000, np.random.default_rng(7))
-        batch = sample_batch(params, 10_000, np.random.default_rng(7))
-        mean_l = float(batch.lo[:, :, 0].mean())
-        mean_u = float(batch.hi[:, :, 0].mean())
-        base = empirical_objective(batch, fit.coeffs, lam)
-        point = np.array([fit.eps, fit.delta]).T
-        for j in range(2):
-            for c in range(2):
-                for sign in (1.0, -1.0):
-                    bumped = point.copy()
-                    bumped[j, c] += sign * (0.01 * abs(bumped[j, c]) if bumped[j, c] else 1e-3)
-                    coeffs = tuple(
-                        LinearCoefficients(np.full(n, e), np.full(n, d), -n * (e * mean_l + d * mean_u))
-                        for e, d in bumped
-                    )
-                    assert empirical_objective(batch, coeffs, lam) >= base * (1.0 - 1e-12)
+        for m in (2, 3, 4):
+            params = ScenarioParams(n=n, m=m, tau=1, x_max=5, seed=51)
+            fit = fit_linear_empirical(params, lam, 10_000, np.random.default_rng(7))
+            batch = sample_batch(params, 10_000, np.random.default_rng(7))
+            mean_l = float(batch.lo[:, :, 0].mean())
+            mean_u = float(batch.hi[:, :, 0].mean())
+            base = empirical_objective(batch, fit.coeffs, lam)
+            point = np.array([fit.eps, fit.delta]).T
+            assert point.shape == (m, 2)
+            for j in range(m):
+                for c in range(2):
+                    for sign in (1.0, -1.0):
+                        bumped = point.copy()
+                        bumped[j, c] += sign * (0.01 * abs(bumped[j, c]) if bumped[j, c] else 1e-3)
+                        coeffs = tuple(
+                            LinearCoefficients(np.full(n, e), np.full(n, d), -n * (e * mean_l + d * mean_u))
+                            for e, d in bumped
+                        )
+                        assert empirical_objective(batch, coeffs, lam) >= base * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_lambda_orders_the_tradeoff_beyond_two_agents(self, m):
+        # more weight on accuracy cannot raise the total mse or lower the
+        # total gap, out of sample within 2 paired standard errors; the three
+        # lambdas share one fitting batch per tau
+        lambdas = (0.1, 0.5, 0.9)
+        for tau in (1, 3, 5):
+            params = ScenarioParams(n=6, m=m, tau=tau, x_max=5, seed=56)
+            specs = [
+                AlgorithmSpec.linear(
+                    fit_linear_empirical(params, lam, 10_000, np.random.default_rng(10 + tau)).coeffs,
+                    label=f"linear@{lam:g}",
+                )
+                for lam in lambdas
+            ]
+            reports = evaluate(specs, params, 2_000)
+            for lo, hi in zip(reports, reports[1:]):
+                mse_diff = hi.sq_err.sum(axis=0) - lo.sq_err.sum(axis=0)
+                gap_diff = hi.pair_gap_sq.sum(axis=0) - lo.pair_gap_sq.sum(axis=0)
+                for diff, sign in ((mse_diff, 1.0), (gap_diff, -1.0)):
+                    paired_se = diff.std(ddof=1) / np.sqrt(diff.size)
+                    assert sign * diff.mean() <= 2.0 * paired_se, (tau, lo.algorithm, hi.algorithm)
 
     def test_full_accuracy_weight_cannot_beat_posterior_mean(self):
         # the posterior-mean fuser minimizes MSE over all estimators, so the
@@ -338,7 +371,7 @@ class TestFitLinearEmpirical:
         fit = fit_linear_empirical(params, 1.0, 20_000, np.random.default_rng(8))
         reports = evaluate(
             [AlgorithmSpec.gbi_oneopt(), AlgorithmSpec.linear(fit.coeffs)],
-            params, 1.0, 20_000,
+            params, 20_000,
         )
         gbi, linear = reports
         for j in range(2):
@@ -352,8 +385,8 @@ class TestFitLinearEmpirical:
             fit_linear_empirical(params, 0.5, 9_999, np.random.default_rng(0))
         with pytest.raises(ValueError):
             fit_linear_empirical(params, 1.5, 10_000, np.random.default_rng(0))
-        bad = ScenarioParams(n=5, m=3, tau=1, x_max=5, seed=53)
-        with pytest.raises(ValueError):
+        bad = ScenarioParams(n=5, m=1, tau=1, x_max=5, seed=53)
+        with pytest.raises(ValueError, match="m=1"):
             fit_linear_empirical(bad, 0.5, 10_000, np.random.default_rng(0))
 
 
@@ -417,3 +450,19 @@ class TestSelectLinearCoefficients:
             assert sel.closed_form_objective <= 1.05 * sel.empirical_objective
         else:
             assert sel.closed_form_objective is not None or sel.closed_form_error is not None
+
+    def test_recipe_skipped_beyond_two_agents(self):
+        # at m=3 no moment batch is drawn, so the fit sees the stream's first
+        # batch, and the record says why the recipe was not used
+        params = ScenarioParams(n=6, m=3, tau=1, x_max=5, seed=57)
+        sel = select_linear_coefficients(params, 0.5, 10_000, np.random.default_rng(12))
+        fit = fit_linear_empirical(params, 0.5, 10_000, np.random.default_rng(12))
+        assert len(sel.coeffs) == 3
+        for got, want in zip(sel.coeffs, fit.coeffs):
+            assert np.array_equal(got.eps, want.eps)
+            assert np.array_equal(got.delta, want.delta)
+            assert got.gamma == want.gamma
+        assert not sel.closed_form_used
+        assert sel.closed_form_objective is None
+        assert "m=3" in sel.closed_form_error
+        assert sel.empirical_objective > 0.0
