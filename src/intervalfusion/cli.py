@@ -6,8 +6,9 @@ Configuration is a flat JSON object.  Keys:
     m               agents (int; linear fusers and fit-linear need m >= 2)
     x_max           half-width of the target range (positive int)
     seed            root seed for every derived stream (int)
-    taus            fault counts to sweep (list of ints, each 0..n-1, or
-                    0..n-2 when "marzullo" is among the algorithms)
+    taus            fault counts to sweep (list of ints, each 0..n-1; sweep
+                    refuses taus above n-2 when "marzullo" is among the
+                    algorithms)
     lambdas         objective weights for linear fusers (list of floats in [0, 1])
     algorithms      fusers to run: "marzullo", "bi", "gbi_oneopt",
                     "linear" (one instance per entry of lambdas),
@@ -127,6 +128,9 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
     if not isinstance(taus_raw, list) or not taus_raw:
         raise ConfigError("field 'taus' must be a non-empty list of integers")
     taus = tuple(_require_int(t, "taus", minimum=0) for t in taus_raw)
+    for t in taus:
+        if t > n - 1:
+            raise ConfigError(f"field 'taus' entry {t} exceeds n-1 = {n - 1}")
 
     lambdas_raw = raw.get("lambdas", list(_DEFAULTS["lambdas"]))
     if not isinstance(lambdas_raw, list):
@@ -142,12 +146,6 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
     algorithms_raw = raw["algorithms"]
     if not isinstance(algorithms_raw, list) or not all(isinstance(a, str) for a in algorithms_raw):
         raise ConfigError("field 'algorithms' must be a list of strings")
-    # Marzullo needs two order statistics; the other fusers run up to n-1 faults
-    tau_max = n - 2 if "marzullo" in algorithms_raw else n - 1
-    for t in taus:
-        if t > tau_max:
-            raise ConfigError(f"field 'taus' entry {t} exceeds {tau_max} "
-                              f"(n-2 with a marzullo selector, else n-1)")
 
     trials = raw["trials"]
     if ENV_TRIALS in os.environ:
@@ -242,6 +240,12 @@ def run_sweep(config: RunConfig) -> list[dict]:
     plans = _parse_algorithms(config)
     if config.m < 2 and any(p.kind == "linear" for p in plans):
         raise ConfigError(f"linear fusers require m >= 2 agents (field 'm'), got m={config.m}")
+    # Marzullo needs two order statistics; the other fusers run up to n-1 faults
+    if any(p.kind == "marzullo" for p in plans):
+        for tau in config.taus:
+            if tau > config.n - 2:
+                raise ConfigError(f"field 'taus' entry {tau} exceeds n-2 = {config.n - 2}, "
+                                  f"the bound for a marzullo selector")
     rows: list[dict] = []
     for tau in config.taus:
         params = config.scenario(tau)

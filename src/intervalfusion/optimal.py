@@ -12,16 +12,21 @@ built from sample second moments of the fitting batch).  For two agents and
 endpoint-sum directions there is also a closed-form moment recipe
 (solve_linear_two_agent); it is implemented exactly as published even though
 parts of it look inconsistent, so select_linear_coefficients cross-checks it
-against the fit, which serves as the authority when they disagree.
+against the fit, which serves as the authority when they disagree.  The
+recipe's coefficient search runs on a local Nelder-Mead (_nelder_mead) that
+reproduces scipy's default non-adaptive method bit for bit, so the package
+does not import scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .fusion import LinearCoefficients, linear_rows
 from .metrics import _objective_per_trial
@@ -246,6 +251,91 @@ def _delta_roots(xi1: float, xi2: float, xi3: float) -> tuple[float, ...]:
     return (r1,) if r1 == r2 else (r1, r2)
 
 
+def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[list[float], float]:
+    """Minimize f(*x) from x0; returns the best vertex and its value.
+
+    This is scipy.optimize.minimize(method="Nelder-Mead") with its default
+    non-adaptive coefficients (reflection 1, expansion 2, contraction 0.5,
+    shrink 0.5), its initial simplex (x0 plus 5% along each coordinate, or
+    0.00025 where x0 is 0) and options xatol=1e-10, fatol=1e-12, maxiter=600,
+    on Python floats.  Every step is written in scipy's arithmetic form and
+    the vertices are re-sorted stably (nan last, as np.argsort does), so the
+    iterates and the result equal scipy's bit for bit.
+    """
+    n = len(x0)
+    sim = [list(x0)]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [f(*x) for x in sim]
+
+    def by_value(i: int) -> tuple[bool, float]:
+        return fsim[i] != fsim[i], fsim[i]
+
+    iterations = 1
+    while True:
+        order = sorted(range(n + 1), key=by_value)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        best = sim[0]
+        if iterations >= 600 or (
+            all(abs(a - b) <= 1e-10 for x in sim[1:] for a, b in zip(x, best))
+            and all(abs(fsim[0] - v) <= 1e-12 for v in fsim[1:])
+        ):
+            break
+        worst = sim[-1]
+        # np.add.reduce starts from +0.0, which decides the sign of a zero centroid
+        xbar = [functools.reduce(operator.add, c, 0.0) / n for c in zip(*sim[:-1])]
+        xr = [2 * b - w for b, w in zip(xbar, worst)]
+        fxr = f(*xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+            fxe = f(*xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+            fxc = f(*xc)
+            shrink = not fxc <= fxr
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        else:
+            xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+            fxcc = f(*xcc)
+            shrink = not fxcc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xcc, fxcc
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [s0 + 0.5 * (s - s0) for s0, s in zip(best, sim[j])]
+                fsim[j] = f(*sim[j])
+        iterations += 1
+    # scipy reports np.min over the simplex, which is nan if any vertex is
+    return best, fsim[0] if fsim[-1] == fsim[-1] else math.nan
+
+
+def _recipe_search(objective: Callable[[float, float], float], starts: list[list[float]]) -> list[float] | None:
+    """Nelder-Mead from every start, then a polish along the diagonal; the best point."""
+    best_point = None
+    best_value = math.inf
+    for start in starts:
+        x, fun = _nelder_mead(objective, start)
+        if fun < best_value:
+            best_value, best_point = fun, x
+
+    # symmetric polish: the objective is invariant under swapping agents, so
+    # prefer a diagonal solution whenever it is at least as good
+    if best_point is not None:
+        # np.mean, not (a + b) / 2: it starts from +0.0 too
+        mid = float(np.mean(best_point))
+        (e,), fun = _nelder_mead(lambda e: objective(e, e), [mid])
+        if fun <= best_value * (1.0 + 1e-9) + 1e-12:
+            best_point = [e, e]
+    return best_point
+
+
 def solve_linear_two_agent(
     moments: MomentSet,
     lam: float,
@@ -267,8 +357,11 @@ def solve_linear_two_agent(
     th_j = n*eps_j*Cov(L1,X) + n*delta_j*Cov(U1,X), minimized by Nelder-Mead
     restarts: _RECIPE_RESTARTS starts drawn from default_rng(0) in a box of
     half-width 1/sqrt(n*Var(L1)), plus seeds at the root-feasibility
-    boundary.  |z| >= 1 leaves the objective undefined, so such candidates are
-    rejected with a graded penalty.
+    boundary, then a 1-D polish along eps_1 = eps_2.  |z| >= 1 leaves the
+    objective undefined, so such candidates are rejected with a graded
+    penalty.  The search engine is the local _nelder_mead, which reproduces
+    scipy.optimize.minimize's default non-adaptive Nelder-Mead (xatol 1e-10,
+    fatol 1e-12, maxiter 600) bit for bit.
 
     This recipe is kept verbatim; on realistic moments its objective can be
     unbounded below near the |z| = 1 wall, which makes the returned point a
@@ -335,35 +428,19 @@ def solve_linear_two_agent(
             for s2 in (1.0, -1.0):
                 starts.append(np.array([s1 * edge, s2 * edge]))
 
-    def objective(v: np.ndarray) -> float:
-        return evaluate(float(v[0]), float(v[1]))[0]
+    def objective(e1: float, e2: float) -> float:
+        return evaluate(e1, e2)[0]
 
-    nm_options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600}
-    best_point = None
-    best_value = np.inf
-    for start in starts:
-        res = optimize.minimize(objective, start, method="Nelder-Mead", options=nm_options)
-        if res.fun < best_value:
-            best_value, best_point = res.fun, res.x
+    best_point = _recipe_search(objective, [start.tolist() for start in starts])
 
-    # symmetric polish: the objective is invariant under swapping agents, so
-    # prefer a diagonal solution whenever it is at least as good
-    if best_point is not None:
-        mid = float(best_point.mean())
-        res = optimize.minimize(lambda v: objective(np.array([v[0], v[0]])), np.array([mid]),
-                                method="Nelder-Mead", options=nm_options)
-        if res.fun <= best_value * (1.0 + 1e-9) + 1e-12:
-            best_value = min(best_value, res.fun)
-            best_point = np.array([res.x[0], res.x[0]])
-
-    value, deltas, z = evaluate(float(best_point[0]), float(best_point[1]))
+    e1, e2 = best_point
+    value, deltas, z = evaluate(e1, e2)
     if deltas is None:
         raise InfeasibleSearchError(
             f"no feasible (eps, delta) candidate at lam={lam}: search box half-width {box:.4g}, "
             f"root feasibility requires |eps| >= {np.sqrt(max(xi1 * xi3, 0.0)) / abs(kappa) if kappa else np.inf:.4g}, "
             f"xi1={xi1:.4g}, xi3={xi3:.4g}, kappa={kappa:.4g}"
         )
-    e1, e2 = float(best_point[0]), float(best_point[1])
     d1, d2 = deltas
     gamma = tuple(-n * (e * moments.mean_l + d * moments.mean_u) for e, d in ((e1, d1), (e2, d2)))
     return TwoAgentLinearSolution(

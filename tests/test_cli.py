@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from intervalfusion import GbiWeights, gbi_bayes_weights
+from intervalfusion import GbiWeights, cli, gbi_bayes_weights
 from intervalfusion.cli import (
     ConfigError,
     _fit_rng,
@@ -57,7 +57,7 @@ class TestLoadConfig:
             (dict(x_max=0), "'x_max'"),
             (dict(trials=99), "'trials'"),
             (dict(taus=[]), "'taus'"),
-            (dict(taus=[4]), "'taus'"),
+            (dict(taus=[5]), "'taus'"),
             (dict(lambdas=[1.5]), "'lambdas'"),
             (dict(format="xml"), "'format'"),
             (dict(output_path=""), "'output_path'"),
@@ -78,13 +78,6 @@ class TestLoadConfig:
         rows = run_sweep(config)
         assert [r["algorithm"] for r in rows] == ["bi", "gbi_oneopt", "linear@0.5"]
         path, _ = write_config(tmp_path, taus=[5], algorithms=["bi"])
-        with pytest.raises(ConfigError, match="'taus'"):
-            load_config(path)
-
-    def test_tau_bound_with_marzullo_is_n_minus_two(self, tmp_path):
-        path, _ = write_config(tmp_path, taus=[3], algorithms=["bi", "marzullo"])
-        assert load_config(path).taus == (3,)
-        path, _ = write_config(tmp_path, taus=[4], algorithms=["bi", "marzullo"])
         with pytest.raises(ConfigError, match="'taus'"):
             load_config(path)
 
@@ -262,6 +255,25 @@ class TestSweep:
         assert main(["sweep", "--config", path]) == 2
         assert "'trials'" in capsys.readouterr().err
 
+    def test_tau_bound_with_marzullo_is_n_minus_two(self, tmp_path, capsys, monkeypatch):
+        # the config loads (other subcommands run tau = n-1); the sweep refuses
+        # it before fitting or drawing anything
+        path, _ = write_config(tmp_path, taus=[3], algorithms=["bi", "marzullo"])
+        assert [r["tau"] for r in run_sweep(load_config(path))] == [3, 3]
+        path, _ = write_config(tmp_path, taus=[0, 4], algorithms=["linear@0.5", "marzullo"])
+        config = load_config(path)
+        assert config.taus == (0, 4)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep fitted or evaluated before refusing the config")
+
+        monkeypatch.setattr(cli, "select_linear_coefficients", no_work)
+        monkeypatch.setattr(cli, "evaluate", no_work)
+        with pytest.raises(ConfigError, match="'taus'"):
+            run_sweep(config)
+        assert main(["sweep", "--config", path]) == 2
+        assert "'taus'" in capsys.readouterr().err
+
 
 class TestOracleCheck:
     def test_passes_in_model(self, tmp_path, capsys):
@@ -276,6 +288,12 @@ class TestOracleCheck:
         worst, failures = run_oracle_check(load_config(path))
         assert not failures
         assert worst < 1e-9
+
+    def test_runs_at_tau_n_minus_one_with_marzullo_listed(self, tmp_path, capsys):
+        # the marzullo bound belongs to the sweep; oracle-check ignores algorithms
+        path, _ = write_config(tmp_path, n=4, taus=[3], algorithms=["marzullo", "bi"], trials=100)
+        assert main(["oracle-check", "--config", path]) == 0
+        assert "200 comparisons" in capsys.readouterr().out
 
     def test_large_n_rejected(self, tmp_path):
         path, _ = write_config(tmp_path, n=9, taus=[1])
@@ -326,6 +344,15 @@ class TestFitLinear:
         assert len(entry["eps"][0]) == 5
         assert isinstance(entry["closed_form_used"], bool)
         assert entry["empirical_objective"] > 0.0
+
+    def test_runs_at_tau_n_minus_one_with_marzullo_listed(self, tmp_path):
+        # fit-linear ignores algorithms, so the sweep's marzullo bound does not apply
+        out = tmp_path / "fit.json"
+        path, _ = write_config(tmp_path, n=5, taus=[4], algorithms=["marzullo", "bi"])
+        assert main(["fit-linear", "--config", path, "--lambda", "0.5", "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_text())
+        assert entry["tau"] == 4
+        assert len(entry["eps"]) == 2
 
     def test_lambda_validated(self, tmp_path):
         path, _ = write_config(tmp_path)

@@ -9,10 +9,20 @@ for a truthful sensor; fault mixing rescales the target covariances by
 (n-tau)(n-tau-1)/(n(n-1)) that both sensors are truthful.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from helpers import objective_gradient, random_direction_moments, reconstructed_objective
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
+from intervalfusion import optimal
 from intervalfusion import (
     AlgorithmSpec,
     DirectionMoments,
@@ -32,6 +42,13 @@ from intervalfusion import (
     solve_linear_two_agent,
 )
 from intervalfusion.scenario import TrialBatch
+
+
+# endpoints fluctuate but carry nothing about the target: every feasible
+# candidate scores 0
+TIE_MOMENTS = dict(var_x=1.0, var_l=1.0, var_u=1.0, cov_lu_same=0.5, mean_l=-1.5, mean_u=1.5)
+# root feasibility needs |eps| ~ 1000, where the coupling z is far past 1
+INFEASIBLE_MOMENTS = dict(var_x=1.0, var_l=1.0, var_u=1.0, cov_lu_same=0.001, cov_lx=0.3, cov_ux=0.3)
 
 
 def zero_moments(**overrides):
@@ -221,8 +238,7 @@ class TestSolveLinearTwoAgent:
     def test_uninformative_target_gives_zero_objective(self):
         # endpoints fluctuate but carry nothing about the target, so every
         # feasible candidate scores zero and the centered estimate has mean 0
-        mo = zero_moments(var_x=1.0, var_l=1.0, var_u=1.0, cov_lu_same=0.5,
-                          mean_l=-1.5, mean_u=1.5)
+        mo = zero_moments(**TIE_MOMENTS)
         sol = solve_linear_two_agent(mo, 0.5, 2)
         n = 2
         for j in range(2):
@@ -271,8 +287,7 @@ class TestSolveLinearTwoAgent:
     def test_infeasible_search_reported(self):
         # root feasibility needs |eps| ~ 1000 where the coupling z blows past 1,
         # so no candidate is admissible anywhere
-        mo = zero_moments(var_x=1.0, var_l=1.0, var_u=1.0, cov_lu_same=0.001,
-                          cov_lx=0.3, cov_ux=0.3)
+        mo = zero_moments(**INFEASIBLE_MOMENTS)
         with pytest.raises(InfeasibleSearchError) as info:
             solve_linear_two_agent(mo, 0.5, 2)
         assert "feasib" in str(info.value)
@@ -288,6 +303,202 @@ class TestSolveLinearTwoAgent:
         coeffs = sol.to_coefficients(4)
         assert len(coeffs) == 2
         assert coeffs[0].eps.shape == (4,)
+
+
+NM_OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600}
+
+
+def scipy_nelder_mead(f, x0):
+    """scipy's Nelder-Mead with the recipe's options, driving f(*x)."""
+    res = optimize.minimize(lambda v: f(*(float(c) for c in v)), np.array(x0, dtype=float),
+                            method="Nelder-Mead", options=NM_OPTIONS)
+    return res.x.tolist(), res.fun
+
+
+def quiet_floats():
+    """Silence numpy's overflow/invalid warnings, which the suite turns into errors.
+
+    Outside the suite they only warn and the run goes on: a tiny kappa puts
+    the recipe's boundary starts at +-inf (overflow), and an infinite vertex
+    value makes scipy's stopping test subtract inf from inf (invalid).
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def reference_recipe_search(pair_objective, starts):
+    """The recipe's search as it ran on scipy: its two loops, copied literally.
+
+    The copied loops call objective(v) with one vector and hold the starts as
+    arrays; the two adapters below bridge to the (e1, e2) objective and the
+    list starts.
+    """
+    def objective(v):
+        return pair_objective(float(v[0]), float(v[1]))
+
+    starts = [np.array(start) for start in starts]
+
+    nm_options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600}
+    best_point = None
+    best_value = np.inf
+    for start in starts:
+        res = optimize.minimize(objective, start, method="Nelder-Mead", options=nm_options)
+        if res.fun < best_value:
+            best_value, best_point = res.fun, res.x
+
+    # symmetric polish: the objective is invariant under swapping agents, so
+    # prefer a diagonal solution whenever it is at least as good
+    if best_point is not None:
+        mid = float(best_point.mean())
+        res = optimize.minimize(lambda v: objective(np.array([v[0], v[0]])), np.array([mid]),
+                                method="Nelder-Mead", options=nm_options)
+        if res.fun <= best_value * (1.0 + 1e-9) + 1e-12:
+            best_value = min(best_value, res.fun)
+            best_point = np.array([res.x[0], res.x[0]])
+
+    return None if best_point is None else best_point.tolist()
+
+
+def outcome(run, *args):
+    """run(*args), or the error it stopped with.
+
+    The recipe's objective raises OverflowError (a float power) on extreme
+    moments; a search that meets it must stop with the same error on scipy.
+    """
+    try:
+        with quiet_floats():
+            return run(*args)
+    except (InfeasibleSearchError, ArithmeticError) as exc:
+        return exc
+
+
+def reference_solution(moments, lam, n):
+    """solve_linear_two_agent on the literal scipy search."""
+    with mock.patch.object(optimal, "_recipe_search", reference_recipe_search):
+        return outcome(solve_linear_two_agent, moments, lam, n)
+
+
+class _Captured(Exception):
+    pass
+
+
+def recipe_problem(moments, lam, n):
+    """The objective and starts solve_linear_two_agent hands to its search (None if degenerate)."""
+    def capture(objective, starts):
+        raise _Captured(objective, starts)
+
+    with mock.patch.object(optimal, "_recipe_search", capture), quiet_floats():
+        try:
+            solve_linear_two_agent(moments, lam, n)
+        except _Captured as caught:
+            return caught.args
+    return None
+
+
+def bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [float.hex(float(v)) for v in values]
+
+
+def solution_bits(sol):
+    return bits([*sol.eps, *sol.delta, *sol.gamma, *sol.xi[0], *sol.xi[1], sol.z, sol.objective_value])
+
+
+def both_returned(got, want):
+    """False when both raised (the same error); fails when only one did."""
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return False
+    return True
+
+
+def assert_same_search(f, x0):
+    got = outcome(optimal._nelder_mead, f, list(x0))
+    want = outcome(scipy_nelder_mead, f, x0)
+    if both_returned(got, want):
+        assert bits(got[0]) == bits(want[0]), (x0, got, want)
+        assert bits([got[1]]) == bits([want[1]]), (x0, got, want)
+
+
+def assert_same_solution(moments, lam, n):
+    got = outcome(solve_linear_two_agent, moments, lam, n)
+    want = reference_solution(moments, lam, n)
+    if both_returned(got, want):
+        assert solution_bits(got) == solution_bits(want)
+
+
+def _field(lo, hi):
+    return st.one_of(st.just(0.0), st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def moment_sets(draw):
+    """Moments of the fault model at small sample counts, or free-form moment values."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 10))
+        params = ScenarioParams(n=n, m=2, tau=draw(st.integers(0, n - 1)), x_max=draw(st.integers(1, 6)),
+                                seed=draw(st.integers(0, 2**16)))
+        return estimate_moments(params, 1000, np.random.default_rng(draw(st.integers(0, 2**16)))), n
+    fields = dict(
+        mean_x=draw(_field(-5.0, 5.0)), var_x=draw(_field(0.0, 5.0)),
+        mean_l=draw(_field(-5.0, 5.0)), mean_u=draw(_field(-5.0, 5.0)),
+        var_l=draw(_field(0.0, 3.0)), var_u=draw(_field(0.0, 3.0)),
+        cov_ll=draw(_field(-0.5, 0.5)), cov_uu=draw(_field(-0.5, 0.5)),
+        cov_lu_same=draw(_field(-1.0, 1.0)), cov_lu_cross=draw(_field(-0.5, 0.5)),
+        cov_lx=draw(_field(-1.0, 1.0)), cov_ux=draw(_field(-1.0, 1.0)),
+    )
+    return zero_moments(**fields), draw(st.integers(2, 10))
+
+
+class TestNelderMead:
+    """The local Nelder-Mead against scipy.optimize.minimize, bit for bit."""
+
+    @given(moment_sets(), st.sampled_from([0.1, 0.5, 0.9]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy_on_recipe_objectives(self, drawn, lam, data):
+        moments, n = drawn
+        problem = recipe_problem(moments, lam, n)
+        if problem is None:
+            return
+        objective, starts = problem
+        start = data.draw(st.sampled_from(starts))
+        assert_same_search(objective, start)
+        x0 = data.draw(st.one_of(st.sampled_from(start), st.floats(-3.0, 3.0)))
+        assert_same_search(lambda e: objective(e, e), [x0])
+
+    @pytest.mark.parametrize("fields", [TIE_MOMENTS, INFEASIBLE_MOMENTS], ids=["tie", "infeasible"])
+    def test_matches_scipy_on_degenerate_sets(self, fields):
+        # the tie set scores 0 almost everywhere, so vertex order rests on the
+        # stable sort; the infeasible set lives on penalty plateaus
+        objective, starts = recipe_problem(zero_moments(**fields), 0.5, 2)
+        for start in starts:
+            assert_same_search(objective, start)
+            assert_same_search(lambda e: objective(e, e), [float(np.mean(start))])
+        assert_same_solution(zero_moments(**fields), 0.5, 2)
+
+    def test_matches_scipy_from_zero(self):
+        # a zero coordinate takes the 0.00025 simplex step instead of 5%
+        params = ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=47)
+        objective, starts = recipe_problem(estimate_moments(params, 5_000, np.random.default_rng(3)), 0.5, 10)
+        assert starts[0] == [0.0, 0.0]
+        for x0 in ([0.0, 0.0], [0.0, starts[3][1]], [starts[3][0], -0.0]):
+            assert_same_search(objective, x0)
+        for x0 in ([0.0], [-0.0]):
+            assert_same_search(lambda e: objective(e, e), x0)
+
+    @given(moment_sets(), st.sampled_from([0.1, 0.5, 0.9]))
+    @settings(max_examples=12, deadline=None)
+    def test_solution_matches_scipy_search(self, drawn, lam):
+        moments, n = drawn
+        assert_same_solution(moments, lam, n)
+
+    def test_package_import_leaves_scipy_out(self):
+        # scipy is only the reference above; importing scipy.optimize would
+        # add about 0.6 s to every command line start
+        src = str(Path(optimal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, intervalfusion, intervalfusion.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestFitLinearEmpirical:
