@@ -37,12 +37,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fusion import GbiWeights, fuse_gbi, gbi_bayes_weights
+from .fusion import GbiWeights, coverage_rows, fuse_gbi, gbi_bayes_weights, gbi_rows
 from .metrics import AlgorithmSpec, combine_objective, evaluate
 from .optimal import LinearSelection, select_linear_coefficients
-from .oracle import posterior_mean_exact
+# posterior_mean_exact stays importable from this module: benchmarks/tracing.py wraps it here
+from .oracle import posterior_mean_exact, posterior_rows  # noqa: F401
 # make_trial stays importable from this module: benchmarks/tracing.py wraps it here
-from .scenario import Interval, ScenarioParams, make_trial, make_trials  # noqa: F401
+from .scenario import _BLOCK_TRIALS, ScenarioParams, make_trial, make_trials  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run_sweep", "run_oracle_check", "run_fit_linear", "main"]
 
@@ -329,11 +330,15 @@ def write_rows(rows: list[dict], config: RunConfig) -> None:
 
 def run_oracle_check(
     config: RunConfig,
-    weight_fn: Callable[[Sequence[Interval], int], GbiWeights] = gbi_bayes_weights,
+    weight_fn: Callable[[np.ndarray, int], GbiWeights] = gbi_bayes_weights,
 ) -> tuple[float, list[tuple[int, int, int, float]]]:
-    """Compare the weighted fuser against the exact posterior mean trial by trial.
+    """Compare both GBI fusers against the exact posterior mean trial by trial.
 
-    Returns the largest absolute deviation and the list of
+    Each tau's trials are checked in blocks of _BLOCK_TRIALS.  For one agent's
+    readings, the deviation is the larger of the enumerative fuser's,
+    fuse_gbi(weight_fn(readings, tau)) with readings an (n, 2) array, and the
+    region kernel gbi_rows's distance from posterior_rows's mean; a non-finite
+    deviation counts as inf.  Returns the largest deviation and the list of
     (tau, trial, agent, deviation) entries exceeding 1e-9.  weight_fn exists
     as a fault-injection hook for tests.
     """
@@ -343,19 +348,20 @@ def run_oracle_check(
     failures: list[tuple[int, int, int, float]] = []
     for tau in config.taus:
         params = config.scenario(tau)
-        batch = make_trials(params, 0, config.trials)
-        # lo[t][j] lists agent j's n endpoints in trial t
-        lo = batch.lo.transpose(0, 2, 1).tolist()
-        hi = batch.hi.transpose(0, 2, 1).tolist()
-        for t in range(config.trials):
-            for j in range(config.m):
-                readings = [Interval(a, b) for a, b in zip(lo[t][j], hi[t][j])]
-                fused = fuse_gbi(weight_fn(readings, tau))
-                exact = posterior_mean_exact(readings, params)
-                dev = abs(fused - exact)
-                worst = max(worst, dev)
-                if dev > 1e-9:
-                    failures.append((tau, t, j, dev))
+        for start in range(0, config.trials, _BLOCK_TRIALS):
+            batch = make_trials(params, start, min(start + _BLOCK_TRIALS, config.trials))
+            # row t * m + j holds agent j's n readings in trial start + t
+            lo = batch.lo.transpose(0, 2, 1).reshape(-1, config.n)
+            hi = batch.hi.transpose(0, 2, 1).reshape(-1, config.n)
+            exact = posterior_rows(lo, hi, params).means()
+            regions, _ = gbi_rows(coverage_rows(lo, hi), tau)
+            readings = np.stack([lo, hi], axis=2)
+            weighted = np.array([fuse_gbi(weight_fn(row, tau)) for row in readings])
+            dev = np.maximum(np.abs(weighted - exact), np.abs(regions - exact))
+            dev[~np.isfinite(dev)] = np.inf
+            worst = max(worst, float(dev.max()))
+            for row in np.flatnonzero(dev > 1e-9).tolist():
+                failures.append((tau, start + row // config.m, row % config.m, float(dev[row])))
     return worst, failures
 
 

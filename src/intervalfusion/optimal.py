@@ -423,10 +423,13 @@ def solve_linear_two_agent(
     starts = [np.zeros(2), np.full(2, box / 2.0), np.full(2, -box / 2.0)]
     starts += list(np.random.default_rng(0).uniform(-box, box, size=(_RECIPE_RESTARTS, 2)))
     if kappa != 0.0 and xi1 * xi3 > 0.0:
-        edge = 1.02 * np.sqrt(xi1 * xi3) / abs(kappa)
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                starts.append(np.array([s1 * edge, s2 * edge]))
+        with np.errstate(over="ignore"):
+            edge = 1.02 * np.sqrt(xi1 * xi3) / abs(kappa)
+        # at tiny kappa the boundary lies beyond float range: no start there
+        if np.isfinite(edge):
+            for s1 in (1.0, -1.0):
+                for s2 in (1.0, -1.0):
+                    starts.append(np.array([s1 * edge, s2 * edge]))
 
     def objective(e1: float, e2: float) -> float:
         return evaluate(e1, e2)[0]
@@ -436,9 +439,11 @@ def solve_linear_two_agent(
     e1, e2 = best_point
     value, deltas, z = evaluate(e1, e2)
     if deltas is None:
+        with np.errstate(over="ignore"):
+            least_eps = np.sqrt(max(xi1 * xi3, 0.0)) / abs(kappa) if kappa else np.inf
         raise InfeasibleSearchError(
             f"no feasible (eps, delta) candidate at lam={lam}: search box half-width {box:.4g}, "
-            f"root feasibility requires |eps| >= {np.sqrt(max(xi1 * xi3, 0.0)) / abs(kappa) if kappa else np.inf:.4g}, "
+            f"root feasibility requires |eps| >= {least_eps:.4g}, "
             f"xi1={xi1:.4g}, xi3={xi3:.4g}, kappa={kappa:.4g}"
         )
     d1, d2 = deltas
@@ -564,8 +569,8 @@ def select_linear_coefficients(
     scored on a common validation batch, drawn last; the closed-form recipe
     is selected when its objective is within 5% of the empirical fit's,
     otherwise the empirical fit is returned and the substitution is
-    recorded.  Recipe failures (infeasible search) are caught and recorded
-    the same way.
+    recorded.  Recipe failures (infeasible search, overflow) are caught and
+    recorded the same way.
     """
     moments = estimate_moments(params, samples, rng) if params.m == 2 else None
     fit = fit_linear_empirical(params, lam, samples, rng)
@@ -577,6 +582,9 @@ def select_linear_coefficients(
             error = None
         except (InfeasibleSearchError, ValueError) as exc:
             error = str(exc)
+        except OverflowError as exc:
+            # the recipe's objective squares Python floats, which raises on extreme moments
+            error = f"the closed-form recipe overflowed: {exc}"
 
     validation = sample_batch(params, samples, rng)
     fit_objective = empirical_objective(validation, fit.coeffs, lam)

@@ -6,6 +6,12 @@ its assumed-faulty readings times the truthful indicator factors of the rest,
 flat over the truthful intersection.  The density is therefore piecewise
 constant between reading endpoints and admits exact integration.  No term
 cancellation is applied; every pattern's marginal factors stay in the sum.
+
+`posterior_rows` computes the density of B reading rows at once, over a
+(rows, patterns, regions) membership array; `posterior_density` and
+`posterior_mean_exact` are its one-row views.  The fault patterns come from
+`itertools.combinations` here, not from the fusers' subset tables or their
+e_k recurrence, so the oracle stays independent of the fusers it checks.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ __all__ = [
     "OffLatticeError",
     "InconsistentReadingsError",
     "PiecewiseDensity",
+    "RowDensities",
     "implied_precision",
+    "posterior_rows",
     "posterior_density",
     "posterior_mean_exact",
 ]
@@ -66,60 +74,125 @@ class PiecewiseDensity:
         return PiecewiseDensity(self.breakpoints, self.levels / total)
 
 
+@dataclass(frozen=True)
+class RowDensities:
+    """Unnormalized posterior densities of B reading rows.
+
+    breakpoints[b] holds row b's 2n endpoints and -x_max, x_max, clipped to
+    [-x_max, x_max] and sorted; levels[b, g] is the density on
+    (breakpoints[b, g], breakpoints[b, g+1]).  A gap of zero width is a
+    repeated breakpoint and carries no mass.
+    """
+
+    breakpoints: np.ndarray
+    levels: np.ndarray
+
+    def masses(self) -> np.ndarray:
+        return (self.levels * np.diff(self.breakpoints, axis=1)).sum(axis=1)
+
+    def means(self) -> np.ndarray:
+        left, right = self.breakpoints[:, :-1], self.breakpoints[:, 1:]
+        first_moment = (self.levels * ((right + left) * (right - left) / 2.0)).sum(axis=1)
+        return first_moment / self.masses()
+
+
+def _off_lattice_reason(width: float, precision: float, x_max: int) -> str:
+    if width <= 0:
+        return f"reading width must be positive, got {width}"
+    if precision < 1 or precision > x_max:
+        return f"width {width} implies precision {precision:.0f} outside 1..{x_max}"
+    return f"width {width} is not 2*{x_max}/k for any integer k in 1..{x_max}"
+
+
+def _implied_precisions(widths: np.ndarray, x_max: int) -> np.ndarray:
+    """Cell counts of an array of reading widths, by the rule of `implied_precision`.
+
+    Raises OffLatticeError naming the first off-lattice width in row-major order.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        precisions = np.round(2.0 * x_max / widths)
+        on_lattice = (widths > 0) & (precisions >= 1) & (precisions <= x_max)
+        on_lattice &= np.abs(widths - 2.0 * x_max / precisions) <= 1e-9 * (1.0 + widths)
+    if not on_lattice.all():
+        first = np.argmin(on_lattice)
+        raise OffLatticeError(_off_lattice_reason(float(widths.flat[first]), precisions.flat[first], x_max))
+    return precisions
+
+
 def implied_precision(reading: Interval, x_max: int) -> int:
     """Recover the integer cell count from a reading's width.
 
     width = 2*x_max/precision for some precision in 1..x_max; anything else
     is off the reading lattice.
     """
-    width = reading.width
-    if width <= 0:
-        raise OffLatticeError(f"reading width must be positive, got {width}")
-    precision = int(round(2.0 * x_max / width))
-    if precision < 1 or precision > x_max:
-        raise OffLatticeError(f"width {width} implies precision {precision} outside 1..{x_max}")
-    if abs(width - 2.0 * x_max / precision) > 1e-9 * (1.0 + width):
-        raise OffLatticeError(f"width {width} is not 2*{x_max}/k for any integer k in 1..{x_max}")
-    return precision
+    return int(_implied_precisions(np.array([reading.width]), x_max)[0])
+
+
+def posterior_rows(lo: np.ndarray, hi: np.ndarray, params: ScenarioParams) -> RowDensities:
+    """Unnormalized posterior densities of the target given B reading rows.
+
+    lo and hi have shape (B, n): row b is one agent's n readings.  Sums over
+    every size-tau fault pattern.  A pattern's contribution is constant on
+    the intersection of the assumed-truthful readings (clipped to
+    [-x_max, x_max]) and zero elsewhere; its level is the flat prior
+    1/(2*x_max) times the truthful factors (1/x_max) times the assumed-faulty
+    readings' marginal cell probabilities 1/(x_max*precision), applied as
+    divisions in index order.  Raises ValueError on a wrong reading count or
+    non-finite endpoints, OffLatticeError on a width off the reading lattice
+    and InconsistentReadingsError on a row with no mass.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 2 or lo.shape != hi.shape:
+        raise ValueError(f"expected lo and hi rows of equal shape (B, n), got {lo.shape} and {hi.shape}")
+    n = lo.shape[1]
+    tau, x_max = params.tau, params.x_max
+    if n != params.n:
+        raise ValueError(f"expected {params.n} readings, got {n}")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("reading endpoints must be finite")
+    precisions = _implied_precisions(hi - lo, x_max)
+
+    rows = lo.shape[0]
+    bound = float(x_max)
+    edges = np.full((rows, 1), bound)
+    points = np.sort(np.clip(np.concatenate([lo, hi, -edges, edges], axis=1), -bound, bound), axis=1)
+    left, right = points[:, None, :-1], points[:, None, 1:]
+
+    truthful = np.array(list(itertools.combinations(range(n), n - tau)), dtype=np.intp)
+    assumed_faulty = np.ones((truthful.shape[0], n), dtype=bool)
+    np.put_along_axis(assumed_faulty, truthful, False, axis=1)
+    faulty = np.nonzero(assumed_faulty)[1].reshape(truthful.shape[0], tau)
+
+    # (rows, patterns): the truthful intersection [a, b] and its level
+    a = np.maximum(lo[:, truthful].max(axis=2), -bound)[:, :, None]
+    b = np.minimum(hi[:, truthful].min(axis=2), bound)[:, :, None]
+    coeff = np.full((rows, truthful.shape[0]), 1.0 / (2.0 * x_max) * (1.0 / x_max) ** (n - tau))
+    for slot in range(tau):
+        coeff /= x_max * precisions[:, faulty[:, slot]]
+    # (rows, patterns, regions): a region lies in a pattern's nonempty intersection
+    member = (b > a) & (a <= left) & (right <= b)
+    levels = np.einsum("rp,rpg->rg", coeff, member)
+
+    density = RowDensities(breakpoints=points, levels=levels)
+    empty = ~(density.masses() > 0.0)
+    if empty.any():
+        raise InconsistentReadingsError(f"row {int(np.argmax(empty))} carries no posterior mass")
+    return density
 
 
 def posterior_density(readings: Sequence[Interval], params: ScenarioParams) -> PiecewiseDensity:
     """Unnormalized posterior density of the target given one agent's readings.
 
-    Sums over every size-tau fault pattern.  A pattern's contribution is
-    constant on the intersection of the assumed-truthful readings (clipped to
-    [-x_max, x_max]) and zero elsewhere; its level is the product of the
-    assumed-faulty readings' marginal cell probabilities 1/(x_max*precision)
-    with the truthful factors (1/x_max) and the flat prior 1/(2*x_max).
+    The one-row view of `posterior_rows`, on the distinct breakpoints: its
+    zero-width gaps are dropped.  Raises as `posterior_rows` does.
     """
-    n = len(readings)
-    tau, x_max = params.tau, params.x_max
-    if n != params.n:
-        raise ValueError(f"expected {params.n} readings, got {n}")
-    precisions = [implied_precision(iv, x_max) for iv in readings]
-
-    lo = np.array([iv.lo for iv in readings], dtype=float)
-    hi = np.array([iv.hi for iv in readings], dtype=float)
-    points = np.unique(np.concatenate([lo, hi, [-float(x_max), float(x_max)]]))
-    points = points[(points >= -x_max) & (points <= x_max)]
-    levels = np.zeros(points.size - 1, dtype=float)
-
-    prior = 1.0 / (2.0 * x_max)
-    truthful_factor = (1.0 / x_max) ** (n - tau)
-    for truthful in itertools.combinations(range(n), n - tau):
-        truthful_set = set(truthful)
-        a = max(-float(x_max), max(lo[i] for i in truthful))
-        b = min(float(x_max), min(hi[i] for i in truthful))
-        if b <= a:
-            continue
-        coeff = prior * truthful_factor
-        for i in range(n):
-            if i not in truthful_set:
-                coeff /= x_max * precisions[i]
-        start = int(np.searchsorted(points, a))
-        stop = int(np.searchsorted(points, b))
-        levels[start:stop] += coeff
-    return PiecewiseDensity(breakpoints=points, levels=levels)
+    lo = np.array([[iv.lo for iv in readings]], dtype=float)
+    hi = np.array([[iv.hi for iv in readings]], dtype=float)
+    density = posterior_rows(lo, hi, params)
+    points = density.breakpoints[0]
+    gaps = np.diff(points) > 0
+    return PiecewiseDensity(breakpoints=points[np.concatenate([[True], gaps])], levels=density.levels[0][gaps])
 
 
 def posterior_mean_exact(readings: Sequence[Interval], params: ScenarioParams) -> float:

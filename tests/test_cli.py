@@ -3,9 +3,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from intervalfusion import GbiWeights, cli, gbi_bayes_weights
+from intervalfusion import GbiWeights, cli, gbi_bayes_weights, scenario
 from intervalfusion.cli import (
     ConfigError,
     _fit_rng,
@@ -318,6 +319,58 @@ class TestOracleCheck:
         assert 0 <= trial < 120
         assert agent in (0, 1)
         assert dev > 1e-9
+
+    def test_region_kernel_deviations_named(self, tmp_path, monkeypatch):
+        # negative control for the region half: shifting gbi_rows's estimate on
+        # every fifth row must flag exactly those (tau, trial, agent) entries
+        real = cli.gbi_rows
+
+        def shifted(cov, tau):
+            values, degenerate = real(cov, tau)
+            return values + np.where(np.arange(values.size) % 5 == 0, 1e-6, 0.0), degenerate
+
+        monkeypatch.setattr(cli, "gbi_rows", shifted)
+        path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
+        worst, failures = run_oracle_check(load_config(path))
+        # row t * 2 + j of a 128-trial block is agent j of trial block_start + t
+        expected = [(tau, start + r // 2, r % 2) for tau in (1, 2) for start, size in ((0, 128), (128, 22))
+                    for r in range(0, 2 * size, 5)]
+        assert [entry[:3] for entry in failures] == expected
+        assert all(dev == pytest.approx(1e-6, rel=1e-6) for *_, dev in failures)
+        assert worst == pytest.approx(1e-6, rel=1e-6)
+
+    def test_nan_region_estimate_fails(self, tmp_path, monkeypatch, capsys):
+        # a nan from gbi_rows (a degenerate row) must fail the gate, not slip
+        # past a > comparison
+        real = cli.gbi_rows
+
+        def nan_on_row_three(cov, tau):
+            values, degenerate = real(cov, tau)
+            values = values.copy()
+            values[3] = np.nan
+            return values, degenerate
+
+        monkeypatch.setattr(cli, "gbi_rows", nan_on_row_three)
+        path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
+        worst, failures = run_oracle_check(load_config(path))
+        # row 3 of each block is agent 1 of the block's second trial
+        assert failures == [(1, 1, 1, np.inf), (1, 129, 1, np.inf), (2, 1, 1, np.inf), (2, 129, 1, np.inf)]
+        assert worst == np.inf
+        assert main(["oracle-check", "--config", path]) == 1
+        assert "tau=1 trial=1 agent=1 deviation=inf" in capsys.readouterr().err
+
+    def test_hot_path_builds_no_intervals(self, tmp_path, monkeypatch):
+        # the check runs on arrays: no Interval objects and no per-reading
+        # scalar oracle
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on the oracle-check hot path")
+
+        monkeypatch.setattr(cli, "posterior_mean_exact", refuse)
+        monkeypatch.setattr(scenario.Interval, "__init__", refuse)
+        path, _ = write_config(tmp_path, n=5, taus=[1, 3], trials=150)
+        worst, failures = run_oracle_check(load_config(path))
+        assert not failures
+        assert worst < 1e-9
 
 
 def test_nearby_lambdas_fit_on_distinct_streams():

@@ -292,6 +292,18 @@ class TestSolveLinearTwoAgent:
             solve_linear_two_agent(mo, 0.5, 2)
         assert "feasib" in str(info.value)
 
+    def test_boundary_starts_beyond_float_range_are_skipped(self):
+        # kappa ~ 1e-224 against variances of 1e100 puts the root-feasibility
+        # boundary 1.02*sqrt(xi1*xi3)/|kappa| past float range: the four
+        # boundary starts are left out rather than set at +-inf (the overflow
+        # warning is an error in this suite), and no candidate is feasible
+        mo = zero_moments(var_l=1e100, var_u=1e100, cov_lu_same=1e-224, cov_lx=1.0, cov_ux=1.0)
+        _, starts = recipe_problem(mo, 0.5, 2)
+        assert len(starts) == 3 + optimal._RECIPE_RESTARTS
+        assert np.isfinite(starts).all()
+        with pytest.raises(InfeasibleSearchError, match="inf"):
+            solve_linear_two_agent(mo, 0.5, 2)
+
     def test_lam_bounds(self):
         with pytest.raises(ValueError):
             solve_linear_two_agent(zero_moments(), 0.0, 4)
@@ -318,8 +330,7 @@ def scipy_nelder_mead(f, x0):
 def quiet_floats():
     """Silence numpy's overflow/invalid warnings, which the suite turns into errors.
 
-    Outside the suite they only warn and the run goes on: a tiny kappa puts
-    the recipe's boundary starts at +-inf (overflow), and an infinite vertex
+    Outside the suite they only warn and the run goes on: an infinite vertex
     value makes scipy's stopping test subtract inf from inf (invalid).
     """
     return np.errstate(over="ignore", invalid="ignore")
@@ -677,3 +688,20 @@ class TestSelectLinearCoefficients:
         assert sel.closed_form_objective is None
         assert "m=3" in sel.closed_form_error
         assert sel.empirical_objective > 0.0
+
+    def test_recipe_overflow_is_recorded(self, monkeypatch):
+        # on these moments the recipe's objective raises OverflowError (a
+        # Python float power); the selection records it and keeps the fit
+        moments = zero_moments(cov_ll=0.5, cov_lu_cross=5.5e-300, cov_ux=1.0)
+        with pytest.raises(OverflowError):
+            solve_linear_two_agent(moments, 0.1, 2)
+        monkeypatch.setattr(optimal, "estimate_moments", lambda params, samples, rng: moments)
+        params = ScenarioParams(n=2, m=2, tau=1, x_max=5, seed=58)
+        sel = select_linear_coefficients(params, 0.1, 10_000, np.random.default_rng(13))
+        fit = fit_linear_empirical(params, 0.1, 10_000, np.random.default_rng(13))
+        for got, want in zip(sel.coeffs, fit.coeffs):
+            assert np.array_equal(got.eps, want.eps)
+            assert np.array_equal(got.delta, want.delta)
+        assert not sel.closed_form_used
+        assert sel.closed_form_objective is None
+        assert "overflow" in sel.closed_form_error

@@ -1,20 +1,28 @@
-"""Exact posterior-mean reference: closed-form values, normalization, grid agreement."""
+"""Exact posterior-mean reference: closed-form values, normalization, grid
+agreement, and the batch oracle against a copy of the scalar loop."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intervalfusion import (
     InconsistentReadingsError,
     Interval,
     OffLatticeError,
+    PiecewiseDensity,
     ScenarioParams,
     fuse_gbi_oneopt,
     fuse_gbi_regions,
     implied_precision,
     make_trial,
+    make_trials,
     posterior_density,
     posterior_mean_exact,
 )
+from intervalfusion.oracle import posterior_rows
 
 
 def agent_readings(trial, agent=0):
@@ -144,3 +152,182 @@ class TestGbiEquivalence:
                 worst_regions = max(worst_regions, abs(fuse_gbi_regions(readings, tau) - exact))
         assert worst < 1e-9
         assert worst_regions < 1e-9
+
+
+def scalar_implied_precision(reading, x_max):
+    """implied_precision as it was before the batch oracle, copied literally."""
+    width = reading.width
+    if width <= 0:
+        raise OffLatticeError(f"reading width must be positive, got {width}")
+    precision = int(round(2.0 * x_max / width))
+    if precision < 1 or precision > x_max:
+        raise OffLatticeError(f"width {width} implies precision {precision} outside 1..{x_max}")
+    if abs(width - 2.0 * x_max / precision) > 1e-9 * (1.0 + width):
+        raise OffLatticeError(f"width {width} is not 2*{x_max}/k for any integer k in 1..{x_max}")
+    return precision
+
+
+def scalar_posterior_density(readings, params):
+    """posterior_density as it was before the batch oracle: one Python pass
+    per fault pattern, copied literally."""
+    n = len(readings)
+    tau, x_max = params.tau, params.x_max
+    if n != params.n:
+        raise ValueError(f"expected {params.n} readings, got {n}")
+    precisions = [scalar_implied_precision(iv, x_max) for iv in readings]
+
+    lo = np.array([iv.lo for iv in readings], dtype=float)
+    hi = np.array([iv.hi for iv in readings], dtype=float)
+    points = np.unique(np.concatenate([lo, hi, [-float(x_max), float(x_max)]]))
+    points = points[(points >= -x_max) & (points <= x_max)]
+    levels = np.zeros(points.size - 1, dtype=float)
+
+    prior = 1.0 / (2.0 * x_max)
+    truthful_factor = (1.0 / x_max) ** (n - tau)
+    for truthful in itertools.combinations(range(n), n - tau):
+        truthful_set = set(truthful)
+        a = max(-float(x_max), max(lo[i] for i in truthful))
+        b = min(float(x_max), min(hi[i] for i in truthful))
+        if b <= a:
+            continue
+        coeff = prior * truthful_factor
+        for i in range(n):
+            if i not in truthful_set:
+                coeff /= x_max * precisions[i]
+        start = int(np.searchsorted(points, a))
+        stop = int(np.searchsorted(points, b))
+        levels[start:stop] += coeff
+    return PiecewiseDensity(breakpoints=points, levels=levels)
+
+
+def scalar_outcome(readings, params):
+    """The copy's density and mean, or the error it stops with."""
+    try:
+        density = scalar_posterior_density(readings, params)
+        return density, density.mean()
+    except ValueError as exc:
+        return exc
+
+
+def batch_outcome(lo, hi, params):
+    try:
+        return posterior_rows(lo, hi, params)
+    except ValueError as exc:
+        return exc
+
+
+@st.composite
+def reading_rows(draw):
+    """(lo, hi, params): a few rows of one agent's readings each.
+
+    Rows are in-model (make_trials rows of every agent), or on-lattice rows
+    drawn freely: each reading has a lattice width, sits on its cell grid or
+    anywhere within one width of the range, and may be replaced by a reading
+    of arbitrary or zero width.  Free rows can be inconsistent or off the
+    lattice; the comparison expects the same error then.
+    """
+    n = draw(st.integers(1, 8))
+    tau = draw(st.integers(0, n - 1))
+    x_max = draw(st.integers(1, 5))
+    params = ScenarioParams(n=n, m=draw(st.integers(1, 3)), tau=tau, x_max=x_max,
+                            seed=draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 300))
+        batch = make_trials(params, start, start + draw(st.integers(1, 3)))
+        lo = batch.lo.transpose(0, 2, 1).reshape(-1, n)
+        hi = batch.hi.transpose(0, 2, 1).reshape(-1, n)
+        return lo, hi, params
+    rows = draw(st.integers(1, 4))
+    lo, hi = np.empty((rows, n)), np.empty((rows, n))
+    for r in range(rows):
+        for i in range(n):
+            width = 2.0 * x_max / draw(st.integers(1, x_max))
+            if draw(st.booleans()):
+                lo[r, i] = -x_max + width * draw(st.integers(0, round(2.0 * x_max / width) - 1))
+            else:
+                lo[r, i] = draw(st.floats(-x_max - width, float(x_max)))
+            corruption = draw(st.sampled_from(["none"] * 8 + ["zero", "free"]))
+            if corruption == "zero":
+                width = 0.0
+            elif corruption == "free":
+                width = draw(st.floats(0.0, 3.0 * x_max))
+            hi[r, i] = lo[r, i] + width
+    return lo, hi, params
+
+
+def assert_same_density(got, want, row):
+    """One row of posterior_rows against the copy's density and mean, to 1e-12 relative."""
+    density, mean = want
+    points = got.breakpoints[row]
+    keep = np.diff(points) > 0
+    assert np.array_equal(np.unique(points), density.breakpoints)
+    assert got.levels[row][keep] == pytest.approx(density.levels, rel=1e-12, abs=0.0)
+    assert got.means()[row] == pytest.approx(mean, rel=1e-12, abs=1e-12)
+
+
+class TestBatchOracle:
+    @given(reading_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_copy(self, drawn):
+        lo, hi, params = drawn
+        wants = [scalar_outcome([Interval(a, b) for a, b in zip(lo[r], hi[r])], params)
+                 for r in range(lo.shape[0])]
+        for r, want in enumerate(wants):
+            got = batch_outcome(lo[r:r + 1], hi[r:r + 1], params)
+            if isinstance(want, Exception) or isinstance(got, Exception):
+                assert type(got) is type(want), (r, got, want)
+                if isinstance(want, OffLatticeError):
+                    assert str(got) == str(want)
+            else:
+                assert_same_density(got, want, 0)
+        got = batch_outcome(lo, hi, params)
+        errors = [type(want) for want in wants if isinstance(want, Exception)]
+        if errors:
+            assert type(got) in errors
+        else:
+            for r, want in enumerate(wants):
+                assert_same_density(got, want, r)
+
+    @given(reading_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_one_row_views_match_scalar_copy(self, drawn):
+        lo, hi, params = drawn
+        readings = [Interval(a, b) for a, b in zip(lo[0], hi[0])]
+        want = scalar_outcome(readings, params)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)):
+                posterior_mean_exact(readings, params)
+            return
+        density = posterior_density(readings, params)
+        assert np.array_equal(density.breakpoints, want[0].breakpoints)
+        assert density.levels == pytest.approx(want[0].levels, rel=1e-12, abs=0.0)
+        assert posterior_mean_exact(readings, params) == pytest.approx(want[1], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("case,readings", [
+        ("off-lattice width", [(0.0, 2.0), (0.0, 3.0)]),
+        ("zero width", [(0.0, 2.0), (1.0, 1.0)]),
+        ("inconsistent", [(-5.0, -3.0), (3.0, 5.0)]),
+        ("too few", [(0.0, 2.0)]),
+        ("too many", [(0.0, 2.0), (-1.0, 1.0), (0.0, 2.0)]),
+    ])
+    def test_error_cases_raise_as_scalar_copy(self, case, readings):
+        params = ScenarioParams(n=2, m=1, tau=0, x_max=5, seed=0)
+        want = scalar_outcome([Interval(a, b) for a, b in readings], params)
+        assert isinstance(want, ValueError), case
+        lo = np.array([[a for a, _ in readings]])
+        hi = np.array([[b for _, b in readings]])
+        with pytest.raises(type(want)) as info:
+            posterior_rows(lo, hi, params)
+        assert type(info.value) is type(want)
+
+    def test_inconsistent_row_is_named(self):
+        params = ScenarioParams(n=2, m=1, tau=0, x_max=5, seed=0)
+        lo = np.array([[0.0, -1.0], [-5.0, 3.0]])
+        hi = np.array([[2.0, 1.0], [-3.0, 5.0]])
+        with pytest.raises(InconsistentReadingsError, match="row 1"):
+            posterior_rows(lo, hi, params)
+
+    def test_non_finite_endpoints_rejected(self):
+        params = ScenarioParams(n=2, m=1, tau=0, x_max=5, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            posterior_rows(np.array([[0.0, np.nan]]), np.array([[2.0, 1.0]]), params)
