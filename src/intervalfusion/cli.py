@@ -334,11 +334,14 @@ def run_oracle_check(
 ) -> tuple[float, list[tuple[int, int, int, float]]]:
     """Compare both GBI fusers against the exact posterior mean trial by trial.
 
-    Each tau's trials are checked in blocks of _BLOCK_TRIALS.  For one agent's
-    readings, the deviation is the larger of the enumerative fuser's,
-    fuse_gbi(weight_fn(readings, tau)) with readings an (n, 2) array, and the
-    region kernel gbi_rows's distance from posterior_rows's mean; a non-finite
-    deviation counts as inf.  Returns the largest deviation and the list of
+    Each tau's trials are checked in blocks of _BLOCK_TRIALS, one row per
+    (trial, agent).  For one row, the deviation is the larger of the
+    enumerative fuser's and the region kernel gbi_rows's distance from
+    posterior_rows's mean; a non-finite deviation counts as inf.  The
+    enumerative estimates of a block come from one call,
+    fuse_gbi(weight_fn(readings, tau)), with readings the block's (B, n, 2)
+    stack, so weight_fn must return a stacked table with one row per row of
+    readings.  Returns the largest deviation and the list of
     (tau, trial, agent, deviation) entries exceeding 1e-9.  weight_fn exists
     as a fault-injection hook for tests.
     """
@@ -355,8 +358,7 @@ def run_oracle_check(
             hi = batch.hi.transpose(0, 2, 1).reshape(-1, config.n)
             exact = posterior_rows(lo, hi, params).means()
             regions, _ = gbi_rows(coverage_rows(lo, hi), tau)
-            readings = np.stack([lo, hi], axis=2)
-            weighted = np.array([fuse_gbi(weight_fn(row, tau)) for row in readings])
+            weighted = fuse_gbi(weight_fn(np.stack([lo, hi], axis=2), tau))
             dev = np.maximum(np.abs(weighted - exact), np.abs(regions - exact))
             dev[~np.isfinite(dev)] = np.inf
             worst = max(worst, float(dev.max()))

@@ -7,6 +7,9 @@ fault model in `scenario`.
 The fusers are computed by batch kernels (`marzullo_rows`, `coverage_rows`,
 `bi_rows`, `gbi_rows`, `linear_rows`) over a leading row axis, one row per
 agent's readings; the scalar fusers are one-row calls of the same kernels.
+The subset-enumerative reference (`gbi_bayes_weights`, `fuse_gbi`,
+`fuse_gbi_oneopt`) takes one agent's readings or a (B, n, 2) stack of them,
+and its one-row call is a view of the stacked computation.
 """
 
 from __future__ import annotations
@@ -212,7 +215,27 @@ def fuse_bi(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
 
 @lru_cache(maxsize=None)
 def _subset_indices(n: int, k: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    # shared by every GbiWeights at this (n, k), so callers get it read-only
+    idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
+def _as_stack(readings: Sequence[Interval] | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One agent's readings, or a (B, n, 2) stack of B agents' readings, as
+    (B, n) lo and hi rows plus a flag that is set for a stack."""
+    if isinstance(readings, np.ndarray) and readings.ndim == 3:
+        arr = np.asarray(readings, dtype=float)
+        if arr.shape[2] != 2:
+            raise ValueError(f"expected readings of shape (n, 2) or (B, n, 2), got {arr.shape}")
+        return arr[:, :, 0], arr[:, :, 1], True
+    lo, hi = _as_row(readings)
+    return lo, hi, False
+
+
+def _first_row(bad: np.ndarray, stacked: bool) -> str:
+    """Names the first flagged row of a stack; a one-row call names none."""
+    return f" (row {int(np.argmax(bad))})" if stacked else ""
 
 
 @dataclass(frozen=True)
@@ -220,8 +243,11 @@ class GbiWeights:
     """Per-subset weights and midpoints for the generalized Brooks-Iyengar fuser.
 
     subsets[t] lists the sensors assumed non-faulty in term t (size n - tau);
-    weights[t] and midpoints[t] are that term's weight and intersection
-    midpoint (midpoint 0 by convention when the weight is zero).
+    the (S, n - tau) table is shared and read-only.  A one-row table holds
+    (S,) weights and midpoints: weights[t] and midpoints[t] are term t's
+    weight and intersection midpoint (midpoint 0 by convention when the
+    weight is zero).  A stacked table holds (B, S) weights and midpoints,
+    row b for the b-th agent's readings of the stack.
     """
 
     subsets: np.ndarray
@@ -229,8 +255,11 @@ class GbiWeights:
     midpoints: np.ndarray
 
     def items(self) -> Iterator[tuple[tuple[int, ...], float, float]]:
-        for row, w, mid in zip(self.subsets, self.weights, self.midpoints):
-            yield tuple(int(i) for i in row), float(w), float(mid)
+        """(subset, weight, midpoint) per term of a one-row table."""
+        if self.weights.ndim != 1:
+            raise ValueError(f"items() needs a one-row table, got weights of shape {self.weights.shape}")
+        return ((tuple(int(i) for i in row), float(w), float(mid))
+                for row, w, mid in zip(self.subsets, self.weights, self.midpoints))
 
 
 def gbi_bayes_weights(readings: Sequence[Interval] | np.ndarray, tau: int) -> GbiWeights:
@@ -239,50 +268,81 @@ def gbi_bayes_weights(readings: Sequence[Interval] | np.ndarray, tau: int) -> Gb
 
     For each size-(n - tau) subset of sensors the weight is the length of the
     subset's intersection times the product of the member intervals' inverse
-    widths; the midpoint is the intersection midpoint.  Zero-width readings
-    are rejected (their inverse width is undefined).
+    widths; the midpoint is the intersection midpoint.  readings is one
+    agent's readings (Intervals or an (n, 2) array), giving a one-row table,
+    or a (B, n, 2) stack, giving a stacked table whose row b is bit-identical
+    to the one-row call on readings[b].  Zero-width readings are rejected
+    (their inverse width is undefined); for a stack the message names the
+    first row holding one.
     """
-    lo, hi = _as_row(readings)
+    lo, hi, stacked = _as_stack(readings)
     _check_rows(lo, hi)
-    lo, hi = lo[0], hi[0]
-    n = lo.size
+    n = lo.shape[1]
     _check_tau(tau, n)
     widths = hi - lo
-    if np.any(widths <= 0):
-        raise ValueError("every reading must have positive width")
+    flat = (widths <= 0).any(axis=1)
+    if flat.any():
+        raise ValueError("every reading must have positive width" + _first_row(flat, stacked))
     idx = _subset_indices(n, n - tau)
-    max_lo = lo[idx].max(axis=1)
-    min_hi = hi[idx].min(axis=1)
-    overlap = np.maximum(min_hi - max_lo, 0.0)
+    inv = 1.0 / widths
+    # members are folded in one column at a time, in the left-to-right order of
+    # a product along each subset's row, over (B, S) arrays
+    cols = idx.T
+    max_lo, min_hi, scale = lo[:, cols[0]], hi[:, cols[0]], inv[:, cols[0]]
     # an overflowing product leaves inf or nan weights, which fuse_gbi reports
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = overlap * (1.0 / widths)[idx].prod(axis=1)
+        for col in cols[1:]:
+            max_lo = np.maximum(max_lo, lo[:, col])
+            min_hi = np.minimum(min_hi, hi[:, col])
+            scale = scale * inv[:, col]
+        weights = np.maximum(min_hi - max_lo, 0.0) * scale
     midpoints = np.where(weights > 0, (min_hi + max_lo) / 2.0, 0.0)
+    if not stacked:
+        weights, midpoints = weights[0], midpoints[0]
     return GbiWeights(subsets=idx, weights=weights, midpoints=midpoints)
 
 
-def fuse_gbi(weights: GbiWeights) -> float:
+def fuse_gbi(weights: GbiWeights) -> float | np.ndarray:
     """Weight-normalized average of the per-subset midpoints.
 
-    Raises ValueError when the weight total is not finite, which happens when
-    the product of n - tau inverse widths overflows.
+    A one-row table gives a float, a stacked table a (B,) array.  Raises
+    ValueError when a weight total is not finite, which happens when the
+    product of n - tau inverse widths overflows, and DegenerateInputError
+    when every weight of a row is zero; for a stack the message names the
+    first such row.
     """
-    total = float(weights.weights.sum())
-    if not np.isfinite(total):
-        raise ValueError(f"GBI subset weights overflow (total {total}); use fuse_gbi_regions at this scale")
-    if total <= 0.0:
-        raise DegenerateInputError("every subset weight is zero; no subset has a nonempty intersection")
-    return float(np.dot(weights.weights, weights.midpoints) / total)
+    if weights.weights.ndim not in (1, 2):
+        raise ValueError(f"expected (S,) or (B, S) weights, got shape {weights.weights.shape}")
+    stacked = weights.weights.ndim == 2
+    # one-row tables are reduced as (1, S) stacks; a C-contiguous layout keeps
+    # each row's pairwise sum in the one-row order
+    w = np.ascontiguousarray(weights.weights.reshape(-1, weights.weights.shape[-1]))
+    mids = np.ascontiguousarray(weights.midpoints.reshape(w.shape))
+    total = w.sum(axis=1)
+    bad = ~np.isfinite(total) | (total <= 0.0)
+    if bad.any():
+        where = _first_row(bad, stacked)
+        row_total = float(total[np.argmax(bad)])
+        if not np.isfinite(row_total):
+            raise ValueError(f"GBI subset weights overflow{where} (total {row_total}); "
+                             "use fuse_gbi_regions at this scale")
+        raise DegenerateInputError(f"every subset weight is zero{where}; "
+                                   "no subset has a nonempty intersection")
+    # a (1, S) @ (S, 1) product per row runs the dot kernel of the one-row np.dot
+    values = (w[:, None, :] @ mids[:, :, None])[:, 0, 0] / total
+    return values if stacked else float(values[0])
 
 
-def fuse_gbi_oneopt(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
+def fuse_gbi_oneopt(readings: Sequence[Interval] | np.ndarray, tau: int) -> float | np.ndarray:
     """Generalized Brooks-Iyengar estimate with the posterior-mean weights,
     by enumeration.
 
     Builds all C(n, n - tau) subset weights, so time and memory grow
     combinatorially and the product of n - tau inverse widths can overflow or
-    underflow; practical only for small n.  It is kept as the reference that
-    `fuse_gbi_regions` is tested against.
+    underflow; practical only for small n.  One agent's readings give a
+    float; a (B, n, 2) stack gives a (B,) array, row by row bit-identical to
+    the one-row calls.  It is kept as the reference that `fuse_gbi_regions`
+    and `oracle-check` test the region kernel against.
     """
     return fuse_gbi(gbi_bayes_weights(readings, tau))
 

@@ -320,6 +320,45 @@ class TestOracleCheck:
         assert agent in (0, 1)
         assert dev > 1e-9
 
+    def test_one_weight_call_per_block(self, tmp_path):
+        # the hook sees each 128-trial block once, as a (B, n, 2) stack
+        calls = []
+
+        def counting(readings, tau):
+            calls.append((tau, readings.shape))
+            return gbi_bayes_weights(readings, tau)
+
+        path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
+        config = load_config(path)
+        assert run_oracle_check(config, weight_fn=counting) == run_oracle_check(config)
+        assert calls == [(tau, (rows, 4, 2)) for tau in (1, 2) for rows in (256, 44)]
+
+    def test_one_corrupted_row_named(self, tmp_path):
+        # shifting one row's midpoints in the second block of tau 2 must flag
+        # exactly that (tau, trial, agent)
+        def corrupt_one(readings, tau):
+            w = gbi_bayes_weights(readings, tau)
+            if tau == 2 and readings.shape[0] == 44:
+                w.midpoints[7] += 1e-6
+            return w
+
+        path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
+        worst, failures = run_oracle_check(load_config(path), weight_fn=corrupt_one)
+        assert [entry[:3] for entry in failures] == [(2, 128 + 7 // 2, 7 % 2)]
+        assert failures[0][3] == pytest.approx(1e-6, rel=1e-6)
+        assert worst == failures[0][3]
+
+    def test_shifted_midpoints_detected(self, tmp_path):
+        # negative control: every row's midpoints off by 1e-6 fails every row
+        def shifted(readings, tau):
+            w = gbi_bayes_weights(readings, tau)
+            return GbiWeights(w.subsets, w.weights, w.midpoints + 1e-6)
+
+        path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
+        worst, failures = run_oracle_check(load_config(path), weight_fn=shifted)
+        assert len(failures) == 2 * 150 * 2
+        assert worst == pytest.approx(1e-6, rel=1e-6)
+
     def test_region_kernel_deviations_named(self, tmp_path, monkeypatch):
         # negative control for the region half: shifting gbi_rows's estimate on
         # every fifth row must flag exactly those (tau, trial, agent) entries

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from intervalfusion import (
     DegenerateInputError,
+    GbiWeights,
     Interval,
     LinearCoefficients,
     ScenarioParams,
@@ -21,6 +22,7 @@ from intervalfusion import (
     fuse_marzullo,
     gbi_bayes_weights,
     make_trial,
+    make_trials,
     transition_profile,
 )
 from intervalfusion.fusion import bi_rows, coverage_rows, gbi_rows, linear_rows, marzullo_rows
@@ -220,6 +222,91 @@ class TestFuseGbi:
                 fuse_gbi_oneopt(family, tau)
         else:
             assert fuse_gbi_oneopt(family, tau) == pytest.approx(num / den, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def reading_stack(draw):
+    """(stack, tau): a (B, n, 2) stack of free and in-model rows, n 1..8, tau < n.
+
+    Free rows are quarter-integer families, which often hold subsets with an
+    empty intersection; in-model rows are make_trials rows of either agent.
+    """
+    n = draw(st.integers(1, 8))
+    tau = draw(st.integers(0, n - 1))
+    params = ScenarioParams(n=n, m=2, tau=tau, x_max=5, seed=draw(st.integers(0, 2**32)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            rows.append([(iv.lo, iv.hi) for iv in draw(interval_family(min_n=n, max_n=n))])
+        else:
+            trial = draw(st.integers(0, 300))
+            batch = make_trials(params, trial, trial + 1)
+            agent = draw(st.integers(0, 1))
+            rows.append(np.stack([batch.lo[0, :, agent], batch.hi[0, :, agent]], axis=1))
+    return np.array(rows, dtype=float), tau
+
+
+class TestStackedGbiWeights:
+    @given(reading_stack())
+    @settings(max_examples=250, deadline=None)
+    def test_rows_equal_one_row_calls(self, drawn):
+        stack, tau = drawn
+        table = gbi_bayes_weights(stack, tau)
+        assert table.weights.shape == table.midpoints.shape == (stack.shape[0], len(table.subsets))
+        values = []
+        for b, row in enumerate(stack):
+            one = gbi_bayes_weights(row, tau)
+            assert one.subsets is table.subsets
+            assert (table.weights[b] == one.weights).all()
+            assert (table.midpoints[b] == one.midpoints).all()
+            try:
+                values.append(fuse_gbi(one))
+            except DegenerateInputError:
+                values.append(None)
+        degenerate = [b for b, value in enumerate(values) if value is None]
+        if degenerate:
+            with pytest.raises(DegenerateInputError, match=f"row {degenerate[0]}"):
+                fuse_gbi(table)
+        good = [b for b, value in enumerate(values) if value is not None]
+        if good:
+            fused = fuse_gbi_oneopt(stack[good], tau)
+            assert fused.shape == (len(good),)
+            assert fused.tolist() == [values[b] for b in good]
+
+    def test_zero_width_row_named(self):
+        stack = np.array([[(0.0, 2.0), (1.0, 3.0)]] * 3)
+        stack[2, 1] = (1.0, 1.0)
+        with pytest.raises(ValueError, match=r"positive width \(row 2\)"):
+            gbi_bayes_weights(stack, 1)
+
+    def test_zero_weight_row_named(self):
+        stack = np.array([[(0.0, 2.0), (1.0, 3.0)], [(0.0, 1.0), (2.0, 3.0)], [(0.0, 1.0), (2.0, 3.0)]])
+        with pytest.raises(DegenerateInputError, match=r"zero \(row 1\)"):
+            fuse_gbi(gbi_bayes_weights(stack, 0))
+
+    def test_overflowing_row_named(self):
+        # three inverse widths of 1e200 multiply past the float range
+        stack = np.array([[(0.0, 2.0)] * 3, [(0.0, 1.0)] * 3, [(0.0, 1e-200)] * 3])
+        with pytest.raises(ValueError, match=r"overflow \(row 2\)"):
+            fuse_gbi(gbi_bayes_weights(stack, 0))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (3,), (2, 2, 3, 2)])
+    def test_wrong_shapes_refused(self, shape):
+        with pytest.raises(ValueError, match="expected readings of shape"):
+            gbi_bayes_weights(np.ones(shape), 1)
+
+    def test_items_refuses_stacked_table(self):
+        table = gbi_bayes_weights(np.array([[(0.0, 2.0), (1.0, 3.0)]] * 2), 1)
+        with pytest.raises(ValueError, match="one-row table"):
+            table.items()
+        with pytest.raises(ValueError, match="weights"):
+            fuse_gbi(GbiWeights(table.subsets, table.weights[None], table.midpoints[None]))
+
+    def test_subset_table_is_read_only(self):
+        table = gbi_bayes_weights(ivs((0, 2), (1, 3), (2, 4)), 1)
+        with pytest.raises(ValueError):
+            table.subsets[0, 0] = 2
+        assert gbi_bayes_weights(ivs((0, 2), (1, 3), (2, 4)), 1).subsets.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def _reading_bounds(trial, agent=0):

@@ -159,7 +159,13 @@ def scalar_implied_precision(reading, x_max):
     width = reading.width
     if width <= 0:
         raise OffLatticeError(f"reading width must be positive, got {width}")
-    precision = int(round(2.0 * x_max / width))
+    # the one departure from the old code, whose division overflowed for a
+    # subnormal width: the batch oracle reports such a width as precision inf
+    with np.errstate(over="ignore"):
+        ratio = 2.0 * x_max / np.float64(width)
+    if np.isinf(ratio):
+        raise OffLatticeError(f"width {width} implies precision inf outside 1..{x_max}")
+    precision = int(round(ratio))
     if precision < 1 or precision > x_max:
         raise OffLatticeError(f"width {width} implies precision {precision} outside 1..{x_max}")
     if abs(width - 2.0 * x_max / precision) > 1e-9 * (1.0 + width):
