@@ -86,6 +86,21 @@ def _require_int(raw: object, field: str, minimum: int | None = None) -> int:
     return raw
 
 
+def _resolve_int(file_value: object, env: str, flag: int | None, field: str,
+                 minimum: int | None = None) -> int:
+    """The flag if given, else the environment variable if set, else the file value."""
+    value = file_value
+    if env in os.environ:
+        try:
+            value = int(os.environ[env])
+        except ValueError as exc:
+            raise ConfigError(f"environment variable {env} must be an integer, "
+                              f"got {os.environ[env]!r}") from exc
+    if flag is not None:
+        value = flag
+    return _require_int(value, field, minimum)
+
+
 def load_config(path: str, seed_override: int | None = None, trials_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
     """Read, validate, and resolve a configuration file.
@@ -114,16 +129,7 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
     m = _require_int(raw["m"], "m", minimum=1)
     x_max = _require_int(raw["x_max"], "x_max", minimum=1)
 
-    seed = raw["seed"]
-    if ENV_SEED in os.environ:
-        try:
-            seed = int(os.environ[ENV_SEED])
-        except ValueError as exc:
-            raise ConfigError(f"environment variable {ENV_SEED} must be an integer, "
-                              f"got {os.environ[ENV_SEED]!r}") from exc
-    if seed_override is not None:
-        seed = seed_override
-    seed = _require_int(seed, "seed")
+    seed = _resolve_int(raw["seed"], ENV_SEED, seed_override, "seed")
 
     taus_raw = raw["taus"]
     if not isinstance(taus_raw, list) or not taus_raw:
@@ -148,16 +154,7 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
     if not isinstance(algorithms_raw, list) or not all(isinstance(a, str) for a in algorithms_raw):
         raise ConfigError("field 'algorithms' must be a list of strings")
 
-    trials = raw["trials"]
-    if ENV_TRIALS in os.environ:
-        try:
-            trials = int(os.environ[ENV_TRIALS])
-        except ValueError as exc:
-            raise ConfigError(f"environment variable {ENV_TRIALS} must be an integer, "
-                              f"got {os.environ[ENV_TRIALS]!r}") from exc
-    if trials_override is not None:
-        trials = trials_override
-    trials = _require_int(trials, "trials", minimum=100)
+    trials = _resolve_int(raw["trials"], ENV_TRIALS, trials_override, "trials", minimum=100)
 
     moment_samples = _require_int(raw.get("moment_samples", _DEFAULTS["moment_samples"]),
                                   "moment_samples", minimum=10_000)
@@ -210,6 +207,9 @@ def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
                 value = float(selector.split("@", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad algorithm selector {selector!r}") from exc
+            # evaluate refuses non-finite estimates, so refuse them here by field
+            if not np.isfinite(value):
+                raise ConfigError(f"algorithm selector {selector!r} has a non-finite value")
             plans.append(_AlgorithmPlan(label=selector, kind="constant", constant_value=value))
         else:
             raise ConfigError(f"unknown algorithm selector {selector!r} in field 'algorithms'")
@@ -226,8 +226,10 @@ def _fit_rng(seed: int, tau: int, lam: float) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 0xF17, tau, lam_bits)))
 
 
-def _float_cell(value: float | None) -> str:
-    return "" if value is None else format(value, ".15g")
+def _cell(value: str | int | float | None) -> str:
+    if isinstance(value, float):
+        return format(value, ".15g")
+    return "" if value is None else str(value)
 
 
 def run_sweep(config: RunConfig) -> list[dict]:
@@ -247,6 +249,7 @@ def run_sweep(config: RunConfig) -> list[dict]:
             if tau > config.n - 2:
                 raise ConfigError(f"field 'taus' entry {tau} exceeds n-2 = {config.n - 2}, "
                                   f"the bound for a marzullo selector")
+    header = _sweep_header(config)
     rows: list[dict] = []
     for tau in config.taus:
         params = config.scenario(tau)
@@ -256,14 +259,11 @@ def run_sweep(config: RunConfig) -> list[dict]:
                 selections[plan.lam] = select_linear_coefficients(
                     params, plan.lam, config.moment_samples, _fit_rng(config.seed, tau, plan.lam)
                 )
-        specs = []
-        for plan in plans:
-            if plan.kind == "linear":
-                specs.append(AlgorithmSpec.linear(selections[plan.lam].coeffs, label=plan.label))
-            elif plan.kind == "constant":
-                specs.append(AlgorithmSpec.constant(plan.constant_value, label=plan.label))
-            else:
-                specs.append(AlgorithmSpec(kind=plan.kind))
+        specs = [
+            AlgorithmSpec(kind=plan.kind, label=plan.label, constant_value=plan.constant_value,
+                          coeffs=selections[plan.lam].coeffs if plan.kind == "linear" else None)
+            for plan in plans
+        ]
         if not specs:
             continue
         reports = evaluate(specs, params, config.trials)
@@ -276,18 +276,14 @@ def run_sweep(config: RunConfig) -> list[dict]:
                 flags.append(f"degenerate={report.degenerate_count}")
             if plan.kind == "linear" and not selections[plan.lam].closed_form_used:
                 flags.append("fit_substituted")
-            row: dict = {"algorithm": plan.label, "tau": tau, "lambda": plan.lam}
-            for j in range(config.m):
-                row[f"mse_agent_{j + 1}"] = float(report.mse[j])
-                row[f"mse_stderr_{j + 1}"] = float(report.mse_stderr[j])
-            for p, (j, k) in enumerate(report.pairs):
-                row[f"cns_pair_{j + 1}_{k + 1}"] = float(report.cns[p])
-                row[f"cns_stderr_{j + 1}_{k + 1}"] = float(report.cns_stderr[p])
-            row["objective"] = objective
-            row["trials"] = config.trials
-            row["seed"] = config.seed
-            row["flags"] = ";".join(flags)
-            rows.append(row)
+            # each estimate is followed by its standard error, as in the header
+            values = [
+                plan.label, tau, plan.lam,
+                *np.column_stack([report.mse, report.mse_stderr]).ravel().tolist(),
+                *np.column_stack([report.cns, report.cns_stderr]).ravel().tolist(),
+                objective, config.trials, config.seed, ";".join(flags),
+            ]
+            rows.append(dict(zip(header, values, strict=True)))
     return rows
 
 
@@ -314,16 +310,7 @@ def write_rows(rows: list[dict], config: RunConfig) -> None:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
-                cells = []
-                for key in header:
-                    value = row.get(key)
-                    if key in ("algorithm", "flags"):
-                        cells.append("" if value is None else str(value))
-                    elif key in ("tau", "trials", "seed"):
-                        cells.append(str(value))
-                    else:
-                        cells.append(_float_cell(value))
-                writer.writerow(cells)
+                writer.writerow([_cell(row.get(key)) for key in header])
     except OSError as exc:
         raise ConfigError(f"cannot write output_path {config.output_path!r}: {exc}") from exc
 
@@ -407,6 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (sweep, check, fit):
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    for p in (sweep, check):
         p.add_argument("--trials", type=int, default=None, help="override the config trial count")
     sweep.add_argument("--out", default=None, help="override the config output_path")
     fit.add_argument("--out", default=None, help="write fitted coefficients to this file instead of stdout")
@@ -417,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, seed_override=args.seed, trials_override=args.trials,
+        config = load_config(args.config, seed_override=args.seed,
+                             trials_override=getattr(args, "trials", None),
                              out_override=getattr(args, "out", None))
         if args.command == "sweep":
             rows = run_sweep(config)

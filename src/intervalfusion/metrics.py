@@ -11,7 +11,6 @@ of the trial range across workers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +135,26 @@ def _block_estimates(
     return estimates.reshape(len(algos), m, size), degenerate
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    t = values.size
-    mean = float(values.mean())
+def _score(
+    x: np.ndarray, estimates: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial squared errors (..., m, trials) and pair gaps (..., pairs, trials).
+
+    estimates has shape (..., m, trials) and x holds the trials' targets.
+    pairs is np.triu_indices(m, 1), the agent pairs in itertools.combinations
+    order; callers build it once, not once per block.
+    """
+    first, second = pairs
+    return (x - estimates) ** 2, (estimates[..., first, :] - estimates[..., second, :]) ** 2
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the last (trial) axis."""
+    t = values.shape[-1]
+    mean = values.mean(axis=-1)
     if t < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / np.sqrt(t))
+        return mean, np.zeros_like(mean)
+    return mean, values.std(axis=-1, ddof=1) / np.sqrt(t)
 
 
 def _objective_per_trial(sq_err: np.ndarray, gap_sq: np.ndarray, lam: float) -> np.ndarray:
@@ -162,7 +175,8 @@ def combine_objective(report: MetricsReport, lam: float) -> tuple[float, float]:
         raise ValueError("report lacks the per-trial arrays sq_err and pair_gap_sq")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    return _mean_stderr(_objective_per_trial(report.sq_err, report.pair_gap_sq, lam))
+    mean, stderr = _mean_stderr(_objective_per_trial(report.sq_err, report.pair_gap_sq, lam))
+    return float(mean), float(stderr)
 
 
 def evaluate(
@@ -175,7 +189,8 @@ def evaluate(
     Trials 0..trials-1 of the stream rooted at params.seed (common random
     numbers) are drawn in blocks of _BLOCK_TRIALS, and every algorithm fuses
     a whole block at once; a trial's values never depend on the block it
-    falls in.  Every report carries its per-trial arrays as views.
+    falls in.  Every report carries its per-trial arrays as views.  A
+    non-finite estimate raises ValueError naming the algorithm and tau.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials for meaningful statistics, got {trials}")
@@ -194,44 +209,38 @@ def evaluate(
             )
 
     m = params.m
-    pair_list = tuple(itertools.combinations(range(m), 2))
+    pairs = np.triu_indices(m, 1)
     n_alg = len(algos)
     sq_err = np.empty((n_alg, m, trials))
-    gap_sq = np.empty((n_alg, len(pair_list), trials))
+    gap_sq = np.empty((n_alg, pairs[0].size, trials))
     degenerate = np.zeros(n_alg, dtype=int)
 
     for start in range(0, trials, _BLOCK_TRIALS):
         stop = min(start + _BLOCK_TRIALS, trials)
         batch = make_trials(params, start, stop)
         estimates, flagged = _block_estimates(algos, batch, params.tau)
+        if not np.isfinite(estimates).all():
+            bad = algos[int(np.argmin(np.isfinite(estimates).all(axis=(1, 2))))]
+            raise ValueError(f"algorithm {bad.label!r} gave a non-finite estimate at tau={params.tau}")
         degenerate += flagged
-        sq_err[:, :, start:stop] = (batch.x - estimates) ** 2
-        for p, (j, k) in enumerate(pair_list):
-            gap_sq[:, p, start:stop] = (estimates[:, j] - estimates[:, k]) ** 2
+        sq_err[:, :, start:stop], gap_sq[:, :, start:stop] = _score(batch.x, estimates, pairs)
 
-    reports = []
-    for a, spec in enumerate(algos):
-        mse = np.empty(m)
-        mse_se = np.empty(m)
-        for j in range(m):
-            mse[j], mse_se[j] = _mean_stderr(sq_err[a, j])
-        cns = np.empty(len(pair_list))
-        cns_se = np.empty(len(pair_list))
-        for p in range(len(pair_list)):
-            cns[p], cns_se[p] = _mean_stderr(gap_sq[a, p])
-        reports.append(
-            MetricsReport(
-                algorithm=spec.label,
-                tau=params.tau,
-                mse=mse,
-                mse_stderr=mse_se,
-                cns=cns,
-                cns_stderr=cns_se,
-                pairs=pair_list,
-                trials=trials,
-                degenerate_count=int(degenerate[a]),
-                sq_err=sq_err[a],
-                pair_gap_sq=gap_sq[a],
-            )
+    mse, mse_se = _mean_stderr(sq_err)
+    cns, cns_se = _mean_stderr(gap_sq)
+    pair_list = tuple(zip(pairs[0].tolist(), pairs[1].tolist()))
+    return [
+        MetricsReport(
+            algorithm=spec.label,
+            tau=params.tau,
+            mse=mse[a],
+            mse_stderr=mse_se[a],
+            cns=cns[a],
+            cns_stderr=cns_se[a],
+            pairs=pair_list,
+            trials=trials,
+            degenerate_count=int(degenerate[a]),
+            sq_err=sq_err[a],
+            pair_gap_sq=gap_sq[a],
         )
-    return reports
+        for a, spec in enumerate(algos)
+    ]

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .fusion import LinearCoefficients, linear_rows
-from .metrics import _objective_per_trial
+from .metrics import _objective_per_trial, _score
 from .scenario import ScenarioParams, TrialBatch, sample_batch
 
 __all__ = [
@@ -467,10 +467,8 @@ def empirical_objective(
     m = batch.lo.shape[2]
     if len(coeffs) != m:
         raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
-    est = np.stack([linear_rows(batch.lo[:, :, j], batch.hi[:, :, j], coeffs[j]) for j in range(m)], axis=1)
-    j, k = np.triu_indices(m, 1)
-    sq_err = ((batch.x[:, None] - est) ** 2).T
-    gap_sq = ((est[:, j] - est[:, k]) ** 2).T
+    est = np.stack([linear_rows(batch.lo[:, :, j], batch.hi[:, :, j], coeffs[j]) for j in range(m)])
+    sq_err, gap_sq = _score(batch.x, est, np.triu_indices(m, 1))
     return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
 
 

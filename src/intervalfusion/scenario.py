@@ -150,14 +150,6 @@ class TrialBatch:
         return self.x.shape[0]
 
 
-def _cell_index(x: float, precision: int, x_max: int) -> int:
-    # Ties on interior cell boundaries resolve to the lower-index cell;
-    # x == -x_max belongs to cell 1.
-    u = (x + x_max) * precision / (2.0 * x_max)
-    d = math.ceil(u)
-    return min(precision, max(1, d))
-
-
 def truthful_interval(x: float, precision: int, x_max: int) -> Interval:
     """Return the unique width-(2*x_max/precision) cell containing x.
 
@@ -167,13 +159,13 @@ def truthful_interval(x: float, precision: int, x_max: int) -> Interval:
         raise ValueError(f"target {x} outside [-{x_max}, {x_max}]")
     if precision < 1 or precision > x_max:
         raise ValueError(f"precision must lie in 1..{x_max}, got {precision}")
-    d = _cell_index(x, precision, x_max)
-    lo = -x_max + (d - 1) * (2.0 * x_max) / precision
-    hi = -x_max + d * (2.0 * x_max) / precision
-    return Interval(lo, hi)
+    lo, hi = _cells_from_targets(x, precision, x_max)
+    return Interval(float(lo), float(hi))
 
 
 def _cells_from_targets(x: np.ndarray, prec: np.ndarray, x_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # Ties on interior cell boundaries resolve to the lower-index cell;
+    # x == -x_max belongs to cell 1.
     u = (x + x_max) * prec / (2.0 * x_max)
     d = np.minimum(np.maximum(np.ceil(u), 1), prec)
     lo = -x_max + (d - 1) * (2.0 * x_max) / prec

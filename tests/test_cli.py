@@ -10,6 +10,7 @@ from intervalfusion import GbiWeights, cli, gbi_bayes_weights, scenario
 from intervalfusion.cli import (
     ConfigError,
     _fit_rng,
+    _sweep_header,
     load_config,
     main,
     run_oracle_check,
@@ -108,7 +109,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "selector",
-        ["median", "linear@1.5", "linear@abc", "constant@", "gbi"],
+        ["median", "linear@1.5", "linear@abc", "constant@", "gbi", "constant@inf", "constant@nan"],
     )
     def test_bad_selector(self, tmp_path, selector):
         path, _ = write_config(tmp_path, algorithms=[selector])
@@ -150,10 +151,12 @@ class TestOverrides:
 
     def test_bad_env_value(self, tmp_path, monkeypatch):
         path, _ = write_config(tmp_path)
-        monkeypatch.setenv("INTERVALFUSION_SEED", "lots")
-        with pytest.raises(ConfigError) as info:
-            load_config(path)
-        assert "INTERVALFUSION_SEED" in str(info.value)
+        for name in ("INTERVALFUSION_SEED", "INTERVALFUSION_TRIALS"):
+            with monkeypatch.context() as env:
+                env.setenv(name, "lots")
+                with pytest.raises(ConfigError) as info:
+                    load_config(path)
+            assert name in str(info.value)
 
 
 class TestSweep:
@@ -250,6 +253,14 @@ class TestSweep:
         cns = sum(float(linear[f"cns_pair_{j}_{k}"]) for j, k in ((1, 2), (1, 3), (2, 3)))
         assert float(linear["objective"]) == pytest.approx(0.5 * mse + 0.5 / 2 * cns, rel=1e-9)
         assert bi["objective"] == ""
+
+    def test_rows_follow_the_header_at_three_agents(self, tmp_path):
+        path, _ = write_config(tmp_path, m=3, algorithms=["linear@0.5", "bi", "constant@0"], trials=150)
+        config = load_config(path)
+        rows = run_sweep(config)
+        assert len(rows) == 3
+        for row in rows:
+            assert list(row) == _sweep_header(config)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, trials=5)
@@ -445,6 +456,13 @@ class TestFitLinear:
         (entry,) = json.loads(out.read_text())
         assert entry["tau"] == 4
         assert len(entry["eps"]) == 2
+
+    def test_trials_flag_rejected(self, tmp_path):
+        # fitting never reads trials, so fit-linear has no --trials flag
+        path, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["fit-linear", "--config", path, "--lambda", "0.5", "--trials", "150"])
+        assert info.value.code == 2
 
     def test_lambda_validated(self, tmp_path):
         path, _ = write_config(tmp_path)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from intervalfusion import metrics
+from intervalfusion import fusion, metrics
 from intervalfusion import (
     AlgorithmSpec,
     LinearCoefficients,
@@ -173,6 +173,44 @@ class TestEvaluate:
             assert np.array_equal(a.sq_err, c.sq_err)
             assert np.array_equal(a.pair_gap_sq, c.pair_gap_sq)
             assert a.degenerate_count == c.degenerate_count
+
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_statistics_equal_per_row_reference(self, m):
+        # every summary is the per-row mean / stderr of its per-trial array
+        params = ScenarioParams(n=6, m=m, tau=2, x_max=5, seed=76)
+        coeffs = tuple(
+            LinearCoefficients(np.full(6, 0.05 * (j + 1)), np.full(6, 0.05), 0.1 * j) for j in range(m)
+        )
+        algos = [
+            AlgorithmSpec.marzullo(),
+            AlgorithmSpec.bi(),
+            AlgorithmSpec.gbi_oneopt(),
+            AlgorithmSpec.linear(coeffs),
+            AlgorithmSpec.constant(0.5),
+        ]
+        trials = 300
+        for report in evaluate(algos, params, trials):
+            for stats, stderrs, per_trial in (
+                (report.mse, report.mse_stderr, report.sq_err),
+                (report.cns, report.cns_stderr, report.pair_gap_sq),
+            ):
+                assert stats.tolist() == [float(v.mean()) for v in per_trial]
+                assert stderrs.tolist() == [float(v.std(ddof=1) / np.sqrt(trials)) for v in per_trial]
+
+    def test_non_finite_estimate_refused(self, monkeypatch):
+        real_gbi_rows = fusion.gbi_rows
+
+        def one_nan_row(cov, tau):
+            values, flags = real_gbi_rows(cov, tau)
+            values, flags = values.copy(), flags.copy()
+            values[3], flags[3] = np.nan, False
+            return values, flags
+
+        monkeypatch.setattr(fusion, "gbi_rows", one_nan_row)
+        params = ScenarioParams(n=5, m=2, tau=2, x_max=5, seed=77)
+        with pytest.raises(ValueError, match=r"'gbi_oneopt'.*tau=2"):
+            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 200)
 
 
 class TestCombineObjective:

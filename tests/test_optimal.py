@@ -41,6 +41,8 @@ from intervalfusion import (
     select_linear_coefficients,
     solve_linear_two_agent,
 )
+from intervalfusion.fusion import linear_rows
+from intervalfusion.metrics import _objective_per_trial
 from intervalfusion.scenario import TrialBatch
 
 
@@ -656,6 +658,30 @@ class TestEmpiricalObjective:
         one = (LinearCoefficients(np.array([0.1]), np.array([0.1]), 0.0),)
         with pytest.raises(ValueError):
             empirical_objective(batch, one, 0.5)
+
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_equals_the_pairwise_index_formula(self, m):
+        # the formula empirical_objective used before it shared evaluate's
+        # scorer, kept literally as the reference
+        def reference(batch, coeffs, lam):
+            est = np.stack(
+                [linear_rows(batch.lo[:, :, j], batch.hi[:, :, j], coeffs[j]) for j in range(m)], axis=1
+            )
+            j, k = np.triu_indices(m, 1)
+            sq_err = ((batch.x[:, None] - est) ** 2).T
+            gap_sq = ((est[:, j] - est[:, k]) ** 2).T
+            return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
+
+        rng = np.random.default_rng(90 + m)
+        batch = sample_batch(ScenarioParams(n=6, m=m, tau=3, x_max=5, seed=90), 2_000, rng)
+        for _ in range(5):
+            coeffs = tuple(
+                LinearCoefficients(rng.normal(size=6), rng.normal(size=6), float(rng.normal()))
+                for _ in range(m)
+            )
+            lam = float(rng.uniform())
+            assert empirical_objective(batch, coeffs, lam) == reference(batch, coeffs, lam)
 
 
 class TestSelectLinearCoefficients:

@@ -143,6 +143,25 @@ class TestTruthfulInterval:
         assert got == holders[0]
 
 
+    @given(x_max=st.integers(1, 8), data=st.data())
+    @settings(max_examples=300)
+    def test_equals_the_scalar_lattice_rule(self, x_max, data):
+        # the scalar rule truthful_interval used before it shared the batch
+        # generator's rule, kept literally as the reference
+        def scalar_rule(x, precision, x_max):
+            u = (x + x_max) * precision / (2.0 * x_max)
+            d = min(precision, max(1, math.ceil(u)))
+            lo = -x_max + (d - 1) * (2.0 * x_max) / precision
+            hi = -x_max + d * (2.0 * x_max) / precision
+            return Interval(lo, hi)
+
+        precision = data.draw(st.integers(1, x_max))
+        # cell boundaries, the interior ones and +-x_max, as well as any target
+        boundary = st.integers(0, precision).map(lambda d: -x_max + d * 2.0 * x_max / precision)
+        x = data.draw(st.one_of(boundary, st.floats(-x_max, x_max)))
+        assert truthful_interval(x, precision, x_max) == scalar_rule(x, precision, x_max)
+
+
 @pytest.fixture(scope="module")
 def million_draws():
     # 10^6 faulty cells: n=2, tau=1, m=1 gives exactly one per trial
