@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -333,7 +332,8 @@ def run_oracle_check(
     as a fault-injection hook for tests.
     """
     if config.n > 8:
-        raise ConfigError(f"oracle check enumerates fault patterns; need n <= 8, got n={config.n}")
+        raise ConfigError(f"field 'n' must be <= 8 for oracle-check, which enumerates fault patterns; "
+                          f"got n={config.n}")
     worst = 0.0
     failures: list[tuple[int, int, int, float]] = []
     for tau in config.taus:

@@ -7,6 +7,8 @@ fault model in `scenario`.
 The fusers are computed by batch kernels (`marzullo_rows`, `coverage_rows`,
 `bi_rows`, `gbi_rows`, `linear_rows`) over a leading row axis, one row per
 agent's readings; the scalar fusers are one-row calls of the same kernels.
+`coverage_rows` builds a `TransitionProfile` for B rows; `transition_profile`
+is its one-row view.
 The subset-enumerative reference (`gbi_bayes_weights`, `fuse_gbi`,
 `fuse_gbi_oneopt`) takes one agent's readings or a (B, n, 2) stack of them,
 and its one-row call is a view of the stacked computation.
@@ -21,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .scenario import Interval
+from .scenario import Interval, as_row, check_rows
 
 __all__ = [
     "DegenerateInputError",
@@ -37,7 +39,6 @@ __all__ = [
     "fuse_gbi_oneopt",
     "fuse_gbi_regions",
     "fuse_linear",
-    "RowCoverage",
     "coverage_rows",
     "marzullo_rows",
     "bi_rows",
@@ -50,24 +51,9 @@ class DegenerateInputError(ValueError):
     """Raised when a fuser's weighting collapses (e.g. every GBI weight is zero)."""
 
 
-def _as_row(readings: Sequence[Interval] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One agent's readings (Intervals or an (n, 2) array) as (1, n) lo and hi rows."""
-    if isinstance(readings, np.ndarray):
-        arr = np.asarray(readings, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected readings of shape (n, 2), got {arr.shape}")
-        return arr[None, :, 0], arr[None, :, 1]
-    lo = np.array([[iv.lo for iv in readings]], dtype=float)
-    hi = np.array([[iv.hi for iv in readings]], dtype=float)
-    return lo, hi
-
-
 def _check_rows(lo: np.ndarray, hi: np.ndarray) -> None:
     """Validate a batch of (B, n) reading rows once for the whole batch."""
-    if lo.ndim != 2 or lo.shape != hi.shape:
-        raise ValueError(f"expected lo and hi rows of equal shape (B, n), got {lo.shape} and {hi.shape}")
-    if lo.shape[1] == 0:
-        raise ValueError("need at least one reading")
+    check_rows(lo, hi)
     if (lo > hi).any():
         raise ValueError("interval with lower endpoint above upper endpoint")
 
@@ -94,48 +80,20 @@ def fuse_marzullo(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
 
     Requires n >= tau + 2 so both order statistics exist.
     """
-    return float(marzullo_rows(*_as_row(readings), tau)[0])
-
-
-@dataclass(frozen=True)
-class RowCoverage:
-    """Coverage profiles of B reading rows, each over its 2n sorted endpoints.
-
-    Gap g of row b is (left[b, g], right[b, g]), between consecutive sorted
-    endpoints; a gap of zero width is a repeated endpoint, not a region.
-    cover[b, i, g] is True when reading i covers the whole open gap and the
-    gap has positive width, and counts[b, g] is the number of readings that
-    do, so zero-width gaps count 0.  lo and hi are the (B, n) rows.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    cover: np.ndarray
-    counts: np.ndarray
-
-
-def coverage_rows(lo: np.ndarray, hi: np.ndarray) -> RowCoverage:
-    """Coverage profiles of B reading rows; lo and hi have shape (B, n)."""
-    _check_rows(lo, hi)
-    points = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
-    left, right = points[:, :-1], points[:, 1:]
-    cover = (lo[:, :, None] <= left[:, None, :]) & (hi[:, :, None] >= right[:, None, :])
-    cover &= (right > left)[:, None, :]
-    return RowCoverage(lo=lo, hi=hi, left=left, right=right, cover=cover, counts=cover.sum(axis=1))
+    return float(marzullo_rows(*as_row(readings), tau)[0])
 
 
 @dataclass(frozen=True)
 class TransitionProfile:
-    """Coverage structure of an interval family.
+    """Coverage structure of an interval family, or of B families stacked.
 
-    points holds the sorted distinct endpoints; cover[i, k] is True when
-    reading i covers the whole open region (points[k], points[k+1]) and
-    counts[k] is the number of readings that do.  Coverage is evaluated on
-    open regions only, so a zero-width interval or two intervals touching at
-    a single point never contribute a count.  lo and hi are the endpoints of
-    the readings the profile was built from, in their original order.
+    points holds the sorted endpoints, gap k runs from left[..., k] to
+    right[..., k], cover[..., i, k] is True when reading i covers the whole
+    open gap and the gap has positive width, and counts[..., k] is the number
+    of readings that do, so a zero-width interval, two intervals touching at
+    a point or a repeated endpoint never contribute a count.  lo and hi are
+    the readings' endpoints in their original order.  A stack keeps all 2n
+    endpoints of each row; one family keeps its distinct endpoints.
     """
 
     points: np.ndarray
@@ -145,8 +103,26 @@ class TransitionProfile:
     hi: np.ndarray
 
     @property
+    def left(self) -> np.ndarray:
+        return self.points[..., :-1]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.points[..., 1:]
+
+    @property
     def region_midpoints(self) -> np.ndarray:
-        return (self.points[:-1] + self.points[1:]) / 2.0
+        return (self.left + self.right) / 2.0
+
+
+def coverage_rows(lo: np.ndarray, hi: np.ndarray) -> TransitionProfile:
+    """Coverage profiles of B reading rows; lo and hi have shape (B, n)."""
+    _check_rows(lo, hi)
+    points = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
+    left, right = points[:, :-1], points[:, 1:]
+    cover = (lo[:, :, None] <= left[:, None, :]) & (hi[:, :, None] >= right[:, None, :])
+    cover &= (right > left)[:, None, :]
+    return TransitionProfile(points=points, counts=cover.sum(axis=1), cover=cover, lo=lo, hi=hi)
 
 
 def transition_profile(readings: Sequence[Interval] | np.ndarray) -> TransitionProfile:
@@ -154,11 +130,10 @@ def transition_profile(readings: Sequence[Interval] | np.ndarray) -> TransitionP
 
     The one-row view of `coverage_rows` with its zero-width gaps dropped.
     """
-    cov = coverage_rows(*_as_row(readings))
-    lo, hi = cov.lo[0], cov.hi[0]
-    cover = cov.cover[0][:, cov.right[0] > cov.left[0]]
-    points = np.unique(np.concatenate([lo, hi]))
-    return TransitionProfile(points=points, counts=cover.sum(axis=0), cover=cover, lo=lo, hi=hi)
+    cov = coverage_rows(*as_row(readings))
+    gaps = cov.right[0] > cov.left[0]
+    return TransitionProfile(points=cov.points[0][np.r_[True, gaps]], counts=cov.counts[0][gaps],
+                             cover=cov.cover[0][:, gaps], lo=cov.lo[0], hi=cov.hi[0])
 
 
 def _row_means(rows: np.ndarray, weights: np.ndarray, points: np.ndarray, size: int) -> np.ndarray:
@@ -174,7 +149,7 @@ def _row_means(rows: np.ndarray, weights: np.ndarray, points: np.ndarray, size: 
     return values
 
 
-def bi_rows(cov: RowCoverage, tau: int) -> tuple[np.ndarray, np.ndarray]:
+def bi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     """Brooks-Iyengar estimates and degenerate flags of B rows; see `fuse_bi_with_flag`."""
     n = cov.lo.shape[1]
     _check_tau(tau, n)
@@ -203,7 +178,7 @@ def fuse_bi_with_flag(readings: Sequence[Interval] | np.ndarray, tau: int) -> tu
     arbitrary inputs) the maximal-coverage regions are used instead and the
     flag is set.
     """
-    values, degenerate = bi_rows(coverage_rows(*_as_row(readings)), tau)
+    values, degenerate = bi_rows(coverage_rows(*as_row(readings)), tau)
     return float(values[0]), bool(degenerate[0])
 
 
@@ -229,7 +204,7 @@ def _as_stack(readings: Sequence[Interval] | np.ndarray) -> tuple[np.ndarray, np
         if arr.shape[2] != 2:
             raise ValueError(f"expected readings of shape (n, 2) or (B, n, 2), got {arr.shape}")
         return arr[:, :, 0], arr[:, :, 1], True
-    lo, hi = _as_row(readings)
+    lo, hi = as_row(readings)
     return lo, hi, False
 
 
@@ -347,7 +322,7 @@ def fuse_gbi_oneopt(readings: Sequence[Interval] | np.ndarray, tau: int) -> floa
     return fuse_gbi(gbi_bayes_weights(readings, tau))
 
 
-def gbi_rows(cov: RowCoverage, tau: int) -> tuple[np.ndarray, np.ndarray]:
+def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     """Posterior-mean generalized Brooks-Iyengar estimates of B rows, by region.
 
     See `fuse_gbi_regions`.  Returns the estimates and a flag per row that is
@@ -393,7 +368,7 @@ def fuse_gbi_regions(readings: Sequence[Interval] | np.ndarray, tau: int) -> flo
     DegenerateInputError when no open region is covered by n - tau readings
     and ValueError on zero-width readings.
     """
-    values, degenerate = gbi_rows(coverage_rows(*_as_row(readings)), tau)
+    values, degenerate = gbi_rows(coverage_rows(*as_row(readings)), tau)
     if degenerate[0]:
         raise DegenerateInputError("no open region is covered by n - tau readings")
     return float(values[0])
@@ -428,4 +403,4 @@ def linear_rows(lo: np.ndarray, hi: np.ndarray, coeffs: LinearCoefficients) -> n
 
 def fuse_linear(readings: Sequence[Interval] | np.ndarray, coeffs: LinearCoefficients) -> float:
     """Affine combination of the interval endpoints."""
-    return float(linear_rows(*_as_row(readings), coeffs)[0])
+    return float(linear_rows(*as_row(readings), coeffs)[0])

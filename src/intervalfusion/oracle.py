@@ -8,10 +8,11 @@ constant between reading endpoints and admits exact integration.  No term
 cancellation is applied; every pattern's marginal factors stay in the sum.
 
 `posterior_rows` computes the density of B reading rows at once, over a
-(rows, patterns, regions) membership array; `posterior_density` and
-`posterior_mean_exact` are its one-row views.  The fault patterns come from
-`itertools.combinations` here, not from the fusers' subset tables or their
-e_k recurrence, so the oracle stays independent of the fusers it checks.
+(rows, patterns, regions) membership array, as one `PiecewiseDensity` with a
+leading row axis; `posterior_density` and `posterior_mean_exact` are its
+one-row views.  The fault patterns come from `itertools.combinations` here,
+not from the fusers' subset tables or their e_k recurrence, so the oracle
+stays independent of the fusers it checks.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import Interval, ScenarioParams
+from .scenario import Interval, ScenarioParams, as_row, check_rows
 
 __all__ = [
     "OffLatticeError",
     "InconsistentReadingsError",
     "PiecewiseDensity",
-    "RowDensities",
     "implied_precision",
     "posterior_rows",
     "posterior_density",
@@ -46,54 +46,39 @@ class InconsistentReadingsError(ValueError):
 
 @dataclass(frozen=True)
 class PiecewiseDensity:
-    """Unnormalized piecewise-constant density.
+    """Unnormalized piecewise-constant density, of one row or of B rows stacked.
 
-    levels[k] is the density on (breakpoints[k], breakpoints[k+1]).
-    """
-
-    breakpoints: np.ndarray
-    levels: np.ndarray
-
-    def mass(self) -> float:
-        gaps = np.diff(self.breakpoints)
-        return float(np.dot(self.levels, gaps))
-
-    def mean(self) -> float:
-        left = self.breakpoints[:-1]
-        right = self.breakpoints[1:]
-        total = self.mass()
-        if total <= 0.0:
-            raise InconsistentReadingsError("density carries no mass")
-        first_moment = float(np.dot(self.levels, (right + left) * (right - left) / 2.0))
-        return first_moment / total
-
-    def normalized(self) -> "PiecewiseDensity":
-        total = self.mass()
-        if total <= 0.0:
-            raise InconsistentReadingsError("density carries no mass")
-        return PiecewiseDensity(self.breakpoints, self.levels / total)
-
-
-@dataclass(frozen=True)
-class RowDensities:
-    """Unnormalized posterior densities of B reading rows.
-
-    breakpoints[b] holds row b's 2n endpoints and -x_max, x_max, clipped to
-    [-x_max, x_max] and sorted; levels[b, g] is the density on
-    (breakpoints[b, g], breakpoints[b, g+1]).  A gap of zero width is a
-    repeated breakpoint and carries no mass.
+    levels[..., k] is the density on (breakpoints[..., k], breakpoints[..., k+1]);
+    a zero-width gap carries no mass.  `masses` and `means` reduce the last
+    axis; `mass`, `mean` and `normalized` are their one-row forms.
     """
 
     breakpoints: np.ndarray
     levels: np.ndarray
 
     def masses(self) -> np.ndarray:
-        return (self.levels * np.diff(self.breakpoints, axis=1)).sum(axis=1)
+        return (self.levels * np.diff(self.breakpoints)).sum(axis=-1)
 
     def means(self) -> np.ndarray:
-        left, right = self.breakpoints[:, :-1], self.breakpoints[:, 1:]
-        first_moment = (self.levels * ((right + left) * (right - left) / 2.0)).sum(axis=1)
+        left, right = self.breakpoints[..., :-1], self.breakpoints[..., 1:]
+        first_moment = (self.levels * ((right + left) * (right - left) / 2.0)).sum(axis=-1)
         return first_moment / self.masses()
+
+    def mass(self) -> float:
+        return self.masses().item()
+
+    def _positive_mass(self) -> float:
+        total = self.mass()
+        if total <= 0.0:
+            raise InconsistentReadingsError("density carries no mass")
+        return total
+
+    def mean(self) -> float:
+        self._positive_mass()
+        return self.means().item()
+
+    def normalized(self) -> "PiecewiseDensity":
+        return PiecewiseDensity(self.breakpoints, self.levels / self._positive_mass())
 
 
 def _off_lattice_reason(width: float, precision: float, x_max: int) -> str:
@@ -128,29 +113,27 @@ def implied_precision(reading: Interval, x_max: int) -> int:
     return int(_implied_precisions(np.array([reading.width]), x_max)[0])
 
 
-def posterior_rows(lo: np.ndarray, hi: np.ndarray, params: ScenarioParams) -> RowDensities:
+def posterior_rows(lo: np.ndarray, hi: np.ndarray, params: ScenarioParams) -> PiecewiseDensity:
     """Unnormalized posterior densities of the target given B reading rows.
 
-    lo and hi have shape (B, n): row b is one agent's n readings.  Sums over
-    every size-tau fault pattern.  A pattern's contribution is constant on
+    lo and hi have shape (B, n): row b is one agent's n readings, and row b
+    of the density breaks at them and at +-x_max, clipped and sorted.  Sums
+    over every size-tau fault pattern.  A pattern's contribution is constant on
     the intersection of the assumed-truthful readings (clipped to
     [-x_max, x_max]) and zero elsewhere; its level is the flat prior
     1/(2*x_max) times the truthful factors (1/x_max) times the assumed-faulty
     readings' marginal cell probabilities 1/(x_max*precision), applied as
-    divisions in index order.  Raises ValueError on a wrong reading count or
-    non-finite endpoints, OffLatticeError on a width off the reading lattice
-    and InconsistentReadingsError on a row with no mass.
+    divisions in index order.  Raises ValueError on rows `check_rows` refuses
+    or a wrong reading count, OffLatticeError on a width off the reading
+    lattice and InconsistentReadingsError on a row with no mass.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.ndim != 2 or lo.shape != hi.shape:
-        raise ValueError(f"expected lo and hi rows of equal shape (B, n), got {lo.shape} and {hi.shape}")
+    check_rows(lo, hi)
     n = lo.shape[1]
     tau, x_max = params.tau, params.x_max
     if n != params.n:
         raise ValueError(f"expected {params.n} readings, got {n}")
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("reading endpoints must be finite")
     precisions = _implied_precisions(hi - lo, x_max)
 
     rows = lo.shape[0]
@@ -174,27 +157,25 @@ def posterior_rows(lo: np.ndarray, hi: np.ndarray, params: ScenarioParams) -> Ro
     member = (b > a) & (a <= left) & (right <= b)
     levels = np.einsum("rp,rpg->rg", coeff, member)
 
-    density = RowDensities(breakpoints=points, levels=levels)
+    density = PiecewiseDensity(breakpoints=points, levels=levels)
     empty = ~(density.masses() > 0.0)
     if empty.any():
         raise InconsistentReadingsError(f"row {int(np.argmax(empty))} carries no posterior mass")
     return density
 
 
-def posterior_density(readings: Sequence[Interval], params: ScenarioParams) -> PiecewiseDensity:
+def posterior_density(readings: Sequence[Interval] | np.ndarray, params: ScenarioParams) -> PiecewiseDensity:
     """Unnormalized posterior density of the target given one agent's readings.
 
     The one-row view of `posterior_rows`, on the distinct breakpoints: its
     zero-width gaps are dropped.  Raises as `posterior_rows` does.
     """
-    lo = np.array([[iv.lo for iv in readings]], dtype=float)
-    hi = np.array([[iv.hi for iv in readings]], dtype=float)
-    density = posterior_rows(lo, hi, params)
+    density = posterior_rows(*as_row(readings), params)
     points = density.breakpoints[0]
     gaps = np.diff(points) > 0
-    return PiecewiseDensity(breakpoints=points[np.concatenate([[True], gaps])], levels=density.levels[0][gaps])
+    return PiecewiseDensity(breakpoints=points[np.r_[True, gaps]], levels=density.levels[0][gaps])
 
 
-def posterior_mean_exact(readings: Sequence[Interval], params: ScenarioParams) -> float:
+def posterior_mean_exact(readings: Sequence[Interval] | np.ndarray, params: ScenarioParams) -> float:
     """Exact conditional expectation of the target given one agent's readings."""
-    return posterior_density(readings, params).mean()
+    return float(posterior_rows(*as_row(readings), params).means()[0])

@@ -14,12 +14,16 @@ the trials of the stream rooted at a seed: with B = 128 trials per block,
 trial t is row t % B of block t // B, and block b is `sample_batch` drawn
 from the substream derived from (seed, b), so a trial never depends on which
 other trials are drawn or how a range of trials is split.  `make_trial` is one trial as `Interval` objects.
+
+The fusers and the oracle take B agents' readings as (B, n) lo and hi rows:
+`as_row` builds one agent's row and `check_rows` validates a stack of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +37,8 @@ __all__ = [
     "make_trial",
     "make_trials",
     "sample_batch",
+    "as_row",
+    "check_rows",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -240,3 +246,25 @@ def make_trial(params: ScenarioParams, trial_index: int) -> TrialData:
         pattern=FaultPattern(tuple(batch.faulty[0].tolist())),
         precisions=tuple(batch.precisions[0].tolist()),
     )
+
+
+def as_row(readings: Sequence[Interval] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One agent's readings (Intervals or an (n, 2) array) as (1, n) lo and hi rows."""
+    if isinstance(readings, np.ndarray):
+        arr = np.asarray(readings, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"expected readings of shape (n, 2), got {arr.shape}")
+        return arr[None, :, 0], arr[None, :, 1]
+    lo = np.array([[iv.lo for iv in readings]], dtype=float)
+    hi = np.array([[iv.hi for iv in readings]], dtype=float)
+    return lo, hi
+
+
+def check_rows(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Validate B reading rows at once: equal (B, n) shapes, n >= 1, finite endpoints."""
+    if lo.ndim != 2 or lo.shape != hi.shape:
+        raise ValueError(f"expected lo and hi rows of equal shape (B, n), got {lo.shape} and {hi.shape}")
+    if lo.shape[1] == 0:
+        raise ValueError("need at least one reading")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("reading endpoints must be finite")

@@ -310,7 +310,7 @@ class TestOracleCheck:
     def test_large_n_rejected(self, tmp_path):
         path, _ = write_config(tmp_path, n=9, taus=[1])
         config = load_config(path)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="field 'n'"):
             run_oracle_check(config)
 
     def test_corrupted_weights_detected(self, tmp_path):

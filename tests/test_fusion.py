@@ -23,6 +23,7 @@ from intervalfusion import (
     gbi_bayes_weights,
     make_trial,
     make_trials,
+    posterior_density,
     transition_profile,
 )
 from intervalfusion.fusion import bi_rows, coverage_rows, gbi_rows, linear_rows, marzullo_rows
@@ -393,6 +394,25 @@ def row_batch(draw, max_rows=6):
     return families, draw(st.integers(0, n - 1))
 
 
+@st.composite
+def profile_family(draw):
+    """One family as row_batch draws it, with two readings sharing endpoints,
+    or with some readings replaced by ones ending at -0.0 or 0.0."""
+    families, _ = draw(row_batch(max_rows=1))
+    family = list(families[0])
+    kind = draw(st.sampled_from(["drawn", "repeated", "signed zeros"]))
+    indices = st.integers(0, len(family) - 1)
+    if kind == "repeated":
+        family[draw(indices)] = family[draw(indices)]
+    elif kind == "signed zeros":
+        zero = st.sampled_from([-0.0, 0.0])
+        for i in draw(st.lists(indices, min_size=1)):
+            w = draw(st.integers(0, 8)) / 4.0
+            family[i] = draw(st.sampled_from([Interval(draw(zero), w), Interval(-w, draw(zero)),
+                                              Interval(draw(zero), draw(zero))]))
+    return family
+
+
 def _rows(families):
     lo = np.array([[iv.lo for iv in family] for family in families])
     hi = np.array([[iv.hi for iv in family] for family in families])
@@ -436,16 +456,21 @@ class TestBatchKernels:
             assert gbi[row] == pytest.approx(value, rel=1e-12, abs=1e-12)
             assert gbi[row] == pytest.approx(fuse_gbi_oneopt(family, tau), rel=1e-12, abs=1e-12)
 
-    @given(row_batch(max_rows=1))
-    @settings(max_examples=100)
-    def test_single_row_matches_profile(self, case):
-        families, _ = case
-        lo, hi = _rows(families)
+    @given(profile_family())
+    @settings(max_examples=200)
+    def test_single_row_matches_profile(self, family):
+        lo, hi = _rows([family])
         cov = coverage_rows(lo, hi)
-        prof = transition_profile(families[0])
+        prof = transition_profile(family)
         regions = cov.right[0] > cov.left[0]
         assert (cov.counts[0][~regions] == 0).all()
         assert cov.counts[0][regions].tolist() == prof.counts.tolist()
+        assert np.array_equal(cov.cover[0][:, regions], prof.cover)
+        # the distinct endpoints are np.unique's, the sign of a zero included
+        distinct = np.unique(np.concatenate([lo[0], hi[0]]))
+        assert list(map(repr, prof.points.tolist())) == list(map(repr, distinct.tolist()))
+        # a region's left end is the last of a run of equal endpoints, so only
+        # its value is the distinct point's
         assert cov.left[0][regions].tolist() == prof.points[:-1].tolist()
 
     def test_rows_at_far_apart_scales(self):
@@ -482,6 +507,37 @@ class TestBatchKernels:
             coverage_rows(np.zeros((3, 2)), np.ones((3, 3)))
         with pytest.raises(ValueError):
             marzullo_rows(np.zeros((3, 2)), np.ones((3, 2)), 1)
+
+
+LOWER_MIDPOINT = LinearCoefficients(np.full(3, 0.5), np.zeros(3), 0.0)
+NON_FINITE_CALLS = {
+    "fuse_marzullo": lambda r: fuse_marzullo(r, 0),
+    "fuse_bi": lambda r: fuse_bi(r, 0),
+    "fuse_bi_with_flag": lambda r: fuse_bi_with_flag(r, 0),
+    "fuse_gbi_oneopt": lambda r: fuse_gbi_oneopt(r, 1),
+    "fuse_gbi_regions": lambda r: fuse_gbi_regions(r, 1),
+    "fuse_linear": lambda r: fuse_linear(r, LOWER_MIDPOINT),
+    "transition_profile": transition_profile,
+    "gbi_bayes_weights": lambda r: gbi_bayes_weights(r, 0),
+    "gbi_bayes_weights stacked": lambda r: gbi_bayes_weights(np.stack([np.nan_to_num(r), r]), 0),
+    "coverage_rows": lambda r: coverage_rows(r[None, :, 0], r[None, :, 1]),
+    "marzullo_rows": lambda r: marzullo_rows(r[None, :, 0], r[None, :, 1], 0),
+    "linear_rows": lambda r: linear_rows(r[None, :, 0], r[None, :, 1], LOWER_MIDPOINT),
+    "posterior_density": lambda r: posterior_density(r, ScenarioParams(n=3, m=1, tau=0, x_max=5, seed=0)),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+@pytest.mark.parametrize("slot", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_endpoints_rejected(call, slot, value):
+    # a comparison with nan is False and an infinite interval covers every
+    # region, so without the check the fusers return numbers (1.5 for BI and
+    # Marzullo on a nan upper endpoint at tau 0)
+    readings = np.array([[0.0, 2.0], [1.0, 3.0], [0.5, 2.0]])
+    readings[slot] = value
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[call](readings)
 
 
 class TestFuseLinear:

@@ -333,6 +333,19 @@ class TestBatchOracle:
         with pytest.raises(InconsistentReadingsError, match="row 1"):
             posterior_rows(lo, hi, params)
 
+    def test_one_row_mean_is_its_row_of_the_stack(self):
+        # posterior_mean_exact and oracle-check read the same sums, bit for bit
+        for n, x_max in itertools.product(range(1, 9), (1, 3, 5)):
+            for tau in range(n):
+                params = ScenarioParams(n=n, m=3, tau=tau, x_max=x_max, seed=97 * n + tau)
+                batch = make_trials(params, 0, 40)
+                lo = batch.lo.transpose(0, 2, 1).reshape(-1, n)
+                hi = batch.hi.transpose(0, 2, 1).reshape(-1, n)
+                means = posterior_rows(lo, hi, params).means()
+                for row, want in enumerate(means.tolist()):
+                    readings = [Interval(a, b) for a, b in zip(lo[row].tolist(), hi[row].tolist())]
+                    assert posterior_mean_exact(readings, params) == want, (n, tau, x_max, row)
+
     def test_non_finite_endpoints_rejected(self):
         params = ScenarioParams(n=2, m=1, tau=0, x_max=5, seed=0)
         with pytest.raises(ValueError, match="finite"):

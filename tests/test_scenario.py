@@ -1,12 +1,15 @@
-"""Trial generator: cell geometry, fault law, determinism."""
+"""Trial generator: cell geometry, fault law, determinism; the package's exports."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intervalfusion
 from intervalfusion import (
     Interval,
     ScenarioParams,
@@ -423,3 +426,10 @@ class TestSampleBatch:
         m_t = mid[~batch.faulty]
         assert abs(m_f.mean() - m_t.mean()) < 0.05
         assert abs(m_f.var() - m_t.var()) < 0.15
+
+
+@pytest.mark.parametrize("module", ["intervalfusion"] + [
+    f"intervalfusion.{info.name}" for info in pkgutil.iter_modules(intervalfusion.__path__)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
