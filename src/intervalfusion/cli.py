@@ -320,16 +320,16 @@ def run_oracle_check(
 ) -> tuple[float, list[tuple[int, int, int, float]]]:
     """Compare both GBI fusers against the exact posterior mean trial by trial.
 
-    Each tau's trials are checked in blocks of _BLOCK_TRIALS, one row per
-    (trial, agent).  For one row, the deviation is the larger of the
-    enumerative fuser's and the region kernel gbi_rows's distance from
-    posterior_rows's mean; a non-finite deviation counts as inf.  The
-    enumerative estimates of a block come from one call,
-    fuse_gbi(weight_fn(readings, tau)), with readings the block's (B, n, 2)
+    Each tau's trials are checked in blocks of _BLOCK_TRIALS, one row of the
+    block's `TrialBatch.rows` per (trial, agent).  For one row, the deviation
+    is the larger of the enumerative fuser's and the region kernel gbi_rows's
+    distance from posterior_rows's mean; a non-finite deviation counts as inf.
+    The enumerative estimates of a block come from one call,
+    fuse_gbi(weight_fn(readings, tau)), with readings the rows as a (B, n, 2)
     stack, so weight_fn must return a stacked table with one row per row of
     readings.  Returns the largest deviation and the list of
-    (tau, trial, agent, deviation) entries exceeding 1e-9.  weight_fn exists
-    as a fault-injection hook for tests.
+    (tau, trial, agent, deviation) entries exceeding 1e-9, in (trial, agent)
+    order.  weight_fn exists as a fault-injection hook for tests.
     """
     if config.n > 8:
         raise ConfigError(f"field 'n' must be <= 8 for oracle-check, which enumerates fault patterns; "
@@ -340,17 +340,16 @@ def run_oracle_check(
         params = config.scenario(tau)
         for start in range(0, config.trials, _BLOCK_TRIALS):
             batch = make_trials(params, start, min(start + _BLOCK_TRIALS, config.trials))
-            # row t * m + j holds agent j's n readings in trial start + t
-            lo = batch.lo.transpose(0, 2, 1).reshape(-1, config.n)
-            hi = batch.hi.transpose(0, 2, 1).reshape(-1, config.n)
-            exact = posterior_rows(lo, hi, params).means()
-            regions, _ = gbi_rows(coverage_rows(lo, hi), tau)
-            weighted = fuse_gbi(weight_fn(np.stack([lo, hi], axis=2), tau))
+            rows = batch.rows()
+            exact = posterior_rows(rows, params).means()
+            regions, _ = gbi_rows(coverage_rows(rows), tau)
+            weighted = fuse_gbi(weight_fn(np.stack([rows.lo, rows.hi], axis=2), tau))
             dev = np.maximum(np.abs(weighted - exact), np.abs(regions - exact))
             dev[~np.isfinite(dev)] = np.inf
             worst = max(worst, float(dev.max()))
-            for row in np.flatnonzero(dev > 1e-9).tolist():
-                failures.append((tau, start + row // config.m, row % config.m, float(dev[row])))
+            dev = dev.reshape(config.m, batch.size).T
+            for trial, agent in np.argwhere(dev > 1e-9).tolist():
+                failures.append((tau, start + trial, agent, float(dev[trial, agent])))
     return worst, failures
 
 

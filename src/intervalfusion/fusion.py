@@ -5,8 +5,8 @@ the target.  All of them tolerate up to tau faulty inputs in the sense of the
 fault model in `scenario`.
 
 The fusers are computed by batch kernels (`marzullo_rows`, `coverage_rows`,
-`bi_rows`, `gbi_rows`, `linear_rows`) over a leading row axis, one row per
-agent's readings; the scalar fusers are one-row calls of the same kernels.
+`bi_rows`, `gbi_rows`, `linear_rows`) over `scenario.ReadingRows`, one row
+per agent's readings; the scalar fusers are one-row calls of the same kernels.
 `coverage_rows` builds a `TransitionProfile` for B rows; `transition_profile`
 is its one-row view.
 The subset-enumerative reference (`gbi_bayes_weights`, `fuse_gbi`,
@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .scenario import Interval, as_row, check_rows
+from .scenario import Interval, ReadingRows
 
 __all__ = [
     "DegenerateInputError",
@@ -51,27 +51,19 @@ class DegenerateInputError(ValueError):
     """Raised when a fuser's weighting collapses (e.g. every GBI weight is zero)."""
 
 
-def _check_rows(lo: np.ndarray, hi: np.ndarray) -> None:
-    """Validate a batch of (B, n) reading rows once for the whole batch."""
-    check_rows(lo, hi)
-    if (lo > hi).any():
-        raise ValueError("interval with lower endpoint above upper endpoint")
-
-
 def _check_tau(tau: int, n: int) -> None:
     if not 0 <= tau < n:
         raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
 
 
-def marzullo_rows(lo: np.ndarray, hi: np.ndarray, tau: int) -> np.ndarray:
-    """Marzullo estimates of B reading rows; lo and hi have shape (B, n)."""
-    _check_rows(lo, hi)
-    n = lo.shape[1]
+def marzullo_rows(rows: ReadingRows, tau: int) -> np.ndarray:
+    """Marzullo estimates of B reading rows."""
+    n = rows.lo.shape[1]
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if n < tau + 2:
         raise ValueError(f"need n >= tau + 2 for order statistics, got n={n}, tau={tau}")
-    return (np.sort(lo, axis=1)[:, tau] + np.sort(hi, axis=1)[:, n - tau - 2]) / 2.0
+    return (np.sort(rows.lo, axis=1)[:, tau] + np.sort(rows.hi, axis=1)[:, n - tau - 2]) / 2.0
 
 
 def fuse_marzullo(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
@@ -80,7 +72,7 @@ def fuse_marzullo(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
 
     Requires n >= tau + 2 so both order statistics exist.
     """
-    return float(marzullo_rows(*as_row(readings), tau)[0])
+    return marzullo_rows(ReadingRows.of(readings), tau).item()
 
 
 @dataclass(frozen=True)
@@ -115,9 +107,9 @@ class TransitionProfile:
         return (self.left + self.right) / 2.0
 
 
-def coverage_rows(lo: np.ndarray, hi: np.ndarray) -> TransitionProfile:
-    """Coverage profiles of B reading rows; lo and hi have shape (B, n)."""
-    _check_rows(lo, hi)
+def coverage_rows(rows: ReadingRows) -> TransitionProfile:
+    """Coverage profiles of B reading rows."""
+    lo, hi = rows.lo, rows.hi
     points = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
     left, right = points[:, :-1], points[:, 1:]
     cover = (lo[:, :, None] <= left[:, None, :]) & (hi[:, :, None] >= right[:, None, :])
@@ -130,9 +122,10 @@ def transition_profile(readings: Sequence[Interval] | np.ndarray) -> TransitionP
 
     The one-row view of `coverage_rows` with its zero-width gaps dropped.
     """
-    cov = coverage_rows(*as_row(readings))
-    gaps = cov.right[0] > cov.left[0]
-    return TransitionProfile(points=cov.points[0][np.r_[True, gaps]], counts=cov.counts[0][gaps],
+    cov = coverage_rows(ReadingRows.of(readings))
+    points, = cov.points  # refuses a stack of several rows
+    gaps = points[1:] > points[:-1]
+    return TransitionProfile(points=points[np.r_[True, gaps]], counts=cov.counts[0][gaps],
                              cover=cov.cover[0][:, gaps], lo=cov.lo[0], hi=cov.hi[0])
 
 
@@ -178,8 +171,8 @@ def fuse_bi_with_flag(readings: Sequence[Interval] | np.ndarray, tau: int) -> tu
     arbitrary inputs) the maximal-coverage regions are used instead and the
     flag is set.
     """
-    values, degenerate = bi_rows(coverage_rows(*as_row(readings)), tau)
-    return float(values[0]), bool(degenerate[0])
+    values, degenerate = bi_rows(coverage_rows(ReadingRows.of(readings)), tau)
+    return values.item(), degenerate.item()
 
 
 def fuse_bi(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
@@ -194,18 +187,6 @@ def _subset_indices(n: int, k: int) -> np.ndarray:
     idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     idx.setflags(write=False)
     return idx
-
-
-def _as_stack(readings: Sequence[Interval] | np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One agent's readings, or a (B, n, 2) stack of B agents' readings, as
-    (B, n) lo and hi rows plus a flag that is set for a stack."""
-    if isinstance(readings, np.ndarray) and readings.ndim == 3:
-        arr = np.asarray(readings, dtype=float)
-        if arr.shape[2] != 2:
-            raise ValueError(f"expected readings of shape (n, 2) or (B, n, 2), got {arr.shape}")
-        return arr[:, :, 0], arr[:, :, 1], True
-    lo, hi = as_row(readings)
-    return lo, hi, False
 
 
 def _first_row(bad: np.ndarray, stacked: bool) -> str:
@@ -250,8 +231,9 @@ def gbi_bayes_weights(readings: Sequence[Interval] | np.ndarray, tau: int) -> Gb
     (their inverse width is undefined); for a stack the message names the
     first row holding one.
     """
-    lo, hi, stacked = _as_stack(readings)
-    _check_rows(lo, hi)
+    rows = ReadingRows.of(readings)
+    lo, hi = rows.lo, rows.hi
+    stacked = isinstance(readings, np.ndarray) and readings.ndim == 3
     n = lo.shape[1]
     _check_tau(tau, n)
     widths = hi - lo
@@ -368,10 +350,10 @@ def fuse_gbi_regions(readings: Sequence[Interval] | np.ndarray, tau: int) -> flo
     DegenerateInputError when no open region is covered by n - tau readings
     and ValueError on zero-width readings.
     """
-    values, degenerate = gbi_rows(coverage_rows(*as_row(readings)), tau)
-    if degenerate[0]:
+    values, degenerate = gbi_rows(coverage_rows(ReadingRows.of(readings)), tau)
+    if degenerate.item():
         raise DegenerateInputError("no open region is covered by n - tau readings")
-    return float(values[0])
+    return values.item()
 
 
 @dataclass(frozen=True)
@@ -393,14 +375,13 @@ class LinearCoefficients:
             raise ValueError("coefficients must be finite")
 
 
-def linear_rows(lo: np.ndarray, hi: np.ndarray, coeffs: LinearCoefficients) -> np.ndarray:
-    """Affine estimates of B reading rows; lo and hi have shape (B, n)."""
-    _check_rows(lo, hi)
-    if lo.shape[1] != coeffs.eps.size:
-        raise ValueError(f"coefficient length {coeffs.eps.size} does not match reading count {lo.shape[1]}")
-    return lo @ coeffs.eps + hi @ coeffs.delta + coeffs.gamma
+def linear_rows(rows: ReadingRows, coeffs: LinearCoefficients) -> np.ndarray:
+    """Affine estimates of B reading rows."""
+    if rows.lo.shape[1] != coeffs.eps.size:
+        raise ValueError(f"coefficient length {coeffs.eps.size} does not match reading count {rows.lo.shape[1]}")
+    return rows.lo @ coeffs.eps + rows.hi @ coeffs.delta + coeffs.gamma
 
 
 def fuse_linear(readings: Sequence[Interval] | np.ndarray, coeffs: LinearCoefficients) -> float:
     """Affine combination of the interval endpoints."""
-    return float(linear_rows(*as_row(readings), coeffs)[0])
+    return linear_rows(ReadingRows.of(readings), coeffs).item()

@@ -102,23 +102,20 @@ def _block_estimates(
     """Every algorithm's estimates on a block of trials.
 
     Returns estimates of shape (algorithms, m, trials) and each algorithm's
-    count of degenerate (trial, agent) estimates.  Each agent's readings of
-    one trial are one row of the batch fusers; BI and GBI share one coverage
-    profile per row, and GBI falls back to the BI estimate on its degenerate
-    rows.
+    count of degenerate (trial, agent) estimates.  The batch fusers read the
+    block's `TrialBatch.rows`; BI and GBI share one coverage profile per row,
+    and GBI falls back to the BI estimate on its degenerate rows.
     """
-    size, n, m = batch.lo.shape
-    # row j * size + t holds agent j's readings of trial t
-    lo = batch.lo.transpose(2, 0, 1).reshape(m * size, n)
-    hi = batch.hi.transpose(2, 0, 1).reshape(m * size, n)
+    size, m = batch.size, batch.lo.shape[2]
+    rows = batch.rows()
     if any(spec.kind in ("bi", "gbi_oneopt") for spec in algos):
-        cov = fusion.coverage_rows(lo, hi)
+        cov = fusion.coverage_rows(rows)
         bi = fusion.bi_rows(cov, tau)
     estimates = np.empty((len(algos), m * size))
     degenerate = np.zeros(len(algos), dtype=int)
     for a, spec in enumerate(algos):
         if spec.kind == "marzullo":
-            estimates[a] = fusion.marzullo_rows(lo, hi, tau)
+            estimates[a] = fusion.marzullo_rows(rows, tau)
         elif spec.kind == "bi":
             estimates[a], flags = bi
             degenerate[a] = flags.sum()
@@ -128,8 +125,8 @@ def _block_estimates(
             degenerate[a] = flags.sum()
         elif spec.kind == "linear":
             for j, coeffs in enumerate(spec.coeffs):
-                rows = slice(j * size, (j + 1) * size)
-                estimates[a, rows] = fusion.linear_rows(lo[rows], hi[rows], coeffs)
+                agent = slice(j * size, (j + 1) * size)
+                estimates[a, agent] = fusion.linear_rows(rows[agent], coeffs)
         else:
             estimates[a] = spec.constant_value
     return estimates.reshape(len(algos), m, size), degenerate

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fusion import LinearCoefficients, linear_rows
 from .metrics import _objective_per_trial, _score
-from .scenario import ScenarioParams, TrialBatch, sample_batch
+from .scenario import ReadingRows, ScenarioParams, TrialBatch, sample_batch
 
 __all__ = [
     "SingularSystemError",
@@ -467,7 +467,8 @@ def empirical_objective(
     m = batch.lo.shape[2]
     if len(coeffs) != m:
         raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
-    est = np.stack([linear_rows(batch.lo[:, :, j], batch.hi[:, :, j], coeffs[j]) for j in range(m)])
+    # views, not batch.rows(): a copied layout takes another matmul path (last bits)
+    est = np.stack([linear_rows(ReadingRows(batch.lo[:, :, j], batch.hi[:, :, j]), coeffs[j]) for j in range(m)])
     sq_err, gap_sq = _score(batch.x, est, np.triu_indices(m, 1))
     return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
 

@@ -7,10 +7,10 @@ flat over the truthful intersection.  The density is therefore piecewise
 constant between reading endpoints and admits exact integration.  No term
 cancellation is applied; every pattern's marginal factors stay in the sum.
 
-`posterior_rows` computes the density of B reading rows at once, over a
-(rows, patterns, regions) membership array, as one `PiecewiseDensity` with a
-leading row axis; `posterior_density` and `posterior_mean_exact` are its
-one-row views.  The fault patterns come from `itertools.combinations` here,
+`posterior_rows` computes the density of B `scenario.ReadingRows` at once,
+over a (rows, patterns, regions) membership array, as one `PiecewiseDensity`
+with a leading row axis; `posterior_density` and `posterior_mean_exact` are
+its one-row views.  The fault patterns come from `itertools.combinations` here,
 not from the fusers' subset tables or their e_k recurrence, so the oracle
 stays independent of the fusers it checks.
 """
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import Interval, ScenarioParams, as_row, check_rows
+from .scenario import Interval, ReadingRows, ScenarioParams
 
 __all__ = [
     "OffLatticeError",
@@ -113,32 +113,28 @@ def implied_precision(reading: Interval, x_max: int) -> int:
     return int(_implied_precisions(np.array([reading.width]), x_max)[0])
 
 
-def posterior_rows(lo: np.ndarray, hi: np.ndarray, params: ScenarioParams) -> PiecewiseDensity:
+def posterior_rows(rows: ReadingRows, params: ScenarioParams) -> PiecewiseDensity:
     """Unnormalized posterior densities of the target given B reading rows.
 
-    lo and hi have shape (B, n): row b is one agent's n readings, and row b
-    of the density breaks at them and at +-x_max, clipped and sorted.  Sums
-    over every size-tau fault pattern.  A pattern's contribution is constant on
-    the intersection of the assumed-truthful readings (clipped to
-    [-x_max, x_max]) and zero elsewhere; its level is the flat prior
-    1/(2*x_max) times the truthful factors (1/x_max) times the assumed-faulty
-    readings' marginal cell probabilities 1/(x_max*precision), applied as
-    divisions in index order.  Raises ValueError on rows `check_rows` refuses
-    or a wrong reading count, OffLatticeError on a width off the reading
-    lattice and InconsistentReadingsError on a row with no mass.
+    Row b of the density breaks at row b's readings and at +-x_max, clipped
+    and sorted.  Sums over every size-tau fault pattern.  A pattern's
+    contribution is constant on the intersection of the assumed-truthful
+    readings (clipped to [-x_max, x_max]) and zero elsewhere; its level is the
+    flat prior 1/(2*x_max) times the truthful factors (1/x_max) times the
+    assumed-faulty readings' marginal cell probabilities 1/(x_max*precision),
+    applied as divisions in index order.  Raises ValueError on a wrong reading count,
+    OffLatticeError on a width off the reading lattice and
+    InconsistentReadingsError on a row with no mass.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    check_rows(lo, hi)
+    lo, hi = rows.lo, rows.hi
     n = lo.shape[1]
     tau, x_max = params.tau, params.x_max
     if n != params.n:
         raise ValueError(f"expected {params.n} readings, got {n}")
     precisions = _implied_precisions(hi - lo, x_max)
 
-    rows = lo.shape[0]
     bound = float(x_max)
-    edges = np.full((rows, 1), bound)
+    edges = np.full((lo.shape[0], 1), bound)
     points = np.sort(np.clip(np.concatenate([lo, hi, -edges, edges], axis=1), -bound, bound), axis=1)
     left, right = points[:, None, :-1], points[:, None, 1:]
 
@@ -150,7 +146,7 @@ def posterior_rows(lo: np.ndarray, hi: np.ndarray, params: ScenarioParams) -> Pi
     # (rows, patterns): the truthful intersection [a, b] and its level
     a = np.maximum(lo[:, truthful].max(axis=2), -bound)[:, :, None]
     b = np.minimum(hi[:, truthful].min(axis=2), bound)[:, :, None]
-    coeff = np.full((rows, truthful.shape[0]), 1.0 / (2.0 * x_max) * (1.0 / x_max) ** (n - tau))
+    coeff = np.full((lo.shape[0], truthful.shape[0]), 1.0 / (2.0 * x_max) * (1.0 / x_max) ** (n - tau))
     for slot in range(tau):
         coeff /= x_max * precisions[:, faulty[:, slot]]
     # (rows, patterns, regions): a region lies in a pattern's nonempty intersection
@@ -170,12 +166,12 @@ def posterior_density(readings: Sequence[Interval] | np.ndarray, params: Scenari
     The one-row view of `posterior_rows`, on the distinct breakpoints: its
     zero-width gaps are dropped.  Raises as `posterior_rows` does.
     """
-    density = posterior_rows(*as_row(readings), params)
-    points = density.breakpoints[0]
+    density = posterior_rows(ReadingRows.of(readings), params)
+    points, = density.breakpoints  # refuses a stack of several rows
     gaps = np.diff(points) > 0
     return PiecewiseDensity(breakpoints=points[np.r_[True, gaps]], levels=density.levels[0][gaps])
 
 
 def posterior_mean_exact(readings: Sequence[Interval] | np.ndarray, params: ScenarioParams) -> float:
     """Exact conditional expectation of the target given one agent's readings."""
-    return float(posterior_rows(*as_row(readings), params).means()[0])
+    return posterior_rows(ReadingRows.of(readings), params).means().item()

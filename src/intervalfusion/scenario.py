@@ -15,8 +15,8 @@ trial t is row t % B of block t // B, and block b is `sample_batch` drawn
 from the substream derived from (seed, b), so a trial never depends on which
 other trials are drawn or how a range of trials is split.  `make_trial` is one trial as `Interval` objects.
 
-The fusers and the oracle take B agents' readings as (B, n) lo and hi rows:
-`as_row` builds one agent's row and `check_rows` validates a stack of them.
+The fusers and the oracle take B agents' readings as `ReadingRows`, built
+by `ReadingRows.of` from readings or by `TrialBatch.rows` from a batch.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ __all__ = [
     "make_trial",
     "make_trials",
     "sample_batch",
-    "as_row",
-    "check_rows",
+    "ReadingRows",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -91,14 +90,17 @@ class ScenarioParams:
     seed: int
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0 <= self.tau < self.n:
             raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={self.tau}, n={self.n}")
-        if not isinstance(self.x_max, int):
-            raise ValueError(f"x_max must be an integer, got {self.x_max!r}")
         if self.x_max < 1:
             raise ValueError(f"x_max must be a positive integer, got {self.x_max}")
 
@@ -154,6 +156,12 @@ class TrialBatch:
     @property
     def size(self) -> int:
         return self.x.shape[0]
+
+    def rows(self) -> ReadingRows:
+        """Every agent's readings of every trial; row j * size + t is agent j's in trial t."""
+        size, n, m = self.lo.shape
+        return ReadingRows(self.lo.transpose(2, 0, 1).reshape(m * size, n),
+                           self.hi.transpose(2, 0, 1).reshape(m * size, n))
 
 
 def truthful_interval(x: float, precision: int, x_max: int) -> Interval:
@@ -248,23 +256,40 @@ def make_trial(params: ScenarioParams, trial_index: int) -> TrialData:
     )
 
 
-def as_row(readings: Sequence[Interval] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One agent's readings (Intervals or an (n, 2) array) as (1, n) lo and hi rows."""
-    if isinstance(readings, np.ndarray):
+@dataclass(frozen=True)
+class ReadingRows:
+    """B agents' readings as (B, n) lo and hi rows, checked once when built, not when sliced."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self) -> None:
+        lo = np.asarray(self.lo, dtype=float)
+        hi = np.asarray(self.hi, dtype=float)
+        if lo.ndim != 2 or lo.shape != hi.shape:
+            raise ValueError(f"expected lo and hi rows of equal shape (B, n), got {lo.shape} and {hi.shape}")
+        if lo.shape[1] == 0:
+            raise ValueError("need at least one reading")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("reading endpoints must be finite")
+        if (lo > hi).any():
+            raise ValueError("interval with lower endpoint above upper endpoint")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def of(cls, readings: Sequence[Interval] | np.ndarray) -> ReadingRows:
+        """One agent's readings (Intervals or an (n, 2) array) as one row; a (B, n, 2) array as B rows."""
+        if not isinstance(readings, np.ndarray):
+            return cls([[iv.lo for iv in readings]], [[iv.hi for iv in readings]])
         arr = np.asarray(readings, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected readings of shape (n, 2), got {arr.shape}")
-        return arr[None, :, 0], arr[None, :, 1]
-    lo = np.array([[iv.lo for iv in readings]], dtype=float)
-    hi = np.array([[iv.hi for iv in readings]], dtype=float)
-    return lo, hi
+        if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
+            raise ValueError(f"expected readings of shape (n, 2) or (B, n, 2), got {arr.shape}")
+        stack = arr if arr.ndim == 3 else arr[None]
+        return cls(stack[:, :, 0], stack[:, :, 1])
 
-
-def check_rows(lo: np.ndarray, hi: np.ndarray) -> None:
-    """Validate B reading rows at once: equal (B, n) shapes, n >= 1, finite endpoints."""
-    if lo.ndim != 2 or lo.shape != hi.shape:
-        raise ValueError(f"expected lo and hi rows of equal shape (B, n), got {lo.shape} and {hi.shape}")
-    if lo.shape[1] == 0:
-        raise ValueError("need at least one reading")
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("reading endpoints must be finite")
+    def __getitem__(self, rows: slice) -> ReadingRows:
+        part = object.__new__(ReadingRows)
+        object.__setattr__(part, "lo", self.lo[rows])
+        object.__setattr__(part, "hi", self.hi[rows])
+        return part

@@ -6,7 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from intervalfusion import GbiWeights, cli, gbi_bayes_weights, scenario
+from intervalfusion import (
+    AlgorithmSpec,
+    GbiWeights,
+    LinearCoefficients,
+    ScenarioParams,
+    cli,
+    evaluate,
+    gbi_bayes_weights,
+    scenario,
+)
 from intervalfusion.cli import (
     ConfigError,
     _fit_rng,
@@ -346,18 +355,35 @@ class TestOracleCheck:
 
     def test_one_corrupted_row_named(self, tmp_path):
         # shifting one row's midpoints in the second block of tau 2 must flag
-        # exactly that (tau, trial, agent)
+        # exactly that (tau, trial, agent); the block's rows are agent-major,
+        # so row 22 + 3 holds agent 1 of its fourth trial, trial 131
         def corrupt_one(readings, tau):
             w = gbi_bayes_weights(readings, tau)
             if tau == 2 and readings.shape[0] == 44:
-                w.midpoints[7] += 1e-6
+                w.midpoints[22 + 3] += 1e-6
             return w
 
         path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
         worst, failures = run_oracle_check(load_config(path), weight_fn=corrupt_one)
-        assert [entry[:3] for entry in failures] == [(2, 128 + 7 // 2, 7 % 2)]
+        assert [entry[:3] for entry in failures] == [(2, 131, 1)]
         assert failures[0][3] == pytest.approx(1e-6, rel=1e-6)
         assert worst == failures[0][3]
+
+    def test_failures_listed_by_trial_then_agent(self, tmp_path):
+        # agent 1 of trial 5 (row 128 + 5) comes before agent 0 of trial 9
+        # (row 9), although its row comes after
+        def corrupt_two(readings, tau):
+            w = gbi_bayes_weights(readings, tau)
+            if readings.shape[0] == 256:
+                w.midpoints[128 + 5] += 1e-6
+                w.midpoints[9] += 2e-6
+            return w
+
+        path, _ = write_config(tmp_path, n=4, taus=[1], trials=150)
+        worst, failures = run_oracle_check(load_config(path), weight_fn=corrupt_two)
+        assert [entry[:3] for entry in failures] == [(1, 5, 1), (1, 9, 0)]
+        assert [entry[3] for entry in failures] == pytest.approx([1e-6, 2e-6], rel=1e-6)
+        assert worst == failures[1][3]
 
     def test_shifted_midpoints_detected(self, tmp_path):
         # negative control: every row's midpoints off by 1e-6 fails every row
@@ -382,9 +408,10 @@ class TestOracleCheck:
         monkeypatch.setattr(cli, "gbi_rows", shifted)
         path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
         worst, failures = run_oracle_check(load_config(path))
-        # row t * 2 + j of a 128-trial block is agent j of trial block_start + t
-        expected = [(tau, start + r // 2, r % 2) for tau in (1, 2) for start, size in ((0, 128), (128, 22))
-                    for r in range(0, 2 * size, 5)]
+        # row j * size + t of a block of size trials is agent j of trial
+        # block_start + t; failures are listed by trial, then agent
+        expected = [(tau, start + t, j) for tau in (1, 2) for start, size in ((0, 128), (128, 22))
+                    for t in range(size) for j in range(2) if (j * size + t) % 5 == 0]
         assert [entry[:3] for entry in failures] == expected
         assert all(dev == pytest.approx(1e-6, rel=1e-6) for *_, dev in failures)
         assert worst == pytest.approx(1e-6, rel=1e-6)
@@ -394,16 +421,16 @@ class TestOracleCheck:
         # past a > comparison
         real = cli.gbi_rows
 
-        def nan_on_row_three(cov, tau):
+        def nan_on_agent_one_trial_one(cov, tau):
             values, degenerate = real(cov, tau)
             values = values.copy()
-            values[3] = np.nan
+            values[values.size // 2 + 1] = np.nan
             return values, degenerate
 
-        monkeypatch.setattr(cli, "gbi_rows", nan_on_row_three)
+        monkeypatch.setattr(cli, "gbi_rows", nan_on_agent_one_trial_one)
         path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
         worst, failures = run_oracle_check(load_config(path))
-        # row 3 of each block is agent 1 of the block's second trial
+        # row size + 1 of each block is agent 1 of the block's second trial
         assert failures == [(1, 1, 1, np.inf), (1, 129, 1, np.inf), (2, 1, 1, np.inf), (2, 129, 1, np.inf)]
         assert worst == np.inf
         assert main(["oracle-check", "--config", path]) == 1
@@ -485,3 +512,43 @@ class TestFitLinear:
             assert entry["closed_form_used"] is False
             assert entry["closed_form_objective"] is None
             assert "m=3" in entry["closed_form_error"]
+
+
+class TestRowChecks:
+    """Each block's reading rows are checked once where they are laid out."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        shapes = []
+        real = scenario.ReadingRows.__post_init__
+
+        def counting(rows):
+            shapes.append(np.shape(rows.lo))
+            real(rows)
+
+        monkeypatch.setattr(scenario.ReadingRows, "__post_init__", counting)
+        return shapes
+
+    def test_once_per_block_in_a_sweep(self, tmp_path, checks):
+        # sweep-eval's shape: 7 taus of 4 blocks each
+        path, _ = write_config(tmp_path, n=10, taus=[1, 2, 3, 4, 5, 6, 7],
+                               algorithms=["marzullo", "bi", "gbi_oneopt"], trials=500)
+        run_sweep(load_config(path))
+        assert len(checks) == 28
+        assert checks == [(2 * size, 10) for _ in range(7) for size in (128, 128, 128, 116)]
+
+    def test_agent_slices_not_checked_again(self, checks):
+        params = ScenarioParams(n=5, m=3, tau=1, x_max=5, seed=12)
+        coeffs = tuple(LinearCoefficients(np.full(5, 0.1), np.full(5, 0.1), 0.0) for _ in range(3))
+        evaluate([AlgorithmSpec.marzullo(), AlgorithmSpec.linear(coeffs), AlgorithmSpec.constant(0.5)],
+                 params, 300)
+        assert checks == [(3 * 128, 5), (3 * 128, 5), (3 * 44, 5)]
+
+    def test_twice_per_block_in_an_oracle_check(self, tmp_path, checks):
+        # oracle-check's shape: 6 taus of 3 blocks each; the block's rows and
+        # the (B, n, 2) stack weight_fn receives are each checked once
+        path, _ = write_config(tmp_path, n=8, taus=[1, 2, 3, 4, 5, 6], trials=300)
+        worst, failures = run_oracle_check(load_config(path))
+        assert not failures
+        assert len(checks) == 36
+        assert checks == [shape for _ in range(6) for size in (128, 128, 44) for shape in [(2 * size, 8)] * 2]

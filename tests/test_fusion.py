@@ -24,9 +24,12 @@ from intervalfusion import (
     make_trial,
     make_trials,
     posterior_density,
+    posterior_mean_exact,
     transition_profile,
 )
 from intervalfusion.fusion import bi_rows, coverage_rows, gbi_rows, linear_rows, marzullo_rows
+from intervalfusion.oracle import posterior_rows
+from intervalfusion.scenario import ReadingRows
 
 
 def ivs(*pairs):
@@ -425,12 +428,13 @@ class TestBatchKernels:
     def test_stacked_rows_match_scalar_fusers(self, case):
         families, tau = case
         lo, hi = _rows(families)
+        rows = ReadingRows(lo, hi)
         n = lo.shape[1]
         if tau <= n - 2:
-            marzullo = marzullo_rows(lo, hi, tau)
+            marzullo = marzullo_rows(rows, tau)
             for row, family in enumerate(families):
                 assert marzullo[row] == fuse_marzullo(family, tau)
-        cov = coverage_rows(lo, hi)
+        cov = coverage_rows(rows)
         bi, bi_flags = bi_rows(cov, tau)
         for row, family in enumerate(families):
             value, flagged = fuse_bi_with_flag(family, tau)
@@ -460,7 +464,7 @@ class TestBatchKernels:
     @settings(max_examples=200)
     def test_single_row_matches_profile(self, family):
         lo, hi = _rows([family])
-        cov = coverage_rows(lo, hi)
+        cov = coverage_rows(ReadingRows(lo, hi))
         prof = transition_profile(family)
         regions = cov.right[0] > cov.left[0]
         assert (cov.counts[0][~regions] == 0).all()
@@ -481,7 +485,7 @@ class TestBatchKernels:
         rows = [scale * b for scale, b in zip((1e-12, 1.0, 1e12), bounds)]
         lo = np.array([r[:, 0] for r in rows])
         hi = np.array([r[:, 1] for r in rows])
-        values, flags = gbi_rows(coverage_rows(lo, hi), params.tau)
+        values, flags = gbi_rows(coverage_rows(ReadingRows(lo, hi)), params.tau)
         assert not flags.any()
         for value, r in zip(values, rows):
             assert value == pytest.approx(fuse_gbi_regions(r, params.tau), rel=1e-12)
@@ -491,26 +495,60 @@ class TestBatchKernels:
         lo = rng.normal(size=(7, 4))
         hi = lo + rng.uniform(0.1, 2.0, size=(7, 4))
         coeffs = LinearCoefficients(rng.normal(size=4), rng.normal(size=4), 0.3)
-        values = linear_rows(lo, hi, coeffs)
+        values = linear_rows(ReadingRows(lo, hi), coeffs)
         for row in range(7):
             assert values[row] == pytest.approx(fuse_linear(np.stack([lo[row], hi[row]], axis=1), coeffs), rel=1e-12)
 
     def test_batch_validation(self):
+        # the rows are checked where they are built; the kernels check only their own arguments
         lo = np.zeros((3, 2))
         hi = np.ones((3, 2))
         hi[1, 1] = -1.0
         with pytest.raises(ValueError, match="lower endpoint above"):
-            coverage_rows(lo, hi)
-        with pytest.raises(ValueError, match="lower endpoint above"):
-            marzullo_rows(lo, hi, 0)
-        with pytest.raises(ValueError):
-            coverage_rows(np.zeros((3, 2)), np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            marzullo_rows(np.zeros((3, 2)), np.ones((3, 2)), 1)
+            ReadingRows(lo, hi)
+        with pytest.raises(ValueError, match=r"equal shape \(B, n\), got \(3, 2\) and \(3, 3\)"):
+            ReadingRows(np.zeros((3, 2)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match=r"equal shape \(B, n\), got \(2,\) and \(2,\)"):
+            ReadingRows(np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="need at least one reading"):
+            ReadingRows(np.zeros((3, 0)), np.zeros((3, 0)))
+        with pytest.raises(ValueError, match=r"n >= tau \+ 2"):
+            marzullo_rows(ReadingRows(np.zeros((3, 2)), np.ones((3, 2))), 1)
+
+    def test_nested_lists_reach_every_kernel(self):
+        # lists convert as arrays do, for every batch kernel and the oracle
+        lo, hi = [[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]], [[2.0, 3.0, 2.0], [1.0, 2.0, 3.0]]
+        listed, arrays = ReadingRows(lo, hi), ReadingRows(np.array(lo), np.array(hi))
+        assert listed.lo.dtype == listed.hi.dtype == np.float64
+        coeffs = LinearCoefficients(np.full(3, 0.25), np.full(3, 0.25), 0.0)
+        params = ScenarioParams(n=3, m=1, tau=1, x_max=5, seed=0)
+        for kernel in (lambda r: marzullo_rows(r, 1), lambda r: bi_rows(coverage_rows(r), 1)[0],
+                       lambda r: gbi_rows(coverage_rows(r), 1)[0], lambda r: linear_rows(r, coeffs),
+                       lambda r: posterior_rows(r, params).means()):
+            assert kernel(listed).tolist() == kernel(arrays).tolist()
+        assert posterior_rows(listed, params).means().tolist() == [
+            posterior_mean_exact(np.stack([a, b], axis=1), params) for a, b in zip(np.array(lo), np.array(hi))]
+
+    def test_slice_is_not_checked_again(self, monkeypatch):
+        rows = ReadingRows(np.zeros((4, 2)), np.ones((4, 2)))
+        monkeypatch.setattr(ReadingRows, "__post_init__", None)
+        part = rows[1:3]
+        assert part.lo.base is rows.lo and part.hi.base is rows.hi
+        assert part.lo.shape == (2, 2)
+
+    def test_one_row_fusers_refuse_a_stack(self):
+        # only the enumerative reference takes a (B, n, 2) stack; each row
+        # alone is valid input to every call
+        stack = np.array([[(0.0, 2.0), (1.0, 3.0), (0.0, 2.0)]] * 2)
+        for name, call in ONE_ROW_CALLS.items():
+            call(stack[0])
+            if name != "fuse_gbi_oneopt":
+                with pytest.raises(ValueError):
+                    call(stack)
 
 
 LOWER_MIDPOINT = LinearCoefficients(np.full(3, 0.5), np.zeros(3), 0.0)
-NON_FINITE_CALLS = {
+ONE_ROW_CALLS = {
     "fuse_marzullo": lambda r: fuse_marzullo(r, 0),
     "fuse_bi": lambda r: fuse_bi(r, 0),
     "fuse_bi_with_flag": lambda r: fuse_bi_with_flag(r, 0),
@@ -518,12 +556,16 @@ NON_FINITE_CALLS = {
     "fuse_gbi_regions": lambda r: fuse_gbi_regions(r, 1),
     "fuse_linear": lambda r: fuse_linear(r, LOWER_MIDPOINT),
     "transition_profile": transition_profile,
+    "posterior_density": lambda r: posterior_density(r, ScenarioParams(n=3, m=1, tau=0, x_max=5, seed=0)),
+    "posterior_mean_exact": lambda r: posterior_mean_exact(r, ScenarioParams(n=3, m=1, tau=0, x_max=5, seed=0)),
+}
+NON_FINITE_CALLS = {
+    **ONE_ROW_CALLS,
     "gbi_bayes_weights": lambda r: gbi_bayes_weights(r, 0),
     "gbi_bayes_weights stacked": lambda r: gbi_bayes_weights(np.stack([np.nan_to_num(r), r]), 0),
-    "coverage_rows": lambda r: coverage_rows(r[None, :, 0], r[None, :, 1]),
-    "marzullo_rows": lambda r: marzullo_rows(r[None, :, 0], r[None, :, 1], 0),
-    "linear_rows": lambda r: linear_rows(r[None, :, 0], r[None, :, 1], LOWER_MIDPOINT),
-    "posterior_density": lambda r: posterior_density(r, ScenarioParams(n=3, m=1, tau=0, x_max=5, seed=0)),
+    "coverage_rows": lambda r: coverage_rows(ReadingRows(r[None, :, 0], r[None, :, 1])),
+    "marzullo_rows": lambda r: marzullo_rows(ReadingRows(r[None, :, 0], r[None, :, 1]), 0),
+    "linear_rows": lambda r: linear_rows(ReadingRows(r[None, :, 0], r[None, :, 1]), LOWER_MIDPOINT),
 }
 
 
@@ -537,6 +579,15 @@ def test_non_finite_endpoints_rejected(call, slot, value):
     readings = np.array([[0.0, 2.0], [1.0, 3.0], [0.5, 2.0]])
     readings[slot] = value
     with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[call](readings)
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_reversed_reading_rejected(call):
+    # one rule for every fuser and the oracle; the oracle once called this an
+    # off-lattice (negative) width
+    readings = np.array([[0.0, 2.0], [3.0, 1.0], [0.5, 2.0]])
+    with pytest.raises(ValueError, match="interval with lower endpoint above upper endpoint"):
         NON_FINITE_CALLS[call](readings)
 
 

@@ -43,7 +43,7 @@ from intervalfusion import (
 )
 from intervalfusion.fusion import linear_rows
 from intervalfusion.metrics import _objective_per_trial
-from intervalfusion.scenario import TrialBatch
+from intervalfusion.scenario import ReadingRows, TrialBatch
 
 
 # endpoints fluctuate but carry nothing about the target: every feasible
@@ -666,7 +666,8 @@ class TestEmpiricalObjective:
         # scorer, kept literally as the reference
         def reference(batch, coeffs, lam):
             est = np.stack(
-                [linear_rows(batch.lo[:, :, j], batch.hi[:, :, j], coeffs[j]) for j in range(m)], axis=1
+                [linear_rows(ReadingRows(batch.lo[:, :, j], batch.hi[:, :, j]), coeffs[j]) for j in range(m)],
+                axis=1,
             )
             j, k = np.triu_indices(m, 1)
             sq_err = ((batch.x[:, None] - est) ** 2).T

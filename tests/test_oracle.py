@@ -23,6 +23,7 @@ from intervalfusion import (
     posterior_mean_exact,
 )
 from intervalfusion.oracle import posterior_rows
+from intervalfusion.scenario import ReadingRows
 
 
 def agent_readings(trial, agent=0):
@@ -217,7 +218,7 @@ def scalar_outcome(readings, params):
 
 def batch_outcome(lo, hi, params):
     try:
-        return posterior_rows(lo, hi, params)
+        return posterior_rows(ReadingRows(lo, hi), params)
     except ValueError as exc:
         return exc
 
@@ -239,10 +240,8 @@ def reading_rows(draw):
                             seed=draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         start = draw(st.integers(0, 300))
-        batch = make_trials(params, start, start + draw(st.integers(1, 3)))
-        lo = batch.lo.transpose(0, 2, 1).reshape(-1, n)
-        hi = batch.hi.transpose(0, 2, 1).reshape(-1, n)
-        return lo, hi, params
+        rows = make_trials(params, start, start + draw(st.integers(1, 3))).rows()
+        return rows.lo, rows.hi, params
     rows = draw(st.integers(1, 4))
     lo, hi = np.empty((rows, n)), np.empty((rows, n))
     for r in range(rows):
@@ -323,7 +322,7 @@ class TestBatchOracle:
         lo = np.array([[a for a, _ in readings]])
         hi = np.array([[b for _, b in readings]])
         with pytest.raises(type(want)) as info:
-            posterior_rows(lo, hi, params)
+            posterior_rows(ReadingRows(lo, hi), params)
         assert type(info.value) is type(want)
 
     def test_inconsistent_row_is_named(self):
@@ -331,22 +330,30 @@ class TestBatchOracle:
         lo = np.array([[0.0, -1.0], [-5.0, 3.0]])
         hi = np.array([[2.0, 1.0], [-3.0, 5.0]])
         with pytest.raises(InconsistentReadingsError, match="row 1"):
-            posterior_rows(lo, hi, params)
+            posterior_rows(ReadingRows(lo, hi), params)
 
     def test_one_row_mean_is_its_row_of_the_stack(self):
         # posterior_mean_exact and oracle-check read the same sums, bit for bit
         for n, x_max in itertools.product(range(1, 9), (1, 3, 5)):
             for tau in range(n):
                 params = ScenarioParams(n=n, m=3, tau=tau, x_max=x_max, seed=97 * n + tau)
-                batch = make_trials(params, 0, 40)
-                lo = batch.lo.transpose(0, 2, 1).reshape(-1, n)
-                hi = batch.hi.transpose(0, 2, 1).reshape(-1, n)
-                means = posterior_rows(lo, hi, params).means()
+                rows = make_trials(params, 0, 40).rows()
+                means = posterior_rows(rows, params).means()
                 for row, want in enumerate(means.tolist()):
-                    readings = [Interval(a, b) for a, b in zip(lo[row].tolist(), hi[row].tolist())]
+                    readings = [Interval(a, b) for a, b in zip(rows.lo[row].tolist(), rows.hi[row].tolist())]
                     assert posterior_mean_exact(readings, params) == want, (n, tau, x_max, row)
 
     def test_non_finite_endpoints_rejected(self):
         params = ScenarioParams(n=2, m=1, tau=0, x_max=5, seed=0)
         with pytest.raises(ValueError, match="finite"):
-            posterior_rows(np.array([[0.0, np.nan]]), np.array([[2.0, 1.0]]), params)
+            posterior_rows(ReadingRows(np.array([[0.0, np.nan]]), np.array([[2.0, 1.0]])), params)
+
+    def test_reversed_reading_rejected(self):
+        # the fusers' rule, not an off-lattice negative width
+        params = ScenarioParams(n=2, m=1, tau=0, x_max=5, seed=0)
+        message = "interval with lower endpoint above upper endpoint"
+        with pytest.raises(ValueError, match=message) as info:
+            posterior_mean_exact(np.array([[0.0, 2.0], [3.0, 1.0]]), params)
+        assert not isinstance(info.value, OffLatticeError)
+        with pytest.raises(ValueError, match=message):
+            posterior_rows(ReadingRows([[0.0, 3.0]], [[2.0, 1.0]]), params)

@@ -63,6 +63,19 @@ class TestScenarioParams:
         with pytest.raises(ValueError):
             params_for(**kwargs)
 
+    @pytest.mark.parametrize("field", ["n", "m", "tau", "x_max", "seed"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 3.0, np.float64(3.0), "3", None])
+    def test_non_integers_refused_by_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            params_for(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n", "m", "tau", "x_max", "seed"])
+    def test_numpy_integers_stored_as_int(self, field):
+        value = getattr(params_for(), field)
+        params = params_for(**{field: np.int64(value)})
+        assert type(getattr(params, field)) is int
+        assert params == params_for()
+
 
 class TestDrawTarget:
     # the target marginal of the one generator; n=1, m=1 keeps 10^6 trials small
