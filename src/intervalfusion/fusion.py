@@ -123,7 +123,7 @@ def transition_profile(readings: Sequence[Interval] | np.ndarray) -> TransitionP
     The one-row view of `coverage_rows` with its zero-width gaps dropped.
     """
     cov = coverage_rows(ReadingRows.of(readings))
-    points, = cov.points  # refuses a stack of several rows
+    points, = cov.points
     gaps = points[1:] > points[:-1]
     return TransitionProfile(points=points[np.r_[True, gaps]], counts=cov.counts[0][gaps],
                              cover=cov.cover[0][:, gaps], lo=cov.lo[0], hi=cov.hi[0])
@@ -231,9 +231,9 @@ def gbi_bayes_weights(readings: Sequence[Interval] | np.ndarray, tau: int) -> Gb
     (their inverse width is undefined); for a stack the message names the
     first row holding one.
     """
-    rows = ReadingRows.of(readings)
-    lo, hi = rows.lo, rows.hi
     stacked = isinstance(readings, np.ndarray) and readings.ndim == 3
+    rows = ReadingRows.of_stack(readings) if stacked else ReadingRows.of(readings)
+    lo, hi = rows.lo, rows.hi
     n = lo.shape[1]
     _check_tau(tau, n)
     widths = hi - lo

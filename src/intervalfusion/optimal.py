@@ -20,9 +20,8 @@ does not import scipy.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -251,8 +250,8 @@ def _delta_roots(xi1: float, xi2: float, xi3: float) -> tuple[float, ...]:
     return (r1,) if r1 == r2 else (r1, r2)
 
 
-def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[list[float], float]:
-    """Minimize f(*x) from x0; returns the best vertex and its value.
+def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tuple[float, ...], float]:
+    """Minimize f(*x) over one or two coordinates from x0; returns the best vertex and its value.
 
     This is scipy.optimize.minimize(method="Nelder-Mead") with its default
     non-adaptive coefficients (reflection 1, expansion 2, contraction 0.5,
@@ -260,66 +259,73 @@ def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[list[float],
     0.00025 where x0 is 0) and options xatol=1e-10, fatol=1e-12, maxiter=600,
     on Python floats.  Every step is written in scipy's arithmetic form and
     the vertices are re-sorted stably (nan last, as np.argsort does), so the
-    iterates and the result equal scipy's bit for bit.
+    iterates and the result equal scipy's bit for bit.  Vertices are (x, y)
+    tuples; a one-coordinate search pins y at 0.0, which every step keeps.
+    It stops early once an iteration leaves the sorted simplex and its values
+    bit for bit as they were: the step is a deterministic function of that
+    state and f is pure, so scipy would repeat it up to maxiter and return
+    the same point and value.
     """
     n = len(x0)
-    sim = [list(x0)]
-    for k in range(n):
-        y = list(x0)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [f(*x) for x in sim]
-
-    def by_value(i: int) -> tuple[bool, float]:
-        return fsim[i] != fsim[i], fsim[i]
-
-    iterations = 1
+    if n not in (1, 2):
+        raise ValueError(f"_nelder_mead searches one or two coordinates, got {n}")
+    g = f if n == 2 else lambda x, y: f(x)
+    x, y = x0 if n == 2 else (x0[0], 0.0)
+    sim = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)][: n + 1]
+    fsim = [g(*v) for v in sim]
+    pack = struct.Struct(f"{3 * (n + 1)}d").pack
+    state, iterations = None, 1
     while True:
-        order = sorted(range(n + 1), key=by_value)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-        best = sim[0]
-        if iterations >= 600 or (
-            all(abs(a - b) <= 1e-10 for x in sim[1:] for a, b in zip(x, best))
+        # stable insertion sort of the two or three vertices by value, nan last
+        for i in range(1, n + 1):
+            while i and (fsim[i] < fsim[i - 1] or fsim[i - 1] != fsim[i - 1] and fsim[i] == fsim[i]):
+                sim[i - 1], sim[i], fsim[i - 1], fsim[i] = sim[i], sim[i - 1], fsim[i], fsim[i - 1]
+                i -= 1
+        (bx, by), (wx, wy) = sim[0], sim[-1]
+        # bits, not ==: -0.0 and 0.0, or two nan payloads, are different states
+        last, state = state, pack(*fsim, *[c for v in sim for c in v])
+        if iterations >= 600 or state == last or (
+            all(abs(vx - bx) <= 1e-10 and abs(vy - by) <= 1e-10 for vx, vy in sim[1:])
             and all(abs(fsim[0] - v) <= 1e-12 for v in fsim[1:])
         ):
             break
-        worst = sim[-1]
-        # np.add.reduce starts from +0.0, which decides the sign of a zero centroid
-        xbar = [functools.reduce(operator.add, c, 0.0) / n for c in zip(*sim[:-1])]
-        xr = [2 * b - w for b, w in zip(xbar, worst)]
-        fxr = f(*xr)
+        # centroid of all but the worst vertex; np.add.reduce starts from +0.0,
+        # which decides the sign of a zero centroid
+        cx, cy = ((0.0 + bx + sim[1][0]) / 2, (0.0 + by + sim[1][1]) / 2) if n == 2 else ((0.0 + bx) / 1, 0.0)
+        xr = (2 * cx - wx, 2 * cy - wy)
+        fxr = g(*xr)
         shrink = False
         if fxr < fsim[0]:
-            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
-            fxe = f(*xe)
+            xe = (3 * cx - 2 * wx, 3 * cy - 2 * wy)
+            fxe = g(*xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-            fxc = f(*xc)
-            shrink = not fxc <= fxr
+        else:
+            # outside contraction when the reflection beats the worst vertex, else inside
+            outside = fxr < fsim[-1]
+            xc = ((1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy) if outside
+                  else (0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy))
+            fxc = g(*xc)
+            shrink = not (fxc <= fxr if outside else fxc < fsim[-1])
             if not shrink:
                 sim[-1], fsim[-1] = xc, fxc
-        else:
-            xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-            fxcc = f(*xcc)
-            shrink = not fxcc < fsim[-1]
-            if not shrink:
-                sim[-1], fsim[-1] = xcc, fxcc
         if shrink:
             for j in range(1, n + 1):
-                sim[j] = [s0 + 0.5 * (s - s0) for s0, s in zip(best, sim[j])]
-                fsim[j] = f(*sim[j])
+                sx, sy = sim[j]
+                sim[j] = (bx + 0.5 * (sx - bx), by + 0.5 * (sy - by))
+                fsim[j] = g(*sim[j])
         iterations += 1
     # scipy reports np.min over the simplex, which is nan if any vertex is
-    return best, fsim[0] if fsim[-1] == fsim[-1] else math.nan
+    return sim[0][:n], fsim[0] if fsim[-1] == fsim[-1] else math.nan
 
 
-def _recipe_search(objective: Callable[[float, float], float], starts: list[list[float]]) -> list[float] | None:
-    """Nelder-Mead from every start, then a polish along the diagonal; the best point."""
-    best_point = None
-    best_value = math.inf
+def _recipe_search(objective: Callable[[float, float], float], starts: list[list[float]]) -> tuple[float, ...] | None:
+    """Nelder-Mead from every start, then a polish along the diagonal; the best point.
+
+    A search that reaches an exact fixed point stops there with scipy's result.
+    """
+    best_point, best_value = None, math.inf
     for start in starts:
         x, fun = _nelder_mead(objective, start)
         if fun < best_value:
@@ -332,7 +338,7 @@ def _recipe_search(objective: Callable[[float, float], float], starts: list[list
         mid = float(np.mean(best_point))
         (e,), fun = _nelder_mead(lambda e: objective(e, e), [mid])
         if fun <= best_value * (1.0 + 1e-9) + 1e-12:
-            best_point = [e, e]
+            best_point = (e, e)
     return best_point
 
 
@@ -361,7 +367,9 @@ def solve_linear_two_agent(
     objective undefined, so such candidates are rejected with a graded
     penalty.  The search engine is the local _nelder_mead, which reproduces
     scipy.optimize.minimize's default non-adaptive Nelder-Mead (xatol 1e-10,
-    fatol 1e-12, maxiter 600) bit for bit.
+    fatol 1e-12, maxiter 600) bit for bit; a search stops early only at an
+    exact fixed point (most do, collapsed against the |z| = 1 wall), whose
+    result scipy's run to maxiter would only repeat.
 
     This recipe is kept verbatim; on realistic moments its objective can be
     unbounded below near the |z| = 1 wall, which makes the returned point a
@@ -383,28 +391,26 @@ def solve_linear_two_agent(
     degenerate = max(abs(xi1), abs(xi3), abs(kappa), abs(moments.cov_lx), abs(moments.cov_ux)) < 1e-12
     if degenerate:
         gamma = -n * (0.0 * moments.mean_l + 0.0 * moments.mean_u)
-        return TwoAgentLinearSolution(
-            eps=(0.0, 0.0),
-            delta=(0.0, 0.0),
-            gamma=(gamma, gamma),
-            xi=((xi1, 0.0, xi3), (xi1, 0.0, xi3)),
-            z=0.0,
-            objective_value=0.0,
-        )
+        return TwoAgentLinearSolution(eps=(0.0, 0.0), delta=(0.0, 0.0), gamma=(gamma, gamma),
+                                      xi=((xi1, 0.0, xi3), (xi1, 0.0, xi3)), z=0.0, objective_value=0.0)
+
+    # loop invariants of evaluate, each computed as its expression there would
+    four_xi13, coupling = 4.0 * xi1 * xi3, -(1.0 - lam)
 
     def evaluate(e1: float, e2: float):
         """Best (objective, delta pair, z) over real-root combinations, or a penalty."""
         roots1 = _delta_roots(xi1, 2.0 * e1 * kappa, xi3)
         roots2 = _delta_roots(xi1, 2.0 * e2 * kappa, xi3)
         if not roots1 or not roots2:
-            gap1 = max(0.0, 4.0 * xi1 * xi3 - (2.0 * e1 * kappa) ** 2)
-            gap2 = max(0.0, 4.0 * xi1 * xi3 - (2.0 * e2 * kappa) ** 2)
+            gap1 = max(0.0, four_xi13 - (2.0 * e1 * kappa) ** 2)
+            gap2 = max(0.0, four_xi13 - (2.0 * e2 * kappa) ** 2)
             return 1e12 + gap1 + gap2, None, None
         best = None
         z_excess = None
+        e12 = e1 * e2
         for d1 in roots1:
             for d2 in roots2:
-                z = -(1.0 - lam) * (e1 * e2 * z_ll + d1 * d2 * z_uu + (e1 * d2 + e2 * d1) * kappa)
+                z = coupling * (e12 * z_ll + d1 * d2 * z_uu + (e1 * d2 + e2 * d1) * kappa)
                 if abs(z) >= 1.0:
                     excess = abs(z) - 1.0
                     z_excess = excess if z_excess is None else min(z_excess, excess)
@@ -427,9 +433,7 @@ def solve_linear_two_agent(
             edge = 1.02 * np.sqrt(xi1 * xi3) / abs(kappa)
         # at tiny kappa the boundary lies beyond float range: no start there
         if np.isfinite(edge):
-            for s1 in (1.0, -1.0):
-                for s2 in (1.0, -1.0):
-                    starts.append(np.array([s1 * edge, s2 * edge]))
+            starts += [np.array([s1 * edge, s2 * edge]) for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
 
     def objective(e1: float, e2: float) -> float:
         return evaluate(e1, e2)[0]
@@ -448,14 +452,9 @@ def solve_linear_two_agent(
         )
     d1, d2 = deltas
     gamma = tuple(-n * (e * moments.mean_l + d * moments.mean_u) for e, d in ((e1, d1), (e2, d2)))
-    return TwoAgentLinearSolution(
-        eps=(e1, e2),
-        delta=(d1, d2),
-        gamma=(gamma[0], gamma[1]),
-        xi=((xi1, 2.0 * e1 * kappa, xi3), (xi1, 2.0 * e2 * kappa, xi3)),
-        z=float(z),
-        objective_value=float(value),
-    )
+    return TwoAgentLinearSolution(eps=(e1, e2), delta=(d1, d2), gamma=(gamma[0], gamma[1]),
+                                  xi=((xi1, 2.0 * e1 * kappa, xi3), (xi1, 2.0 * e2 * kappa, xi3)),
+                                  z=float(z), objective_value=float(value))
 
 
 def empirical_objective(

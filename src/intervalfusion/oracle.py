@@ -167,7 +167,7 @@ def posterior_density(readings: Sequence[Interval] | np.ndarray, params: Scenari
     zero-width gaps are dropped.  Raises as `posterior_rows` does.
     """
     density = posterior_rows(ReadingRows.of(readings), params)
-    points, = density.breakpoints  # refuses a stack of several rows
+    points, = density.breakpoints
     gaps = np.diff(points) > 0
     return PiecewiseDensity(breakpoints=points[np.r_[True, gaps]], levels=density.levels[0][gaps])
 

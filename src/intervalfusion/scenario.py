@@ -16,7 +16,8 @@ from the substream derived from (seed, b), so a trial never depends on which
 other trials are drawn or how a range of trials is split.  `make_trial` is one trial as `Interval` objects.
 
 The fusers and the oracle take B agents' readings as `ReadingRows`, built
-by `ReadingRows.of` from readings or by `TrialBatch.rows` from a batch.
+by `ReadingRows.of` from one agent's readings, by `ReadingRows.of_stack` from
+a (B, n, 2) stack, or by `TrialBatch.rows` from a batch.
 """
 
 from __future__ import annotations
@@ -279,9 +280,17 @@ class ReadingRows:
 
     @classmethod
     def of(cls, readings: Sequence[Interval] | np.ndarray) -> ReadingRows:
-        """One agent's readings (Intervals or an (n, 2) array) as one row; a (B, n, 2) array as B rows."""
+        """One agent's readings (Intervals, or an (n, 2) or (1, n, 2) array) as one row."""
         if not isinstance(readings, np.ndarray):
             return cls([[iv.lo for iv in readings]], [[iv.hi for iv in readings]])
+        if readings.ndim == 3 and readings.shape[0] != 1:
+            raise ValueError(f"expected one agent's readings of shape (n, 2), "
+                             f"got a stack of shape {readings.shape}")
+        return cls.of_stack(readings)
+
+    @classmethod
+    def of_stack(cls, readings: np.ndarray) -> ReadingRows:
+        """A (B, n, 2) array as B rows; an (n, 2) array as one row."""
         arr = np.asarray(readings, dtype=float)
         if arr.ndim not in (2, 3) or arr.shape[-1] != 2:
             raise ValueError(f"expected readings of shape (n, 2) or (B, n, 2), got {arr.shape}")

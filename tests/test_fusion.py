@@ -542,8 +542,10 @@ class TestBatchKernels:
         stack = np.array([[(0.0, 2.0), (1.0, 3.0), (0.0, 2.0)]] * 2)
         for name, call in ONE_ROW_CALLS.items():
             call(stack[0])
+            call(stack[:1])
             if name != "fuse_gbi_oneopt":
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=r"expected one agent's readings of shape \(n, 2\), "
+                                                     r"got a stack of shape \(2, 3, 2\)"):
                     call(stack)
 
 

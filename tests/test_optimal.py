@@ -9,6 +9,7 @@ for a truthful sensor; fault mixing rescales the target covariances by
 (n-tau)(n-tau-1)/(n(n-1)) that both sensors are truthful.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from intervalfusion import optimal
+from intervalfusion import cli, optimal
 from intervalfusion import (
     AlgorithmSpec,
     DirectionMoments,
@@ -462,6 +463,23 @@ def moment_sets(draw):
     return zero_moments(**fields), draw(st.integers(2, 10))
 
 
+def _wall(a, b):
+    # unbounded below as the gap g to the line x + 0.3 y = a + b closes, a
+    # graded penalty beyond it, like the recipe's |z| = 1 wall
+    def f(x, y=0.0):
+        g = b - (x - a) - 0.3 * y
+        return -(1.0 + y * y) / (g * g * g) if g > 0 else 1e9 * (1.0 - g)
+    return f
+
+
+ENGINE_OBJECTIVES = {
+    "quadratic": lambda a, b: lambda x, y=0.0: b * (x - a) * (x - a) + (y + a) * (y + a) / b,
+    "plateau": lambda a, b: lambda x, y=0.0: a,
+    "nan half-plane": lambda a, b: lambda x, y=0.0: math.nan if x > a else (x - a + b) * (x - a + b) + y * y,
+    "wall": _wall,
+}
+
+
 class TestNelderMead:
     """The local Nelder-Mead against scipy.optimize.minimize, bit for bit."""
 
@@ -503,6 +521,55 @@ class TestNelderMead:
     def test_solution_matches_scipy_search(self, drawn, lam):
         moments, n = drawn
         assert_same_solution(moments, lam, n)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_beyond_recipe_objectives(self, data):
+        n = data.draw(st.sampled_from([1, 2]), label="n")
+        x0 = data.draw(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 3.0)),
+                                min_size=n, max_size=n), label="x0")
+        kind = data.draw(st.sampled_from(sorted(ENGINE_OBJECTIVES)), label="kind")
+        a, b = data.draw(st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 4.0)), label="a, b")
+        assert_same_search(ENGINE_OBJECTIVES[kind](a, b), x0)
+
+    def test_stops_at_a_fixed_point_with_scipys_result(self):
+        # the simplex collapses against the wall, where scipy repeats one
+        # iteration until maxiter
+        f = ENGINE_OBJECTIVES["wall"](0.5, 1.0)
+        for x0 in ([-0.5, 1.0], [0.3]):
+            calls = []
+            got = optimal._nelder_mead(lambda *x: calls.append(x) or f(*x), x0)
+            with quiet_floats():
+                want = optimize.minimize(lambda v: f(*(float(c) for c in v)), np.array(x0),
+                                         method="Nelder-Mead", options=NM_OPTIONS)
+            assert want.nit == 600 and len(calls) < want.nfev / 2
+            assert bits(got[0]) == bits(want.x) and bits([got[1]]) == bits([want.fun])
+
+    @pytest.mark.parametrize("x0", [[], [0.0, 1.0, 2.0]], ids=["0", "3"])
+    def test_other_lengths_refused(self, x0):
+        with pytest.raises(ValueError, match=f"_nelder_mead searches one or two coordinates, got {len(x0)}"):
+            optimal._nelder_mead(lambda *x: 0.0, x0)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_sweep_fit_cells_stay_cheap(self, lam):
+        # the benchmark's sweep-fit cells; run to maxiter 600 their searches
+        # took 30,081-37,190 evaluations, and the fixed-point stop about 9,400
+        moments = estimate_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=4242), 20_000,
+                                   cli._fit_rng(4242, 3, lam))
+        calls = 0
+        search = optimal._recipe_search
+
+        def counted(objective, starts):
+            def f(e1, e2):
+                nonlocal calls
+                calls += 1
+                return objective(e1, e2)
+            return search(f, starts)
+
+        with mock.patch.object(optimal, "_recipe_search", counted):
+            got = solve_linear_two_agent(moments, lam, 10)
+        assert solution_bits(got) == solution_bits(reference_solution(moments, lam, 10))
+        assert calls <= 12_000
 
     def test_package_import_leaves_scipy_out(self):
         # scipy is only the reference above; importing scipy.optimize would
