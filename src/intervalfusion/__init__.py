@@ -25,7 +25,7 @@ from .fusion import (
     gbi_bayes_weights,
     transition_profile,
 )
-from .metrics import AlgorithmSpec, MetricsReport, combine_objective, evaluate
+from .metrics import AlgorithmSpec, MetricsReport, combine_objective, empirical_objective, evaluate
 from .optimal import (
     AmplitudeSolution,
     DirectionMoments,
@@ -36,7 +36,6 @@ from .optimal import (
     SingularSystemError,
     TwoAgentLinearSolution,
     amplitude_solution,
-    empirical_objective,
     estimate_moments,
     fit_linear_empirical,
     select_linear_coefficients,

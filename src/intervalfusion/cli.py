@@ -6,8 +6,8 @@ Configuration is a flat JSON object.  Keys:
     m               agents (int; linear fusers and fit-linear need m >= 2)
     x_max           half-width of the target range (positive int)
     seed            root seed for every derived stream (int)
-    taus            fault counts to sweep (list of ints, each 0..n-1; sweep
-                    refuses taus above n-2 when "marzullo" is among the
+    taus            fault counts to sweep (list of distinct ints, each 0..n-1;
+                    sweep refuses taus above n-2 when "marzullo" is among the
                     algorithms)
     lambdas         objective weights for linear fusers (list of floats in [0, 1])
     algorithms      fusers to run: "marzullo", "bi", "gbi_oneopt",
@@ -137,6 +137,8 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
     for t in taus:
         if t > n - 1:
             raise ConfigError(f"field 'taus' entry {t} exceeds n-1 = {n - 1}")
+    if len(set(taus)) != len(taus):
+        raise ConfigError(f"duplicate entries in field 'taus': {list(taus)}")
 
     lambdas_raw = raw.get("lambdas", list(_DEFAULTS["lambdas"]))
     if not isinstance(lambdas_raw, list):

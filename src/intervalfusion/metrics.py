@@ -1,7 +1,8 @@
 """Monte Carlo evaluation of fusers: squared error, inter-agent gap, objective.
 
 `evaluate` reports per-agent squared errors and per-pair gaps;
-`combine_objective` is the one place their weighted objective is formed.
+`combine_objective` forms their weighted objective from a report, and
+`empirical_objective` forms it for linear fusers on a batch, on `evaluate`'s kernel.
 
 All algorithms in a run see bit-identical trials: trial i is always row i of
 the stream `scenario.make_trials` numbers from the seed, so comparisons are
@@ -20,7 +21,7 @@ from .fusion import LinearCoefficients
 # make_trial stays importable from this module: benchmarks/tracing.py wraps it here
 from .scenario import _BLOCK_TRIALS, ScenarioParams, TrialBatch, make_trial, make_trials  # noqa: F401
 
-__all__ = ["AlgorithmSpec", "MetricsReport", "evaluate", "combine_objective"]
+__all__ = ["AlgorithmSpec", "MetricsReport", "evaluate", "combine_objective", "empirical_objective"]
 
 _KINDS = ("marzullo", "bi", "gbi_oneopt", "linear", "constant")
 
@@ -174,6 +175,24 @@ def combine_objective(report: MetricsReport, lam: float) -> tuple[float, float]:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     mean, stderr = _mean_stderr(_objective_per_trial(report.sq_err, report.pair_gap_sq, lam))
     return float(mean), float(stderr)
+
+
+def empirical_objective(
+    batch: TrialBatch,
+    coeffs: tuple[LinearCoefficients, ...],
+    lam: float,
+) -> float:
+    """Empirical accuracy/consensus objective of per-agent linear fusers on a batch.
+
+    Scored as in `evaluate`, but a non-finite estimate scores inf or nan instead of raising.
+    """
+    m = batch.lo.shape[2]
+    # _block_estimates would leave the rows of agents without coefficients unset
+    if len(coeffs) != m:
+        raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
+    estimates, _ = _block_estimates([AlgorithmSpec.linear(coeffs)], batch, tau=0)  # linear fusers read no tau
+    sq_err, gap_sq = _score(batch.x, estimates[0], np.triu_indices(m, 1))
+    return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
 
 
 def evaluate(

@@ -12,10 +12,10 @@ built from sample second moments of the fitting batch).  For two agents and
 endpoint-sum directions there is also a closed-form moment recipe
 (solve_linear_two_agent); it is implemented exactly as published even though
 parts of it look inconsistent, so select_linear_coefficients cross-checks it
-against the fit, which serves as the authority when they disagree.  The
-recipe's coefficient search runs on a local Nelder-Mead (_nelder_mead) that
-reproduces scipy's default non-adaptive method bit for bit, so the package
-does not import scipy.
+against the fit (both scored by metrics.empirical_objective), which serves
+as the authority when they disagree.  The recipe's coefficient search runs on
+a local Nelder-Mead (_nelder_mead) that reproduces scipy's default
+non-adaptive method bit for bit, so the package does not import scipy.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fusion import LinearCoefficients, linear_rows
-from .metrics import _objective_per_trial, _score
-from .scenario import ReadingRows, ScenarioParams, TrialBatch, sample_batch
+from .fusion import LinearCoefficients
+from .metrics import empirical_objective
+from .scenario import ScenarioParams, sample_batch
 
 __all__ = [
     "SingularSystemError",
@@ -154,6 +154,8 @@ class DirectionMoments:
         m = target.size
         if cross.shape != (m, m):
             raise ValueError(f"cross must be {m}x{m}, got {cross.shape}")
+        if not (np.isfinite(cross).all() and np.isfinite(target).all()):
+            raise ValueError("cross and target must be finite")
         if not np.allclose(cross, cross.T, atol=1e-12):
             raise ValueError("cross matrix must be symmetric")
         if not np.allclose(np.diag(cross), 1.0, atol=1e-9):
@@ -186,23 +188,18 @@ def amplitude_solution(dm: DirectionMoments, mean_x: float, lam: float) -> Ampli
     if m < 2:
         raise ValueError(f"the objective is defined for m >= 2 agents, got m={m}")
     theta = lam * dm.target
-    if lam == 1.0:
-        # A is the identity and the answer exact
-        a = np.eye(m)
-        c = theta.copy()
+    a = -(1.0 - lam) / (m - 1) * dm.cross
+    np.fill_diagonal(a, 1.0)
+    if not theta.any():
+        c = np.zeros(m)
     else:
-        a = -(1.0 - lam) / (m - 1) * dm.cross
-        np.fill_diagonal(a, 1.0)
-        if not theta.any():
-            c = np.zeros(m)
-        else:
-            cond = float(np.linalg.cond(a))
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                raise SingularSystemError(
-                    f"amplitude system is ill-conditioned (cond={cond:.3g}) at lam={lam}; "
-                    f"cross matrix:\n{dm.cross}"
-                )
-            c = np.linalg.solve(a, theta)
+        cond = float(np.linalg.cond(a))
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise SingularSystemError(
+                f"amplitude system is ill-conditioned (cond={cond:.3g}) at lam={lam}; "
+                f"cross matrix:\n{dm.cross}"
+            )
+        c = np.linalg.solve(a, theta)
     objective = float(theta @ np.linalg.solve(a @ a.T, theta)) if theta.any() else 0.0
     b = np.full(m, float(mean_x))
     return AmplitudeSolution(c=c, b=b, a_matrix=a, theta=theta, objective_value=objective)
@@ -455,21 +452,6 @@ def solve_linear_two_agent(
     return TwoAgentLinearSolution(eps=(e1, e2), delta=(d1, d2), gamma=(gamma[0], gamma[1]),
                                   xi=((xi1, 2.0 * e1 * kappa, xi3), (xi1, 2.0 * e2 * kappa, xi3)),
                                   z=float(z), objective_value=float(value))
-
-
-def empirical_objective(
-    batch: TrialBatch,
-    coeffs: tuple[LinearCoefficients, ...],
-    lam: float,
-) -> float:
-    """Empirical accuracy/consensus objective of per-agent linear fusers on a batch."""
-    m = batch.lo.shape[2]
-    if len(coeffs) != m:
-        raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
-    # views, not batch.rows(): a copied layout takes another matmul path (last bits)
-    est = np.stack([linear_rows(ReadingRows(batch.lo[:, :, j], batch.hi[:, :, j]), coeffs[j]) for j in range(m)])
-    sq_err, gap_sq = _score(batch.x, est, np.triu_indices(m, 1))
-    return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from intervalfusion import (
     ScenarioParams,
     cli,
     evaluate,
+    fusion,
     gbi_bayes_weights,
     scenario,
 )
@@ -73,6 +74,12 @@ class TestLoadConfig:
             (dict(format="xml"), "'format'"),
             (dict(output_path=""), "'output_path'"),
             (dict(moment_samples=10), "'moment_samples'"),
+            (dict(taus=[2, 2]), "'taus'"),
+            (dict(lambdas=0.5), "'lambdas'"),
+            (dict(lambdas=["0.5"]), "'lambdas'"),
+            (dict(lambdas=[True]), "'lambdas'"),
+            (dict(algorithms="bi"), "'algorithms'"),
+            (dict(algorithms=["bi", 3]), "'algorithms'"),
         ],
     )
     def test_errors_name_the_field(self, tmp_path, overrides, needle):
@@ -105,6 +112,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(str(path))
         assert "taus" in str(info.value)
+
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(str(path))
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -270,6 +283,28 @@ class TestSweep:
         assert len(rows) == 3
         for row in rows:
             assert list(row) == _sweep_header(config)
+
+    def test_degenerate_count_lands_in_flags(self, tmp_path, monkeypatch):
+        real_bi_rows = fusion.bi_rows
+
+        def three_flagged(cov, tau):
+            values, flags = real_bi_rows(cov, tau)
+            flags = flags.copy()
+            flags[[0, 5, 7]] = True
+            return values, flags
+
+        monkeypatch.setattr(fusion, "bi_rows", three_flagged)
+        path, _ = write_config(tmp_path, algorithms=["marzullo", "bi"])
+        marzullo, bi = run_sweep(load_config(path))
+        # one block of 120 trials: three flagged rows
+        assert marzullo["flags"] == ""
+        assert bi["flags"] == "degenerate=3"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_path(self, tmp_path, capsys, fmt):
+        path, _ = write_config(tmp_path, format=fmt, output_path=str(tmp_path / "absent" / f"out.{fmt}"))
+        assert main(["sweep", "--config", path]) == 2
+        assert "output_path" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, trials=5)
@@ -474,6 +509,22 @@ class TestFitLinear:
         assert len(entry["eps"][0]) == 5
         assert isinstance(entry["closed_form_used"], bool)
         assert entry["empirical_objective"] > 0.0
+
+    def test_payload_printed_without_out(self, tmp_path, capsys):
+        # the stdout payload is the file --out would write
+        out = tmp_path / "fit.json"
+        path, _ = write_config(tmp_path, taus=[1, 2])
+        assert main(["fit-linear", "--config", path, "--lambda", "0.5"]) == 0
+        printed = capsys.readouterr().out
+        assert [entry["tau"] for entry in json.loads(printed)] == [1, 2]
+        assert main(["fit-linear", "--config", path, "--lambda", "0.5", "--out", str(out)]) == 0
+        assert out.read_text() == printed
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "absent" / "fit.json"
+        assert main(["fit-linear", "--config", path, "--lambda", "0.5", "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_runs_at_tau_n_minus_one_with_marzullo_listed(self, tmp_path):
         # fit-linear ignores algorithms, so the sweep's marzullo bound does not apply

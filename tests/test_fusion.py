@@ -67,6 +67,10 @@ class TestMarzullo:
     def test_array_input(self):
         assert fuse_marzullo(np.array([[0.0, 2.0], [1.0, 3.0], [2.0, 4.0]]), 1) == 1.5
 
+    def test_negative_tau_refused(self):
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            marzullo_rows(ReadingRows([[0.0, 1.0, 2.0]], [[2.0, 3.0, 4.0]]), -1)
+
 
 class TestTransitionProfile:
     def test_staggered(self):
@@ -614,6 +618,10 @@ class TestFuseLinear:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             LinearCoefficients(np.array([np.nan]), np.array([0.0]), 0.0)
+
+    def test_unequal_eps_delta_shapes_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            LinearCoefficients(np.zeros(3), np.zeros(2), 0.0)
 
 
 def _shift(family, c):

@@ -5,13 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from intervalfusion import fusion, metrics
+import intervalfusion
+from intervalfusion import fusion, metrics, optimal
 from intervalfusion import (
     AlgorithmSpec,
     LinearCoefficients,
     Interval,
     ScenarioParams,
+    TrialBatch,
     combine_objective,
+    empirical_objective,
     evaluate,
     make_trials,
     posterior_mean_exact,
@@ -236,3 +239,40 @@ class TestCombineObjective:
         report, = evaluate([AlgorithmSpec.bi()], params, 200)
         with pytest.raises(ValueError):
             combine_objective(report, -0.1)
+
+
+class TestEmpiricalObjective:
+    def test_one_object_everywhere(self):
+        assert intervalfusion.empirical_objective is metrics.empirical_objective
+        assert optimal.empirical_objective is metrics.empirical_objective
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_equals_combine_objective_on_evaluates_trials(self, m):
+        # one estimate path: the same coefficients on the same trials score
+        # the same, bit for bit, whether fitted or reported
+        params = ScenarioParams(n=10, m=m, tau=3, x_max=5, seed=4242)
+        batch = make_trials(params, 0, 2000)
+        for s in range(5):
+            rng = np.random.default_rng(s)
+            coeffs = tuple(
+                LinearCoefficients(rng.normal(size=10), rng.normal(size=10), float(rng.normal()))
+                for _ in range(m)
+            )
+            report, = evaluate([AlgorithmSpec.linear(coeffs)], params, 2000)
+            for lam in (0.1, 0.5, 0.9):
+                assert empirical_objective(batch, coeffs, lam) == combine_objective(report, lam)[0], (s, lam)
+
+    def test_non_finite_estimate_scores_inf(self):
+        # evaluate refuses a non-finite estimate; the objective scores it
+        # instead, so a caller comparing objectives rejects the fuser
+        batch = TrialBatch(
+            x=np.zeros(3),
+            lo=np.ones((3, 5, 2)),
+            hi=np.full((3, 5, 2), 2.0),
+            faulty=np.zeros((3, 5), dtype=bool),
+            precisions=np.ones((3, 5), dtype=int),
+        )
+        huge = LinearCoefficients(np.zeros(5), np.full(5, 1e308), 0.0)
+        coeffs = (huge, midpoint_coeffs(5)[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert empirical_objective(batch, coeffs, 0.5) == np.inf

@@ -64,6 +64,17 @@ def zero_moments(**overrides):
     return MomentSet(**base)
 
 
+class TestMomentSet:
+    def test_sample_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="sample_count"):
+            zero_moments(sample_count=0)
+
+    @pytest.mark.parametrize("field", ["var_x", "var_l", "var_u"])
+    def test_variances_must_be_nonnegative(self, field):
+        with pytest.raises(ValueError, match="nonnegative"):
+            zero_moments(**{field: -1e-3})
+
+
 class TestEstimateMoments:
     @pytest.mark.parametrize("n,tau", [(2, 0), (4, 1)])
     def test_two_cell_hand_integration(self, n, tau):
@@ -123,6 +134,16 @@ class TestDirectionMoments:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             DirectionMoments(cross=np.eye(3), target=np.array([0.1, 0.2]))
+
+    def test_non_finite_cross_refused(self):
+        # allclose holds inf == inf, so only the finiteness check stops this
+        with pytest.raises(ValueError, match="finite"):
+            DirectionMoments(cross=np.array([[1.0, np.inf], [np.inf, 1.0]]), target=np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DirectionMoments(cross=np.eye(2), target=np.array([0.1, bad]))
 
 
 class TestAmplitudeSolution:
@@ -232,6 +253,10 @@ class TestAmplitudeSolution:
 
 
 class TestSolveLinearTwoAgent:
+    def test_needs_two_sensors(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            solve_linear_two_agent(zero_moments(**TIE_MOMENTS), 0.5, 1)
+
     def test_degenerate_moments_return_zero(self):
         sol = solve_linear_two_agent(zero_moments(), 0.5, 4)
         assert sol.eps == (0.0, 0.0)
@@ -799,3 +824,35 @@ class TestSelectLinearCoefficients:
         assert not sel.closed_form_used
         assert sel.closed_form_objective is None
         assert "overflow" in sel.closed_form_error
+
+    def test_recipe_value_error_is_recorded(self):
+        # the recipe is defined on 0 < lam < 1, so at lam = 0 it raises; the
+        # selection records why and keeps the fit, drawn after the moments
+        params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=59)
+        sel = select_linear_coefficients(params, 0.0, 10_000, np.random.default_rng(14))
+        rng = np.random.default_rng(14)
+        estimate_moments(params, 10_000, rng)
+        fit = fit_linear_empirical(params, 0.0, 10_000, rng)
+        for got, want in zip(sel.coeffs, fit.coeffs, strict=True):
+            assert np.array_equal(got.eps, want.eps)
+            assert np.array_equal(got.delta, want.delta)
+            assert got.gamma == want.gamma
+        assert not sel.closed_form_used
+        assert sel.closed_form_objective is None
+        assert "(0, 1)" in sel.closed_form_error
+
+    def test_overflowing_recipe_scores_non_finite_and_is_rejected(self, monkeypatch):
+        # a recipe point whose estimates overflow is scored, not refused, and
+        # loses to the fit
+        class Overflowing:
+            def to_coefficients(self, n):
+                return tuple(LinearCoefficients(np.full(n, 1e308), np.full(n, 1e308), 0.0) for _ in range(2))
+
+        monkeypatch.setattr(optimal, "solve_linear_two_agent", lambda moments, lam, n: Overflowing())
+        params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=60)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sel = select_linear_coefficients(params, 0.5, 10_000, np.random.default_rng(15))
+        assert not sel.closed_form_used
+        assert not np.isfinite(sel.closed_form_objective)
+        assert sel.closed_form_error is None
+        assert np.isfinite(sel.empirical_objective)

@@ -123,6 +123,11 @@ class TestTruthfulInterval:
         assert cell == Interval(0.0, 2.0)
         assert truthful_interval(1.0, 5, 5) == Interval(-1.0, 1.0)
 
+    @pytest.mark.parametrize("precision", [0, 6])
+    def test_precision_outside_one_to_x_max_refused(self, precision):
+        with pytest.raises(ValueError, match="precision"):
+            truthful_interval(0.3, precision, 5)
+
     def test_upper_edge(self):
         cell = truthful_interval(5.0, 5, 5)
         assert cell == Interval(3.0, 5.0)
@@ -394,6 +399,11 @@ class TestMakeTrials:
 
 
 class TestSampleBatch:
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_must_be_positive(self, size):
+        with pytest.raises(ValueError, match="size"):
+            sample_batch(params_for(), size, np.random.default_rng(0))
+
     def test_shapes(self):
         params = params_for(n=4, m=3, tau=1)
         batch = sample_batch(params, 500, np.random.default_rng(1))
