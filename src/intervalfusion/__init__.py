@@ -25,7 +25,7 @@ from .fusion import (
     gbi_bayes_weights,
     transition_profile,
 )
-from .metrics import AlgorithmSpec, MetricsReport, combine_objective, empirical_objective, evaluate
+from .metrics import AlgorithmSpec, MetricsReport, combine_objective, empirical_objective, evaluate, evaluate_taus
 from .optimal import (
     AmplitudeSolution,
     DirectionMoments,
@@ -55,6 +55,9 @@ from .scenario import (
     ScenarioParams,
     TrialBatch,
     TrialData,
+    TrialDraw,
+    draw_batch,
+    draw_trials,
     make_trial,
     make_trials,
     sample_batch,
@@ -85,12 +88,16 @@ __all__ = [
     "TransitionProfile",
     "TrialBatch",
     "TrialData",
+    "TrialDraw",
     "TwoAgentLinearSolution",
     "amplitude_solution",
     "combine_objective",
+    "draw_batch",
+    "draw_trials",
     "empirical_objective",
     "estimate_moments",
     "evaluate",
+    "evaluate_taus",
     "fit_linear_empirical",
     "fuse_bi",
     "fuse_bi_with_flag",

@@ -37,12 +37,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fusion import GbiWeights, coverage_rows, fuse_gbi, gbi_bayes_weights, gbi_rows
-from .metrics import AlgorithmSpec, combine_objective, evaluate
+# evaluate stays importable from this module: benchmarks/tracing.py wraps it here
+from .metrics import AlgorithmSpec, combine_objective, evaluate, evaluate_taus  # noqa: F401
 from .optimal import LinearSelection, select_linear_coefficients
 # posterior_mean_exact stays importable from this module: benchmarks/tracing.py wraps it here
 from .oracle import posterior_mean_exact, posterior_rows  # noqa: F401
 # make_trial stays importable from this module: benchmarks/tracing.py wraps it here
-from .scenario import _BLOCK_TRIALS, ScenarioParams, make_trial, make_trials  # noqa: F401
+from .scenario import _BLOCK_TRIALS, ScenarioParams, draw_trials, make_trial  # noqa: F401
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run_sweep", "run_oracle_check", "run_fit_linear", "main"]
 
@@ -238,8 +239,10 @@ def run_sweep(config: RunConfig) -> list[dict]:
 
     Linear fusers are fitted per (tau, lambda) via the cross-validated
     selection at any m >= 2; when the closed-form recipe was rejected, or not
-    run because m != 2, the row's flags field records fit_substituted.  All
-    algorithms at one tau share bit-identical trials.
+    run because m != 2, the row's flags field records fit_substituted.  Every
+    fit runs first; then one `evaluate_taus` pass draws each block of trials
+    once and masks it at every tau, so all algorithms at one tau share
+    bit-identical trials.  Rows come in tau order, then algorithm order.
     """
     plans = _parse_algorithms(config)
     if config.m < 2 and any(p.kind == "linear" for p in plans):
@@ -250,32 +253,33 @@ def run_sweep(config: RunConfig) -> list[dict]:
             if tau > config.n - 2:
                 raise ConfigError(f"field 'taus' entry {tau} exceeds n-2 = {config.n - 2}, "
                                   f"the bound for a marzullo selector")
+    if not plans:
+        return []
+    selections: dict[tuple[int, float], LinearSelection] = {}
+    for tau in config.taus:
+        for plan in plans:
+            if plan.kind == "linear" and (tau, plan.lam) not in selections:
+                selections[tau, plan.lam] = select_linear_coefficients(
+                    config.scenario(tau), plan.lam, config.moment_samples, _fit_rng(config.seed, tau, plan.lam)
+                )
+    specs = {
+        tau: [AlgorithmSpec(kind=plan.kind, label=plan.label, constant_value=plan.constant_value,
+                            coeffs=selections[tau, plan.lam].coeffs if plan.kind == "linear" else None)
+              for plan in plans]
+        for tau in config.taus
+    }
+    reports = evaluate_taus(specs, config.scenario(config.taus[0]), config.trials)
     header = _sweep_header(config)
     rows: list[dict] = []
     for tau in config.taus:
-        params = config.scenario(tau)
-        selections: dict[float, LinearSelection] = {}
-        for plan in plans:
-            if plan.kind == "linear" and plan.lam not in selections:
-                selections[plan.lam] = select_linear_coefficients(
-                    params, plan.lam, config.moment_samples, _fit_rng(config.seed, tau, plan.lam)
-                )
-        specs = [
-            AlgorithmSpec(kind=plan.kind, label=plan.label, constant_value=plan.constant_value,
-                          coeffs=selections[plan.lam].coeffs if plan.kind == "linear" else None)
-            for plan in plans
-        ]
-        if not specs:
-            continue
-        reports = evaluate(specs, params, config.trials)
-        for plan, report in zip(plans, reports):
+        for plan, report in zip(plans, reports[tau]):
             objective = None
             if plan.lam is not None:
                 objective, _ = combine_objective(report, plan.lam)
             flags = []
             if report.degenerate_count:
                 flags.append(f"degenerate={report.degenerate_count}")
-            if plan.kind == "linear" and not selections[plan.lam].closed_form_used:
+            if plan.kind == "linear" and not selections[tau, plan.lam].closed_form_used:
                 flags.append("fit_substituted")
             # each estimate is followed by its standard error, as in the header
             values = [
@@ -322,37 +326,38 @@ def run_oracle_check(
 ) -> tuple[float, list[tuple[int, int, int, float]]]:
     """Compare both GBI fusers against the exact posterior mean trial by trial.
 
-    Each tau's trials are checked in blocks of _BLOCK_TRIALS, one row of the
-    block's `TrialBatch.rows` per (trial, agent).  For one row, the deviation
-    is the larger of the enumerative fuser's and the region kernel gbi_rows's
+    The trials are drawn once, in blocks of _BLOCK_TRIALS, and each block is
+    masked at every tau in turn and checked, one row of the masked block's
+    `TrialBatch.rows` per (trial, agent).  For one row, the deviation is the
+    larger of the enumerative fuser's and the region kernel gbi_rows's
     distance from posterior_rows's mean; a non-finite deviation counts as inf.
-    The enumerative estimates of a block come from one call,
+    The enumerative estimates of a masked block come from one call,
     fuse_gbi(weight_fn(readings, tau)), with readings the rows as a (B, n, 2)
     stack, so weight_fn must return a stacked table with one row per row of
     readings.  Returns the largest deviation and the list of
-    (tau, trial, agent, deviation) entries exceeding 1e-9, in (trial, agent)
-    order.  weight_fn exists as a fault-injection hook for tests.
+    (tau, trial, agent, deviation) entries exceeding 1e-9, in (tau, trial,
+    agent) order with the taus in config order.  weight_fn exists as a
+    fault-injection hook for tests.
     """
     if config.n > 8:
         raise ConfigError(f"field 'n' must be <= 8 for oracle-check, which enumerates fault patterns; "
                           f"got n={config.n}")
     worst = 0.0
-    failures: list[tuple[int, int, int, float]] = []
-    for tau in config.taus:
-        params = config.scenario(tau)
-        for start in range(0, config.trials, _BLOCK_TRIALS):
-            batch = make_trials(params, start, min(start + _BLOCK_TRIALS, config.trials))
-            rows = batch.rows()
-            exact = posterior_rows(rows, params).means()
+    failures: dict[int, list[tuple[int, int, int, float]]] = {tau: [] for tau in config.taus}
+    for start in range(0, config.trials, _BLOCK_TRIALS):
+        draw = draw_trials(config.scenario(config.taus[0]), start, min(start + _BLOCK_TRIALS, config.trials))
+        for tau in config.taus:
+            rows = draw.at(tau).rows()
+            exact = posterior_rows(rows, config.scenario(tau)).means()
             regions, _ = gbi_rows(coverage_rows(rows), tau)
             weighted = fuse_gbi(weight_fn(np.stack([rows.lo, rows.hi], axis=2), tau))
             dev = np.maximum(np.abs(weighted - exact), np.abs(regions - exact))
             dev[~np.isfinite(dev)] = np.inf
             worst = max(worst, float(dev.max()))
-            dev = dev.reshape(config.m, batch.size).T
+            dev = dev.reshape(config.m, draw.size).T
             for trial, agent in np.argwhere(dev > 1e-9).tolist():
-                failures.append((tau, start + trial, agent, float(dev[trial, agent])))
-    return worst, failures
+                failures[tau].append((tau, start + trial, agent, float(dev[trial, agent])))
+    return worst, [entry for tau in config.taus for entry in failures[tau]]
 
 
 def run_fit_linear(config: RunConfig, lam: float) -> list[dict]:

@@ -1,27 +1,31 @@
 """Monte Carlo evaluation of fusers: squared error, inter-agent gap, objective.
 
-`evaluate` reports per-agent squared errors and per-pair gaps;
-`combine_objective` forms their weighted objective from a report, and
-`empirical_objective` forms it for linear fusers on a batch, on `evaluate`'s kernel.
+`evaluate_taus` reports per-agent squared errors and per-pair gaps for each
+tau of a sweep, and `evaluate` is its one-tau view; `combine_objective` forms
+their weighted objective from a report, and `empirical_objective` forms it
+for linear fusers on a batch, on the same kernel.
 
 All algorithms in a run see bit-identical trials: trial i is always row i of
-the stream `scenario.make_trials` numbers from the seed, so comparisons are
-paired and the result is independent of evaluation order or any partitioning
-of the trial range across workers.
+the stream `scenario.draw_trials` numbers from the seed, masked at the tau
+under evaluation, so comparisons are paired and the result is independent of
+evaluation order, of which other taus are evaluated in the same pass, or of
+any partitioning of the trial range across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import fusion
 from .fusion import LinearCoefficients
 # make_trial stays importable from this module: benchmarks/tracing.py wraps it here
-from .scenario import _BLOCK_TRIALS, ScenarioParams, TrialBatch, make_trial, make_trials  # noqa: F401
+from .scenario import _BLOCK_TRIALS, ScenarioParams, TrialBatch, draw_trials, make_trial  # noqa: F401
 
-__all__ = ["AlgorithmSpec", "MetricsReport", "evaluate", "combine_objective", "empirical_objective"]
+__all__ = ["AlgorithmSpec", "MetricsReport", "evaluate", "evaluate_taus", "combine_objective",
+           "empirical_objective"]
 
 _KINDS = ("marzullo", "bi", "gbi_oneopt", "linear", "constant")
 
@@ -190,26 +194,13 @@ def empirical_objective(
     # _block_estimates would leave the rows of agents without coefficients unset
     if len(coeffs) != m:
         raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
-    estimates, _ = _block_estimates([AlgorithmSpec.linear(coeffs)], batch, tau=0)  # linear fusers read no tau
-    sq_err, gap_sq = _score(batch.x, estimates[0], np.triu_indices(m, 1))
-    return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates, _ = _block_estimates([AlgorithmSpec.linear(coeffs)], batch, tau=0)  # linear fusers read no tau
+        sq_err, gap_sq = _score(batch.x, estimates[0], np.triu_indices(m, 1))
+        return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
 
 
-def evaluate(
-    algos: list[AlgorithmSpec] | tuple[AlgorithmSpec, ...],
-    params: ScenarioParams,
-    trials: int,
-) -> list[MetricsReport]:
-    """Evaluate every algorithm on the same `trials` generated trials.
-
-    Trials 0..trials-1 of the stream rooted at params.seed (common random
-    numbers) are drawn in blocks of _BLOCK_TRIALS, and every algorithm fuses
-    a whole block at once; a trial's values never depend on the block it
-    falls in.  Every report carries its per-trial arrays as views.  A
-    non-finite estimate raises ValueError naming the algorithm and tau.
-    """
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials for meaningful statistics, got {trials}")
+def _check_specs(algos: Sequence[AlgorithmSpec], params: ScenarioParams) -> None:
     labels = [spec.label for spec in algos]
     if len(set(labels)) != len(labels):
         raise ValueError(f"algorithm labels must be unique, got {labels}")
@@ -224,39 +215,84 @@ def evaluate(
                 f"for {params.m} agents"
             )
 
+
+def evaluate_taus(
+    specs: Mapping[int, Sequence[AlgorithmSpec]],
+    params: ScenarioParams,
+    trials: int,
+) -> dict[int, list[MetricsReport]]:
+    """Evaluate each tau's algorithms on the same `trials` generated trials.
+
+    specs maps each tau to its algorithms; params gives every other field of
+    the scenario, and its own tau is not read.  Trials 0..trials-1 of the
+    stream rooted at params.seed (common random numbers) are drawn once, in
+    chunks of two substream blocks; each chunk is masked at every tau in
+    turn, and every algorithm of that tau fuses the whole chunk at once.  A
+    trial's values never depend on the chunk it falls in, and the chunks do
+    not depend on the taus, so each tau's reports equal `evaluate`'s at that
+    tau bit for bit.  Every report carries its per-trial arrays as views.
+    Every check runs before the first trial is drawn; a non-finite estimate
+    raises ValueError naming the algorithm and tau.
+    """
+    if trials < 100:
+        raise ValueError(f"need at least 100 trials for meaningful statistics, got {trials}")
+    for tau, algos in specs.items():
+        _check_specs(algos, replace(params, tau=tau))
+
     m = params.m
     pairs = np.triu_indices(m, 1)
-    n_alg = len(algos)
-    sq_err = np.empty((n_alg, m, trials))
-    gap_sq = np.empty((n_alg, pairs[0].size, trials))
-    degenerate = np.zeros(n_alg, dtype=int)
+    sq_err = {tau: np.empty((len(algos), m, trials)) for tau, algos in specs.items()}
+    gap_sq = {tau: np.empty((len(algos), pairs[0].size, trials)) for tau, algos in specs.items()}
+    degenerate = {tau: np.zeros(len(algos), dtype=int) for tau, algos in specs.items()}
 
-    for start in range(0, trials, _BLOCK_TRIALS):
-        stop = min(start + _BLOCK_TRIALS, trials)
-        batch = make_trials(params, start, stop)
-        estimates, flagged = _block_estimates(algos, batch, params.tau)
-        if not np.isfinite(estimates).all():
-            bad = algos[int(np.argmin(np.isfinite(estimates).all(axis=(1, 2))))]
-            raise ValueError(f"algorithm {bad.label!r} gave a non-finite estimate at tau={params.tau}")
-        degenerate += flagged
-        sq_err[:, :, start:stop], gap_sq[:, :, start:stop] = _score(batch.x, estimates, pairs)
+    # two substream blocks per kernel call: fewer numpy calls per trial than
+    # one, while the kernel's (rows, n, 2n) coverage temporaries stay small
+    chunk = 2 * _BLOCK_TRIALS
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        draw = draw_trials(params, start, stop)
+        for tau, algos in specs.items():
+            batch = draw.at(tau)
+            estimates, flagged = _block_estimates(algos, batch, tau)
+            if not np.isfinite(estimates).all():
+                bad = algos[int(np.argmin(np.isfinite(estimates).all(axis=(1, 2))))]
+                raise ValueError(f"algorithm {bad.label!r} gave a non-finite estimate at tau={tau}")
+            degenerate[tau] += flagged
+            sq_err[tau][:, :, start:stop], gap_sq[tau][:, :, start:stop] = _score(batch.x, estimates, pairs)
 
-    mse, mse_se = _mean_stderr(sq_err)
-    cns, cns_se = _mean_stderr(gap_sq)
     pair_list = tuple(zip(pairs[0].tolist(), pairs[1].tolist()))
-    return [
-        MetricsReport(
-            algorithm=spec.label,
-            tau=params.tau,
-            mse=mse[a],
-            mse_stderr=mse_se[a],
-            cns=cns[a],
-            cns_stderr=cns_se[a],
-            pairs=pair_list,
-            trials=trials,
-            degenerate_count=int(degenerate[a]),
-            sq_err=sq_err[a],
-            pair_gap_sq=gap_sq[a],
-        )
-        for a, spec in enumerate(algos)
-    ]
+    reports = {}
+    for tau, algos in specs.items():
+        mse, mse_se = _mean_stderr(sq_err[tau])
+        cns, cns_se = _mean_stderr(gap_sq[tau])
+        reports[tau] = [
+            MetricsReport(
+                algorithm=spec.label,
+                tau=tau,
+                mse=mse[a],
+                mse_stderr=mse_se[a],
+                cns=cns[a],
+                cns_stderr=cns_se[a],
+                pairs=pair_list,
+                trials=trials,
+                degenerate_count=int(degenerate[tau][a]),
+                sq_err=sq_err[tau][a],
+                pair_gap_sq=gap_sq[tau][a],
+            )
+            for a, spec in enumerate(algos)
+        ]
+    return reports
+
+
+def evaluate(
+    algos: list[AlgorithmSpec] | tuple[AlgorithmSpec, ...],
+    params: ScenarioParams,
+    trials: int,
+) -> list[MetricsReport]:
+    """Evaluate every algorithm on the same `trials` generated trials at params.tau.
+
+    The one-tau view of `evaluate_taus`: trials 0..trials-1 of the stream
+    rooted at params.seed (common random numbers), with the same checks and
+    errors.
+    """
+    return evaluate_taus({params.tau: algos}, params, trials)[params.tau]

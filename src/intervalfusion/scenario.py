@@ -9,11 +9,19 @@ sends each agent an independent fresh draw from the truthful marginal law
 (independent precision, independent phantom target), so its readings carry no
 information about the target and are mutually independent across agents.
 
-`sample_batch` is the one implementation of this law.  `make_trials` numbers
-the trials of the stream rooted at a seed: with B = 128 trials per block,
-trial t is row t % B of block t // B, and block b is `sample_batch` drawn
-from the substream derived from (seed, b), so a trial never depends on which
-other trials are drawn or how a range of trials is split.  `make_trial` is one trial as `Interval` objects.
+`draw_batch` is the one implementation of this law.  It draws a `TrialDraw`,
+which holds everything but tau: a random rank of the sensors, the target, the
+truthful cells and a phantom cell for every (sensor, agent) slot.  Its
+`at(tau)` marks the tau first-ranked sensors faulty and masks their phantom
+cells in, so one draw serves every tau, and the faulty sets of a draw are
+nested in tau.  `sample_batch` is `draw_batch` at params.tau.
+
+`draw_trials` numbers the trials of the stream rooted at a seed: with B = 128
+trials per block, trial t is row t % B of block t // B, and block b is
+`draw_batch` on the substream derived from (seed, b), so a trial never
+depends on which other trials are drawn or how a range of trials is split,
+nor on tau beyond its mask.  `make_trials` is `draw_trials` at params.tau,
+and `make_trial` is one trial as `Interval` objects.
 
 The fusers and the oracle take B agents' readings as `ReadingRows`, built
 by `ReadingRows.of` from one agent's readings, by `ReadingRows.of_stack` from
@@ -34,9 +42,12 @@ __all__ = [
     "FaultPattern",
     "TrialData",
     "TrialBatch",
+    "TrialDraw",
     "truthful_interval",
     "make_trial",
     "make_trials",
+    "draw_batch",
+    "draw_trials",
     "sample_batch",
     "ReadingRows",
 ]
@@ -44,9 +55,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # trials per substream block.  A block is drawn whole, so this is also the
-# cost of one make_trial call and the batch evaluate fuses at once: large
-# enough to amortise numpy call overhead, small enough that the (rows, n, 2n)
-# coverage temporaries stay a few MB at n=16
+# cost of one make_trial call; callers fuse whole blocks at a time (evaluate
+# two, oracle-check one), so that numpy call overhead is amortised while the
+# (rows, n, 2n) coverage temporaries stay a few MB at n=16
 _BLOCK_TRIALS = 128
 
 
@@ -111,10 +122,6 @@ class FaultPattern:
     """Boolean fault flags, one per sensor."""
 
     flags: tuple[bool, ...]
-
-    @property
-    def faulty_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.flags) if f)
 
     @property
     def faulty_count(self) -> int:
@@ -188,19 +195,54 @@ def _cells_from_targets(x: np.ndarray, prec: np.ndarray, x_max: int) -> tuple[np
     return lo, hi
 
 
-def sample_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> TrialBatch:
-    """Draw `size` independent trials as arrays.
+@dataclass(frozen=True)
+class TrialDraw:
+    """Trials drawn without a fault count; `at(tau)` makes them a `TrialBatch`.
 
-    Faulty slots are drawn for every (trial, sensor, agent) and masked in,
-    which leaves the joint law the one the module docstring states.
+    order has shape (size, n), a random rank of each trial's sensors; the
+    tau sensors ranked first are faulty.  x has shape (size,), precisions and
+    true_lo/true_hi (size, n): the truthful cells.  fake_lo/fake_hi have shape
+    (size, n, m): the phantom cell of every (sensor, agent) slot, sent when
+    the sensor is faulty.
+    """
+
+    order: np.ndarray
+    x: np.ndarray
+    precisions: np.ndarray
+    true_lo: np.ndarray
+    true_hi: np.ndarray
+    fake_lo: np.ndarray
+    fake_hi: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.x.shape[0]
+
+    def at(self, tau: int) -> TrialBatch:
+        """These trials with their tau first-ranked sensors faulty."""
+        n = self.order.shape[1]
+        if not 0 <= tau < n:
+            raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
+        faulty = np.zeros(self.order.shape, dtype=bool)
+        np.put_along_axis(faulty, self.order[:, :tau], True, axis=1)
+        mask = faulty[:, :, None]
+        lo = np.where(mask, self.fake_lo, self.true_lo[:, :, None])
+        hi = np.where(mask, self.fake_hi, self.true_hi[:, :, None])
+        return TrialBatch(x=self.x, lo=lo, hi=hi, faulty=faulty, precisions=self.precisions)
+
+
+def draw_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> TrialDraw:
+    """Draw `size` independent trials of every fault count; params.tau is not read.
+
+    Faulty slots are drawn for every (trial, sensor, agent) and masked in by
+    `TrialDraw.at`, which leaves the joint law the one the module docstring
+    states at every tau.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     n, m, x_max = params.n, params.m, params.x_max
 
     order = np.argsort(rng.random((size, n)), axis=1)
-    faulty = np.zeros((size, n), dtype=bool)
-    np.put_along_axis(faulty, order[:, : params.tau], True, axis=1)
 
     precisions = rng.integers(1, x_max + 1, size=(size, n))
     x = rng.uniform(-x_max, x_max, size=size)
@@ -210,33 +252,40 @@ def sample_batch(params: ScenarioParams, size: int, rng: np.random.Generator) ->
     fake_prec = rng.integers(1, x_max + 1, size=(size, n, m))
     phantom = rng.uniform(-x_max, x_max, size=(size, n, m))
     fake_lo, fake_hi = _cells_from_targets(phantom, fake_prec, x_max)
-
-    mask = faulty[:, :, None]
-    lo = np.where(mask, fake_lo, true_lo[:, :, None])
-    hi = np.where(mask, fake_hi, true_hi[:, :, None])
-    return TrialBatch(x=x, lo=lo, hi=hi, faulty=faulty, precisions=precisions)
+    return TrialDraw(order=order, x=x, precisions=precisions, true_lo=true_lo, true_hi=true_hi,
+                     fake_lo=fake_lo, fake_hi=fake_hi)
 
 
-def _block(params: ScenarioParams, index: int) -> TrialBatch:
+def sample_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> TrialBatch:
+    """Draw `size` independent trials as arrays: `draw_batch` at params.tau."""
+    return draw_batch(params, size, rng).at(params.tau)
+
+
+def _block(params: ScenarioParams, index: int) -> TrialDraw:
     rng = np.random.default_rng(np.random.SeedSequence((params.seed & _MASK64, index)))
-    return sample_batch(params, _BLOCK_TRIALS, rng)
+    return draw_batch(params, _BLOCK_TRIALS, rng)
 
 
-def make_trials(params: ScenarioParams, start: int, stop: int) -> TrialBatch:
-    """Trials start..stop-1 of the stream rooted at params.seed, as arrays.
+def draw_trials(params: ScenarioParams, start: int, stop: int) -> TrialDraw:
+    """Trials start..stop-1 of the stream rooted at params.seed, at every fault count.
 
     Row t - start is trial t, the same values whatever the range: it is cut
-    from the substream block that holds trial t.
+    from the substream block that holds trial t.  params.tau is not read.
     """
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
     first = start // _BLOCK_TRIALS
     blocks = [_block(params, b) for b in range(first, (stop - 1) // _BLOCK_TRIALS + 1)]
     rows = slice(start - first * _BLOCK_TRIALS, stop - first * _BLOCK_TRIALS)
-    return TrialBatch(**{
+    return TrialDraw(**{
         f.name: np.concatenate([getattr(block, f.name) for block in blocks])[rows]
-        for f in fields(TrialBatch)
+        for f in fields(TrialDraw)
     })
+
+
+def make_trials(params: ScenarioParams, start: int, stop: int) -> TrialBatch:
+    """Trials start..stop-1 of the stream rooted at params.seed, as arrays: `draw_trials` at params.tau."""
+    return draw_trials(params, start, stop).at(params.tau)
 
 
 def make_trial(params: ScenarioParams, trial_index: int) -> TrialData:

@@ -1,4 +1,9 @@
-"""Shared reference computations for solver tests.
+"""Shared reference computations for the tests.
+
+The trial generator and evaluation loop here are literal copies of the
+one-tau-at-a-time code the package replaced, kept as references: a trial
+block drawn with its fault count, and `evaluate` drawing every block again
+at each tau and fusing one 128-trial block per kernel call.
 
 The quadratic objective here is reconstructed from direction moments alone,
 independently of the solver code: with unit-variance zero-mean directions
@@ -13,7 +18,67 @@ of gap over unordered pairs.
 
 import numpy as np
 
-from intervalfusion import DirectionMoments
+from intervalfusion import DirectionMoments, TrialBatch, metrics
+
+
+def _reference_cells(x, prec, x_max):
+    u = (x + x_max) * prec / (2.0 * x_max)
+    d = np.minimum(np.maximum(np.ceil(u), 1), prec)
+    lo = -x_max + (d - 1) * (2.0 * x_max) / prec
+    hi = -x_max + d * (2.0 * x_max) / prec
+    return lo, hi
+
+
+def reference_sample_batch(params, size, rng):
+    """`size` trials at params.tau, drawn as the one-tau generator drew them."""
+    n, m, x_max = params.n, params.m, params.x_max
+
+    order = np.argsort(rng.random((size, n)), axis=1)
+    faulty = np.zeros((size, n), dtype=bool)
+    np.put_along_axis(faulty, order[:, : params.tau], True, axis=1)
+
+    precisions = rng.integers(1, x_max + 1, size=(size, n))
+    x = rng.uniform(-x_max, x_max, size=size)
+
+    true_lo, true_hi = _reference_cells(x[:, None], precisions, x_max)
+
+    fake_prec = rng.integers(1, x_max + 1, size=(size, n, m))
+    phantom = rng.uniform(-x_max, x_max, size=(size, n, m))
+    fake_lo, fake_hi = _reference_cells(phantom, fake_prec, x_max)
+
+    mask = faulty[:, :, None]
+    lo = np.where(mask, fake_lo, true_lo[:, :, None])
+    hi = np.where(mask, fake_hi, true_hi[:, :, None])
+    return TrialBatch(x=x, lo=lo, hi=hi, faulty=faulty, precisions=precisions)
+
+
+def reference_trials(params, start, stop):
+    """Trials start..stop-1 at params.tau: block b is drawn from the substream (seed, b)."""
+    blocks = [
+        reference_sample_batch(params, 128, np.random.default_rng(np.random.SeedSequence((params.seed & (2**64 - 1), b))))
+        for b in range(start // 128, (stop - 1) // 128 + 1)
+    ]
+    rows = slice(start - start // 128 * 128, stop - start // 128 * 128)
+    return TrialBatch(**{
+        name: np.concatenate([getattr(block, name) for block in blocks])[rows]
+        for name in ("x", "lo", "hi", "faulty", "precisions")
+    })
+
+
+def reference_evaluate(algos, params, trials):
+    """Per-trial sq_err, pair gaps and degenerate counts at params.tau, one 128-trial block at a time."""
+    m = params.m
+    pairs = np.triu_indices(m, 1)
+    sq_err = np.empty((len(algos), m, trials))
+    gap_sq = np.empty((len(algos), pairs[0].size, trials))
+    degenerate = np.zeros(len(algos), dtype=int)
+    for start in range(0, trials, 128):
+        stop = min(start + 128, trials)
+        batch = reference_trials(params, start, stop)
+        estimates, flagged = metrics._block_estimates(algos, batch, params.tau)
+        degenerate += flagged
+        sq_err[:, :, start:stop], gap_sq[:, :, start:stop] = metrics._score(batch.x, estimates, pairs)
+    return sq_err, gap_sq, degenerate
 
 
 def random_direction_moments(rng, m):

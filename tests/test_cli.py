@@ -324,7 +324,7 @@ class TestSweep:
             raise AssertionError("the sweep fitted or evaluated before refusing the config")
 
         monkeypatch.setattr(cli, "select_linear_coefficients", no_work)
-        monkeypatch.setattr(cli, "evaluate", no_work)
+        monkeypatch.setattr(cli, "evaluate_taus", no_work)
         with pytest.raises(ConfigError, match="'taus'"):
             run_sweep(config)
         assert main(["sweep", "--config", path]) == 2
@@ -376,7 +376,8 @@ class TestOracleCheck:
         assert dev > 1e-9
 
     def test_one_weight_call_per_block(self, tmp_path):
-        # the hook sees each 128-trial block once, as a (B, n, 2) stack
+        # the hook sees each 128-trial block once per tau, as a (B, n, 2)
+        # stack: the block is drawn once and masked at every tau in turn
         calls = []
 
         def counting(readings, tau):
@@ -386,7 +387,7 @@ class TestOracleCheck:
         path, _ = write_config(tmp_path, n=4, taus=[1, 2], trials=150)
         config = load_config(path)
         assert run_oracle_check(config, weight_fn=counting) == run_oracle_check(config)
-        assert calls == [(tau, (rows, 4, 2)) for tau in (1, 2) for rows in (256, 44)]
+        assert calls == [(tau, (rows, 4, 2)) for rows in (256, 44) for tau in (1, 2)]
 
     def test_one_corrupted_row_named(self, tmp_path):
         # shifting one row's midpoints in the second block of tau 2 must flag
@@ -419,6 +420,23 @@ class TestOracleCheck:
         assert [entry[:3] for entry in failures] == [(1, 5, 1), (1, 9, 0)]
         assert [entry[3] for entry in failures] == pytest.approx([1e-6, 2e-6], rel=1e-6)
         assert worst == failures[1][3]
+
+    @pytest.mark.parametrize("taus", [[1, 2], [2, 1]])
+    def test_failures_listed_by_tau_then_trial(self, tmp_path, taus):
+        # a fault at both taus in both blocks: each block is checked at every
+        # tau before the next block is drawn, but the list runs tau by tau,
+        # in config order; row 9 of the first block is agent 0 of trial 9,
+        # row 22 + 3 of the second (22 trials) agent 1 of trial 131
+        def corrupt(readings, tau):
+            w = gbi_bayes_weights(readings, tau)
+            w.midpoints[9 if readings.shape[0] == 256 else 22 + 3] += 1e-6
+            return w
+
+        path, _ = write_config(tmp_path, n=4, taus=taus, trials=150)
+        worst, failures = run_oracle_check(load_config(path), weight_fn=corrupt)
+        assert [entry[:3] for entry in failures] == [(tau, trial, agent) for tau in taus
+                                                     for trial, agent in ((9, 0), (131, 1))]
+        assert [entry[3] for entry in failures] == pytest.approx([1e-6] * 4, rel=1e-6)
 
     def test_shifted_midpoints_detected(self, tmp_path):
         # negative control: every row's midpoints off by 1e-6 fails every row
@@ -581,25 +599,27 @@ class TestRowChecks:
         return shapes
 
     def test_once_per_block_in_a_sweep(self, tmp_path, checks):
-        # sweep-eval's shape: 7 taus of 4 blocks each
+        # sweep-eval's shape: 2 kernel blocks of up to 256 trials, each masked
+        # at 7 taus
         path, _ = write_config(tmp_path, n=10, taus=[1, 2, 3, 4, 5, 6, 7],
                                algorithms=["marzullo", "bi", "gbi_oneopt"], trials=500)
         run_sweep(load_config(path))
-        assert len(checks) == 28
-        assert checks == [(2 * size, 10) for _ in range(7) for size in (128, 128, 128, 116)]
+        assert len(checks) == 14
+        assert checks == [(2 * size, 10) for size in (256, 244) for _ in range(7)]
 
     def test_agent_slices_not_checked_again(self, checks):
         params = ScenarioParams(n=5, m=3, tau=1, x_max=5, seed=12)
         coeffs = tuple(LinearCoefficients(np.full(5, 0.1), np.full(5, 0.1), 0.0) for _ in range(3))
         evaluate([AlgorithmSpec.marzullo(), AlgorithmSpec.linear(coeffs), AlgorithmSpec.constant(0.5)],
                  params, 300)
-        assert checks == [(3 * 128, 5), (3 * 128, 5), (3 * 44, 5)]
+        assert checks == [(3 * 256, 5), (3 * 44, 5)]
 
     def test_twice_per_block_in_an_oracle_check(self, tmp_path, checks):
-        # oracle-check's shape: 6 taus of 3 blocks each; the block's rows and
-        # the (B, n, 2) stack weight_fn receives are each checked once
+        # oracle-check's shape: 3 blocks, each masked at 6 taus; the masked
+        # block's rows and the (B, n, 2) stack weight_fn receives are each
+        # checked once
         path, _ = write_config(tmp_path, n=8, taus=[1, 2, 3, 4, 5, 6], trials=300)
         worst, failures = run_oracle_check(load_config(path))
         assert not failures
         assert len(checks) == 36
-        assert checks == [shape for _ in range(6) for size in (128, 128, 44) for shape in [(2 * size, 8)] * 2]
+        assert checks == [shape for size in (128, 128, 44) for _ in range(6) for shape in [(2 * size, 8)] * 2]

@@ -16,9 +16,12 @@ from intervalfusion import (
     combine_objective,
     empirical_objective,
     evaluate,
+    evaluate_taus,
     make_trials,
     posterior_mean_exact,
 )
+
+from helpers import reference_evaluate
 
 
 def midpoint_coeffs(n):
@@ -141,7 +144,7 @@ class TestEvaluate:
         def no_trials(*args):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(metrics, "make_trials", no_trials)
+        monkeypatch.setattr(metrics, "draw_trials", no_trials)
         params = ScenarioParams(n=5, m=2, tau=4, x_max=5, seed=73)
         with pytest.raises(ValueError, match="tau"):
             evaluate([AlgorithmSpec.bi(), AlgorithmSpec.marzullo()], params, 100)
@@ -216,6 +219,96 @@ class TestEvaluate:
             evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 200)
 
 
+class TestEvaluateTaus:
+    """One pass over the trials for every tau equals evaluating each tau alone."""
+
+    @staticmethod
+    def specs_for(tau, m):
+        # linear coefficients that differ per tau, as a sweep's fits do
+        rng = np.random.default_rng(tau)
+        coeffs = tuple(
+            LinearCoefficients(rng.normal(scale=0.1, size=6), rng.normal(scale=0.1, size=6), float(rng.normal()))
+            for _ in range(m)
+        )
+        return [
+            AlgorithmSpec.marzullo(),
+            AlgorithmSpec.bi(),
+            AlgorithmSpec.gbi_oneopt(),
+            AlgorithmSpec.linear(coeffs),
+            AlgorithmSpec.constant(0.25 * tau),
+        ]
+
+    @pytest.mark.parametrize("trials", [100, 129, 300, 500])
+    def test_equals_per_tau_block_reference(self, trials, monkeypatch):
+        real_bi_rows = fusion.bi_rows
+
+        def value_flagged(cov, tau):
+            # flags that follow the row's values, not its position in a block
+            values, flags = real_bi_rows(cov, tau)
+            return values, flags | (np.floor(values * 16) % 5 == 0)
+
+        monkeypatch.setattr(fusion, "bi_rows", value_flagged)
+        params = ScenarioParams(n=6, m=3, tau=0, x_max=5, seed=78)
+        specs = {tau: self.specs_for(tau, 3) for tau in (3, 0, 4, 1)}
+        reports = evaluate_taus(specs, params, trials)
+        assert list(reports) == [3, 0, 4, 1]
+        # the reference fuses the last trial of 129 alone, and numpy sends a
+        # one-row matmul to BLAS's dot rather than its gemv, which rounds
+        # differently; the pass fuses it with 128 others
+        alone = trials % 128 == 1 and trials % 256 != 1
+        for tau, algos in specs.items():
+            sq_err, gap_sq, degenerate = reference_evaluate(algos, dataclasses.replace(params, tau=tau), trials)
+            assert degenerate[1] > 0
+            for a, report in enumerate(reports[tau]):
+                assert report.tau == tau and report.algorithm == algos[a].label
+                exact = slice(None, -1) if alone and algos[a].kind == "linear" else slice(None)
+                assert np.array_equal(report.sq_err[:, exact], sq_err[a][:, exact])
+                assert np.array_equal(report.pair_gap_sq[:, exact], gap_sq[a][:, exact])
+                assert np.allclose(report.sq_err, sq_err[a], rtol=1e-12, atol=0)
+                assert np.allclose(report.pair_gap_sq, gap_sq[a], rtol=1e-12, atol=1e-12)
+                assert report.degenerate_count == degenerate[a]
+
+    def test_one_tau_view_equals_its_tau_of_the_pass(self):
+        params = ScenarioParams(n=6, m=2, tau=0, x_max=5, seed=79)
+        specs = {tau: self.specs_for(tau, 2) for tau in range(5)}
+        reports = evaluate_taus(specs, params, 300)
+        for tau, algos in specs.items():
+            alone = evaluate(algos, dataclasses.replace(params, tau=tau), 300)
+            for a, b in zip(alone, reports[tau]):
+                for f in dataclasses.fields(a):
+                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (tau, f.name)
+
+    @pytest.mark.parametrize("specs, match", [
+        ({1: [AlgorithmSpec.bi()], 4: [AlgorithmSpec.marzullo()]}, "marzullo"),
+        ({1: [AlgorithmSpec.bi()], 5: [AlgorithmSpec.bi()]}, "tau"),
+        ({1: [AlgorithmSpec.bi()], 2: [AlgorithmSpec.bi(), AlgorithmSpec.bi()]}, "unique"),
+    ])
+    def test_every_tau_checked_before_any_trial(self, specs, match, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(metrics, "draw_trials", no_trials)
+        params = ScenarioParams(n=5, m=2, tau=0, x_max=5, seed=80)
+        with pytest.raises(ValueError, match=match):
+            evaluate_taus(specs, params, 100)
+
+    def test_non_finite_estimate_names_its_tau(self, monkeypatch):
+        real_gbi_rows = fusion.gbi_rows
+
+        def nan_at_tau_three(cov, tau):
+            values, flags = real_gbi_rows(cov, tau)
+            if tau == 3:
+                values, flags = values.copy(), flags.copy()
+                values[3], flags[3] = np.nan, False
+            return values, flags
+
+        monkeypatch.setattr(fusion, "gbi_rows", nan_at_tau_three)
+        params = ScenarioParams(n=5, m=2, tau=0, x_max=5, seed=81)
+        specs = {tau: [AlgorithmSpec.gbi_oneopt()] for tau in (1, 2, 3)}
+        with pytest.raises(ValueError, match=r"'gbi_oneopt'.*tau=3"):
+            evaluate_taus(specs, params, 200)
+
+
 class TestCombineObjective:
     def test_matches_direct_evaluation(self):
         # the mean and standard error of the per-trial objective, by hand
@@ -274,5 +367,4 @@ class TestEmpiricalObjective:
         )
         huge = LinearCoefficients(np.zeros(5), np.full(5, 1e308), 0.0)
         coeffs = (huge, midpoint_coeffs(5)[1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert empirical_objective(batch, coeffs, 0.5) == np.inf
+        assert empirical_objective(batch, coeffs, 0.5) == np.inf

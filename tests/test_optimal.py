@@ -850,8 +850,7 @@ class TestSelectLinearCoefficients:
 
         monkeypatch.setattr(optimal, "solve_linear_two_agent", lambda moments, lam, n: Overflowing())
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=60)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sel = select_linear_coefficients(params, 0.5, 10_000, np.random.default_rng(15))
+        sel = select_linear_coefficients(params, 0.5, 10_000, np.random.default_rng(15))
         assert not sel.closed_form_used
         assert not np.isfinite(sel.closed_form_objective)
         assert sel.closed_form_error is None

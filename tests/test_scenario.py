@@ -1,5 +1,6 @@
 """Trial generator: cell geometry, fault law, determinism; the package's exports."""
 
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -13,12 +14,15 @@ import intervalfusion
 from intervalfusion import (
     Interval,
     ScenarioParams,
+    draw_trials,
     make_trial,
     make_trials,
     sample_batch,
     truthful_interval,
 )
 from intervalfusion.scenario import FaultPattern, TrialData
+
+from helpers import reference_sample_batch, reference_trials
 
 
 def params_for(n=5, m=2, tau=1, x_max=5, seed=1234):
@@ -323,15 +327,6 @@ def _trial_view(batch, row):
                      precisions=tuple(int(p) for p in batch.precisions[row]))
 
 
-def _reference_blocks(params, count):
-    """The documented layout: block b is sample_batch on the substream (seed, b)."""
-    blocks = [
-        sample_batch(params, 128, np.random.default_rng(np.random.SeedSequence((params.seed & (2**64 - 1), b))))
-        for b in range(count)
-    ]
-    return {name: np.concatenate([getattr(b, name) for b in blocks]) for name in _FIELDS}
-
-
 class TestMakeTrials:
     @pytest.mark.parametrize(
         "n,m,tau,x_max",
@@ -340,18 +335,17 @@ class TestMakeTrials:
     def test_rows_match_reference_bit_for_bit(self, n, m, tau, x_max):
         params = params_for(n=n, m=m, tau=tau, x_max=x_max, seed=91)
         start, stop = 120, 265
-        reference = _reference_blocks(params, 3)
+        reference = reference_trials(params, start, stop)
         batch = make_trials(params, start, stop)
         assert batch.lo.shape == batch.hi.shape == (stop - start, n, m)
         for name in _FIELDS:
-            assert np.array_equal(getattr(batch, name), reference[name][start:stop])
+            assert np.array_equal(getattr(batch, name), getattr(reference, name))
         for t in (127, 128, 255, 256):
             assert make_trial(params, t) == _trial_view(batch, t - start)
 
     def test_negative_seed_uses_its_64_bit_pattern(self):
         params = params_for(seed=-5)
-        reference = _reference_blocks(params, 1)
-        assert np.array_equal(make_trials(params, 0, 128).lo, reference["lo"])
+        assert np.array_equal(make_trials(params, 0, 128).lo, reference_trials(params, 0, 128).lo)
 
     def test_range_split_independent(self):
         params = params_for(n=6, m=2, tau=2, seed=92)
@@ -396,6 +390,49 @@ class TestMakeTrials:
         assert np.allclose(width, 2.0 * x_max / d, rtol=0, atol=1e-12)
         slot = (batch.lo + x_max) / width
         assert np.allclose(slot, np.round(slot), rtol=0, atol=1e-9)
+
+
+class TestDrawTrials:
+    """One draw serves every tau: re-masked, it is the one-tau generator's stream."""
+
+    @pytest.mark.parametrize("n,m", [(10, 2), (16, 3)])
+    def test_remasked_draw_equals_one_tau_reference(self, n, m):
+        # a range that starts and ends inside a block
+        params = params_for(n=n, m=m, tau=0, seed=94)
+        start, stop = 120, 400
+        draw = draw_trials(params, start, stop)
+        assert draw.size == stop - start
+        for tau in range(n):
+            at_tau = dataclasses.replace(params, tau=tau)
+            reference = reference_trials(at_tau, start, stop)
+            for batch in (draw.at(tau), make_trials(at_tau, start, stop)):
+                for name in _FIELDS:
+                    got, want = getattr(batch, name), getattr(reference, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (tau, name)
+
+    @pytest.mark.parametrize("tau", [0, 3, 9])
+    def test_sample_batch_equals_one_tau_reference(self, tau):
+        params = params_for(n=10, m=3, tau=tau, seed=95)
+        batch = sample_batch(params, 300, np.random.default_rng(5))
+        reference = reference_sample_batch(params, 300, np.random.default_rng(5))
+        for name in _FIELDS:
+            got, want = getattr(batch, name), getattr(reference, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_faulty_sets_nested_in_tau(self):
+        draw = draw_trials(params_for(n=8), 0, 200)
+        previous = draw.at(0).faulty
+        for tau in range(1, 8):
+            faulty = draw.at(tau).faulty
+            assert (faulty.sum(axis=1) == tau).all()
+            assert (faulty >= previous).all()
+            previous = faulty
+
+    @pytest.mark.parametrize("tau", [-1, 5])
+    def test_at_refuses_tau_outside_range(self, tau):
+        draw = draw_trials(params_for(n=5), 0, 10)
+        with pytest.raises(ValueError, match="tau"):
+            draw.at(tau)
 
 
 class TestSampleBatch:
