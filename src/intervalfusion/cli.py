@@ -375,8 +375,8 @@ def run_fit_linear(config: RunConfig, lam: float) -> list[dict]:
             {
                 "tau": tau,
                 "lambda": lam,
-                "eps": [np.asarray(c.eps).tolist() for c in selection.coeffs],
-                "delta": [np.asarray(c.delta).tolist() for c in selection.coeffs],
+                "eps": [c.eps.tolist() for c in selection.coeffs],
+                "delta": [c.delta.tolist() for c in selection.coeffs],
                 "gamma": [c.gamma for c in selection.coeffs],
                 "closed_form_used": selection.closed_form_used,
                 "closed_form_objective": selection.closed_form_objective,

@@ -148,16 +148,14 @@ def bi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     _check_tau(tau, n)
     counts = cov.counts
     top = counts.max(axis=1)
-    qualified = counts >= n - tau
-    degenerate = ~qualified.any(axis=1)
+    degenerate = top < n - tau
     # a degenerate row uses its maximal-coverage regions instead; a row where
     # nothing covers any open region (top 0) uses none of its gaps
-    uncovered = top == 0
-    qualified[degenerate] = (counts[degenerate] == top[degenerate, None]) & ~uncovered[degenerate, None]
-    rows, regions = np.nonzero(qualified)
+    rows, regions = np.nonzero((counts >= np.minimum(top, n - tau)[:, None]) & (counts > 0))
     mids = (cov.left[rows, regions] + cov.right[rows, regions]) / 2.0
     values = _row_means(rows, counts[rows, regions].astype(float), mids, counts.shape[0])
     # and falls back to the plain midpoint mean
+    uncovered = top == 0
     values[uncovered] = ((cov.lo[uncovered] + cov.hi[uncovered]) / 2.0).mean(axis=1)
     return values, degenerate
 

@@ -8,8 +8,11 @@ for linear fusers on a batch, on the same kernel.
 All algorithms in a run see bit-identical trials: trial i is always row i of
 the stream `scenario.draw_trials` numbers from the seed, masked at the tau
 under evaluation, so comparisons are paired and the result is independent of
-evaluation order, of which other taus are evaluated in the same pass, or of
-any partitioning of the trial range across workers.
+evaluation order and of which other taus are evaluated in the same pass.  The
+trials do not depend on how the trial range is split, but a linear fuser's
+estimates can: a one-row matmul goes to BLAS dot rather than gemv, so when
+the last 256-trial chunk holds a single trial (trials = 1 mod 256) that
+trial's estimate can differ in the last bit from the one a larger call gives.
 """
 
 from __future__ import annotations

@@ -205,6 +205,12 @@ def amplitude_solution(dm: DirectionMoments, mean_x: float, lam: float) -> Ampli
     return AmplitudeSolution(c=c, b=b, a_matrix=a, theta=theta, objective_value=objective)
 
 
+def _shared_coefficients(eps, delta, gamma, n: int) -> tuple[LinearCoefficients, ...]:
+    """Agent j's shared eps[j], delta[j], gamma[j] as coefficients over its n sensors."""
+    return tuple(LinearCoefficients(np.full(n, e), np.full(n, d), float(g))
+                 for e, d, g in zip(eps, delta, gamma))
+
+
 @dataclass(frozen=True)
 class TwoAgentLinearSolution:
     """Shared-coefficient linear fusers for two agents from the moment recipe.
@@ -224,10 +230,7 @@ class TwoAgentLinearSolution:
     objective_value: float
 
     def to_coefficients(self, n: int) -> tuple[LinearCoefficients, LinearCoefficients]:
-        return tuple(
-            LinearCoefficients(np.full(n, self.eps[j]), np.full(n, self.delta[j]), self.gamma[j])
-            for j in range(2)
-        )
+        return _shared_coefficients(self.eps, self.delta, self.gamma, n)
 
 
 def _delta_roots(xi1: float, xi2: float, xi3: float) -> tuple[float, ...]:
@@ -456,14 +459,10 @@ def solve_linear_two_agent(
 
 @dataclass(frozen=True)
 class LinearFitResult:
-    """Exact least-squares shared-coefficient linear fusers, one per agent."""
+    """Exact least-squares shared-coefficient linear fusers, one per agent, and their in-sample objective."""
 
     coeffs: tuple[LinearCoefficients, ...]
-    eps: tuple[float, ...]
-    delta: tuple[float, ...]
-    gamma: tuple[float, ...]
     objective_value: float
-    sample_count: int
 
 
 def fit_linear_empirical(
@@ -511,17 +510,8 @@ def fit_linear_empirical(
 
     eps, delta = v[0::2], v[1::2]
     gamma = -n * (eps * mean_l + delta * mean_u)
-    coeffs = tuple(
-        LinearCoefficients(np.full(n, eps[j]), np.full(n, delta[j]), float(gamma[j])) for j in range(m)
-    )
-    return LinearFitResult(
-        coeffs=coeffs,
-        eps=tuple(float(e) for e in eps),
-        delta=tuple(float(d) for d in delta),
-        gamma=tuple(float(g) for g in gamma),
-        objective_value=empirical_objective(batch, coeffs, lam),
-        sample_count=samples,
-    )
+    coeffs = _shared_coefficients(eps, delta, gamma, n)
+    return LinearFitResult(coeffs=coeffs, objective_value=empirical_objective(batch, coeffs, lam))
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ sends each agent an independent fresh draw from the truthful marginal law
 information about the target and are mutually independent across agents.
 
 `draw_batch` is the one implementation of this law.  It draws a `TrialDraw`,
-which holds everything but tau: a random rank of the sensors, the target, the
-truthful cells and a phantom cell for every (sensor, agent) slot.  Its
-`at(tau)` marks the tau first-ranked sensors faulty and masks their phantom
-cells in, so one draw serves every tau, and the faulty sets of a draw are
-nested in tau.  `sample_batch` is `draw_batch` at params.tau.
+which holds everything but tau: each sensor's rank in a random fault order,
+the target, the truthful cells and a phantom cell for every (sensor, agent)
+slot.  Its `at(tau)` marks the sensors ranked below tau faulty and masks
+their phantom cells in, so one draw serves every tau, and the faulty sets of
+a draw are nested in tau.  `sample_batch` is `draw_batch` at params.tau.
 
 `draw_trials` numbers the trials of the stream rooted at a seed: with B = 128
 trials per block, trial t is row t % B of block t // B, and block b is
@@ -199,14 +199,14 @@ def _cells_from_targets(x: np.ndarray, prec: np.ndarray, x_max: int) -> tuple[np
 class TrialDraw:
     """Trials drawn without a fault count; `at(tau)` makes them a `TrialBatch`.
 
-    order has shape (size, n), a random rank of each trial's sensors; the
-    tau sensors ranked first are faulty.  x has shape (size,), precisions and
-    true_lo/true_hi (size, n): the truthful cells.  fake_lo/fake_hi have shape
-    (size, n, m): the phantom cell of every (sensor, agent) slot, sent when
-    the sensor is faulty.
+    rank has shape (size, n): each sensor's place, 0 to n-1, in a random
+    order of its trial's sensors; the sensors ranked below tau are faulty.
+    x has shape (size,), precisions and true_lo/true_hi (size, n): the
+    truthful cells.  fake_lo/fake_hi have shape (size, n, m): the phantom
+    cell of every (sensor, agent) slot, sent when the sensor is faulty.
     """
 
-    order: np.ndarray
+    rank: np.ndarray
     x: np.ndarray
     precisions: np.ndarray
     true_lo: np.ndarray
@@ -219,12 +219,11 @@ class TrialDraw:
         return self.x.shape[0]
 
     def at(self, tau: int) -> TrialBatch:
-        """These trials with their tau first-ranked sensors faulty."""
-        n = self.order.shape[1]
+        """These trials with their sensors ranked below tau faulty."""
+        n = self.rank.shape[1]
         if not 0 <= tau < n:
             raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
-        faulty = np.zeros(self.order.shape, dtype=bool)
-        np.put_along_axis(faulty, self.order[:, :tau], True, axis=1)
+        faulty = self.rank < tau
         mask = faulty[:, :, None]
         lo = np.where(mask, self.fake_lo, self.true_lo[:, :, None])
         hi = np.where(mask, self.fake_hi, self.true_hi[:, :, None])
@@ -243,6 +242,9 @@ def draw_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> T
     n, m, x_max = params.n, params.m, params.x_max
 
     order = np.argsort(rng.random((size, n)), axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n), axis=1)
+    del order  # holding it to the end would add a (size, n) array to the draw's peak memory
 
     precisions = rng.integers(1, x_max + 1, size=(size, n))
     x = rng.uniform(-x_max, x_max, size=size)
@@ -252,7 +254,7 @@ def draw_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> T
     fake_prec = rng.integers(1, x_max + 1, size=(size, n, m))
     phantom = rng.uniform(-x_max, x_max, size=(size, n, m))
     fake_lo, fake_hi = _cells_from_targets(phantom, fake_prec, x_max)
-    return TrialDraw(order=order, x=x, precisions=precisions, true_lo=true_lo, true_hi=true_hi,
+    return TrialDraw(rank=rank, x=x, precisions=precisions, true_lo=true_lo, true_hi=true_hi,
                      fake_lo=fake_lo, fake_hi=fake_hi)
 
 

@@ -3,7 +3,10 @@
 The trial generator and evaluation loop here are literal copies of the
 one-tau-at-a-time code the package replaced, kept as references: a trial
 block drawn with its fault count, and `evaluate` drawing every block again
-at each tau and fusing one 128-trial block per kernel call.
+at each tau and fusing one 128-trial block per kernel call.  The
+Brooks-Iyengar rows here are a literal copy of the two-step region rule the
+package replaced: the regions n - tau readings cover, then the
+maximal-coverage regions patched in on degenerate rows.
 
 The quadratic objective here is reconstructed from direction moments alone,
 independently of the solver code: with unit-variance zero-mean directions
@@ -18,7 +21,7 @@ of gap over unordered pairs.
 
 import numpy as np
 
-from intervalfusion import DirectionMoments, TrialBatch, metrics
+from intervalfusion import DirectionMoments, TrialBatch, fusion, metrics
 
 
 def _reference_cells(x, prec, x_max):
@@ -79,6 +82,22 @@ def reference_evaluate(algos, params, trials):
         degenerate += flagged
         sq_err[:, :, start:stop], gap_sq[:, :, start:stop] = metrics._score(batch.x, estimates, pairs)
     return sq_err, gap_sq, degenerate
+
+
+def reference_bi_rows(cov, tau):
+    """Brooks-Iyengar estimates and degenerate flags of B rows, by the two-step region rule."""
+    n = cov.lo.shape[1]
+    counts = cov.counts
+    top = counts.max(axis=1)
+    qualified = counts >= n - tau
+    degenerate = ~qualified.any(axis=1)
+    uncovered = top == 0
+    qualified[degenerate] = (counts[degenerate] == top[degenerate, None]) & ~uncovered[degenerate, None]
+    rows, regions = np.nonzero(qualified)
+    mids = (cov.left[rows, regions] + cov.right[rows, regions]) / 2.0
+    values = fusion._row_means(rows, counts[rows, regions].astype(float), mids, counts.shape[0])
+    values[uncovered] = ((cov.lo[uncovered] + cov.hi[uncovered]) / 2.0).mean(axis=1)
+    return values, degenerate
 
 
 def random_direction_moments(rng, m):

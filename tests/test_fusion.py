@@ -31,6 +31,8 @@ from intervalfusion.fusion import bi_rows, coverage_rows, gbi_rows, linear_rows,
 from intervalfusion.oracle import posterior_rows
 from intervalfusion.scenario import ReadingRows
 
+from helpers import reference_bi_rows
+
 
 def ivs(*pairs):
     return [Interval(a, b) for a, b in pairs]
@@ -463,6 +465,25 @@ class TestBatchKernels:
             assert not gbi_flags[row]
             assert gbi[row] == pytest.approx(value, rel=1e-12, abs=1e-12)
             assert gbi[row] == pytest.approx(fuse_gbi_oneopt(family, tau), rel=1e-12, abs=1e-12)
+
+    def test_bi_rows_equal_two_step_reference(self):
+        # half-integer endpoints and widths 0-2 give zero-width, disjoint and
+        # touching readings; the first rows of each stack are all zero-width
+        rng = np.random.default_rng(17)
+        degenerate = uncovered = 0
+        for n in range(1, 12):
+            lo = rng.integers(-8, 9, size=(400, n)) / 2.0
+            hi = lo + rng.integers(0, 5, size=(400, n)) / 2.0
+            hi[:5] = lo[:5]
+            cov = coverage_rows(ReadingRows(lo, hi))
+            for tau in range(n):
+                values, flags = bi_rows(cov, tau)
+                want_values, want_flags = reference_bi_rows(cov, tau)
+                assert np.array_equal(values.view(np.int64), want_values.view(np.int64)), (n, tau)
+                assert np.array_equal(flags, want_flags), (n, tau)
+                degenerate += int(flags.sum())
+                uncovered += int((cov.counts.max(axis=1) == 0).sum())
+        assert degenerate > uncovered > 0
 
     @given(profile_family())
     @settings(max_examples=200)

@@ -644,7 +644,7 @@ class TestFitLinearEmpirical:
             mean_l = float(batch.lo[:, :, 0].mean())
             mean_u = float(batch.hi[:, :, 0].mean())
             base = empirical_objective(batch, fit.coeffs, lam)
-            point = np.array([fit.eps, fit.delta]).T
+            point = np.array([[c.eps[0], c.delta[0]] for c in fit.coeffs])
             assert point.shape == (m, 2)
             for j in range(m):
                 for c in range(2):

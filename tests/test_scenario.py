@@ -419,6 +419,15 @@ class TestDrawTrials:
             got, want = getattr(batch, name), getattr(reference, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
+    def test_rank_rows_are_permutations(self):
+        draw = draw_trials(params_for(n=9), 0, 300)
+        assert (np.sort(draw.rank, axis=1) == np.arange(9)).all()
+
+    def test_at_tau_marks_tau_sensors_faulty(self):
+        draw = draw_trials(params_for(n=9), 0, 300)
+        for tau in range(9):
+            assert (draw.at(tau).faulty.sum(axis=1) == tau).all(), tau
+
     def test_faulty_sets_nested_in_tau(self):
         draw = draw_trials(params_for(n=8), 0, 200)
         previous = draw.at(0).faulty
