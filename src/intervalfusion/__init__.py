@@ -30,7 +30,6 @@ from .optimal import (
     AmplitudeSolution,
     DirectionMoments,
     InfeasibleSearchError,
-    LinearFitResult,
     LinearSelection,
     MomentSet,
     SingularSystemError,
@@ -77,7 +76,6 @@ __all__ = [
     "InfeasibleSearchError",
     "Interval",
     "LinearCoefficients",
-    "LinearFitResult",
     "LinearSelection",
     "MetricsReport",
     "MomentSet",

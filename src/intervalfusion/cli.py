@@ -189,6 +189,12 @@ class _AlgorithmPlan:
 def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
     plans: list[_AlgorithmPlan] = []
     for selector in config.algorithms:
+        kind, at, arg = selector.partition("@")
+        if at and kind in ("linear", "constant"):
+            try:
+                value = float(arg)
+            except ValueError as exc:
+                raise ConfigError(f"bad algorithm selector {selector!r}") from exc
         if selector in ("marzullo", "bi", "gbi_oneopt"):
             plans.append(_AlgorithmPlan(label=selector, kind=selector))
         elif selector == "linear":
@@ -196,19 +202,11 @@ def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
                 raise ConfigError("algorithm 'linear' needs a non-empty 'lambdas' field")
             for lam in config.lambdas:
                 plans.append(_AlgorithmPlan(label=f"linear@{lam:g}", kind="linear", lam=lam))
-        elif selector.startswith("linear@"):
-            try:
-                lam = float(selector.split("@", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"bad algorithm selector {selector!r}") from exc
-            if not 0.0 <= lam <= 1.0:
+        elif at and kind == "linear":
+            if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"algorithm selector {selector!r} has lambda outside [0, 1]")
-            plans.append(_AlgorithmPlan(label=f"linear@{lam:g}", kind="linear", lam=lam))
-        elif selector.startswith("constant@"):
-            try:
-                value = float(selector.split("@", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"bad algorithm selector {selector!r}") from exc
+            plans.append(_AlgorithmPlan(label=f"linear@{value:g}", kind="linear", lam=value))
+        elif at and kind == "constant":
             # evaluate refuses non-finite estimates, so refuse them here by field
             if not np.isfinite(value):
                 raise ConfigError(f"algorithm selector {selector!r} has a non-finite value")

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .scenario import Interval, ReadingRows
+from .scenario import Interval, ReadingRows, _check_tau
 
 __all__ = [
     "DegenerateInputError",
@@ -49,11 +49,6 @@ __all__ = [
 
 class DegenerateInputError(ValueError):
     """Raised when a fuser's weighting collapses (e.g. every GBI weight is zero)."""
-
-
-def _check_tau(tau: int, n: int) -> None:
-    if not 0 <= tau < n:
-        raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
 
 
 def marzullo_rows(rows: ReadingRows, tau: int) -> np.ndarray:

@@ -38,7 +38,6 @@ __all__ = [
     "DirectionMoments",
     "AmplitudeSolution",
     "TwoAgentLinearSolution",
-    "LinearFitResult",
     "LinearSelection",
     "estimate_moments",
     "amplitude_solution",
@@ -457,21 +456,13 @@ def solve_linear_two_agent(
                                   z=float(z), objective_value=float(value))
 
 
-@dataclass(frozen=True)
-class LinearFitResult:
-    """Exact least-squares shared-coefficient linear fusers, one per agent, and their in-sample objective."""
-
-    coeffs: tuple[LinearCoefficients, ...]
-    objective_value: float
-
-
 def fit_linear_empirical(
     params: ScenarioParams,
     lam: float,
     samples: int,
     rng: np.random.Generator,
-) -> LinearFitResult:
-    """Minimize the empirical objective over (eps_j, delta_j) exactly.
+) -> tuple[LinearCoefficients, ...]:
+    """Minimize the empirical objective over (eps_j, delta_j) exactly; returns one fuser per agent.
 
     Coefficients are shared across sensors within an agent, and each agent's
     intercept is tied to the fitting batch's endpoint means:
@@ -484,8 +475,8 @@ def fit_linear_empirical(
     (amplitude_solution's system with two features per agent).  Q is positive
     semidefinite, so the minimum-norm least-squares solution of Q v = b is a
     global minimizer, also when Q is singular (lam=0, single-cell scenarios).
-    objective_value is the in-sample objective.  Needs m >= 2: at m = 1 the
-    diagonal would count 1-lam of gap terms that do not exist.
+    Needs m >= 2: at m = 1 the diagonal would count 1-lam of gap terms that
+    do not exist.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
@@ -510,8 +501,7 @@ def fit_linear_empirical(
 
     eps, delta = v[0::2], v[1::2]
     gamma = -n * (eps * mean_l + delta * mean_u)
-    coeffs = _shared_coefficients(eps, delta, gamma, n)
-    return LinearFitResult(coeffs=coeffs, objective_value=empirical_objective(batch, coeffs, lam))
+    return _shared_coefficients(eps, delta, gamma, n)
 
 
 @dataclass(frozen=True)
@@ -557,11 +547,11 @@ def select_linear_coefficients(
             error = f"the closed-form recipe overflowed: {exc}"
 
     validation = sample_batch(params, samples, rng)
-    fit_objective = empirical_objective(validation, fit.coeffs, lam)
+    fit_objective = empirical_objective(validation, fit, lam)
     closed_objective = None if closed_coeffs is None else empirical_objective(validation, closed_coeffs, lam)
     used = closed_objective is not None and closed_objective <= 1.05 * fit_objective
     return LinearSelection(
-        coeffs=closed_coeffs if used else fit.coeffs,
+        coeffs=closed_coeffs if used else fit,
         closed_form_used=used,
         closed_form_objective=closed_objective,
         empirical_objective=fit_objective,

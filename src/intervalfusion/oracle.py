@@ -139,9 +139,9 @@ def posterior_rows(rows: ReadingRows, params: ScenarioParams) -> PiecewiseDensit
     left, right = points[:, None, :-1], points[:, None, 1:]
 
     truthful = np.array(list(itertools.combinations(range(n), n - tau)), dtype=np.intp)
-    assumed_faulty = np.ones((truthful.shape[0], n), dtype=bool)
-    np.put_along_axis(assumed_faulty, truthful, False, axis=1)
-    faulty = np.nonzero(assumed_faulty)[1].reshape(truthful.shape[0], tau)
+    # the complements of the (n-tau)-subsets in lexicographic order are the
+    # tau-subsets in reverse lexicographic order; at tau = 0 this is one empty row
+    faulty = np.array(list(itertools.combinations(range(n), tau)), dtype=np.intp).reshape(len(truthful), tau)[::-1]
 
     # (rows, patterns): the truthful intersection [a, b] and its level
     a = np.maximum(lo[:, truthful].max(axis=2), -bound)[:, :, None]

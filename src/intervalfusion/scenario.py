@@ -61,6 +61,11 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_TRIALS = 128
 
 
+def _check_tau(tau: int, n: int) -> None:
+    if not 0 <= tau < n:
+        raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi]; the unit of communication from sensor to agent."""
@@ -111,8 +116,7 @@ class ScenarioParams:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0 <= self.tau < self.n:
-            raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={self.tau}, n={self.n}")
+        _check_tau(self.tau, self.n)
         if self.x_max < 1:
             raise ValueError(f"x_max must be a positive integer, got {self.x_max}")
 
@@ -220,9 +224,7 @@ class TrialDraw:
 
     def at(self, tau: int) -> TrialBatch:
         """These trials with their sensors ranked below tau faulty."""
-        n = self.rank.shape[1]
-        if not 0 <= tau < n:
-            raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
+        _check_tau(tau, self.rank.shape[1])
         faulty = self.rank < tau
         mask = faulty[:, :, None]
         lo = np.where(mask, self.fake_lo, self.true_lo[:, :, None])

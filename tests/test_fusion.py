@@ -1,6 +1,7 @@
 """Fusers: frozen hand-worked values, structural properties, reference cross-checks."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from intervalfusion import (
 )
 from intervalfusion.fusion import bi_rows, coverage_rows, gbi_rows, linear_rows, marzullo_rows
 from intervalfusion.oracle import posterior_rows
-from intervalfusion.scenario import ReadingRows
+from intervalfusion.scenario import ReadingRows, draw_trials
 
 from helpers import reference_bi_rows
 
@@ -607,6 +608,26 @@ def test_non_finite_endpoints_rejected(call, slot, value):
     readings[slot] = value
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_CALLS[call](readings)
+
+
+TAU_READINGS = np.array([[0.0, 2.0], [1.0, 3.0], [0.5, 2.0]])
+TAU_CALLS = {
+    "ScenarioParams": lambda tau: ScenarioParams(n=3, m=2, tau=tau, x_max=5, seed=0),
+    "TrialDraw.at": lambda tau: draw_trials(ScenarioParams(n=3, m=2, tau=0, x_max=5, seed=0), 0, 4).at(tau),
+    "bi_rows": lambda tau: bi_rows(coverage_rows(ReadingRows.of(TAU_READINGS)), tau),
+    "gbi_rows": lambda tau: gbi_rows(coverage_rows(ReadingRows.of(TAU_READINGS)), tau),
+    "gbi_bayes_weights": lambda tau: gbi_bayes_weights(TAU_READINGS, tau),
+    "fuse_bi_with_flag": lambda tau: fuse_bi_with_flag(TAU_READINGS, tau),
+    "fuse_gbi_regions": lambda tau: fuse_gbi_regions(TAU_READINGS, tau),
+}
+
+
+@pytest.mark.parametrize("call", TAU_CALLS)
+@pytest.mark.parametrize("tau", [-1, 3])
+def test_tau_rule_is_the_same_everywhere(call, tau):
+    # the model, the trial masks and the fusers allow 0 <= tau < n by one rule
+    with pytest.raises(ValueError, match=f"^{re.escape(f'tau must satisfy 0 <= tau < n, got tau={tau}, n=3')}$"):
+        TAU_CALLS[call](tau)
 
 
 @pytest.mark.parametrize("call", NON_FINITE_CALLS)

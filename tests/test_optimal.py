@@ -611,7 +611,8 @@ class TestFitLinearEmpirical:
         # lam=0 rewards agreement alone; the fit converges to (near) constants
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=49)
         fit = fit_linear_empirical(params, 0.0, 20_000, np.random.default_rng(5))
-        assert fit.objective_value < 1e-3 * (25.0 / 3.0)
+        batch = sample_batch(params, 20_000, np.random.default_rng(5))  # the batch the fit draws
+        assert empirical_objective(batch, fit, 0.0) < 1e-3 * (25.0 / 3.0)
 
     def test_single_cell_scenario_estimates_zero(self):
         # x_max=1 fixes every reading at [-1, 1]; the tied intercept cancels
@@ -619,16 +620,8 @@ class TestFitLinearEmpirical:
         params = ScenarioParams(n=4, m=2, tau=1, x_max=1, seed=50)
         fit = fit_linear_empirical(params, 0.7, 10_000, np.random.default_rng(6))
         readings = np.array([[-1.0, 1.0]] * 4)
-        for coeffs in fit.coeffs:
+        for coeffs in fit:
             assert fuse_linear(readings, coeffs) == pytest.approx(0.0, abs=1e-9)
-
-    def test_objective_matches_recomputation(self):
-        params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=51)
-        fit = fit_linear_empirical(params, 0.5, 10_000, np.random.default_rng(7))
-        batch = sample_batch(params, 10_000, np.random.default_rng(7))
-        assert empirical_objective(batch, fit.coeffs, 0.5) == pytest.approx(
-            fit.objective_value, rel=1e-9
-        )
 
     @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
     def test_coordinate_perturbations_never_improve(self, lam):
@@ -643,8 +636,8 @@ class TestFitLinearEmpirical:
             batch = sample_batch(params, 10_000, np.random.default_rng(7))
             mean_l = float(batch.lo[:, :, 0].mean())
             mean_u = float(batch.hi[:, :, 0].mean())
-            base = empirical_objective(batch, fit.coeffs, lam)
-            point = np.array([[c.eps[0], c.delta[0]] for c in fit.coeffs])
+            base = empirical_objective(batch, fit, lam)
+            point = np.array([[c.eps[0], c.delta[0]] for c in fit])
             assert point.shape == (m, 2)
             for j in range(m):
                 for c in range(2):
@@ -667,7 +660,7 @@ class TestFitLinearEmpirical:
             params = ScenarioParams(n=6, m=m, tau=tau, x_max=5, seed=56)
             specs = [
                 AlgorithmSpec.linear(
-                    fit_linear_empirical(params, lam, 10_000, np.random.default_rng(10 + tau)).coeffs,
+                    fit_linear_empirical(params, lam, 10_000, np.random.default_rng(10 + tau)),
                     label=f"linear@{lam:g}",
                 )
                 for lam in lambdas
@@ -686,7 +679,7 @@ class TestFitLinearEmpirical:
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=52)
         fit = fit_linear_empirical(params, 1.0, 20_000, np.random.default_rng(8))
         reports = evaluate(
-            [AlgorithmSpec.gbi_oneopt(), AlgorithmSpec.linear(fit.coeffs)],
+            [AlgorithmSpec.gbi_oneopt(), AlgorithmSpec.linear(fit)],
             params, 20_000,
         )
         gbi, linear = reports
@@ -799,7 +792,7 @@ class TestSelectLinearCoefficients:
         sel = select_linear_coefficients(params, 0.5, 10_000, np.random.default_rng(12))
         fit = fit_linear_empirical(params, 0.5, 10_000, np.random.default_rng(12))
         assert len(sel.coeffs) == 3
-        for got, want in zip(sel.coeffs, fit.coeffs):
+        for got, want in zip(sel.coeffs, fit):
             assert np.array_equal(got.eps, want.eps)
             assert np.array_equal(got.delta, want.delta)
             assert got.gamma == want.gamma
@@ -807,6 +800,26 @@ class TestSelectLinearCoefficients:
         assert sel.closed_form_objective is None
         assert "m=3" in sel.closed_form_error
         assert sel.empirical_objective > 0.0
+
+    @pytest.mark.parametrize("m, scorings", [(2, 2), (3, 1)])
+    def test_each_candidate_is_scored_once(self, m, scorings):
+        # the fit returns coefficients only, so the selection's validation
+        # scores are the only ones: the fit's, and at m=2 the recipe's (this
+        # cell's recipe yields a candidate there)
+        params = ScenarioParams(n=5, m=m, tau=1, x_max=5, seed=60)
+        calls = 0
+        score = optimal.empirical_objective
+
+        def counted(batch, coeffs, lam):
+            nonlocal calls
+            calls += 1
+            return score(batch, coeffs, lam)
+
+        with mock.patch.object(optimal, "empirical_objective", counted):
+            sel = select_linear_coefficients(params, 0.5, 10_000, np.random.default_rng(15))
+        assert calls == scorings
+        if m == 2:
+            assert sel.closed_form_objective == pytest.approx(12879.3, abs=0.05)
 
     def test_recipe_overflow_is_recorded(self, monkeypatch):
         # on these moments the recipe's objective raises OverflowError (a
@@ -818,7 +831,7 @@ class TestSelectLinearCoefficients:
         params = ScenarioParams(n=2, m=2, tau=1, x_max=5, seed=58)
         sel = select_linear_coefficients(params, 0.1, 10_000, np.random.default_rng(13))
         fit = fit_linear_empirical(params, 0.1, 10_000, np.random.default_rng(13))
-        for got, want in zip(sel.coeffs, fit.coeffs):
+        for got, want in zip(sel.coeffs, fit):
             assert np.array_equal(got.eps, want.eps)
             assert np.array_equal(got.delta, want.delta)
         assert not sel.closed_form_used
@@ -833,7 +846,7 @@ class TestSelectLinearCoefficients:
         rng = np.random.default_rng(14)
         estimate_moments(params, 10_000, rng)
         fit = fit_linear_empirical(params, 0.0, 10_000, rng)
-        for got, want in zip(sel.coeffs, fit.coeffs, strict=True):
+        for got, want in zip(sel.coeffs, fit, strict=True):
             assert np.array_equal(got.eps, want.eps)
             assert np.array_equal(got.delta, want.delta)
             assert got.gamma == want.gamma
