@@ -104,9 +104,10 @@ def estimate_moments(params: ScenarioParams, samples: int, rng: np.random.Genera
     mean_l = float(L.mean())
     mean_u = float(U.mean())
 
-    e_l2 = float((L * L).mean())
-    e_u2 = float((U * U).mean())
-    e_lu = float((L * U).mean())
+    ll, uu, lu = L * L, U * U, L * U
+    e_l2 = float(ll.mean())
+    e_u2 = float(uu.mean())
+    e_lu = float(lu.mean())
     e_lx = float((L * X[:, None]).mean())
     e_ux = float((U * X[:, None]).mean())
 
@@ -114,9 +115,9 @@ def estimate_moments(params: ScenarioParams, samples: int, rng: np.random.Genera
     sl = L.sum(axis=1)
     su = U.sum(axis=1)
     pairs = n * (n - 1)
-    e_ll_cross = float(((sl * sl - (L * L).sum(axis=1)) / pairs).mean()) if n > 1 else e_l2
-    e_uu_cross = float(((su * su - (U * U).sum(axis=1)) / pairs).mean()) if n > 1 else e_u2
-    e_lu_cross = float(((sl * su - (L * U).sum(axis=1)) / pairs).mean()) if n > 1 else e_lu
+    e_ll_cross = float(((sl * sl - ll.sum(axis=1)) / pairs).mean()) if n > 1 else e_l2
+    e_uu_cross = float(((su * su - uu.sum(axis=1)) / pairs).mean()) if n > 1 else e_u2
+    e_lu_cross = float(((sl * su - lu.sum(axis=1)) / pairs).mean()) if n > 1 else e_lu
 
     return MomentSet(
         mean_x=mean_x,
@@ -456,6 +457,20 @@ def solve_linear_two_agent(
                                   z=float(z), objective_value=float(value))
 
 
+def _sensor_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) of a (samples, n, m) array, m >= 2, added sensor by sensor.
+
+    numpy reduces an axis that is not the innermost in index order, so this
+    equals a.sum(axis=1) bit for bit, in one contiguous pass per sensor.  At
+    m = 1 numpy would sum pairwise instead, which differs for n >= 8; the fit
+    refuses m < 2.
+    """
+    total = a[:, 0].copy()
+    for i in range(1, a.shape[1]):
+        total += a[:, i]
+    return total
+
+
 def fit_linear_empirical(
     params: ScenarioParams,
     lam: float,
@@ -491,7 +506,7 @@ def fit_linear_empirical(
 
     # columns (F_1L, F_1U, ..., F_mL, F_mU), matching the layout of v
     feats = np.stack(
-        [batch.lo.sum(axis=1) - n * mean_l, batch.hi.sum(axis=1) - n * mean_u], axis=2
+        [_sensor_sums(batch.lo) - n * mean_l, _sensor_sums(batch.hi) - n * mean_u], axis=2
     ).reshape(samples, 2 * m)
     gram = feats.T @ feats / samples
     agent = np.arange(2 * m) // 2

@@ -61,6 +61,13 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_TRIALS = 128
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; bool and non-integer values are refused, numpy integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_tau(tau: int, n: int) -> None:
     if not 0 <= tau < n:
         raise ValueError(f"tau must satisfy 0 <= tau < n, got tau={tau}, n={n}")
@@ -108,10 +115,7 @@ class ScenarioParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(self, f.name, int(value))
+            object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.m < 1:
@@ -179,23 +183,40 @@ class TrialBatch:
 def truthful_interval(x: float, precision: int, x_max: int) -> Interval:
     """Return the unique width-(2*x_max/precision) cell containing x.
 
-    The cells partition [-x_max, x_max] into `precision` equal pieces.
+    The cells partition [-x_max, x_max] into `precision` equal pieces;
+    precision and x_max must be integers, as in ScenarioParams.
     """
+    precision = _integer("precision", precision)
+    x_max = _integer("x_max", x_max)
     if not -x_max <= x <= x_max:
         raise ValueError(f"target {x} outside [-{x_max}, {x_max}]")
     if precision < 1 or precision > x_max:
         raise ValueError(f"precision must lie in 1..{x_max}, got {precision}")
-    lo, hi = _cells_from_targets(x, precision, x_max)
+    (lo,), (hi,) = _cells_from_targets(np.array([x], dtype=float), np.array([precision]), x_max)
     return Interval(float(lo), float(hi))
 
 
 def _cells_from_targets(x: np.ndarray, prec: np.ndarray, x_max: int) -> tuple[np.ndarray, np.ndarray]:
-    # Ties on interior cell boundaries resolve to the lower-index cell;
-    # x == -x_max belongs to cell 1.
-    u = (x + x_max) * prec / (2.0 * x_max)
-    d = np.minimum(np.maximum(np.ceil(u), 1), prec)
-    lo = -x_max + (d - 1) * (2.0 * x_max) / prec
-    hi = -x_max + d * (2.0 * x_max) / prec
+    # d = min(max(ceil((x + x_max) * prec / (2 x_max)), 1), prec) is the cell
+    # index, so ties on interior cell boundaries resolve to the lower-index
+    # cell and x == -x_max belongs to cell 1; lo = -x_max + (d - 1) * (2 x_max) / prec
+    # and hi = -x_max + d * (2 x_max) / prec.  Each step runs in place, in that
+    # operation order, so the values are those expressions' bit for bit.  x and
+    # prec must be arrays: `out=` refuses numpy scalars.
+    prec = prec.astype(float)
+    width = 2.0 * x_max
+    lo = (x + x_max) * prec
+    lo /= width
+    np.ceil(lo, out=lo)
+    np.maximum(lo, 1, out=lo)
+    np.minimum(lo, prec, out=lo)
+    hi = lo * width
+    hi /= prec
+    hi += -x_max
+    lo -= 1
+    lo *= width
+    lo /= prec
+    lo += -x_max
     return lo, hi
 
 
@@ -226,9 +247,16 @@ class TrialDraw:
         """These trials with their sensors ranked below tau faulty."""
         _check_tau(tau, self.rank.shape[1])
         faulty = self.rank < tau
-        mask = faulty[:, :, None]
-        lo = np.where(mask, self.fake_lo, self.true_lo[:, :, None])
-        hi = np.where(mask, self.fake_hi, self.true_hi[:, :, None])
+        # np.where runs faster on contiguous (size, n, m) operands than when
+        # it broadcasts (size, n) ones over the short agent axis
+        shape = self.fake_lo.shape
+
+        def per_agent(a: np.ndarray) -> np.ndarray:
+            return np.repeat(a, shape[2], axis=1).reshape(shape)
+
+        mask = per_agent(faulty)
+        lo = np.where(mask, self.fake_lo, per_agent(self.true_lo))
+        hi = np.where(mask, self.fake_hi, per_agent(self.true_hi))
         return TrialBatch(x=self.x, lo=lo, hi=hi, faulty=faulty, precisions=self.precisions)
 
 

@@ -8,6 +8,11 @@ Brooks-Iyengar rows here are a literal copy of the two-step region rule the
 package replaced: the regions n - tau readings cover, then the
 maximal-coverage regions patched in on degenerate rows.
 
+The moment estimates and the linear fit here are literal copies of the
+package's formulas before their products and sensor sums were formed once,
+in place: every endpoint product is formed again for its row sums, and each
+agent's sensor sums come from `sum(axis=1)`.
+
 The quadratic objective here is reconstructed from direction moments alone,
 independently of the solver code: with unit-variance zero-mean directions
 f_1..f_m and estimates c_j*f_j + b_j,
@@ -21,7 +26,7 @@ of gap over unordered pairs.
 
 import numpy as np
 
-from intervalfusion import DirectionMoments, TrialBatch, fusion, metrics
+from intervalfusion import DirectionMoments, MomentSet, TrialBatch, fusion, metrics, optimal, sample_batch
 
 
 def _reference_cells(x, prec, x_max):
@@ -82,6 +87,70 @@ def reference_evaluate(algos, params, trials):
         degenerate += flagged
         sq_err[:, :, start:stop], gap_sq[:, :, start:stop] = metrics._score(batch.x, estimates, pairs)
     return sq_err, gap_sq, degenerate
+
+
+def reference_estimate_moments(params, samples, rng):
+    """`estimate_moments` with each endpoint product formed again for its row sums."""
+    batch = sample_batch(params, samples, rng)
+    n = params.n
+    L = batch.lo[:, :, 0]
+    U = batch.hi[:, :, 0]
+    X = batch.x
+
+    mean_x = float(X.mean())
+    var_x = float(X.var(ddof=1))
+    mean_l = float(L.mean())
+    mean_u = float(U.mean())
+
+    e_l2 = float((L * L).mean())
+    e_u2 = float((U * U).mean())
+    e_lu = float((L * U).mean())
+    e_lx = float((L * X[:, None]).mean())
+    e_ux = float((U * X[:, None]).mean())
+
+    sl = L.sum(axis=1)
+    su = U.sum(axis=1)
+    pairs = n * (n - 1)
+    e_ll_cross = float(((sl * sl - (L * L).sum(axis=1)) / pairs).mean()) if n > 1 else e_l2
+    e_uu_cross = float(((su * su - (U * U).sum(axis=1)) / pairs).mean()) if n > 1 else e_u2
+    e_lu_cross = float(((sl * su - (L * U).sum(axis=1)) / pairs).mean()) if n > 1 else e_lu
+
+    return MomentSet(
+        mean_x=mean_x,
+        var_x=var_x,
+        mean_l=mean_l,
+        mean_u=mean_u,
+        var_l=e_l2 - mean_l * mean_l,
+        cov_ll=e_ll_cross - mean_l * mean_l,
+        var_u=e_u2 - mean_u * mean_u,
+        cov_uu=e_uu_cross - mean_u * mean_u,
+        cov_lu_same=e_lu - mean_l * mean_u,
+        cov_lu_cross=e_lu_cross - mean_l * mean_u,
+        cov_lx=e_lx - mean_l * mean_x,
+        cov_ux=e_ux - mean_u * mean_x,
+        sample_count=samples,
+    )
+
+
+def reference_fit_linear_empirical(params, lam, samples, rng):
+    """`fit_linear_empirical` with each agent's sensor sums from `sum(axis=1)`."""
+    batch = sample_batch(params, samples, rng)
+    n, m = params.n, params.m
+    mean_l = float(batch.lo[:, :, 0].mean())
+    mean_u = float(batch.hi[:, :, 0].mean())
+
+    feats = np.stack(
+        [batch.lo.sum(axis=1) - n * mean_l, batch.hi.sum(axis=1) - n * mean_u], axis=2
+    ).reshape(samples, 2 * m)
+    gram = feats.T @ feats / samples
+    agent = np.arange(2 * m) // 2
+    q = np.where(agent[:, None] == agent[None, :], gram, -(1.0 - lam) / (m - 1) * gram)
+    b = lam * (feats.T @ batch.x) / samples
+    v = np.linalg.lstsq(q, b, rcond=None)[0]
+
+    eps, delta = v[0::2], v[1::2]
+    gamma = -n * (eps * mean_l + delta * mean_u)
+    return optimal._shared_coefficients(eps, delta, gamma, n)
 
 
 def reference_bi_rows(cov, tau):

@@ -18,7 +18,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import objective_gradient, random_direction_moments, reconstructed_objective
+from helpers import (
+    objective_gradient,
+    random_direction_moments,
+    reconstructed_objective,
+    reference_estimate_moments,
+    reference_fit_linear_empirical,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
@@ -120,6 +126,15 @@ class TestEstimateMoments:
         params = ScenarioParams(n=3, m=2, tau=0, x_max=5, seed=33)
         with pytest.raises(ValueError):
             estimate_moments(params, 999, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 10, 16])
+    def test_equals_the_recomputed_product_formulas(self, n, m):
+        params = ScenarioParams(n=n, m=m, tau=n // 2, x_max=5, seed=34)
+        got = estimate_moments(params, 20_000, np.random.default_rng(9))
+        want = reference_estimate_moments(params, 20_000, np.random.default_rng(9))
+        for name, value in vars(want).items():
+            assert bits([getattr(got, name)]) == bits([value]), name
 
 
 class TestDirectionMoments:
@@ -687,6 +702,16 @@ class TestFitLinearEmpirical:
             diff = linear.sq_err[j] - gbi.sq_err[j]
             paired_se = diff.std(ddof=1) / np.sqrt(diff.size)
             assert diff.mean() >= -2.0 * paired_se
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 10, 16])
+    def test_equals_the_sum_axis_formulas(self, n, m):
+        params = ScenarioParams(n=n, m=m, tau=n // 2, x_max=5, seed=54)
+        got = fit_linear_empirical(params, 0.5, 20_000, np.random.default_rng(11))
+        want = reference_fit_linear_empirical(params, 0.5, 20_000, np.random.default_rng(11))
+        assert len(got) == len(want) == m
+        for g, w in zip(got, want):
+            assert bits([*g.eps, *g.delta, g.gamma]) == bits([*w.eps, *w.delta, w.gamma])
 
     def test_input_validation(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=53)

@@ -14,15 +14,16 @@ import intervalfusion
 from intervalfusion import (
     Interval,
     ScenarioParams,
+    draw_batch,
     draw_trials,
     make_trial,
     make_trials,
     sample_batch,
     truthful_interval,
 )
-from intervalfusion.scenario import FaultPattern, TrialData
+from intervalfusion.scenario import FaultPattern, TrialData, _cells_from_targets
 
-from helpers import reference_sample_batch, reference_trials
+from helpers import _reference_cells, reference_sample_batch, reference_trials
 
 
 def params_for(n=5, m=2, tau=1, x_max=5, seed=1234):
@@ -132,6 +133,18 @@ class TestTruthfulInterval:
         with pytest.raises(ValueError, match="precision"):
             truthful_interval(0.3, precision, 5)
 
+    @pytest.mark.parametrize(
+        "precision,x_max,name",
+        [(2.5, 5, "precision"), (True, 5, "precision"), (3, 5.5, "x_max")],
+    )
+    def test_non_integer_arguments_refused(self, precision, x_max, name):
+        # off-lattice cells such as [-1, 3] at precision 2.5 are never returned
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            truthful_interval(0.3, precision, x_max)
+
+    def test_numpy_integer_arguments_accepted(self):
+        assert truthful_interval(0.3, np.int64(5), np.int64(5)) == Interval(-1.0, 1.0)
+
     def test_upper_edge(self):
         cell = truthful_interval(5.0, 5, 5)
         assert cell == Interval(3.0, 5.0)
@@ -185,6 +198,46 @@ class TestTruthfulInterval:
         boundary = st.integers(0, precision).map(lambda d: -x_max + d * 2.0 * x_max / precision)
         x = data.draw(st.one_of(boundary, st.floats(-x_max, x_max)))
         assert truthful_interval(x, precision, x_max) == scalar_rule(x, precision, x_max)
+
+
+def bits(a):
+    """A float array as its IEEE bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestCellsFromTargets:
+    """The in-place cell kernel against the expression form it replaced, bit for bit."""
+
+    @staticmethod
+    def targets(x_max):
+        lattice = [-x_max + k * 2.0 * x_max / p for p in range(1, x_max + 1) for k in range(1, p)]
+        uniform = np.random.default_rng(x_max).uniform(-x_max, x_max, 1000)
+        return np.concatenate([[-x_max, x_max], lattice, uniform])
+
+    @staticmethod
+    def assert_bit_equal(x, prec, x_max):
+        for got, want in zip(_cells_from_targets(x, prec, x_max), _reference_cells(x, prec, x_max)):
+            assert got.shape == want.shape == prec.shape
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("x_max", [1, 2, 5, 50])
+    def test_truthful_broadcast_shape(self, x_max):
+        # every target against every precision: (size, 1) targets, (size, n) precisions
+        x = self.targets(x_max)
+        prec = np.tile(np.arange(1, x_max + 1), (x.size, 1))
+        self.assert_bit_equal(x[:, None], prec, x_max)
+
+    @pytest.mark.parametrize("x_max", [1, 2, 5, 50])
+    def test_phantom_shape(self, x_max):
+        # (size, n, m) targets and precisions; agent 0 pairs each target with
+        # every precision, agent 1 with random ones
+        x = self.targets(x_max)
+        phantom = np.repeat(x[:, None, None], 2 * x_max, axis=1).reshape(x.size, x_max, 2)
+        prec = np.stack([
+            np.tile(np.arange(1, x_max + 1), (x.size, 1)),
+            np.random.default_rng(x_max).integers(1, x_max + 1, size=(x.size, x_max)),
+        ], axis=2)
+        self.assert_bit_equal(phantom, prec, x_max)
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +471,32 @@ class TestDrawTrials:
         for name in _FIELDS:
             got, want = getattr(batch, name), getattr(reference, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("x_max", [1, 5])
+    def test_fitting_size_batch_equals_one_tau_reference(self, m, x_max):
+        # the 20,000-trial batches the linear fit draws, not only 128-trial blocks
+        params = params_for(n=10, m=m, tau=3, x_max=x_max, seed=96)
+        batch = sample_batch(params, 20_000, np.random.default_rng(6))
+        reference = reference_sample_batch(params, 20_000, np.random.default_rng(6))
+        for name in _FIELDS:
+            got, want = getattr(batch, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            if got.dtype == float:
+                got, want = bits(got), bits(want)
+            assert np.array_equal(got, want), name
+
+    def test_at_equals_the_broadcast_mask(self):
+        # the masked endpoints at every tau of one draw, against np.where
+        # broadcasting the (size, n) mask and truthful cells over the agents
+        draw = draw_batch(params_for(n=10, m=3), 2_000, np.random.default_rng(7))
+        for tau in range(10):
+            batch = draw.at(tau)
+            mask = (draw.rank < tau)[:, :, None]
+            assert np.array_equal(batch.faulty, mask[:, :, 0])
+            for got, fake, true in ((batch.lo, draw.fake_lo, draw.true_lo), (batch.hi, draw.fake_hi, draw.true_hi)):
+                want = np.where(mask, fake, true[:, :, None])
+                assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), tau
 
     def test_rank_rows_are_permutations(self):
         draw = draw_trials(params_for(n=9), 0, 300)
