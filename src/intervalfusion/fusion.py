@@ -75,17 +75,16 @@ class TransitionProfile:
     """Coverage structure of an interval family, or of B families stacked.
 
     points holds the sorted endpoints, gap k runs from left[..., k] to
-    right[..., k], cover[..., i, k] is True when reading i covers the whole
-    open gap and the gap has positive width, and counts[..., k] is the number
-    of readings that do, so a zero-width interval, two intervals touching at
-    a point or a repeated endpoint never contribute a count.  lo and hi are
-    the readings' endpoints in their original order.  A stack keeps all 2n
-    endpoints of each row; one family keeps its distinct endpoints.
+    right[..., k], and counts[..., k] is the number of readings that cover
+    the whole open gap, zero where the gap has zero width, so a zero-width
+    interval, two intervals touching at a point or a repeated endpoint never
+    contribute a count.  lo and hi are the readings' endpoints in their
+    original order.  A stack keeps all 2n endpoints of each row; one family
+    keeps its distinct endpoints.
     """
 
     points: np.ndarray
     counts: np.ndarray
-    cover: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
@@ -107,21 +106,22 @@ def coverage_rows(rows: ReadingRows) -> TransitionProfile:
     lo, hi = rows.lo, rows.hi
     points = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
     left, right = points[:, :-1], points[:, 1:]
-    cover = (lo[:, :, None] <= left[:, None, :]) & (hi[:, :, None] >= right[:, None, :])
-    cover &= (right > left)[:, None, :]
-    return TransitionProfile(points=points, counts=cover.sum(axis=1), cover=cover, lo=lo, hi=hi)
+    # +1 at each lower endpoint and -1 at each upper one, summed in sorted order.  No endpoint lies
+    # strictly inside a positive-width gap, so the order among tied endpoints cannot change its count
+    lower = np.argsort(np.concatenate([lo, hi], axis=1), axis=1) < lo.shape[1]
+    counts = np.where(right > left, np.cumsum(np.where(lower[:, :-1], 1, -1), axis=1), 0)
+    return TransitionProfile(points=points, counts=counts, lo=lo, hi=hi)
 
 
 def transition_profile(readings: Sequence[Interval] | np.ndarray) -> TransitionProfile:
-    """Distinct endpoints, per-reading region membership and coverage counts.
+    """Distinct endpoints and the coverage count of each region between them.
 
     The one-row view of `coverage_rows` with its zero-width gaps dropped.
     """
     cov = coverage_rows(ReadingRows.of(readings))
     points, = cov.points
     gaps = points[1:] > points[:-1]
-    return TransitionProfile(points=points[np.r_[True, gaps]], counts=cov.counts[0][gaps],
-                             cover=cov.cover[0][:, gaps], lo=cov.lo[0], hi=cov.hi[0])
+    return TransitionProfile(points=points[np.r_[True, gaps]], counts=cov.counts[0][gaps], lo=cov.lo[0], hi=cov.hi[0])
 
 
 def _row_means(rows: np.ndarray, weights: np.ndarray, points: np.ndarray, size: int) -> np.ndarray:
@@ -315,9 +315,11 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     degenerate = ~keep.any(axis=1)
     # the DP runs over the kept (row, region) cells only, in row-major order
     rows, regions = np.nonzero(keep)
+    left, right = cov.left[rows, regions], cov.right[rows, regions]
     # e_k(c*v) = c^k e_k(v) cancels in the ratio; scaling each row's inverse
     # widths so that the largest is 1 keeps every product in range
-    factors = (cov.cover[rows, :, regions] * (shortest / widths)[rows]).T
+    inside = (cov.lo[rows] <= left[:, None]) & (cov.hi[rows] >= right[:, None])
+    factors = (inside * (shortest / widths)[rows]).T
     esym = np.zeros((k + 1, rows.size))
     esym[0] = 1.0
     upper, lower = esym[1:], esym[:-1]
@@ -325,7 +327,6 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
         # the product is formed before the in-place add, so lower still holds
         # the previous degree's values
         upper += row * lower
-    left, right = cov.left[rows, regions], cov.right[rows, regions]
     values = _row_means(rows, esym[k] * (right - left), (left + right) / 2.0, keep.shape[0])
     return values, degenerate
 

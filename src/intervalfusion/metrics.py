@@ -174,12 +174,17 @@ def _objective_per_trial(sq_err: np.ndarray, gap_sq: np.ndarray, lam: float) -> 
     return per_trial
 
 
+def _check_lam(lam: float) -> None:
+    """The objective weight rule of every scorer and fit: lam in [0, 1], so nan is refused."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+
+
 def combine_objective(report: MetricsReport, lam: float) -> tuple[float, float]:
     """Objective mean and stderr at lam, recombined from a report's per-trial arrays."""
     if report.sq_err is None or report.pair_gap_sq is None:
         raise ValueError("report lacks the per-trial arrays sq_err and pair_gap_sq")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    _check_lam(lam)
     mean, stderr = _mean_stderr(_objective_per_trial(report.sq_err, report.pair_gap_sq, lam))
     return float(mean), float(stderr)
 
@@ -193,6 +198,7 @@ def empirical_objective(
 
     Scored as in `evaluate`, but a non-finite estimate scores inf or nan instead of raising.
     """
+    _check_lam(lam)
     m = batch.lo.shape[2]
     # _block_estimates would leave the rows of agents without coefficients unset
     if len(coeffs) != m:
@@ -241,6 +247,8 @@ def evaluate_taus(
         raise ValueError(f"need at least 100 trials for meaningful statistics, got {trials}")
     for tau, algos in specs.items():
         _check_specs(algos, replace(params, tau=tau))
+    if not specs:
+        return {}
 
     m = params.m
     pairs = np.triu_indices(m, 1)
@@ -248,8 +256,7 @@ def evaluate_taus(
     gap_sq = {tau: np.empty((len(algos), pairs[0].size, trials)) for tau, algos in specs.items()}
     degenerate = {tau: np.zeros(len(algos), dtype=int) for tau, algos in specs.items()}
 
-    # two substream blocks per kernel call: fewer numpy calls per trial than
-    # one, while the kernel's (rows, n, 2n) coverage temporaries stay small
+    # two substream blocks per kernel call: fewer numpy calls per trial than one
     chunk = 2 * _BLOCK_TRIALS
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)

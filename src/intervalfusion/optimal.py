@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .fusion import LinearCoefficients
-from .metrics import empirical_objective
+from .metrics import _check_lam, empirical_objective
 from .scenario import ScenarioParams, sample_batch
 
 __all__ = [
@@ -182,8 +182,7 @@ def amplitude_solution(dm: DirectionMoments, mean_x: float, lam: float) -> Ampli
     SingularSystemError when A's condition number exceeds 1e10, and
     ValueError for fewer than two agents.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    _check_lam(lam)
     m = dm.target.size
     if m < 2:
         raise ValueError(f"the objective is defined for m >= 2 agents, got m={m}")
@@ -493,8 +492,7 @@ def fit_linear_empirical(
     Needs m >= 2: at m = 1 the diagonal would count 1-lam of gap terms that
     do not exist.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    _check_lam(lam)
     if params.m < 2:
         raise ValueError(f"the shared-coefficient fit is defined for m >= 2 agents, got m={params.m}")
     if samples < 10_000:

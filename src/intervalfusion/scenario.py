@@ -56,8 +56,9 @@ _MASK64 = (1 << 64) - 1
 
 # trials per substream block.  A block is drawn whole, so this is also the
 # cost of one make_trial call; callers fuse whole blocks at a time (evaluate
-# two, oracle-check one), so that numpy call overhead is amortised while the
-# (rows, n, 2n) coverage temporaries stay a few MB at n=16
+# two, oracle-check one), so that numpy call overhead is amortised while
+# per-call temporaries such as the oracle's (rows, patterns, regions)
+# membership stay small
 _BLOCK_TRIALS = 128
 
 

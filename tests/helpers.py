@@ -6,7 +6,10 @@ block drawn with its fault count, and `evaluate` drawing every block again
 at each tau and fusing one 128-trial block per kernel call.  The
 Brooks-Iyengar rows here are a literal copy of the two-step region rule the
 package replaced: the regions n - tau readings cover, then the
-maximal-coverage regions patched in on degenerate rows.
+maximal-coverage regions patched in on degenerate rows.  The region GBI rows
+here are a literal copy of the kernel before its coverage counts came from
+one endpoint sweep: a (rows, n, 2n) array of which reading covers which gap,
+summed into the counts and gathered at the kept regions.
 
 The moment estimates and the linear fit here are literal copies of the
 package's formulas before their products and sensor sums were formed once,
@@ -166,6 +169,33 @@ def reference_bi_rows(cov, tau):
     mids = (cov.left[rows, regions] + cov.right[rows, regions]) / 2.0
     values = fusion._row_means(rows, counts[rows, regions].astype(float), mids, counts.shape[0])
     values[uncovered] = ((cov.lo[uncovered] + cov.hi[uncovered]) / 2.0).mean(axis=1)
+    return values, degenerate
+
+
+def reference_gbi_rows(lo, hi, tau):
+    """Region GBI estimates and degenerate flags of B rows, through the (rows, n, 2n) cover array."""
+    points = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
+    left, right = points[:, :-1], points[:, 1:]
+    cover = (lo[:, :, None] <= left[:, None, :]) & (hi[:, :, None] >= right[:, None, :])
+    cover &= (right > left)[:, None, :]
+    counts = cover.sum(axis=1)
+    n = lo.shape[1]
+    widths = hi - lo
+    shortest = widths.min(axis=1, keepdims=True)
+    if (shortest <= 0).any():
+        raise ValueError("every reading must have positive width")
+    k = n - tau
+    keep = counts >= k
+    degenerate = ~keep.any(axis=1)
+    rows, regions = np.nonzero(keep)
+    factors = (cover[rows, :, regions] * (shortest / widths)[rows]).T
+    esym = np.zeros((k + 1, rows.size))
+    esym[0] = 1.0
+    upper, lower = esym[1:], esym[:-1]
+    for row in factors:
+        upper += row * lower
+    left, right = left[rows, regions], right[rows, regions]
+    values = fusion._row_means(rows, esym[k] * (right - left), (left + right) / 2.0, keep.shape[0])
     return values, degenerate
 
 

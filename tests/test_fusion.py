@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from intervalfusion.fusion import bi_rows, coverage_rows, gbi_rows, linear_rows,
 from intervalfusion.oracle import posterior_rows
 from intervalfusion.scenario import ReadingRows, draw_trials
 
-from helpers import reference_bi_rows
+from helpers import reference_bi_rows, reference_gbi_rows
 
 
 def ivs(*pairs):
@@ -98,11 +99,9 @@ class TestTransitionProfile:
     def test_all_degenerate(self):
         prof = transition_profile(ivs((1, 1), (1, 1)))
         assert prof.counts.size == 0
-        assert prof.cover.shape == (2, 0)
 
     def test_cover_rows_and_readings(self):
         prof = transition_profile(ivs((0, 4), (1, 2), (5, 6)))
-        assert prof.cover.astype(int).tolist() == [[1, 1, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
         assert prof.lo.tolist() == [0, 1, 5]
         assert prof.hi.tolist() == [4, 2, 6]
 
@@ -423,6 +422,18 @@ def profile_family(draw):
     return family
 
 
+@st.composite
+def endpoint_stack(draw):
+    """(B, n) endpoint arrays on a half-integer grid near 0: repeated
+    endpoints, zero-width and touching readings, and zeros of either sign."""
+    b, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    cells = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.booleans(), st.booleans()),
+                     min_size=b * n, max_size=b * n)
+    a, w, lo_negative, hi_negative = np.array(draw(cells)).T.reshape(4, b, n)
+    lo, hi = a / 2.0, (a + w) / 2.0
+    return np.where((lo == 0) & lo_negative, -0.0, lo), np.where((hi == 0) & hi_negative, -0.0, hi)
+
+
 def _rows(families):
     lo = np.array([[iv.lo for iv in family] for family in families])
     hi = np.array([[iv.hi for iv in family] for family in families])
@@ -486,6 +497,59 @@ class TestBatchKernels:
                 uncovered += int((cov.counts.max(axis=1) == 0).sum())
         assert degenerate > uncovered > 0
 
+    @given(endpoint_stack())
+    @settings(max_examples=300)
+    def test_counts_equal_the_membership_definition(self, stack):
+        lo, hi = stack
+        cov = coverage_rows(ReadingRows(lo, hi))
+        left, right = cov.left, cov.right
+        members = (lo[:, :, None] <= left[:, None]) & (hi[:, :, None] >= right[:, None]) & (right > left)[:, None]
+        assert np.array_equal(cov.counts, members.sum(axis=1))
+        # the sorted endpoints keep np.sort's order of -0.0 and 0.0
+        points = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
+        assert np.array_equal(cov.points.view(np.uint64), points.view(np.uint64))
+
+    def test_gbi_rows_equal_cover_reference(self):
+        # in-model trials over n 1-40, x_max 1/2/5 and four taus each, then
+        # half-integer stacks whose disjoint readings leave degenerate rows
+        for n in range(1, 41):
+            for x_max in (1, 2, 5):
+                draw = draw_trials(ScenarioParams(n=n, m=2, tau=0, x_max=x_max, seed=100 * n + x_max), 0, 512)
+                for tau in sorted({0, n // 3, n // 2, n - 1}):
+                    rows = draw.at(tau).rows()
+                    values, flags = gbi_rows(coverage_rows(rows), tau)
+                    want_values, want_flags = reference_gbi_rows(rows.lo, rows.hi, tau)
+                    assert np.array_equal(values.view(np.int64), want_values.view(np.int64)), (n, x_max, tau)
+                    assert np.array_equal(flags, want_flags), (n, x_max, tau)
+        rng = np.random.default_rng(19)
+        degenerate = 0
+        for n in range(1, 12):
+            lo = rng.integers(-8, 9, size=(400, n)) / 2.0
+            hi = lo + rng.integers(1, 5, size=(400, n)) / 2.0
+            cov = coverage_rows(ReadingRows(lo, hi))
+            for tau in range(n):
+                values, flags = gbi_rows(cov, tau)
+                want_values, want_flags = reference_gbi_rows(lo, hi, tau)
+                assert np.array_equal(values.view(np.int64), want_values.view(np.int64)), (n, tau)
+                assert np.array_equal(flags, want_flags), (n, tau)
+                degenerate += int(flags.sum())
+        assert degenerate > 0
+
+    def test_kernels_hold_no_membership_cube_at_large_n(self):
+        # one 256-row block at n = 256: a (rows, n, 2n) reading-by-gap array
+        # would take 32 MiB alone, and the kernels peaked at 65 MiB with one
+        rows = draw_trials(ScenarioParams(n=256, m=2, tau=64, x_max=5, seed=777), 0, 128).at(64).rows()
+        tracemalloc.start()
+        try:
+            cov = coverage_rows(rows)
+            bi_rows(cov, 64)
+            values, flags = gbi_rows(cov, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(values).all() and not flags.any()
+        assert peak < 16 * 2**20, peak
+
     @given(profile_family())
     @settings(max_examples=200)
     def test_single_row_matches_profile(self, family):
@@ -495,7 +559,6 @@ class TestBatchKernels:
         regions = cov.right[0] > cov.left[0]
         assert (cov.counts[0][~regions] == 0).all()
         assert cov.counts[0][regions].tolist() == prof.counts.tolist()
-        assert np.array_equal(cov.cover[0][:, regions], prof.cover)
         # the distinct endpoints are np.unique's, the sign of a zero included
         distinct = np.unique(np.concatenate([lo[0], hi[0]]))
         assert list(map(repr, prof.points.tolist())) == list(map(repr, distinct.tolist()))

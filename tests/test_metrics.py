@@ -292,6 +292,21 @@ class TestEvaluateTaus:
         with pytest.raises(ValueError, match=match):
             evaluate_taus(specs, params, 100)
 
+    def test_no_taus_draws_nothing(self, monkeypatch):
+        calls = []
+        real_draw_trials = metrics.draw_trials
+
+        def counted(*args):
+            calls.append(args)
+            return real_draw_trials(*args)
+
+        monkeypatch.setattr(metrics, "draw_trials", counted)
+        params = ScenarioParams(n=5, m=2, tau=0, x_max=5, seed=82)
+        assert evaluate_taus({}, params, 1000) == {}
+        with pytest.raises(ValueError, match="at least 100 trials"):
+            evaluate_taus({}, params, 99)
+        assert calls == []
+
     def test_non_finite_estimate_names_its_tau(self, monkeypatch):
         real_gbi_rows = fusion.gbi_rows
 
@@ -338,6 +353,22 @@ class TestEmpiricalObjective:
     def test_one_object_everywhere(self):
         assert intervalfusion.empirical_objective is metrics.empirical_objective
         assert optimal.empirical_objective is metrics.empirical_objective
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.1, np.nan])
+    def test_lam_checked_by_every_scorer_and_fit(self, lam):
+        params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=73)
+        batch = make_trials(params, 0, 100)
+        report, = evaluate([AlgorithmSpec.bi()], params, 100)
+        dm = optimal.DirectionMoments(cross=np.eye(2), target=np.array([0.1, 0.2]))
+        calls = [
+            lambda: combine_objective(report, lam),
+            lambda: empirical_objective(batch, midpoint_coeffs(5), lam),
+            lambda: optimal.amplitude_solution(dm, 0.0, lam),
+            lambda: optimal.fit_linear_empirical(params, lam, 10_000, np.random.default_rng(0)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+                call()
 
     @pytest.mark.parametrize("trials", [258, 300, 2000])
     @pytest.mark.parametrize("m", [2, 3, 4])
