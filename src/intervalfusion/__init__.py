@@ -31,20 +31,25 @@ from .optimal import (
     DirectionMoments,
     InfeasibleSearchError,
     LinearSelection,
-    MomentSet,
     SingularSystemError,
     TwoAgentLinearSolution,
     amplitude_solution,
     estimate_moments,
     fit_linear_empirical,
+    fit_linear_exact,
+    population_scores,
     select_linear_coefficients,
+    select_linear_exact,
     solve_linear_two_agent,
 )
 from .oracle import (
     InconsistentReadingsError,
+    LawMoments,
+    MomentSet,
     OffLatticeError,
     PiecewiseDensity,
     implied_precision,
+    law_moments,
     posterior_density,
     posterior_mean_exact,
 )
@@ -75,6 +80,7 @@ __all__ = [
     "InconsistentReadingsError",
     "InfeasibleSearchError",
     "Interval",
+    "LawMoments",
     "LinearCoefficients",
     "LinearSelection",
     "MetricsReport",
@@ -97,6 +103,7 @@ __all__ = [
     "evaluate",
     "evaluate_taus",
     "fit_linear_empirical",
+    "fit_linear_exact",
     "fuse_bi",
     "fuse_bi_with_flag",
     "fuse_gbi",
@@ -106,12 +113,15 @@ __all__ = [
     "fuse_marzullo",
     "gbi_bayes_weights",
     "implied_precision",
+    "law_moments",
     "make_trial",
     "make_trials",
+    "population_scores",
     "posterior_density",
     "posterior_mean_exact",
     "sample_batch",
     "select_linear_coefficients",
+    "select_linear_exact",
     "solve_linear_two_agent",
     "transition_profile",
     "truthful_interval",

@@ -14,8 +14,10 @@ Configuration is a flat JSON object.  Keys:
                     "linear" (one instance per entry of lambdas),
                     "linear@<v>", "constant@<v>"
     trials          Monte Carlo trials per (algorithm, tau) cell (int >= 100)
-    moment_samples  samples for moment estimation and coefficient fitting
-                    (int >= 10000, default 100000)
+    moment_samples  sample count for the sampled moment estimates and fits of
+                    the library (int >= 10000, default 100000); validated,
+                    but sweep and fit-linear do not read it: they fit on the
+                    exact law and draw no fitting samples
     output_path     where sweep results go
     format          "csv" (default) or "json"
 
@@ -39,7 +41,8 @@ import numpy as np
 from .fusion import GbiWeights, coverage_rows, fuse_gbi, gbi_bayes_weights, gbi_rows
 # evaluate stays importable from this module: benchmarks/tracing.py wraps it here
 from .metrics import AlgorithmSpec, combine_objective, evaluate, evaluate_taus  # noqa: F401
-from .optimal import LinearSelection, select_linear_coefficients
+# select_linear_coefficients stays importable from this module: benchmarks/tracing.py wraps it here
+from .optimal import LinearSelection, select_linear_coefficients, select_linear_exact  # noqa: F401
 # posterior_mean_exact stays importable from this module: benchmarks/tracing.py wraps it here
 from .oracle import posterior_mean_exact, posterior_rows  # noqa: F401
 # make_trial stays importable from this module: benchmarks/tracing.py wraps it here
@@ -219,13 +222,6 @@ def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
     return plans
 
 
-def _fit_rng(seed: int, tau: int, lam: float) -> np.random.Generator:
-    # fitting stream disjoint from the evaluation blocks' streams; keyed on
-    # lam's exact bit pattern, so distinct lambdas never share a stream
-    lam_bits = int(np.float64(lam).view(np.uint64))
-    return np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), 0xF17, tau, lam_bits)))
-
-
 def _cell(value: str | int | float | None) -> str:
     if isinstance(value, float):
         return format(value, ".15g")
@@ -235,12 +231,14 @@ def _cell(value: str | int | float | None) -> str:
 def run_sweep(config: RunConfig) -> list[dict]:
     """Evaluate every configured algorithm at every tau; return one row per cell.
 
-    Linear fusers are fitted per (tau, lambda) via the cross-validated
-    selection at any m >= 2; when the closed-form recipe was rejected, or not
-    run because m != 2, the row's flags field records fit_substituted.  Every
-    fit runs first; then one `evaluate_taus` pass draws each block of trials
-    once and masks it at every tau, so all algorithms at one tau share
-    bit-identical trials.  Rows come in tau order, then algorithm order.
+    Linear fusers are fitted per (tau, lambda) on the exact law at any
+    m >= 2 (`select_linear_exact`, which draws no trials), so their
+    coefficients depend on neither seed nor moment_samples; when the
+    closed-form recipe was rejected, or not run because m != 2, the row's
+    flags field records fit_substituted.  Every fit runs first; then one
+    `evaluate_taus` pass draws each block of trials once and masks it at
+    every tau, so all algorithms at one tau share bit-identical trials.
+    Rows come in tau order, then algorithm order.
     """
     plans = _parse_algorithms(config)
     if config.m < 2 and any(p.kind == "linear" for p in plans):
@@ -257,9 +255,7 @@ def run_sweep(config: RunConfig) -> list[dict]:
     for tau in config.taus:
         for plan in plans:
             if plan.kind == "linear" and (tau, plan.lam) not in selections:
-                selections[tau, plan.lam] = select_linear_coefficients(
-                    config.scenario(tau), plan.lam, config.moment_samples, _fit_rng(config.seed, tau, plan.lam)
-                )
+                selections[tau, plan.lam] = select_linear_exact(config.scenario(tau), plan.lam)
     specs = {
         tau: [AlgorithmSpec(kind=plan.kind, label=plan.label, constant_value=plan.constant_value,
                             coeffs=selections[tau, plan.lam].coeffs if plan.kind == "linear" else None)
@@ -359,16 +355,19 @@ def run_oracle_check(
 
 
 def run_fit_linear(config: RunConfig, lam: float) -> list[dict]:
-    """Fit linear fuser coefficients at weight lam for every configured tau."""
+    """Fit linear fuser coefficients at weight lam for every configured tau, on the exact law.
+
+    Each entry is `select_linear_exact`'s selection: its empirical_objective
+    and closed_form_objective are the exact population objectives of the
+    fit and the recipe, and no trial is drawn.
+    """
     if config.m < 2:
         raise ConfigError(f"fit-linear requires m >= 2 agents (field 'm'), got m={config.m}")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"--lambda must lie in [0, 1], got {lam}")
     results = []
     for tau in config.taus:
-        params = config.scenario(tau)
-        selection = select_linear_coefficients(params, lam, config.moment_samples,
-                                               _fit_rng(config.seed, tau, lam))
+        selection = select_linear_exact(config.scenario(tau), lam)
         results.append(
             {
                 "tau": tau,

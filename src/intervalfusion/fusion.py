@@ -370,10 +370,18 @@ class LinearCoefficients:
 
 
 def linear_rows(rows: ReadingRows, coeffs: LinearCoefficients) -> np.ndarray:
-    """Affine estimates of B reading rows."""
+    """Affine estimates of B reading rows: gamma + sum_i (lo_i*eps_i + hi_i*delta_i).
+
+    The sum runs sensor by sensor in index order, so a row's estimate does
+    not depend on how many rows share the call (a matmul's would: numpy
+    sends a one-row product to BLAS dot rather than gemv).
+    """
     if rows.lo.shape[1] != coeffs.eps.size:
         raise ValueError(f"coefficient length {coeffs.eps.size} does not match reading count {rows.lo.shape[1]}")
-    return rows.lo @ coeffs.eps + rows.hi @ coeffs.delta + coeffs.gamma
+    total = np.full(rows.lo.shape[0], coeffs.gamma, dtype=float)
+    for lo, hi, eps, delta in zip(rows.lo.T, rows.hi.T, coeffs.eps, coeffs.delta):
+        total += lo * eps + hi * delta
+    return total
 
 
 def fuse_linear(readings: Sequence[Interval] | np.ndarray, coeffs: LinearCoefficients) -> float:

@@ -8,11 +8,9 @@ for linear fusers on a batch, on the same kernel.
 All algorithms in a run see bit-identical trials: trial i is always row i of
 the stream `scenario.draw_trials` numbers from the seed, masked at the tau
 under evaluation, so comparisons are paired and the result is independent of
-evaluation order and of which other taus are evaluated in the same pass.  The
-trials do not depend on how the trial range is split, but a linear fuser's
-estimates can: a one-row matmul goes to BLAS dot rather than gemv, so when
-the last 256-trial chunk holds a single trial (trials = 1 mod 256) that
-trial's estimate can differ in the last bit from the one a larger call gives.
+evaluation order and of which other taus are evaluated in the same pass.
+Neither the trials nor any fuser's estimate of a trial depends on how the
+trial range is split into chunks.
 """
 
 from __future__ import annotations

@@ -6,15 +6,21 @@ between two agents' estimates, summed over unordered agent pairs.  It is
 defined for any number m >= 2 of agents; m = 1 is refused, since the
 consensus term has no pairs to count.  Given unit variance zero-mean
 directions f_j, the optimal amplitudes solve a small linear system
-(amplitude_solution), and fit_linear_empirical minimizes the empirical
-objective exactly (one least-squares solve of the same quadratic system,
-built from sample second moments of the fitting batch).  For two agents and
-endpoint-sum directions there is also a closed-form moment recipe
-(solve_linear_two_agent); it is implemented exactly as published even though
-parts of it look inconsistent, so select_linear_coefficients cross-checks it
-against the fit (both scored by metrics.empirical_objective), which serves
-as the authority when they disagree.  The recipe's coefficient search runs on
-a local Nelder-Mead (_nelder_mead) that reproduces scipy's default
+(amplitude_solution).  With the endpoint sums as each agent's two
+features, the same quadratic system (_quadratic_system builds it for both)
+gives the shared-coefficient linear fusers: fit_linear_exact solves it on
+the law's exact feature moments (oracle.law_moments), and
+fit_linear_empirical on the sample moments of a fitting batch.  For two
+agents there is also a closed-form moment recipe (solve_linear_two_agent);
+it is implemented exactly as published even though parts of it look
+inconsistent, so a selection cross-checks it against the fit, which serves
+as the authority when they disagree.  select_linear_exact, which the
+command line runs, feeds the recipe the exact moments and scores both
+candidates on the exact population objective (population_scores);
+select_linear_coefficients is its sampled view, drawing moment, fitting and
+validation batches from a random stream and scoring on the validation batch
+with metrics.empirical_objective.  The recipe's coefficient search runs on a
+local Nelder-Mead (_nelder_mead) that reproduces scipy's default
 non-adaptive method bit for bit, so the package does not import scipy.
 """
 
@@ -28,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .fusion import LinearCoefficients
-from .metrics import _check_lam, empirical_objective
+from .metrics import _check_lam, _objective_per_trial, empirical_objective
+from .oracle import LawMoments, MomentSet, law_moments
 from .scenario import ScenarioParams, sample_batch
 
 __all__ = [
@@ -42,8 +49,11 @@ __all__ = [
     "estimate_moments",
     "amplitude_solution",
     "solve_linear_two_agent",
+    "fit_linear_exact",
     "fit_linear_empirical",
+    "population_scores",
     "empirical_objective",
+    "select_linear_exact",
     "select_linear_coefficients",
 ]
 
@@ -59,38 +69,11 @@ class InfeasibleSearchError(RuntimeError):
     """No candidate in the coefficient search satisfied the feasibility constraints."""
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """First and second moments of the target and one agent's endpoint vector.
-
-    Cross-sensor entries (cov_ll, cov_uu, cov_lu_cross) refer to two distinct
-    sensors at the same agent; sensors are exchangeable, so the estimates pool
-    every sensor (or ordered sensor pair) before averaging over trials.
-    """
-
-    mean_x: float
-    var_x: float
-    mean_l: float
-    mean_u: float
-    var_l: float
-    cov_ll: float
-    var_u: float
-    cov_uu: float
-    cov_lu_same: float
-    cov_lu_cross: float
-    cov_lx: float
-    cov_ux: float
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be positive, got {self.sample_count}")
-        if self.var_x < 0 or self.var_l < 0 or self.var_u < 0:
-            raise ValueError("variances must be nonnegative")
-
-
 def estimate_moments(params: ScenarioParams, samples: int, rng: np.random.Generator) -> MomentSet:
-    """Monte Carlo moment estimates from `samples` fresh trials (agent 1's view)."""
+    """Monte Carlo moment estimates from `samples` fresh trials (agent 1's view).
+
+    The sampled view of the exact MomentSet of oracle.law_moments.
+    """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for stable moments, got {samples}")
     batch = sample_batch(params, samples, rng)
@@ -173,6 +156,25 @@ class AmplitudeSolution:
     objective_value: float
 
 
+def _quadratic_system(gram: np.ndarray, target: np.ndarray, lam: float, per_agent: int,
+                      count: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The objective lam*sum mse + (1-lam)/(m-1)*sum cns as Q v = b, from feature moments.
+
+    gram[i, k] = E[F_i F_k] and target[i] = E[X F_i] over every agent's
+    features, per_agent consecutive ones per agent, given as sums over count
+    samples (count 1 for moments that are already means).  Q has diagonal
+    blocks E[F_j F_j^T] (lam from agent j's mse plus 1-lam from its m-1 gaps)
+    and off-diagonal blocks -(1-lam)/(m-1) * E[F_j F_k^T], and b_j =
+    lam * E[X F_j]; the objective of estimates v_j . F_j is
+    v^T Q v - 2 b^T v + lam * m * E[X^2].  Needs m >= 2.
+    """
+    m = target.size // per_agent
+    gram = gram / count
+    agent = np.arange(target.size) // per_agent
+    q = np.where(agent[:, None] == agent[None, :], gram, -(1.0 - lam) / (m - 1) * gram)
+    return q, lam * target / count
+
+
 def amplitude_solution(dm: DirectionMoments, mean_x: float, lam: float) -> AmplitudeSolution:
     """Closed-form amplitudes for the accuracy/consensus objective.
 
@@ -186,9 +188,8 @@ def amplitude_solution(dm: DirectionMoments, mean_x: float, lam: float) -> Ampli
     m = dm.target.size
     if m < 2:
         raise ValueError(f"the objective is defined for m >= 2 agents, got m={m}")
-    theta = lam * dm.target
-    a = -(1.0 - lam) / (m - 1) * dm.cross
-    np.fill_diagonal(a, 1.0)
+    a, theta = _quadratic_system(dm.cross, dm.target, lam, per_agent=1)
+    np.fill_diagonal(a, 1.0)  # unit-variance directions
     if not theta.any():
         c = np.zeros(m)
     else:
@@ -470,6 +471,49 @@ def _sensor_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
+def _check_fit(params: ScenarioParams, lam: float) -> None:
+    _check_lam(lam)
+    if params.m < 2:
+        raise ValueError(f"the shared-coefficient fit is defined for m >= 2 agents, got m={params.m}")
+
+
+def _solve_shared(gram: np.ndarray, target: np.ndarray, lam: float, n: int, mean_l: float, mean_u: float,
+                  count: int = 1) -> tuple[LinearCoefficients, ...]:
+    """The shared-coefficient fusers minimizing the objective of the endpoint-sum features.
+
+    gram and target are _quadratic_system's, over the features
+    F_j = (sum L_j - n*mean_l, sum U_j - n*mean_u); gamma_j =
+    -n*(eps_j*mean_l + delta_j*mean_u) makes agent j's estimate v_j . F_j.
+    Q is positive semidefinite, so the minimum-norm least-squares solution of
+    Q v = b is a global minimizer, also when Q is singular (lam=0,
+    single-cell scenarios).
+    """
+    q, b = _quadratic_system(gram, target, lam, per_agent=2, count=count)
+    v = np.linalg.lstsq(q, b, rcond=None)[0]
+    eps, delta = v[0::2], v[1::2]
+    gamma = -n * (eps * mean_l + delta * mean_u)
+    return _shared_coefficients(eps, delta, gamma, n)
+
+
+def _fit_law(law: LawMoments, lam: float, n: int) -> tuple[LinearCoefficients, ...]:
+    return _solve_shared(law.gram, law.target, lam, n, law.moments.mean_l, law.moments.mean_u)
+
+
+def fit_linear_exact(params: ScenarioParams, lam: float) -> tuple[LinearCoefficients, ...]:
+    """Minimize the exact population objective over (eps_j, delta_j); returns one fuser per agent.
+
+    Coefficients are shared across sensors within an agent, with intercept
+    gamma_j = -n*(eps_j*E[L] + delta_j*E[U]), so agent j's estimate is
+    v_j . F_j with F_j = (sum L_j - n*E[L], sum U_j - n*E[U]); the
+    objective's quadratic system (_quadratic_system) is built from the
+    law's exact E[F F^T] and E[X F] (oracle.law_moments).  No trial is
+    drawn.  Needs m >= 2: at m = 1 the diagonal would count 1-lam of gap
+    terms that do not exist.
+    """
+    _check_fit(params, lam)
+    return _fit_law(law_moments(params), lam, params.n)
+
+
 def fit_linear_empirical(
     params: ScenarioParams,
     lam: float,
@@ -478,23 +522,12 @@ def fit_linear_empirical(
 ) -> tuple[LinearCoefficients, ...]:
     """Minimize the empirical objective over (eps_j, delta_j) exactly; returns one fuser per agent.
 
-    Coefficients are shared across sensors within an agent, and each agent's
-    intercept is tied to the fitting batch's endpoint means:
-    gamma_j = -n*(eps_j*mean(L) + delta_j*mean(U)).  Agent j's estimate is
-    then v_j . F_j with F_j = (sum L_j - n*mean(L), sum U_j - n*mean(U)), and
-    the objective is the quadratic v^T Q v - 2 b^T v + const in
-    v = (eps_1, delta_1, ..., eps_m, delta_m): Q has diagonal blocks
-    E[F_j F_j^T] (lam from agent j's mse plus 1-lam from its m-1 gaps) and
-    off-diagonal blocks -(1-lam)/(m-1) * E[F_j F_k^T], and b_j = lam * E[X F_j]
-    (amplitude_solution's system with two features per agent).  Q is positive
-    semidefinite, so the minimum-norm least-squares solution of Q v = b is a
-    global minimizer, also when Q is singular (lam=0, single-cell scenarios).
-    Needs m >= 2: at m = 1 the diagonal would count 1-lam of gap terms that
-    do not exist.
+    The sampled view of fit_linear_exact: the quadratic system is built from
+    the second moments of a fresh batch of `samples` trials, and each agent's
+    intercept is tied to the batch's endpoint means:
+    gamma_j = -n*(eps_j*mean(L) + delta_j*mean(U)).  Needs m >= 2.
     """
-    _check_lam(lam)
-    if params.m < 2:
-        raise ValueError(f"the shared-coefficient fit is defined for m >= 2 agents, got m={params.m}")
+    _check_fit(params, lam)
     if samples < 10_000:
         raise ValueError(f"need at least 10000 samples for a stable fit, got {samples}")
     batch = sample_batch(params, samples, rng)
@@ -506,20 +539,49 @@ def fit_linear_empirical(
     feats = np.stack(
         [_sensor_sums(batch.lo) - n * mean_l, _sensor_sums(batch.hi) - n * mean_u], axis=2
     ).reshape(samples, 2 * m)
-    gram = feats.T @ feats / samples
-    agent = np.arange(2 * m) // 2
-    q = np.where(agent[:, None] == agent[None, :], gram, -(1.0 - lam) / (m - 1) * gram)
-    b = lam * (feats.T @ batch.x) / samples
-    v = np.linalg.lstsq(q, b, rcond=None)[0]
+    return _solve_shared(feats.T @ feats, feats.T @ batch.x, lam, n, mean_l, mean_u, count=samples)
 
-    eps, delta = v[0::2], v[1::2]
-    gamma = -n * (eps * mean_l + delta * mean_u)
-    return _shared_coefficients(eps, delta, gamma, n)
+
+def population_scores(law: LawMoments, coeffs: tuple[LinearCoefficients, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-agent mse and per-pair cns of shared-coefficient linear fusers under the law.
+
+    Agent j's estimate is v_j . F_j + c_j with v_j = (eps_j, delta_j), F_j
+    its centered endpoint-sum features and c_j = gamma_j +
+    n*(eps_j*E[L] + delta_j*E[U]), so with G = law.gram
+        mse_j  = E[X^2] - 2*(v_j . E[X F_j] + c_j*E[X]) + v_j^T G_jj v_j + c_j^2,
+        cns_jk = E[(v_j . F_j - v_k . F_k)^2] + (c_j - c_k)^2.
+    Pairs come in np.triu_indices order, as `evaluate` reports them.  Every
+    agent's coefficients must be shared across its sensors.  Estimates too
+    large for floats score inf or nan instead of raising.
+    """
+    mo = law.moments
+    m = law.target.size // 2
+    if len(coeffs) != m:
+        raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
+    if any((c.eps != c.eps[0]).any() or (c.delta != c.delta[0]).any() for c in coeffs):
+        raise ValueError("population scores need coefficients shared across each agent's sensors")
+    n = coeffs[0].eps.size
+    v = np.array([[c.eps[0], c.delta[0]] for c in coeffs])
+    first, second = np.triu_indices(m, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = np.array([c.gamma for c in coeffs]) + n * (v @ [mo.mean_l, mo.mean_u])
+        # quad[j, k] = v_j^T G_jk v_k
+        quad = np.einsum("ja,jakb,kb->jk", v, law.gram.reshape(m, 2, m, 2), v)
+        mse = (mo.var_x + mo.mean_x * mo.mean_x - 2.0 * ((v * law.target.reshape(m, 2)).sum(axis=1)
+               + offset * mo.mean_x) + np.diag(quad) + offset * offset)
+        cns = (quad[first, first] + quad[second, second] - 2.0 * quad[first, second]
+               + (offset[first] - offset[second]) ** 2)
+    return mse, cns
 
 
 @dataclass(frozen=True)
 class LinearSelection:
-    """Outcome of cross-validating the moment recipe against the exact empirical fit."""
+    """Outcome of cross-validating the moment recipe against the fit.
+
+    empirical_objective is the fit's objective and closed_form_objective the
+    recipe's: exact population values from select_linear_exact, means over
+    the validation batch from select_linear_coefficients.
+    """
 
     coeffs: tuple[LinearCoefficients, ...]
     closed_form_used: bool
@@ -528,28 +590,22 @@ class LinearSelection:
     closed_form_error: str | None
 
 
-def select_linear_coefficients(
+def _select(
     params: ScenarioParams,
     lam: float,
-    samples: int,
-    rng: np.random.Generator,
+    moments: MomentSet | None,
+    fit: tuple[LinearCoefficients, ...],
+    score: Callable[[tuple[LinearCoefficients, ...]], float],
 ) -> LinearSelection:
-    """Fit linear fusers and pick the moment-recipe solution only when it holds up.
+    """Run the recipe on moments at m=2 and keep it only when it scores within 5% of the fit.
 
-    The two-agent recipe runs only at m=2, from a moment batch drawn before
-    the fit's batch; at any other m no moment batch is drawn and
-    closed_form_error names the reason.  Both candidate coefficient sets are
-    scored on a common validation batch, drawn last; the closed-form recipe
-    is selected when its objective is within 5% of the empirical fit's,
-    otherwise the empirical fit is returned and the substitution is
-    recorded.  Recipe failures (infeasible search, overflow) are caught and
-    recorded the same way.
+    At any other m the recipe does not run, moments is not read and
+    closed_form_error names the reason.  Recipe failures (infeasible search,
+    overflow) are caught and recorded the same way.
     """
-    moments = estimate_moments(params, samples, rng) if params.m == 2 else None
-    fit = fit_linear_empirical(params, lam, samples, rng)
     closed_coeffs = None
     error = f"the closed-form recipe is defined for m=2 agents, got m={params.m}"
-    if moments is not None:
+    if params.m == 2:
         try:
             closed_coeffs = solve_linear_two_agent(moments, lam, params.n).to_coefficients(params.n)
             error = None
@@ -559,9 +615,8 @@ def select_linear_coefficients(
             # the recipe's objective squares Python floats, which raises on extreme moments
             error = f"the closed-form recipe overflowed: {exc}"
 
-    validation = sample_batch(params, samples, rng)
-    fit_objective = empirical_objective(validation, fit, lam)
-    closed_objective = None if closed_coeffs is None else empirical_objective(validation, closed_coeffs, lam)
+    fit_objective = score(fit)
+    closed_objective = None if closed_coeffs is None else score(closed_coeffs)
     used = closed_objective is not None and closed_objective <= 1.05 * fit_objective
     return LinearSelection(
         coeffs=closed_coeffs if used else fit,
@@ -570,3 +625,43 @@ def select_linear_coefficients(
         empirical_objective=fit_objective,
         closed_form_error=error,
     )
+
+
+def select_linear_exact(params: ScenarioParams, lam: float) -> LinearSelection:
+    """Fit linear fusers on the exact law and pick the moment recipe's only when it holds up.
+
+    The recipe runs on the law's exact MomentSet (at m=2), the fit is
+    fit_linear_exact, and both candidates are scored on the exact population
+    objective (population_scores); the recipe is selected when its objective
+    is within 5% of the fit's, otherwise the fit is returned and the
+    substitution recorded.  No trial is drawn, so the result depends on
+    params only through n, m, tau and x_max.
+    """
+    _check_fit(params, lam)
+    law = law_moments(params)
+
+    def score(coeffs: tuple[LinearCoefficients, ...]) -> float:
+        mse, cns = population_scores(law, coeffs)
+        return float(_objective_per_trial(mse[:, None], cns[:, None], lam)[0])
+
+    return _select(params, lam, law.moments, _fit_law(law, lam, params.n), score)
+
+
+def select_linear_coefficients(
+    params: ScenarioParams,
+    lam: float,
+    samples: int,
+    rng: np.random.Generator,
+) -> LinearSelection:
+    """The sampled view of select_linear_exact: moments, fit and scores from batches of rng.
+
+    At m=2 the recipe runs on a moment batch drawn first; at any other m no
+    moment batch is drawn.  The fit is fit_linear_empirical on the next
+    batch, and both candidates are scored with empirical_objective on a
+    common validation batch, drawn last.  The 5% rule and the recorded
+    failures are select_linear_exact's.
+    """
+    moments = estimate_moments(params, samples, rng) if params.m == 2 else None
+    fit = fit_linear_empirical(params, lam, samples, rng)
+    validation = sample_batch(params, samples, rng)
+    return _select(params, lam, moments, fit, lambda coeffs: empirical_objective(validation, coeffs, lam))

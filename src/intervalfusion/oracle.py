@@ -13,6 +13,10 @@ with a leading row axis; `posterior_density` and `posterior_mean_exact` are
 its one-row views.  The fault patterns come from `itertools.combinations` here,
 not from the fusers' subset tables or their e_k recurrence, so the oracle
 stays independent of the fusers it checks.
+
+`law_moments` gives the exact first and second moments of the trial law
+that the linear fusers are fitted and scored on, as finite sums over the
+precision lattices; it draws no trials.
 """
 
 from __future__ import annotations
@@ -29,10 +33,13 @@ __all__ = [
     "OffLatticeError",
     "InconsistentReadingsError",
     "PiecewiseDensity",
+    "MomentSet",
+    "LawMoments",
     "implied_precision",
     "posterior_rows",
     "posterior_density",
     "posterior_mean_exact",
+    "law_moments",
 ]
 
 
@@ -175,3 +182,118 @@ def posterior_density(readings: Sequence[Interval] | np.ndarray, params: Scenari
 def posterior_mean_exact(readings: Sequence[Interval] | np.ndarray, params: ScenarioParams) -> float:
     """Exact conditional expectation of the target given one agent's readings."""
     return posterior_rows(ReadingRows.of(readings), params).means().item()
+
+
+@dataclass(frozen=True)
+class MomentSet:
+    """First and second moments of the target and one agent's endpoint vector.
+
+    Cross-sensor entries (cov_ll, cov_uu, cov_lu_cross) refer to two distinct
+    sensors at the same agent; sensors are exchangeable, so the estimates pool
+    every sensor (or ordered sensor pair) before averaging over trials.
+    sample_count is the number of trials a sampled set was estimated from,
+    and None for the law's exact set from `law_moments`, which draws none.
+    """
+
+    mean_x: float
+    var_x: float
+    mean_l: float
+    mean_u: float
+    var_l: float
+    cov_ll: float
+    var_u: float
+    cov_uu: float
+    cov_lu_same: float
+    cov_lu_cross: float
+    cov_lx: float
+    cov_ux: float
+    sample_count: int | None
+
+    def __post_init__(self) -> None:
+        if self.sample_count is not None and self.sample_count < 1:
+            raise ValueError(f"sample_count must be positive, got {self.sample_count}")
+        if self.var_x < 0 or self.var_l < 0 or self.var_u < 0:
+            raise ValueError("variances must be nonnegative")
+
+
+@dataclass(frozen=True)
+class LawMoments:
+    """Exact moments of the trial law, and of the linear fits' per-agent features.
+
+    moments holds agent 1's `MomentSet`, its fields Python floats.  gram is
+    the (2m, 2m) matrix E[F F^T] of the features F_j = (sum L_j - n*E[L],
+    sum U_j - n*E[U]) of agents j = 1..m, in the order (F_1L, F_1U, ...,
+    F_mL, F_mU), and target is E[X F] in the same order.
+    """
+
+    moments: MomentSet
+    gram: np.ndarray
+    target: np.ndarray
+
+
+def law_moments(params: ScenarioParams) -> LawMoments:
+    """The exact moments of the trial law at params, computed from the law; no trial is drawn.
+
+    A reading has one marginal law whether truthful or faulty: a precision p
+    uniform on 1..x_max, then each of its p cells with probability 1/p.  A
+    truthful reading is shared by every agent and a faulty one is independent
+    of everything else; a sensor is truthful with probability (n-tau)/n and
+    two distinct sensors both are with probability (n-tau)(n-tau-1)/(n(n-1)).
+    For two truthful sensors E[l_p(X) l_q(X)] = E_X[g_L(X)^2] with
+    g_L(x) = E_p[l_p(x)], one step function on the union of the precision
+    lattices, and likewise for U.  The cell width u_p - l_p does not depend
+    on x, so g_U - E[U] = g_L - E[L]: the three distinct-sensor covariances
+    are one number, and so are cov_lx and cov_ux.  At n = 1 there is no
+    distinct pair, and the cross-sensor fields repeat the same-sensor ones,
+    as `optimal.estimate_moments` does.  Time and memory grow as x_max^2, the
+    number of cells over all precisions.
+    """
+    n, m, tau, x_max = params.n, params.m, params.tau, params.x_max
+    # every (precision, cell) pair: cell k = 0..p-1 of precision p is drawn with probability 1/(x_max*p)
+    prec = np.repeat(np.arange(1, x_max + 1), np.arange(1, x_max + 1))
+    cell = np.arange(prec.size) - (prec - 1) * prec // 2
+    width = 2.0 * x_max / prec
+    lo = -x_max + cell * width
+    hi = lo + width
+    weight = 1.0 / (x_max * prec)
+    mean_l, mean_u = weight @ lo, weight @ hi
+    dl, du = lo - mean_l, hi - mean_u
+    var_l, var_u, cov_lu = weight @ (dl * dl), weight @ (du * du), weight @ (dl * du)
+
+    # g_L on the union lattice, in units of (x + x_max) / (2 x_max): l_p steps
+    # up by its width at every inner cell edge k/p, so g_L by 2/p there; equal
+    # edges of different precisions only leave empty pieces
+    inner = cell > 0
+    edges = cell[inner] / prec[inner]
+    order = np.argsort(edges)
+    edges = np.concatenate([[0.0], edges[order], [1.0]])
+    centered = np.concatenate([[0.0], np.cumsum(2.0 / prec[inner][order])]) - x_max - mean_l
+    share = np.diff(edges)
+    mid_x = x_max * (edges[:-1] + edges[1:]) - x_max
+    truthful_cov = share @ (centered * centered)
+    truthful_cov_x = share @ (mid_x * centered)
+
+    keep = (n - tau) / n
+    if n > 1:
+        both = (n - tau) * (n - tau - 1) / (n * (n - 1))
+        cov_ll = cov_uu = cov_lu_cross = both * truthful_cov
+    else:
+        cov_ll, cov_uu, cov_lu_cross = var_l, var_u, cov_lu
+    cov_x = keep * truthful_cov_x
+    moments = MomentSet(
+        mean_x=0.0, var_x=x_max * x_max / 3.0, mean_l=float(mean_l), mean_u=float(mean_u),
+        var_l=float(var_l), cov_ll=float(cov_ll), var_u=float(var_u), cov_uu=float(cov_uu),
+        cov_lu_same=float(cov_lu), cov_lu_cross=float(cov_lu_cross), cov_lx=float(cov_x),
+        cov_ux=float(cov_x), sample_count=None,
+    )
+
+    # one sensor's readings at two agents are one reading when it is truthful and
+    # independent when faulty; two distinct sensors covary as cov_ll etc. at one
+    # agent or at two
+    nn1 = n * (n - 1)
+    pair = nn1 * np.array([[cov_ll, cov_lu_cross], [cov_lu_cross, cov_uu]])
+    same = n * np.array([[var_l, cov_lu], [cov_lu, var_u]])
+    agent = np.arange(2 * m) // 2
+    gram = np.where(agent[:, None] == agent[None, :], np.tile(same + pair, (m, m)),
+                    np.tile(keep * same + pair, (m, m)))
+    return LawMoments(moments=moments, gram=gram, target=np.full(2 * m, n * moments.cov_lx))

@@ -16,6 +16,11 @@ package's formulas before their products and sensor sums were formed once,
 in place: every endpoint product is formed again for its row sums, and each
 agent's sensor sums come from `sum(axis=1)`.
 
+The law's exact moments here are a `fractions.Fraction` reference for
+`oracle.law_moments`, built another way: every pair of cells of two
+truthful readings is enumerated with the length of their overlap, and the
+feature Gram sums the covariance of every (sensor, agent) pair of endpoints.
+
 The quadratic objective here is reconstructed from direction moments alone,
 independently of the solver code: with unit-variance zero-mean directions
 f_1..f_m and estimates c_j*f_j + b_j,
@@ -26,6 +31,9 @@ f_1..f_m and estimates c_j*f_j + b_j,
 and the objective is lam * sum_j accuracy_j plus (1-lam)/(m-1) times the sum
 of gap over unordered pairs.
 """
+
+import functools
+from fractions import Fraction
 
 import numpy as np
 
@@ -243,3 +251,71 @@ def objective_gradient(dm, c, lam):
             others = sum(c[j] - dm.cross[j, k] * c[k] for k in range(m) if k != j)
             grad[j] += 2.0 * (1.0 - lam) / (m - 1) * others
     return grad
+
+
+@functools.cache
+def _reading_law(x_max):
+    """Exact moments of one reading, and of two truthful readings of one target, as Fractions.
+
+    A reading picks a precision p in 1..x_max, then one of its p cells, each
+    with probability 1/(x_max*p); a truthful reading is the cell holding the
+    uniform target X, and two truthful readings pick their precisions
+    independently.
+    """
+    cells = []
+    for p in range(1, x_max + 1):
+        width = Fraction(2 * x_max, p)
+        cells += [(Fraction(1, x_max * p), -x_max + k * width, -x_max + (k + 1) * width) for k in range(p)]
+    one = {
+        "L": sum(w * lo for w, lo, _ in cells),
+        "U": sum(w * hi for w, _, hi in cells),
+        "LL": sum(w * lo * lo for w, lo, _ in cells),
+        "UU": sum(w * hi * hi for w, _, hi in cells),
+        "LU": sum(w * lo * hi for w, lo, hi in cells),
+        # E[X L] = sum over cells of lo * (integral of x over the cell) / (2 x_max), over precisions
+        "XL": sum(Fraction(1, x_max) * lo * (hi * hi - lo * lo) / 2 / (2 * x_max) for _, lo, hi in cells),
+        "XU": sum(Fraction(1, x_max) * hi * (hi * hi - lo * lo) / 2 / (2 * x_max) for _, lo, hi in cells),
+    }
+    two = {"LL": Fraction(0), "UU": Fraction(0), "LU": Fraction(0)}
+    for _, a_lo, a_hi in cells:
+        for _, b_lo, b_hi in cells:
+            overlap = min(a_hi, b_hi) - max(a_lo, b_lo)
+            if overlap > 0:
+                # P(precisions) * P(X in both cells | precisions)
+                w = Fraction(1, x_max * x_max) * overlap / (2 * x_max)
+                two["LL"] += w * a_lo * b_lo
+                two["UU"] += w * a_hi * b_hi
+                two["LU"] += w * a_lo * b_hi
+    return one, two
+
+
+def reference_law_moments(n, m, tau, x_max):
+    """MomentSet fields, feature Gram and E[X F] of the law at (n, m, tau, x_max), as Fractions."""
+    one, two = _reading_law(x_max)
+    keep = Fraction(n - tau, n)
+    both = Fraction((n - tau) * (n - tau - 1), n * (n - 1))
+    mean = {"L": one["L"], "U": one["U"]}
+
+    def cov(a, b, same_sensor, same_agent):
+        """Cov(A_ij, B_i'k) of endpoints a, b of sensors i, i' at agents j, k."""
+        key = a + b if a + b in one else b + a
+        if same_sensor:
+            # one reading at one agent; at two agents, shared only when truthful
+            return (one[key] - mean[a] * mean[b]) * (1 if same_agent else keep)
+        # distinct sensors: dependent only when both are truthful
+        return both * (two[key] - mean[a] * mean[b])
+
+    fields = dict(
+        mean_x=Fraction(0), var_x=Fraction(x_max * x_max, 3), mean_l=one["L"], mean_u=one["U"],
+        var_l=cov("L", "L", True, True), cov_ll=cov("L", "L", False, True),
+        var_u=cov("U", "U", True, True), cov_uu=cov("U", "U", False, True),
+        cov_lu_same=cov("L", "U", True, True), cov_lu_cross=cov("L", "U", False, True),
+        cov_lx=keep * one["XL"], cov_ux=keep * one["XU"],
+    )
+    features = [(j, a) for j in range(m) for a in "LU"]
+    gram = [
+        [sum(cov(a, b, i == k, j == l) for i in range(n) for k in range(n)) for l, b in features]
+        for j, a in features
+    ]
+    target = [n * keep * one["X" + a] for _, a in features]
+    return fields, gram, target

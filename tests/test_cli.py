@@ -15,11 +15,12 @@ from intervalfusion import (
     evaluate,
     fusion,
     gbi_bayes_weights,
+    optimal,
     scenario,
+    select_linear_exact,
 )
 from intervalfusion.cli import (
     ConfigError,
-    _fit_rng,
     _sweep_header,
     load_config,
     main,
@@ -213,6 +214,18 @@ class TestSweep:
         assert objective == pytest.approx(recombined, rel=1e-9)
         assert row["flags"] in ("", "fit_substituted")
 
+    def test_linear_fits_draw_nothing(self, tmp_path, monkeypatch):
+        # the fits run on the exact law: no fitting batch is drawn, so
+        # moment_samples (validated, not read) does not move a row
+        rows = []
+        for samples in (10_000, 50_000):
+            path, _ = write_config(tmp_path, algorithms=["linear", "bi"], lambdas=[0.1, 0.9],
+                                   taus=[1, 3], moment_samples=samples)
+            monkeypatch.setattr(optimal, "sample_batch", no_draw)
+            rows.append(run_sweep(load_config(path)))
+        assert rows[0] == rows[1]
+        assert [r["algorithm"] for r in rows[0]] == ["linear@0.1", "linear@0.9", "bi"] * 2
+
     def test_large_n_gbi_sweep(self, tmp_path):
         # C(40, 20) ~ 1.4e11 subsets: only the region fuser can run this cell
         path, raw = write_config(tmp_path, n=40, taus=[20], algorithms=["gbi_oneopt", "marzullo"],
@@ -323,7 +336,7 @@ class TestSweep:
         def no_work(*args, **kwargs):
             raise AssertionError("the sweep fitted or evaluated before refusing the config")
 
-        monkeypatch.setattr(cli, "select_linear_coefficients", no_work)
+        monkeypatch.setattr(cli, "select_linear_exact", no_work)
         monkeypatch.setattr(cli, "evaluate_taus", no_work)
         with pytest.raises(ConfigError, match="'taus'"):
             run_sweep(config)
@@ -503,15 +516,6 @@ class TestOracleCheck:
         assert worst < 1e-9
 
 
-def test_nearby_lambdas_fit_on_distinct_streams():
-    # the two selectors get distinct labels, linear@0.123456 and
-    # linear@0.123457, so they must not share one fitting stream
-    a, b = 0.1234564999, 0.1234565001
-    assert f"{a:g}" != f"{b:g}"
-    assert _fit_rng(4242, 1, a).random() != _fit_rng(4242, 1, b).random()
-    assert _fit_rng(4242, 1, a).random() == _fit_rng(4242, 1, a).random()
-
-
 class TestFitLinear:
     def test_writes_report(self, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -581,6 +585,21 @@ class TestFitLinear:
             assert entry["closed_form_used"] is False
             assert entry["closed_form_objective"] is None
             assert "m=3" in entry["closed_form_error"]
+
+
+    def test_objectives_are_exact_population_values(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(optimal, "sample_batch", no_draw)
+        path, _ = write_config(tmp_path, n=6, taus=[2])
+        assert main(["fit-linear", "--config", path, "--lambda", "0.5"]) == 0
+        entry, = json.loads(capsys.readouterr().out)
+        selection = select_linear_exact(ScenarioParams(n=6, m=2, tau=2, x_max=5, seed=1), 0.5)
+        assert entry["empirical_objective"] == selection.empirical_objective
+        assert entry["closed_form_objective"] == selection.closed_form_objective
+        assert entry["eps"] == [c.eps.tolist() for c in selection.coeffs]
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a fitting batch was drawn")
 
 
 class TestRowChecks:

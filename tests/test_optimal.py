@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from intervalfusion import cli, optimal
+from intervalfusion import optimal
 from intervalfusion import (
     AlgorithmSpec,
     DirectionMoments,
@@ -43,9 +43,13 @@ from intervalfusion import (
     estimate_moments,
     evaluate,
     fit_linear_empirical,
+    fit_linear_exact,
     fuse_linear,
+    law_moments,
+    population_scores,
     sample_batch,
     select_linear_coefficients,
+    select_linear_exact,
     solve_linear_two_agent,
 )
 from intervalfusion.fusion import linear_rows
@@ -258,6 +262,23 @@ class TestAmplitudeSolution:
         dm = DirectionMoments(cross=np.eye(2), target=np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             amplitude_solution(dm, 0.0, 1.2)
+
+    def test_equals_the_literal_system(self):
+        # the shared quadratic-system builder leaves amplitude_solution's
+        # matrix, right-hand side and solution bit for bit as its own formulas
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            m = int(rng.integers(2, 6))
+            dm, _, mean_x = random_direction_moments(rng, m)
+            dm = DirectionMoments(cross=dm.cross + np.diag(rng.uniform(-1e-10, 1e-10, m)), target=dm.target)
+            lam = float(rng.uniform(0.0, 1.0))
+            sol = amplitude_solution(dm, mean_x, lam)
+            theta = lam * dm.target
+            a = -(1.0 - lam) / (m - 1) * dm.cross
+            np.fill_diagonal(a, 1.0)
+            assert bits(sol.a_matrix.ravel()) == bits(a.ravel())
+            assert bits(sol.theta) == bits(theta)
+            assert bits(sol.c) == bits(np.linalg.solve(a, theta))
 
     def test_single_agent_refused(self):
         # one agent has no gap terms to trade against, so the system is not
@@ -592,10 +613,11 @@ class TestNelderMead:
 
     @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
     def test_sweep_fit_cells_stay_cheap(self, lam):
-        # the benchmark's sweep-fit cells; run to maxiter 600 their searches
-        # took 30,081-37,190 evaluations, and the fixed-point stop about 9,400
-        moments = estimate_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=4242), 20_000,
-                                   cli._fit_rng(4242, 3, lam))
+        # the benchmark's sweep-fit cells, on the exact moments the sweep
+        # feeds the recipe; on sampled moments, run to maxiter 600 their
+        # searches took 30,081-37,190 evaluations, and the fixed-point stop
+        # about 9,400
+        moments = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=4242)).moments
         calls = 0
         search = optimal._recipe_search
 
@@ -722,6 +744,128 @@ class TestFitLinearEmpirical:
         bad = ScenarioParams(n=5, m=1, tau=1, x_max=5, seed=53)
         with pytest.raises(ValueError, match="m=1"):
             fit_linear_empirical(bad, 0.5, 10_000, np.random.default_rng(0))
+
+
+def population_objective(law, coeffs, lam):
+    mse, cns = population_scores(law, coeffs)
+    return float(_objective_per_trial(mse[:, None], cns[:, None], lam)[0])
+
+
+def shared(n, point, mean_l, mean_u):
+    """Shared coefficients with intercepts tied to the given endpoint means."""
+    return tuple(LinearCoefficients(np.full(n, e), np.full(n, d), -n * (e * mean_l + d * mean_u)) for e, d in point)
+
+
+class TestFitLinearExact:
+    @pytest.mark.parametrize("x_max", [4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_within_a_hundredth_of_the_sampled_fit(self, m, x_max):
+        # the 20,000-sample fit estimates the exact one: every eps and delta
+        # within 0.01 (the intercepts follow from them and the endpoint means)
+        worst = 0.0
+        for n in (6, 10):
+            for tau in range(1, min(8, n)):
+                params = ScenarioParams(n=n, m=m, tau=tau, x_max=x_max, seed=61)
+                for lam in (0.1, 0.5, 0.9):
+                    exact = fit_linear_exact(params, lam)
+                    sampled = fit_linear_empirical(params, lam, 20_000, np.random.default_rng((n, m, tau, x_max)))
+                    for e, s in zip(exact, sampled, strict=True):
+                        gap = max(np.abs(e.eps - s.eps).max(), np.abs(e.delta - s.delta).max())
+                        worst = max(worst, gap)
+                        assert gap <= 0.01, (n, tau, lam, gap)
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_sampled_fit_does_not_beat_it_on_evaluated_trials(self, m):
+        # both fits scored on the same evaluate trials: the sampled one may
+        # not win by more than 3 paired standard errors
+        params = ScenarioParams(n=10, m=m, tau=3, x_max=5, seed=62)
+        lambdas = (0.1, 0.5, 0.9)
+        specs = []
+        for lam in lambdas:
+            specs.append(AlgorithmSpec.linear(fit_linear_exact(params, lam), label=f"exact@{lam}"))
+            specs.append(AlgorithmSpec.linear(fit_linear_empirical(params, lam, 20_000, np.random.default_rng(m)),
+                                              label=f"sampled@{lam}"))
+        reports = evaluate(specs, params, 20_000)
+        for i, lam in enumerate(lambdas):
+            exact, sampled = reports[2 * i: 2 * i + 2]
+            diff = (_objective_per_trial(sampled.sq_err, sampled.pair_gap_sq, lam)
+                    - _objective_per_trial(exact.sq_err, exact.pair_gap_sq, lam))
+            assert diff.mean() >= -3.0 * diff.std(ddof=1) / np.sqrt(diff.size), lam
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_minimizes_the_population_objective(self, lam):
+        # over shared coefficients with tied intercepts: the sampled fit and
+        # +-1% bumps of the exact one never score lower on the law
+        for m in (2, 3, 4):
+            params = ScenarioParams(n=6, m=m, tau=2, x_max=5, seed=63)
+            law = law_moments(params)
+            mean_l, mean_u = law.moments.mean_l, law.moments.mean_u
+            fit = fit_linear_exact(params, lam)
+            base = population_objective(law, fit, lam)
+            sampled = fit_linear_empirical(params, lam, 10_000, np.random.default_rng(m))
+            assert population_objective(law, sampled, lam) >= base
+            point = np.array([[c.eps[0], c.delta[0]] for c in fit])
+            for j in range(m):
+                for c in range(2):
+                    for sign in (1.0, -1.0):
+                        bumped = point.copy()
+                        bumped[j, c] *= 1.0 + sign * 0.01
+                        assert population_objective(law, shared(6, bumped, mean_l, mean_u), lam) >= base * (1 - 1e-12)
+
+    def test_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(optimal, "sample_batch", mock.Mock(side_effect=AssertionError("drew trials")))
+        params = ScenarioParams(n=10, m=3, tau=3, x_max=5, seed=64)
+        assert len(fit_linear_exact(params, 0.5)) == 3
+        assert len(select_linear_exact(params, 0.5).coeffs) == 3
+
+    def test_single_cell_scenario_estimates_zero(self):
+        # x_max=1: every reading is [-1, 1] and the exact features vanish
+        fit = fit_linear_exact(ScenarioParams(n=4, m=2, tau=1, x_max=1, seed=65), 0.7)
+        for coeffs in fit:
+            assert fuse_linear(np.array([[-1.0, 1.0]] * 4), coeffs) == 0.0
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError, match="lam"):
+            fit_linear_exact(ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=66), 1.5)
+        with pytest.raises(ValueError, match="m=1"):
+            fit_linear_exact(ScenarioParams(n=5, m=1, tau=1, x_max=5, seed=66), 0.5)
+
+
+class TestPopulationScores:
+    def test_match_evaluate_within_four_standard_errors(self):
+        params = ScenarioParams(n=8, m=3, tau=2, x_max=4, seed=67)
+        law = law_moments(params)
+        rng = np.random.default_rng(3)
+        coeffs = tuple(LinearCoefficients(np.full(8, e), np.full(8, d), g)
+                       for e, d, g in rng.normal(scale=0.1, size=(3, 3)))
+        mse, cns = population_scores(law, coeffs)
+        report, = evaluate([AlgorithmSpec.linear(coeffs)], params, 20_000)
+        assert np.all(np.abs(report.mse - mse) <= 4.0 * report.mse_stderr)
+        assert np.all(np.abs(report.cns - cns) <= 4.0 * report.cns_stderr)
+
+    def test_constant_fusers_by_hand(self):
+        # constant estimates c_j: mse_j = Var(X) + c_j^2 and cns = (c_j - c_k)^2
+        law = law_moments(ScenarioParams(n=4, m=3, tau=1, x_max=5, seed=68))
+        coeffs = tuple(LinearCoefficients(np.zeros(4), np.zeros(4), g) for g in (0.0, 1.0, -2.0))
+        mse, cns = population_scores(law, coeffs)
+        assert mse.tolist() == pytest.approx([25.0 / 3.0, 25.0 / 3.0 + 1.0, 25.0 / 3.0 + 4.0], rel=1e-15)
+        assert cns.tolist() == [1.0, 4.0, 9.0]
+
+    def test_refuses_per_sensor_and_miscounted_coefficients(self):
+        law = law_moments(ScenarioParams(n=3, m=2, tau=1, x_max=5, seed=69))
+        mixed = LinearCoefficients(np.array([0.1, 0.2, 0.1]), np.full(3, 0.1), 0.0)
+        flat = LinearCoefficients(np.full(3, 0.1), np.full(3, 0.1), 0.0)
+        with pytest.raises(ValueError, match="shared"):
+            population_scores(law, (flat, mixed))
+        with pytest.raises(ValueError, match="one coefficient set per agent"):
+            population_scores(law, (flat,))
+
+    def test_overflow_scores_non_finite(self):
+        law = law_moments(ScenarioParams(n=3, m=2, tau=1, x_max=5, seed=69))
+        huge = LinearCoefficients(np.full(3, 1e308), np.full(3, 1e308), 0.0)
+        mse, cns = population_scores(law, (huge, huge))
+        assert not np.isfinite(mse).any()
 
 
 class TestEmpiricalObjective:
@@ -893,3 +1037,51 @@ class TestSelectLinearCoefficients:
         assert not np.isfinite(sel.closed_form_objective)
         assert sel.closed_form_error is None
         assert np.isfinite(sel.empirical_objective)
+
+
+class TestSelectLinearExact:
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_sweep_fit_cell(self, lam):
+        # the benchmark's cell: the recipe runs on the exact moments, scores
+        # thousands of times the fit's population objective and is rejected
+        params = ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=70)
+        law = law_moments(params)
+        sel = select_linear_exact(params, lam)
+        fit = fit_linear_exact(params, lam)
+        closed = solve_linear_two_agent(law.moments, lam, 10).to_coefficients(10)
+        assert not sel.closed_form_used and sel.closed_form_error is None
+        assert sel.empirical_objective == population_objective(law, fit, lam)
+        assert sel.closed_form_objective == population_objective(law, closed, lam)
+        assert sel.closed_form_objective > 100.0 * sel.empirical_objective
+        for got, want in zip(sel.coeffs, fit, strict=True):
+            assert bits([*got.eps, *got.delta, got.gamma]) == bits([*want.eps, *want.delta, want.gamma])
+
+    def test_recipe_skipped_beyond_two_agents(self):
+        params = ScenarioParams(n=6, m=3, tau=1, x_max=5, seed=71)
+        with mock.patch.object(optimal, "solve_linear_two_agent", side_effect=AssertionError("recipe ran")):
+            sel = select_linear_exact(params, 0.5)
+        assert not sel.closed_form_used
+        assert sel.closed_form_objective is None
+        assert "m=3" in sel.closed_form_error
+        assert sel.empirical_objective > 0.0
+
+    def test_recipe_value_error_is_recorded(self):
+        # the recipe is defined on 0 < lam < 1, so at lam = 0 it raises
+        sel = select_linear_exact(ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=72), 0.0)
+        assert not sel.closed_form_used
+        assert "(0, 1)" in sel.closed_form_error
+
+    def test_close_recipe_is_kept(self, monkeypatch):
+        # a recipe candidate within 5% of the fit's population objective is selected
+        params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=73)
+        fit = fit_linear_exact(params, 0.5)
+
+        class Close:
+            def to_coefficients(self, n):
+                return tuple(LinearCoefficients(c.eps * 1.01, c.delta * 1.01, c.gamma * 1.01) for c in fit)
+
+        monkeypatch.setattr(optimal, "solve_linear_two_agent", lambda moments, lam, n: Close())
+        sel = select_linear_exact(params, 0.5)
+        assert sel.closed_form_used
+        assert sel.empirical_objective <= sel.closed_form_objective <= 1.05 * sel.empirical_objective
+        assert sel.coeffs[0].eps[0] == fit[0].eps[0] * 1.01

@@ -1,29 +1,38 @@
 """Exact posterior-mean reference: closed-form values, normalization, grid
-agreement, and the batch oracle against a copy of the scalar loop."""
+agreement, and the batch oracle against a copy of the scalar loop.  The
+law's exact moments against a Fraction reference and against sampling."""
 
+import dataclasses
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import reference_law_moments
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalfusion import (
     InconsistentReadingsError,
     Interval,
+    MomentSet,
     OffLatticeError,
     PiecewiseDensity,
     ScenarioParams,
+    estimate_moments,
     fuse_gbi_oneopt,
     fuse_gbi_regions,
     implied_precision,
+    law_moments,
     make_trial,
     make_trials,
     posterior_density,
+    optimal,
     posterior_mean_exact,
 )
 from intervalfusion.oracle import posterior_rows
-from intervalfusion.scenario import ReadingRows
+from intervalfusion.scenario import ReadingRows, sample_batch
 
 
 def agent_readings(trial, agent=0):
@@ -357,3 +366,140 @@ class TestBatchOracle:
         assert not isinstance(info.value, OffLatticeError)
         with pytest.raises(ValueError, match=message):
             posterior_rows(ReadingRows([[0.0, 3.0]], [[2.0, 1.0]]), params)
+
+
+# x_max 1-6, n 2-10, every tau
+LAW_GRID = [(x_max, n, tau) for x_max in range(1, 7) for n in range(2, 11) for tau in range(n)]
+
+
+def assert_close(got, want, where):
+    """Relative 1e-12, or absolute 1e-12 where the exact value is 0."""
+    want = float(want)
+    assert abs(got - want) <= (1e-12 * abs(want) if want else 1e-12), (where, got, want)
+
+
+def moment_terms(batch):
+    """Per-trial terms whose means make up estimate_moments' fields.
+
+    Returns the terms by name and each field as (A, B, C): the field is
+    mean(A) - mean(B) * mean(C), or mean(A) where B is None.
+    """
+    L, U, X = batch.lo[:, :, 0], batch.hi[:, :, 0], batch.x
+    n = L.shape[1]
+    sl, su = L.sum(axis=1), U.sum(axis=1)
+    terms = {
+        "X": X, "XX": X * X, "L": L.mean(axis=1), "U": U.mean(axis=1),
+        "LL": (L * L).mean(axis=1), "UU": (U * U).mean(axis=1), "LU": (L * U).mean(axis=1),
+        "LX": (L * X[:, None]).mean(axis=1), "UX": (U * X[:, None]).mean(axis=1),
+        "LL2": (sl * sl - (L * L).sum(axis=1)) / (n * (n - 1)),
+        "UU2": (su * su - (U * U).sum(axis=1)) / (n * (n - 1)),
+        "LU2": (sl * su - (L * U).sum(axis=1)) / (n * (n - 1)),
+    }
+    fields = {
+        "mean_x": ("X", None, None), "var_x": ("XX", "X", "X"), "mean_l": ("L", None, None),
+        "mean_u": ("U", None, None), "var_l": ("LL", "L", "L"), "cov_ll": ("LL2", "L", "L"),
+        "var_u": ("UU", "U", "U"), "cov_uu": ("UU2", "U", "U"), "cov_lu_same": ("LU", "L", "U"),
+        "cov_lu_cross": ("LU2", "L", "U"), "cov_lx": ("LX", "L", "X"), "cov_ux": ("UX", "U", "X"),
+    }
+    return terms, fields
+
+
+def delta_method_se(terms, a, b, c):
+    """Standard error of mean(A) - mean(B) * mean(C) from its per-trial influence values."""
+    influence = terms[a] if b is None else terms[a] - terms[b] * terms[c].mean() - terms[c] * terms[b].mean()
+    return float(influence.std(ddof=1) / np.sqrt(influence.size))
+
+
+class TestLawMoments:
+    @pytest.mark.parametrize("x_max", range(1, 7))
+    def test_equals_the_fraction_reference(self, x_max):
+        for n in range(2, 11):
+            for tau in range(n):
+                law = law_moments(ScenarioParams(n=n, m=2, tau=tau, x_max=x_max, seed=0))
+                fields, gram, target = reference_law_moments(n, 2, tau, x_max)
+                for name, want in fields.items():
+                    assert_close(getattr(law.moments, name), want, (n, tau, name))
+                for i, j in itertools.product(range(4), repeat=2):
+                    assert_close(law.gram[i, j], gram[i][j], (n, tau, "gram", i, j))
+                for i in range(4):
+                    assert_close(law.target[i], target[i], (n, tau, "target", i))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_gram_beyond_two_agents(self, m):
+        law = law_moments(ScenarioParams(n=5, m=m, tau=2, x_max=4, seed=0))
+        _, gram, target = reference_law_moments(5, m, 2, 4)
+        assert law.gram.shape == (2 * m, 2 * m) and law.target.shape == (2 * m,)
+        for i, j in itertools.product(range(2 * m), repeat=2):
+            assert_close(law.gram[i, j], gram[i][j], ("gram", i, j))
+        for i in range(2 * m):
+            assert_close(law.target[i], target[i], ("target", i))
+
+    def test_sampled_estimates_lie_within_four_standard_errors(self, monkeypatch):
+        # estimate_moments on 20,000 trials per cell of the grid, its standard
+        # errors from the batch it drew; a field that is exactly 0 (x_max = 1)
+        # may miss only by rounding
+        drawn = []
+        monkeypatch.setattr(optimal, "sample_batch", lambda *args: drawn.append(sample_batch(*args)) or drawn[-1])
+        worst = 0.0
+        for x_max, n, tau in LAW_GRID:
+            params = ScenarioParams(n=n, m=2, tau=tau, x_max=x_max, seed=0)
+            exact = law_moments(params).moments
+            got = estimate_moments(params, 20_000, np.random.default_rng((x_max, n, tau)))
+            terms, fields = moment_terms(drawn.pop())
+            for name, (a, b, c) in fields.items():
+                se = delta_method_se(terms, a, b, c)
+                miss = abs(getattr(got, name) - getattr(exact, name))
+                assert miss <= 4.0 * se + 1e-12, (x_max, n, tau, name, miss, se)
+                if se > 0:
+                    worst = max(worst, miss / se)
+        assert worst > 2.0  # the errors are sampling errors, not all zero
+
+    def test_fields_are_python_floats(self):
+        # the recipe's search runs in pure Python, where numpy scalars cost
+        # about 1.7x as much per evaluation
+        moments = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=0)).moments
+        for field in dataclasses.fields(MomentSet):
+            value = getattr(moments, field.name)
+            if field.name == "sample_count":
+                assert value is None
+            else:
+                assert type(value) is float, field.name
+
+    def test_depends_on_the_law_only(self):
+        a = law_moments(ScenarioParams(n=7, m=3, tau=2, x_max=5, seed=1))
+        b = law_moments(ScenarioParams(n=7, m=3, tau=2, x_max=5, seed=2))
+        assert a.moments == b.moments
+        assert np.array_equal(a.gram, b.gram) and np.array_equal(a.target, b.target)
+
+    def test_one_sensor_repeats_the_same_sensor_fields(self):
+        # as estimate_moments does, with no distinct pair to pool
+        moments = law_moments(ScenarioParams(n=1, m=2, tau=0, x_max=5, seed=0)).moments
+        assert moments.cov_ll == moments.var_l
+        assert moments.cov_uu == moments.var_u
+        assert moments.cov_lu_cross == moments.cov_lu_same
+
+    def test_large_lattice_is_quick_and_small(self):
+        # 500,500 cells at x_max = 1000: time and memory grow as x_max^2
+        params = ScenarioParams(n=10, m=2, tau=3, x_max=1000, seed=0)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            law = law_moments(params)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+        assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
+        # E[L] = -H(x_max), the harmonic number, by symmetry E[U] = H(x_max)
+        harmonic = sum(1.0 / p for p in range(1, 1001))
+        assert law.moments.mean_l == pytest.approx(-harmonic, rel=1e-12)
+        assert law.moments.mean_u == pytest.approx(harmonic, rel=1e-12)
+
+
+class TestMomentSetCount:
+    def test_exact_set_has_no_count_and_sampled_counts_stay_positive(self):
+        exact = law_moments(ScenarioParams(n=4, m=2, tau=1, x_max=3, seed=0)).moments
+        assert exact.sample_count is None
+        with pytest.raises(ValueError, match="sample_count"):
+            dataclasses.replace(exact, sample_count=0)
