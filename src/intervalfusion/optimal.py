@@ -233,23 +233,6 @@ class TwoAgentLinearSolution:
         return _shared_coefficients(self.eps, self.delta, self.gamma, n)
 
 
-def _delta_roots(xi1: float, xi2: float, xi3: float) -> tuple[float, ...]:
-    """Real roots of xi1*d^2 + xi2*d + xi3 = 0 (stable two-root form)."""
-    if xi1 == 0.0:
-        if xi2 == 0.0:
-            return (0.0,) if xi3 == 0.0 else ()
-        return (-xi3 / xi2,)
-    disc = xi2 * xi2 - 4.0 * xi1 * xi3
-    if disc < 0.0:
-        return ()
-    root = math.sqrt(disc)
-    q = -(xi2 + math.copysign(root, xi2)) / 2.0 if xi2 != 0.0 else root / 2.0
-    if q == 0.0:
-        return (0.0,)
-    r1, r2 = q / xi1, xi3 / q
-    return (r1,) if r1 == r2 else (r1, r2)
-
-
 def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tuple[float, ...], float]:
     """Minimize f(*x) over one or two coordinates from x0; returns the best vertex and its value.
 
@@ -258,72 +241,105 @@ def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tuple[float,
     shrink 0.5), its initial simplex (x0 plus 5% along each coordinate, or
     0.00025 where x0 is 0) and options xatol=1e-10, fatol=1e-12, maxiter=600,
     on Python floats.  Every step is written in scipy's arithmetic form and
-    the vertices are re-sorted stably (nan last, as np.argsort does), so the
-    iterates and the result equal scipy's bit for bit.  Vertices are (x, y)
-    tuples; a one-coordinate search pins y at 0.0, which every step keeps.
+    the vertices are re-sorted stably (nan last, as np.argsort does), so f
+    sees scipy's points in scipy's order and the result equals scipy's bit
+    for bit.  The simplex is held as its best vertex b, middle vertex m and
+    worst vertex w, each (x, y, value); a one-coordinate search pins y at
+    0.0, which every step keeps, and has no middle vertex: m is b there, as
+    scipy's second-worst vertex is its best.
     It stops early once an iteration leaves the sorted simplex and its values
     bit for bit as they were: the step is a deterministic function of that
     state and f is pure, so scipy would repeat it up to maxiter and return
-    the same point and value.
+    the same point and value.  The state is compared with == first and by
+    its bits only when that holds; the two disagree on signed zeros, which
+    the bits tell apart, and on a nan, which == never equals unless it is
+    the very same object; a repeated state that == misses costs only the
+    iterations scipy spends on it, up to maxiter.
     """
     n = len(x0)
     if n not in (1, 2):
         raise ValueError(f"_nelder_mead searches one or two coordinates, got {n}")
-    g = f if n == 2 else lambda x, y: f(x)
-    x, y = x0 if n == 2 else (x0[0], 0.0)
-    sim = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)][: n + 1]
-    fsim = [g(*v) for v in sim]
-    pack = struct.Struct(f"{3 * (n + 1)}d").pack
-    state, iterations = None, 1
+    two = n == 2
+    g = f if two else lambda x, y: f(x)
+    # scipy's initial simplex: x0, then x0 with x and, at two coordinates, y moved
+    bx, by = x0 if two else (x0[0], 0.0)
+    wx, wy = 1.05 * bx if bx != 0 else 0.00025, by
+    fb, fw = g(bx, by), g(wx, wy)
+    if two:
+        mx, my, fm = wx, wy, fw
+        wx, wy = bx, 1.05 * by if by != 0 else 0.00025
+        fw = g(wx, wy)
+    pack = struct.Struct("9d").pack
+    state, iterations, shrunk = None, 1, True
     while True:
-        # stable insertion sort of the two or three vertices by value, nan last
-        for i in range(1, n + 1):
-            while i and (fsim[i] < fsim[i - 1] or fsim[i - 1] != fsim[i - 1] and fsim[i] == fsim[i]):
-                sim[i - 1], sim[i], fsim[i - 1], fsim[i] = sim[i], sim[i - 1], fsim[i], fsim[i - 1]
-                i -= 1
-        (bx, by), (wx, wy) = sim[0], sim[-1]
-        # bits, not ==: -0.0 and 0.0, or two nan payloads, are different states
-        last, state = state, pack(*fsim, *[c for v in sim for c in v])
-        if iterations >= 600 or state == last or (
-            all(abs(vx - bx) <= 1e-10 and abs(vy - by) <= 1e-10 for vx, vy in sim[1:])
-            and all(abs(fsim[0] - v) <= 1e-12 for v in fsim[1:])
-        ):
-            break
-        # centroid of all but the worst vertex; np.add.reduce starts from +0.0,
-        # which decides the sign of a zero centroid
-        cx, cy = ((0.0 + bx + sim[1][0]) / 2, (0.0 + by + sim[1][1]) / 2) if n == 2 else ((0.0 + bx) / 1, 0.0)
-        xr = (2 * cx - wx, 2 * cy - wy)
-        fxr = g(*xr)
-        shrink = False
-        if fxr < fsim[0]:
-            xe = (3 * cx - 2 * wx, 3 * cy - 2 * wy)
-            fxe = g(*xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        # stable insertion sort by value, nan last; a step that kept b and m
+        # leaves only w to place
+        if two:
+            if shrunk and (fm < fb or fb != fb and fm == fm):
+                bx, by, fb, mx, my, fm = mx, my, fm, bx, by, fb
+            if fw < fm or fm != fm and fw == fw:
+                mx, my, fm, wx, wy, fw = wx, wy, fw, mx, my, fm
+                if fm < fb or fb != fb and fm == fm:
+                    bx, by, fb, mx, my, fm = mx, my, fm, bx, by, fb
         else:
-            # outside contraction when the reflection beats the worst vertex, else inside
-            outside = fxr < fsim[-1]
-            xc = ((1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy) if outside
-                  else (0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy))
-            fxc = g(*xc)
-            shrink = not (fxc <= fxr if outside else fxc < fsim[-1])
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-        if shrink:
-            for j in range(1, n + 1):
-                sx, sy = sim[j]
-                sim[j] = (bx + 0.5 * (sx - bx), by + 0.5 * (sy - by))
-                fsim[j] = g(*sim[j])
+            if fw < fb or fb != fb and fw == fw:
+                bx, by, fb, wx, wy, fw = wx, wy, fw, bx, by, fb
+            mx, my, fm = bx, by, fb
+        last, state = state, (fb, fm, fw, bx, by, mx, my, wx, wy)
+        if iterations >= 600 or (
+            abs(mx - bx) <= 1e-10 and abs(my - by) <= 1e-10 and abs(wx - bx) <= 1e-10 and abs(wy - by) <= 1e-10
+            and abs(fb - fm) <= 1e-12 and abs(fb - fw) <= 1e-12
+        ) or state == last and pack(*state) == pack(*last):
+            break
+        # centroid of b and m; np.add.reduce starts from +0.0, which decides
+        # the sign of a zero centroid
+        if two:
+            cx, cy = (0.0 + bx + mx) / 2, (0.0 + by + my) / 2
+        else:
+            cx, cy = (0.0 + bx) / 1, 0.0
+        rx, ry = 2 * cx - wx, 2 * cy - wy
+        fr = g(rx, ry)
+        shrunk = False
+        if fr < fb:
+            ex, ey = 3 * cx - 2 * wx, 3 * cy - 2 * wy
+            fe = g(ex, ey)
+            if fe < fr:
+                wx, wy, fw = ex, ey, fe
+            else:
+                wx, wy, fw = rx, ry, fr
+        elif fr < fm:
+            wx, wy, fw = rx, ry, fr
+        elif fr < fw:
+            # outside contraction: the reflection beats w
+            kx, ky = 1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy
+            fk = g(kx, ky)
+            if fk <= fr:
+                wx, wy, fw = kx, ky, fk
+            else:
+                shrunk = True
+        else:
+            kx, ky = 0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy
+            fk = g(kx, ky)
+            if fk < fw:
+                wx, wy, fw = kx, ky, fk
+            else:
+                shrunk = True
+        if shrunk:
+            if two:
+                mx, my = bx + 0.5 * (mx - bx), by + 0.5 * (my - by)
+                fm = g(mx, my)
+            wx, wy = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
+            fw = g(wx, wy)
         iterations += 1
     # scipy reports np.min over the simplex, which is nan if any vertex is
-    return sim[0][:n], fsim[0] if fsim[-1] == fsim[-1] else math.nan
+    return (bx, by) if two else (bx,), fb if fw == fw else math.nan
 
 
 def _recipe_search(objective: Callable[[float, float], float], starts: list[list[float]]) -> tuple[float, ...] | None:
     """Nelder-Mead from every start, then a polish along the diagonal; the best point.
 
     A search that reaches an exact fixed point stops there with scipy's result.
+    None when no search ends below +inf.
     """
     best_point, best_value = None, math.inf
     for start in starts:
@@ -340,6 +356,86 @@ def _recipe_search(objective: Callable[[float, float], float], starts: list[list
         if fun <= best_value * (1.0 + 1e-9) + 1e-12:
             best_point = (e, e)
     return best_point
+
+
+def _recipe_kernel(moments: MomentSet, lam: float,
+                   n: int) -> tuple[float, float, float, Callable[[float, float], tuple]]:
+    """The recipe's quadratic coefficients xi1, xi3, kappa and its kernel evaluate(e1, e2).
+
+    evaluate returns the best (objective, delta pair, z) over the real-root
+    combinations of the two agents, or (penalty, None, None) when an agent
+    has no real root or every combination has |z| >= 1.
+    """
+    nn1 = n * (n - 1)
+    xi1 = n * moments.var_u + nn1 * moments.cov_uu
+    xi3 = n * moments.var_l + nn1 * moments.cov_ll
+    kappa = n * moments.cov_lu_same + nn1 * moments.cov_lu_cross
+    z_ll = moments.var_l + nn1 * moments.cov_ll
+    z_uu = moments.var_u + nn1 * moments.cov_uu
+    cov_lx, cov_ux = moments.cov_lx, moments.cov_ux
+    # loop invariants of evaluate, each computed as its expression there would
+    four_xi13, coupling = 4.0 * xi1 * xi3, -(1.0 - lam)
+    sqrt, copysign = math.sqrt, math.copysign
+
+    def evaluate(e1: float, e2: float):
+        # each agent's real roots of xi1*d^2 + xi2*d + xi3 = 0, xi2 = 2*e*kappa,
+        # in the stable two-root form
+        xi2_1, xi2_2 = 2.0 * e1 * kappa, 2.0 * e2 * kappa
+        roots1 = roots2 = ()
+        if xi1 == 0.0:
+            if xi2_1 == 0.0:
+                roots1 = (0.0,) if xi3 == 0.0 else ()
+            else:
+                roots1 = (-xi3 / xi2_1,)
+            if xi2_2 == 0.0:
+                roots2 = (0.0,) if xi3 == 0.0 else ()
+            else:
+                roots2 = (-xi3 / xi2_2,)
+        else:
+            disc = xi2_1 * xi2_1 - four_xi13
+            if not disc < 0.0:
+                root = sqrt(disc)
+                q = -(xi2_1 + copysign(root, xi2_1)) / 2.0 if xi2_1 != 0.0 else root / 2.0
+                if q == 0.0:
+                    roots1 = (0.0,)
+                else:
+                    r1, r2 = q / xi1, xi3 / q
+                    roots1 = (r1,) if r1 == r2 else (r1, r2)
+                disc = xi2_2 * xi2_2 - four_xi13
+                if not disc < 0.0:
+                    root = sqrt(disc)
+                    q = -(xi2_2 + copysign(root, xi2_2)) / 2.0 if xi2_2 != 0.0 else root / 2.0
+                    if q == 0.0:
+                        roots2 = (0.0,)
+                    else:
+                        r1, r2 = q / xi1, xi3 / q
+                        roots2 = (r1,) if r1 == r2 else (r1, r2)
+        if not roots1 or not roots2:
+            gap1 = max(0.0, four_xi13 - xi2_1 ** 2)
+            gap2 = max(0.0, four_xi13 - xi2_2 ** 2)
+            return 1e12 + gap1 + gap2, None, None
+        best = z_excess = None
+        e12_ll = e1 * e2 * z_ll
+        lx1, lx2 = e1 * cov_lx, e2 * cov_lx
+        for d1 in roots1:
+            th1 = n * (lx1 + d1 * cov_ux)
+            for d2 in roots2:
+                z = coupling * (e12_ll + d1 * d2 * z_uu + (e1 * d2 + e2 * d1) * kappa)
+                if abs(z) >= 1.0:
+                    excess = abs(z) - 1.0
+                    if z_excess is None or excess < z_excess:
+                        z_excess = excess
+                    continue
+                th2 = n * (lx2 + d2 * cov_ux)
+                one = 1.0 - z * z
+                value = (th1 * th1 + th2 * th2) / one + 2.0 * z * (th1 + th2) ** 2 / (one * one)
+                if best is None or value < best[0]:
+                    best = (value, (d1, d2), z)
+        if best is None:
+            return 1e9 * (1.0 + z_excess), None, None
+        return best
+
+    return xi1, xi3, kappa, evaluate
 
 
 def solve_linear_two_agent(
@@ -365,11 +461,18 @@ def solve_linear_two_agent(
     half-width 1/sqrt(n*Var(L1)), plus seeds at the root-feasibility
     boundary, then a 1-D polish along eps_1 = eps_2.  |z| >= 1 leaves the
     objective undefined, so such candidates are rejected with a graded
-    penalty.  The search engine is the local _nelder_mead, which reproduces
-    scipy.optimize.minimize's default non-adaptive Nelder-Mead (xatol 1e-10,
-    fatol 1e-12, maxiter 600) bit for bit; a search stops early only at an
-    exact fixed point (most do, collapsed against the |z| = 1 wall), whose
-    result scipy's run to maxiter would only repeat.
+    penalty.  One kernel (_recipe_kernel) scores the searched points and the
+    returned one.  The search engine is the local _nelder_mead, which
+    reproduces scipy.optimize.minimize's default non-adaptive Nelder-Mead
+    (xatol 1e-10, fatol 1e-12, maxiter 600) bit for bit, point by point; a
+    search stops early only at an exact fixed point (most do, collapsed
+    against the |z| = 1 wall), whose result scipy's run to maxiter would
+    only repeat.  On the sweep's exact moments (n=10, tau=3, x_max=5) a run
+    is 27 searches and the polish, 9,100-9,700 objective calls.
+
+    Raises InfeasibleSearchError when the best point found is a penalty, and
+    when no search ends below +inf (moments so large that every candidate
+    scores an infinite penalty).
 
     This recipe is kept verbatim; on realistic moments its objective can be
     unbounded below near the |z| = 1 wall, which makes the returned point a
@@ -381,49 +484,13 @@ def solve_linear_two_agent(
     if n < 2:
         raise ValueError(f"need n >= 2 sensors, got {n}")
 
-    nn1 = n * (n - 1)
-    xi1 = n * moments.var_u + nn1 * moments.cov_uu
-    xi3 = n * moments.var_l + nn1 * moments.cov_ll
-    kappa = n * moments.cov_lu_same + nn1 * moments.cov_lu_cross
-    z_ll = moments.var_l + nn1 * moments.cov_ll
-    z_uu = moments.var_u + nn1 * moments.cov_uu
+    xi1, xi3, kappa, evaluate = _recipe_kernel(moments, lam, n)
 
     degenerate = max(abs(xi1), abs(xi3), abs(kappa), abs(moments.cov_lx), abs(moments.cov_ux)) < 1e-12
     if degenerate:
         gamma = -n * (0.0 * moments.mean_l + 0.0 * moments.mean_u)
         return TwoAgentLinearSolution(eps=(0.0, 0.0), delta=(0.0, 0.0), gamma=(gamma, gamma),
                                       xi=((xi1, 0.0, xi3), (xi1, 0.0, xi3)), z=0.0, objective_value=0.0)
-
-    # loop invariants of evaluate, each computed as its expression there would
-    four_xi13, coupling = 4.0 * xi1 * xi3, -(1.0 - lam)
-
-    def evaluate(e1: float, e2: float):
-        """Best (objective, delta pair, z) over real-root combinations, or a penalty."""
-        roots1 = _delta_roots(xi1, 2.0 * e1 * kappa, xi3)
-        roots2 = _delta_roots(xi1, 2.0 * e2 * kappa, xi3)
-        if not roots1 or not roots2:
-            gap1 = max(0.0, four_xi13 - (2.0 * e1 * kappa) ** 2)
-            gap2 = max(0.0, four_xi13 - (2.0 * e2 * kappa) ** 2)
-            return 1e12 + gap1 + gap2, None, None
-        best = None
-        z_excess = None
-        e12 = e1 * e2
-        for d1 in roots1:
-            for d2 in roots2:
-                z = coupling * (e12 * z_ll + d1 * d2 * z_uu + (e1 * d2 + e2 * d1) * kappa)
-                if abs(z) >= 1.0:
-                    excess = abs(z) - 1.0
-                    z_excess = excess if z_excess is None else min(z_excess, excess)
-                    continue
-                th1 = n * (e1 * moments.cov_lx + d1 * moments.cov_ux)
-                th2 = n * (e2 * moments.cov_lx + d2 * moments.cov_ux)
-                one = 1.0 - z * z
-                value = (th1 * th1 + th2 * th2) / one + 2.0 * z * (th1 + th2) ** 2 / (one * one)
-                if best is None or value < best[0]:
-                    best = (value, (d1, d2), z)
-        if best is None:
-            return 1e9 * (1.0 + z_excess), None, None
-        return best
 
     box = 1.0 / np.sqrt(n * moments.var_l + 1e-12)
     starts = [np.zeros(2), np.full(2, box / 2.0), np.full(2, -box / 2.0)]
@@ -439,6 +506,11 @@ def solve_linear_two_agent(
         return evaluate(e1, e2)[0]
 
     best_point = _recipe_search(objective, [start.tolist() for start in starts])
+    if best_point is None:
+        raise InfeasibleSearchError(
+            f"no start reached a finite objective at lam={lam}: every search ended at inf or nan, "
+            f"xi1={xi1:.4g}, xi3={xi3:.4g}, kappa={kappa:.4g}"
+        )
 
     e1, e2 = best_point
     value, deltas, z = evaluate(e1, e2)

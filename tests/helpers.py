@@ -16,6 +16,13 @@ package's formulas before their products and sensor sums were formed once,
 in place: every endpoint product is formed again for its row sums, and each
 agent's sensor sums come from `sum(axis=1)`.
 
+The two-agent recipe's search engine, objective kernel and root formula
+here are literal copies of the package's before the engine held its simplex
+as scalars and tested for a fixed point with == first, and before the kernel
+took its roots inline: `_nelder_mead`, the `evaluate` closure of
+`solve_linear_two_agent` with the constants it closes over, and
+`_delta_roots`, renamed to reference_*.
+
 The law's exact moments here are a `fractions.Fraction` reference for
 `oracle.law_moments`, built another way: every pair of cells of two
 truthful readings is enumerated with the length of their overlap, and the
@@ -33,7 +40,10 @@ of gap over unordered pairs.
 """
 
 import functools
+import math
+import struct
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -319,3 +329,133 @@ def reference_law_moments(n, m, tau, x_max):
     ]
     target = [n * keep * one["X" + a] for _, a in features]
     return fields, gram, target
+
+
+def reference_delta_roots(xi1: float, xi2: float, xi3: float) -> tuple[float, ...]:
+    """Real roots of xi1*d^2 + xi2*d + xi3 = 0 (stable two-root form)."""
+    if xi1 == 0.0:
+        if xi2 == 0.0:
+            return (0.0,) if xi3 == 0.0 else ()
+        return (-xi3 / xi2,)
+    disc = xi2 * xi2 - 4.0 * xi1 * xi3
+    if disc < 0.0:
+        return ()
+    root = math.sqrt(disc)
+    q = -(xi2 + math.copysign(root, xi2)) / 2.0 if xi2 != 0.0 else root / 2.0
+    if q == 0.0:
+        return (0.0,)
+    r1, r2 = q / xi1, xi3 / q
+    return (r1,) if r1 == r2 else (r1, r2)
+
+
+def reference_nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tuple[float, ...], float]:
+    """Minimize f(*x) over one or two coordinates from x0; returns the best vertex and its value.
+
+    This is scipy.optimize.minimize(method="Nelder-Mead") with its default
+    non-adaptive coefficients (reflection 1, expansion 2, contraction 0.5,
+    shrink 0.5), its initial simplex (x0 plus 5% along each coordinate, or
+    0.00025 where x0 is 0) and options xatol=1e-10, fatol=1e-12, maxiter=600,
+    on Python floats.  Every step is written in scipy's arithmetic form and
+    the vertices are re-sorted stably (nan last, as np.argsort does), so the
+    iterates and the result equal scipy's bit for bit.  Vertices are (x, y)
+    tuples; a one-coordinate search pins y at 0.0, which every step keeps.
+    It stops early once an iteration leaves the sorted simplex and its values
+    bit for bit as they were: the step is a deterministic function of that
+    state and f is pure, so scipy would repeat it up to maxiter and return
+    the same point and value.
+    """
+    n = len(x0)
+    if n not in (1, 2):
+        raise ValueError(f"_nelder_mead searches one or two coordinates, got {n}")
+    g = f if n == 2 else lambda x, y: f(x)
+    x, y = x0 if n == 2 else (x0[0], 0.0)
+    sim = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)][: n + 1]
+    fsim = [g(*v) for v in sim]
+    pack = struct.Struct(f"{3 * (n + 1)}d").pack
+    state, iterations = None, 1
+    while True:
+        # stable insertion sort of the two or three vertices by value, nan last
+        for i in range(1, n + 1):
+            while i and (fsim[i] < fsim[i - 1] or fsim[i - 1] != fsim[i - 1] and fsim[i] == fsim[i]):
+                sim[i - 1], sim[i], fsim[i - 1], fsim[i] = sim[i], sim[i - 1], fsim[i], fsim[i - 1]
+                i -= 1
+        (bx, by), (wx, wy) = sim[0], sim[-1]
+        # bits, not ==: -0.0 and 0.0, or two nan payloads, are different states
+        last, state = state, pack(*fsim, *[c for v in sim for c in v])
+        if iterations >= 600 or state == last or (
+            all(abs(vx - bx) <= 1e-10 and abs(vy - by) <= 1e-10 for vx, vy in sim[1:])
+            and all(abs(fsim[0] - v) <= 1e-12 for v in fsim[1:])
+        ):
+            break
+        # centroid of all but the worst vertex; np.add.reduce starts from +0.0,
+        # which decides the sign of a zero centroid
+        cx, cy = ((0.0 + bx + sim[1][0]) / 2, (0.0 + by + sim[1][1]) / 2) if n == 2 else ((0.0 + bx) / 1, 0.0)
+        xr = (2 * cx - wx, 2 * cy - wy)
+        fxr = g(*xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (3 * cx - 2 * wx, 3 * cy - 2 * wy)
+            fxe = g(*xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # outside contraction when the reflection beats the worst vertex, else inside
+            outside = fxr < fsim[-1]
+            xc = ((1.5 * cx - 0.5 * wx, 1.5 * cy - 0.5 * wy) if outside
+                  else (0.5 * cx + 0.5 * wx, 0.5 * cy + 0.5 * wy))
+            fxc = g(*xc)
+            shrink = not (fxc <= fxr if outside else fxc < fsim[-1])
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        if shrink:
+            for j in range(1, n + 1):
+                sx, sy = sim[j]
+                sim[j] = (bx + 0.5 * (sx - bx), by + 0.5 * (sy - by))
+                fsim[j] = g(*sim[j])
+        iterations += 1
+    # scipy reports np.min over the simplex, which is nan if any vertex is
+    return sim[0][:n], fsim[0] if fsim[-1] == fsim[-1] else math.nan
+
+
+def reference_recipe_kernel(moments, lam, n):
+    """The recipe's evaluate(e1, e2) on moments at lam and n, as solve_linear_two_agent built it."""
+    nn1 = n * (n - 1)
+    xi1 = n * moments.var_u + nn1 * moments.cov_uu
+    xi3 = n * moments.var_l + nn1 * moments.cov_ll
+    kappa = n * moments.cov_lu_same + nn1 * moments.cov_lu_cross
+    z_ll = moments.var_l + nn1 * moments.cov_ll
+    z_uu = moments.var_u + nn1 * moments.cov_uu
+
+    # loop invariants of evaluate, each computed as its expression there would
+    four_xi13, coupling = 4.0 * xi1 * xi3, -(1.0 - lam)
+
+    def evaluate(e1: float, e2: float):
+        """Best (objective, delta pair, z) over real-root combinations, or a penalty."""
+        roots1 = reference_delta_roots(xi1, 2.0 * e1 * kappa, xi3)
+        roots2 = reference_delta_roots(xi1, 2.0 * e2 * kappa, xi3)
+        if not roots1 or not roots2:
+            gap1 = max(0.0, four_xi13 - (2.0 * e1 * kappa) ** 2)
+            gap2 = max(0.0, four_xi13 - (2.0 * e2 * kappa) ** 2)
+            return 1e12 + gap1 + gap2, None, None
+        best = None
+        z_excess = None
+        e12 = e1 * e2
+        for d1 in roots1:
+            for d2 in roots2:
+                z = coupling * (e12 * z_ll + d1 * d2 * z_uu + (e1 * d2 + e2 * d1) * kappa)
+                if abs(z) >= 1.0:
+                    excess = abs(z) - 1.0
+                    z_excess = excess if z_excess is None else min(z_excess, excess)
+                    continue
+                th1 = n * (e1 * moments.cov_lx + d1 * moments.cov_ux)
+                th2 = n * (e2 * moments.cov_lx + d2 * moments.cov_ux)
+                one = 1.0 - z * z
+                value = (th1 * th1 + th2 * th2) / one + 2.0 * z * (th1 + th2) ** 2 / (one * one)
+                if best is None or value < best[0]:
+                    best = (value, (d1, d2), z)
+        if best is None:
+            return 1e9 * (1.0 + z_excess), None, None
+        return best
+
+    return evaluate

@@ -9,6 +9,7 @@ for a truthful sensor; fault mixing rescales the target covariances by
 (n-tau)(n-tau-1)/(n(n-1)) that both sensors are truthful.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,8 +23,11 @@ from helpers import (
     objective_gradient,
     random_direction_moments,
     reconstructed_objective,
+    reference_delta_roots,
     reference_estimate_moments,
     reference_fit_linear_empirical,
+    reference_nelder_mead,
+    reference_recipe_kernel,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +66,8 @@ from intervalfusion.scenario import ReadingRows, TrialBatch
 TIE_MOMENTS = dict(var_x=1.0, var_l=1.0, var_u=1.0, cov_lu_same=0.5, mean_l=-1.5, mean_u=1.5)
 # root feasibility needs |eps| ~ 1000, where the coupling z is far past 1
 INFEASIBLE_MOMENTS = dict(var_x=1.0, var_l=1.0, var_u=1.0, cov_lu_same=0.001, cov_lx=0.3, cov_ux=0.3)
+# 4*xi1*xi3 overflows, so every candidate scores the infinite penalty
+HUGE_MOMENTS = dict(var_l=1e160, var_u=1e160, cov_lx=1.0, cov_ux=1.0)
 
 
 def zero_moments(**overrides):
@@ -368,6 +374,11 @@ class TestSolveLinearTwoAgent:
         with pytest.raises(InfeasibleSearchError, match="inf"):
             solve_linear_two_agent(mo, 0.5, 2)
 
+    def test_no_finite_search_is_reported(self):
+        # no search ends below +inf, so there is no best point to return
+        with pytest.raises(InfeasibleSearchError, match="no start reached a finite objective"):
+            solve_linear_two_agent(zero_moments(**HUGE_MOMENTS), 0.5, 2)
+
     def test_lam_bounds(self):
         with pytest.raises(ValueError):
             solve_linear_two_agent(zero_moments(), 0.0, 4)
@@ -492,6 +503,36 @@ def assert_same_search(f, x0):
     if both_returned(got, want):
         assert bits(got[0]) == bits(want[0]), (x0, got, want)
         assert bits([got[1]]) == bits([want[1]]), (x0, got, want)
+    assert_same_iterates(f, x0)
+
+
+def recorded(f, calls):
+    """f, appending the bits of every point it is called on and of its value to calls."""
+    def g(*x):
+        value = f(*x)
+        calls.append(tuple(bits([*x, value])))
+        return value
+    return g
+
+
+def assert_same_iterates(f, x0):
+    """_nelder_mead calls f on the points the previous engine called it on, in order, with its result.
+
+    The previous engine stopped at a state equal to the last one in its bits;
+    the engine tests == first, which a fresh nan fails, and then repeats that
+    state's iteration as scipy does up to maxiter: its further calls are the
+    previous engine's last iteration over again, and that iteration saw a nan.
+    """
+    got_calls, want_calls = [], []
+    got = outcome(optimal._nelder_mead, recorded(f, got_calls), list(x0))
+    want = outcome(reference_nelder_mead, recorded(f, want_calls), list(x0))
+    if both_returned(got, want):
+        assert bits([*got[0], got[1]]) == bits([*want[0], want[1]]), (x0, got, want)
+    assert got_calls[: len(want_calls)] == want_calls, x0
+    extra = got_calls[len(want_calls):]
+    if extra:
+        repeated = [k for k in range(1, len(x0) + 3) if extra == want_calls[-k:] * (len(extra) // k)]
+        assert repeated and any(value == "nan" for *_, value in want_calls[-repeated[0]:]), x0
 
 
 def assert_same_solution(moments, lam, n):
@@ -533,11 +574,23 @@ def _wall(a, b):
     return f
 
 
+def _nan_region(a, b):
+    # falls toward the line x + 0.5 y = a and is nan beyond it; each nan is a
+    # fresh object, unlike math.nan, so a state whose nan was just computed
+    # is never == to the state before it
+    def f(x, y=0.0):
+        return math.inf - math.inf if x + 0.5 * y > a else b * (a - x) + y * y
+    return f
+
+
 ENGINE_OBJECTIVES = {
     "quadratic": lambda a, b: lambda x, y=0.0: b * (x - a) * (x - a) + (y + a) * (y + a) / b,
     "plateau": lambda a, b: lambda x, y=0.0: a,
     "nan half-plane": lambda a, b: lambda x, y=0.0: math.nan if x > a else (x - a + b) * (x - a + b) + y * y,
     "wall": _wall,
+    # +0.0 and -0.0 tie in every comparison but differ in their bits
+    "signed-zero plateau": lambda a, b: lambda x, y=0.0: math.copysign(0.0, x - a),
+    "nan region": _nan_region,
 }
 
 
@@ -641,6 +694,115 @@ class TestNelderMead:
         code = "import sys, intervalfusion, intervalfusion.cli; print('scipy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
+
+
+def kernel_bits(result):
+    value, deltas, z = result
+    return bits([value]), None if deltas is None else bits(deltas), None if z is None else bits([z])
+
+
+def assert_same_kernel(moments, lam, n, points):
+    """The recipe's kernel equals the previous evaluate bit for bit at every (e1, e2) in points."""
+    *_, evaluate = optimal._recipe_kernel(moments, lam, n)
+    reference = reference_recipe_kernel(moments, lam, n)
+    for e1, e2 in points:
+        got, want = outcome(evaluate, e1, e2), outcome(reference, e1, e2)
+        if both_returned(got, want):
+            assert kernel_bits(got) == kernel_bits(want), (e1, e2, got, want)
+
+
+SWEEP_FIT_MOMENTS = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=4242)).moments
+
+
+@st.composite
+def kernel_points(draw, xi1, xi3, kappa):
+    """(e1, e2) at signed zeros, in the start box, about the root-feasibility edge or far out.
+
+    Below the edge sqrt(xi1*xi3)/|kappa| an agent has no real root (the
+    penalty region); far beyond it the coupling passes |z| = 1.
+    """
+    with np.errstate(all="ignore"):
+        edge = float(np.sqrt(abs(xi1 * xi3)) / abs(kappa)) if kappa else 1.0
+    edge = edge if math.isfinite(edge) and edge > 0.0 else 1.0
+    coordinate = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-3.0, 3.0),
+        st.floats(0.5, 2.0).map(lambda r: r * edge) | st.floats(-2.0, -0.5).map(lambda r: r * edge),
+        st.floats(-1e6, 1e6),
+    )
+    return draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8))
+
+
+class TestSameIteratesAsBefore:
+    """The engine and the kernel against literal copies of the ones they replaced, bit for bit.
+
+    assert_same_search holds the engine to the previous one on every search
+    of the scipy tests above, too.
+    """
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    def test_sweep_fit_cells(self, lam):
+        # every search of the benchmark's cells, on the exact moments the sweep
+        # feeds the recipe, polish included
+        objective, starts = recipe_problem(SWEEP_FIT_MOMENTS, lam, 10)
+        got_calls, want_calls = [], []
+        got = optimal._recipe_search(recorded(objective, got_calls), starts)
+        with mock.patch.object(optimal, "_nelder_mead", reference_nelder_mead):
+            want = optimal._recipe_search(recorded(objective, want_calls), starts)
+        assert bits(got) == bits(want)
+        assert got_calls == want_calls
+
+    @pytest.mark.parametrize("x0", [[1.0], [1.0, 1.0]], ids=["1", "2"])
+    def test_a_fresh_nan_fixed_point_runs_to_maxiter(self, x0):
+        # started inside the nan region, the simplex shrinks onto x0, where
+        # every state repeats the last in its bits and the previous engine
+        # stopped; == misses the fresh nan, so the engine repeats that
+        # iteration up to maxiter, as scipy does, with the same result
+        f = ENGINE_OBJECTIVES["nan region"](0.5, 1.0)
+        got_calls, want_calls = [], []
+        got = optimal._nelder_mead(recorded(f, got_calls), x0)
+        reference_nelder_mead(recorded(f, want_calls), x0)
+        assert len(got_calls) > 10 * len(want_calls)
+        assert_same_iterates(f, x0)
+        with quiet_floats():
+            want = optimize.minimize(lambda v: f(*(float(c) for c in v)), np.array(x0), method="Nelder-Mead",
+                                     options=NM_OPTIONS)
+        assert want.nit == 600 and len(got_calls) == want.nfev
+        assert bits([*got[0], got[1]]) == bits([*want.x, want.fun])
+
+    @given(moment_sets(), st.sampled_from([0.1, 0.5, 0.9]), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel(self, drawn, lam, linear, data):
+        moments, n = drawn
+        if linear:
+            # xi1 = 0: each agent's equation is linear in delta
+            moments = dataclasses.replace(moments, var_u=0.0, cov_uu=0.0)
+        xi1, xi3, kappa, _ = optimal._recipe_kernel(moments, lam, n)
+        assert_same_kernel(moments, lam, n, data.draw(kernel_points(xi1, xi3, kappa)))
+
+    def test_kernel_grid_reaches_every_branch(self):
+        # the sweep cell, the tie, infeasible and overflowing sets and a linear
+        # (xi1 = 0) set, on a grid that meets the penalty region, |z| >= 1, the
+        # feasible combinations and both signed zeros
+        grid = [-1e3, -3.0, -0.3, -0.01, -0.0, 0.0, 0.01, 0.3, 3.0, 1e3]
+        points = [(e1, e2) for e1 in grid for e2 in grid]
+        reached = set()
+        for moments, n in [(SWEEP_FIT_MOMENTS, 10), (zero_moments(**TIE_MOMENTS), 2),
+                           (zero_moments(**INFEASIBLE_MOMENTS), 2), (zero_moments(**HUGE_MOMENTS), 2),
+                           (zero_moments(var_l=1.0, cov_lu_same=0.5, cov_lx=0.3, cov_ux=0.2), 3)]:
+            for lam in (0.1, 0.5, 0.9):
+                assert_same_kernel(moments, lam, n, points)
+                xi1, xi3, kappa, evaluate = optimal._recipe_kernel(moments, lam, n)
+                for e1, e2 in points:
+                    result = outcome(evaluate, e1, e2)
+                    if isinstance(result, Exception):
+                        reached.add("overflow")
+                    elif not all(reference_delta_roots(xi1, 2.0 * e * kappa, xi3) for e in (e1, e2)):
+                        reached.add("no root")
+                    else:
+                        reached.add("|z| >= 1" if result[1] is None else "feasible")
+                reached.add("xi1 = 0" if xi1 == 0.0 else "xi1 != 0")
+        assert reached >= {"no root", "|z| >= 1", "feasible", "xi1 = 0", "xi1 != 0"}
 
 
 class TestFitLinearEmpirical:
@@ -1070,6 +1232,20 @@ class TestSelectLinearExact:
         sel = select_linear_exact(ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=72), 0.0)
         assert not sel.closed_form_used
         assert "(0, 1)" in sel.closed_form_error
+
+    def test_recipe_with_no_finite_search_is_recorded(self):
+        # every candidate scores the infinite penalty on these moments; the
+        # selection records why and keeps the fit
+        params = ScenarioParams(n=2, m=2, tau=1, x_max=5, seed=74)
+        law = law_moments(params)
+        fit = fit_linear_exact(params, 0.5)
+        sel = optimal._select(params, 0.5, zero_moments(**HUGE_MOMENTS), fit,
+                              lambda coeffs: population_objective(law, coeffs, 0.5))
+        assert not sel.closed_form_used
+        assert sel.closed_form_objective is None
+        assert "no start reached a finite objective" in sel.closed_form_error
+        assert sel.coeffs == fit
+        assert sel.empirical_objective == population_objective(law, fit, 0.5)
 
     def test_close_recipe_is_kept(self, monkeypatch):
         # a recipe candidate within 5% of the fit's population objective is selected
