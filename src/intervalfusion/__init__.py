@@ -54,7 +54,6 @@ from .oracle import (
     posterior_mean_exact,
 )
 from .scenario import (
-    FaultPattern,
     Interval,
     ScenarioParams,
     TrialBatch,
@@ -75,7 +74,6 @@ __all__ = [
     "AmplitudeSolution",
     "DegenerateInputError",
     "DirectionMoments",
-    "FaultPattern",
     "GbiWeights",
     "InconsistentReadingsError",
     "InfeasibleSearchError",

@@ -330,8 +330,9 @@ def run_oracle_check(
     stack, so weight_fn must return a stacked table with one row per row of
     readings.  Returns the largest deviation and the list of
     (tau, trial, agent, deviation) entries exceeding 1e-9, in (tau, trial,
-    agent) order with the taus in config order.  weight_fn exists as a
-    fault-injection hook for tests.
+    agent) order with the taus in config order.  Tests pass a perturbed
+    weight_fn to inject a fault, and benchmarks/worker.py passes the traced
+    gbi_bayes_weights, since the default binds the untraced function.
     """
     if config.n > 8:
         raise ConfigError(f"field 'n' must be <= 8 for oracle-check, which enumerates fault patterns; "

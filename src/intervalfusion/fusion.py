@@ -96,10 +96,6 @@ class TransitionProfile:
     def right(self) -> np.ndarray:
         return self.points[..., 1:]
 
-    @property
-    def region_midpoints(self) -> np.ndarray:
-        return (self.left + self.right) / 2.0
-
 
 def coverage_rows(rows: ReadingRows) -> TransitionProfile:
     """Coverage profiles of B reading rows."""

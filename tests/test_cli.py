@@ -324,6 +324,12 @@ class TestSweep:
         assert main(["sweep", "--config", path]) == 2
         assert "'trials'" in capsys.readouterr().err
 
+    def test_overflowing_squared_error_refused(self, tmp_path):
+        # a finite constant whose squared error overflows raises instead of writing an inf row
+        path, _ = write_config(tmp_path, algorithms=["constant@1e200"], trials=100)
+        with pytest.raises(ValueError, match=r"'constant@1e200'.*tau=1"):
+            run_sweep(load_config(path))
+
     def test_tau_bound_with_marzullo_is_n_minus_two(self, tmp_path, capsys, monkeypatch):
         # the config loads (other subcommands run tau = n-1); the sweep refuses
         # it before fitting or drawing anything

@@ -92,10 +92,6 @@ class TestTransitionProfile:
         assert prof.points.tolist() == [0, 1, 2, 4, 5, 6]
         assert prof.counts.tolist() == [1, 2, 1, 0, 1]
 
-    def test_region_midpoints(self):
-        prof = transition_profile(ivs((0, 2), (1, 3)))
-        assert prof.region_midpoints.tolist() == [0.5, 1.5, 2.5]
-
     def test_all_degenerate(self):
         prof = transition_profile(ivs((1, 1), (1, 1)))
         assert prof.counts.size == 0

@@ -218,6 +218,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"'gbi_oneopt'.*tau=2"):
             evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 200)
 
+    @pytest.mark.parametrize("value", [1e200, np.nan], ids=["squared-error-overflows", "nan"])
+    def test_non_finite_squared_error_refused(self, value):
+        # (x - 1e200)^2 overflows although the estimate is finite
+        params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=78)
+        with pytest.raises(ValueError, match=r"'constant'.*squared error at tau=1"):
+            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.constant(value)], params, 100)
+
 
 class TestEvaluateTaus:
     """One pass over the trials for every tau equals evaluating each tau alone."""
@@ -277,6 +284,9 @@ class TestEvaluateTaus:
         ({1: [AlgorithmSpec.bi()], 4: [AlgorithmSpec.marzullo()]}, "marzullo"),
         ({1: [AlgorithmSpec.bi()], 5: [AlgorithmSpec.bi()]}, "tau"),
         ({1: [AlgorithmSpec.bi()], 2: [AlgorithmSpec.bi(), AlgorithmSpec.bi()]}, "unique"),
+        ({1: [AlgorithmSpec.bi()], 2: [AlgorithmSpec.linear((LinearCoefficients(np.zeros(4), np.zeros(4), 0.0),) * 2,
+                                                             label="short")]},
+         "short"),
     ])
     def test_every_tau_checked_before_any_trial(self, specs, match, monkeypatch):
         def no_trials(*args):

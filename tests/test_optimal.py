@@ -74,17 +74,13 @@ def zero_moments(**overrides):
     base = dict(
         mean_x=0.0, var_x=0.0, mean_l=0.0, mean_u=0.0, var_l=0.0, cov_ll=0.0,
         var_u=0.0, cov_uu=0.0, cov_lu_same=0.0, cov_lu_cross=0.0,
-        cov_lx=0.0, cov_ux=0.0, sample_count=10_000,
+        cov_lx=0.0, cov_ux=0.0,
     )
     base.update(overrides)
     return MomentSet(**base)
 
 
 class TestMomentSet:
-    def test_sample_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="sample_count"):
-            zero_moments(sample_count=0)
-
     @pytest.mark.parametrize("field", ["var_x", "var_l", "var_u"])
     def test_variances_must_be_nonnegative(self, field):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -110,7 +106,6 @@ class TestEstimateMoments:
         assert mo.cov_ll == pytest.approx(0.25 * both, abs=0.02)
         assert mo.cov_uu == pytest.approx(0.25 * both, abs=0.02)
         assert mo.cov_lu_cross == pytest.approx(0.25 * both, abs=0.02)
-        assert mo.sample_count == 200_000
 
     def test_single_cell_degenerate(self):
         # x_max=1 pins every reading to [-1, 1]; endpoint moments vanish

@@ -21,7 +21,7 @@ from intervalfusion import (
     sample_batch,
     truthful_interval,
 )
-from intervalfusion.scenario import FaultPattern, TrialData, _cells_from_targets
+from intervalfusion.scenario import TrialData, _cells_from_targets
 
 from helpers import _reference_cells, reference_sample_batch, reference_trials
 
@@ -38,8 +38,8 @@ class TestInterval:
     def test_zero_width_allowed(self):
         iv = Interval(1.5, 1.5)
         assert iv.width == 0.0
-        assert iv.midpoint == 1.5
-        assert iv.contains(1.5)
+        assert (iv.lo + iv.hi) / 2 == 1.5
+        assert iv.lo <= 1.5 <= iv.hi
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -282,17 +282,17 @@ class TestGenerateTrial:
         params = params_for(n=6, m=3, tau=0, seed=5)
         for i in range(200):
             trial = make_trial(params, i)
-            assert trial.pattern.faulty_count == 0
+            assert sum(trial.faulty) == 0
             for row in trial.readings:
                 assert all(iv == row[0] for iv in row)
-                assert all(iv.contains(trial.x) for iv in row)
+                assert all(iv.lo <= trial.x <= iv.hi for iv in row)
 
     def test_truthful_rows_match_precisions(self):
         params = params_for(n=6, m=2, tau=2, seed=6)
         for i in range(200):
             trial = make_trial(params, i)
             for s, row in enumerate(trial.readings):
-                if trial.pattern.flags[s]:
+                if trial.faulty[s]:
                     continue
                 expected = truthful_interval(trial.x, trial.precisions[s], params.x_max)
                 assert row == (expected,) * params.m
@@ -308,7 +308,7 @@ class TestGenerateTrial:
     def test_fault_count_exact(self):
         params = params_for(n=7, m=2, tau=3, seed=12)
         for i in range(300):
-            assert make_trial(params, i).pattern.faulty_count == 3
+            assert sum(make_trial(params, i).faulty) == 3
 
     def test_faulty_agents_independent(self):
         # where sensor 0 is faulty, its two agents' midpoints are uncorrelated
@@ -327,7 +327,7 @@ class TestGenerateTrial:
         for i in range(300):
             trial = make_trial(params, i)
             for j in range(params.m):
-                inside = sum(trial.readings[s][j].contains(trial.x) for s in range(params.n))
+                inside = sum(trial.readings[s][j].lo <= trial.x <= trial.readings[s][j].hi for s in range(params.n))
                 assert inside >= params.n - params.tau
 
     def test_endpoints_on_lattice(self):
@@ -376,7 +376,7 @@ def _trial_view(batch, row):
         for lo_row, hi_row in zip(batch.lo[row], batch.hi[row])
     )
     return TrialData(x=float(batch.x[row]), readings=readings,
-                     pattern=FaultPattern(tuple(bool(f) for f in batch.faulty[row])),
+                     faulty=tuple(bool(f) for f in batch.faulty[row]),
                      precisions=tuple(int(p) for p in batch.precisions[row]))
 
 

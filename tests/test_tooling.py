@@ -3,6 +3,8 @@
 import ast
 import functools
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,3 +77,14 @@ def test_every_definition_is_read(path):
     # tests/ or benchmarks/ reads is dead; dunder methods are called implicitly
     dead = [name for name in _definitions(ast.parse(path.read_text())) if name.split(".")[-1] not in _loaded_names()]
     assert not dead, dead
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency, but the test extra installs scipy,
+    # so only a fresh interpreter shows a stray import of it
+    code = ("import sys, intervalfusion, intervalfusion.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout
