@@ -82,11 +82,12 @@ class MetricsReport:
 
     mse[j] estimates E[(X - Xhat_j)^2] for agent j; cns[p] estimates
     E[(Xhat_j - Xhat_k)^2] for the p-th unordered agent pair in `pairs`.
-    Standard errors are per-trial sample standard deviations over sqrt(trials).
-    degenerate_count tallies trials where the fuser needed its fallback rule.
-    Per-trial arrays (sq_err: m x trials, pair_gap_sq: pairs x trials) are
-    attached for paired comparisons and for combine_objective, which forms
-    the objective lam * sum(mse) + (1-lam)/(m-1) * sum(cns) at any lam.
+    Standard errors are per-trial sample standard deviations over the square
+    root of the trial count.  degenerate_count tallies trials where the
+    fuser needed its fallback rule.  Every report carries its per-trial
+    arrays (sq_err: m x trials, pair_gap_sq: pairs x trials), for paired
+    comparisons and for combine_objective, which forms the objective
+    lam * sum(mse) + (1-lam)/(m-1) * sum(cns) at any lam.
     """
 
     algorithm: str
@@ -96,10 +97,9 @@ class MetricsReport:
     cns: np.ndarray
     cns_stderr: np.ndarray
     pairs: tuple[tuple[int, int], ...]
-    trials: int
     degenerate_count: int
-    sq_err: np.ndarray | None = None
-    pair_gap_sq: np.ndarray | None = None
+    sq_err: np.ndarray
+    pair_gap_sq: np.ndarray
 
 
 def _block_estimates(
@@ -180,8 +180,6 @@ def _check_lam(lam: float) -> None:
 
 def combine_objective(report: MetricsReport, lam: float) -> tuple[float, float]:
     """Objective mean and stderr at lam, recombined from a report's per-trial arrays."""
-    if report.sq_err is None or report.pair_gap_sq is None:
-        raise ValueError("report lacks the per-trial arrays sq_err and pair_gap_sq")
     _check_lam(lam)
     mean, stderr = _mean_stderr(_objective_per_trial(report.sq_err, report.pair_gap_sq, lam))
     return float(mean), float(stderr)
@@ -290,7 +288,6 @@ def evaluate_taus(
                 cns=cns[a],
                 cns_stderr=cns_se[a],
                 pairs=pair_list,
-                trials=trials,
                 degenerate_count=int(degenerate[tau][a]),
                 sq_err=sq_err[tau][a],
                 pair_gap_sq=gap_sq[tau][a],

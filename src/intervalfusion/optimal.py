@@ -27,7 +27,6 @@ non-adaptive method bit for bit, so the package does not import scipy.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -245,13 +244,16 @@ def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tuple[float,
     0.0, which every step keeps, and has no middle vertex: m is b there, as
     scipy's second-worst vertex is its best.
     It stops early once an iteration leaves the sorted simplex and its values
-    bit for bit as they were: the step is a deterministic function of that
-    state and f is pure, so scipy would repeat it up to maxiter and return
-    the same point and value.  The state is compared with == first and by
-    its bits only when that holds; the two disagree on signed zeros, which
-    the bits tell apart, and on a nan, which == never equals unless it is
-    the very same object; a repeated state that == misses costs only the
-    iterations scipy spends on it, up to maxiter.
+    == to what they were; scipy would return the same point and value.
+    Every step but a shrink puts a point of lower value in place of w, so
+    that iteration was a shrink, and it changed no coordinate but the sign
+    of a zero: a shrink turns the zero coordinates of m and w beside a zero
+    of b into +0.0.  In such a coordinate the centroid is +0.0 or infinite,
+    so the next iteration visits every point with the bits this one did; f
+    being pure, it repeats the shrink bit for bit, as scipy would up to
+    maxiter.  So when a zero did change sign, the stop comes one iteration
+    before a comparison of bits would make it.  A fresh nan is never == to
+    anything, so a state holding one runs on, at scipy's cost.
     """
     n = len(x0)
     if n not in (1, 2):
@@ -266,7 +268,6 @@ def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tuple[float,
         mx, my, fm = wx, wy, fw
         wx, wy = bx, 1.05 * by if by != 0 else 0.00025
         fw = g(wx, wy)
-    pack = struct.Struct("9d").pack
     state, iterations, shrunk = None, 1, True
     while True:
         # stable insertion sort by value, nan last; a step that kept b and m
@@ -286,7 +287,7 @@ def _nelder_mead(f: Callable[..., float], x0: list[float]) -> tuple[tuple[float,
         if iterations >= 600 or (
             abs(mx - bx) <= 1e-10 and abs(my - by) <= 1e-10 and abs(wx - bx) <= 1e-10 and abs(wy - by) <= 1e-10
             and abs(fb - fm) <= 1e-12 and abs(fb - fw) <= 1e-12
-        ) or state == last and pack(*state) == pack(*last):
+        ) or state == last:
             break
         # centroid of b and m; np.add.reduce starts from +0.0, which decides
         # the sign of a zero centroid

@@ -340,13 +340,6 @@ class TestCombineObjective:
         assert objective == pytest.approx(per_trial.mean(), rel=1e-12)
         assert stderr == pytest.approx(per_trial.std(ddof=1) / np.sqrt(500), rel=1e-12)
 
-    def test_requires_per_trial_arrays(self):
-        params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=71)
-        report, = evaluate([AlgorithmSpec.bi()], params, 200)
-        hand_built = dataclasses.replace(report, sq_err=None, pair_gap_sq=None)
-        with pytest.raises(ValueError):
-            combine_objective(hand_built, 0.5)
-
     def test_lam_checked(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=72)
         report, = evaluate([AlgorithmSpec.bi()], params, 200)

@@ -514,20 +514,26 @@ def assert_same_iterates(f, x0):
     """_nelder_mead calls f on the points the previous engine called it on, in order, with its result.
 
     The previous engine stopped at a state equal to the last one in its bits;
-    the engine tests == first, which a fresh nan fails, and then repeats that
-    state's iteration as scipy does up to maxiter: its further calls are the
-    previous engine's last iteration over again, and that iteration saw a nan.
+    the engine stops at a state == to the last.  A fresh nan fails ==, and
+    the engine then repeats that state's iteration as scipy does up to
+    maxiter: its further calls are the previous engine's last iteration over
+    again, and that iteration saw a nan.  A shrink that only turned a zero's
+    sign passes ==, and the engine stops one iteration early: the previous
+    engine's last iteration called f on the points of the one before it.
     """
     got_calls, want_calls = [], []
     got = outcome(optimal._nelder_mead, recorded(f, got_calls), list(x0))
     want = outcome(reference_nelder_mead, recorded(f, want_calls), list(x0))
     if both_returned(got, want):
         assert bits([*got[0], got[1]]) == bits([*want[0], want[1]]), (x0, got, want)
-    assert got_calls[: len(want_calls)] == want_calls, x0
-    extra = got_calls[len(want_calls):]
+    shared = min(len(got_calls), len(want_calls))
+    assert got_calls[:shared] == want_calls[:shared], x0
+    extra, missing = got_calls[shared:], want_calls[shared:]
     if extra:
         repeated = [k for k in range(1, len(x0) + 3) if extra == want_calls[-k:] * (len(extra) // k)]
         assert repeated and any(value == "nan" for *_, value in want_calls[-repeated[0]:]), x0
+    if missing:
+        assert len(missing) <= len(x0) + 2 and missing == got_calls[-len(missing):], x0
 
 
 def assert_same_solution(moments, lam, n):
@@ -653,6 +659,19 @@ class TestNelderMead:
                                          method="Nelder-Mead", options=NM_OPTIONS)
             assert want.nit == 600 and len(calls) < want.nfev / 2
             assert bits(got[0]) == bits(want.x) and bits([got[1]]) == bits([want.fun])
+
+    @pytest.mark.parametrize("x0", [[3.0, 5e-324], [5e-324, 3.0]])
+    def test_stops_where_only_a_zero_changed_sign(self, x0):
+        # against the wall, a subnormal start coordinate ends as zeros: a
+        # shrink turns one vertex's -0.0 into +0.0 and leaves the state == to
+        # the last, and the engine stops there, one iteration before a
+        # comparison of bits would; scipy, run to maxiter, returns the same
+        f = ENGINE_OBJECTIVES["wall"](0.5, 0.1)
+        got_calls, want_calls = [], []
+        optimal._nelder_mead(recorded(f, got_calls), x0)
+        reference_nelder_mead(recorded(f, want_calls), x0)
+        assert len(got_calls) < len(want_calls)
+        assert_same_search(f, x0)
 
     @pytest.mark.parametrize("x0", [[], [0.0, 1.0, 2.0]], ids=["0", "3"])
     def test_other_lengths_refused(self, x0):

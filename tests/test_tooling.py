@@ -1,4 +1,8 @@
-"""The benchmark's tracer finds every name it wraps; the package keeps no dead import or definition."""
+"""The benchmark's tracer finds every name it wraps; the package keeps no dead import or definition.
+
+The package root exports exactly its modules' public names, and the package
+imports without scipy and runs the README's quick start in a fresh interpreter.
+"""
 
 import ast
 import functools
@@ -8,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +29,7 @@ def test_every_traced_name_resolves(module, attr):
 
 
 _MODULES = sorted(p for p in (_ROOT / "src" / "intervalfusion").glob("*.py") if p.name != "__init__.py")
+_PROJECT = [p for folder in ("src", "tests", "benchmarks") for p in (_ROOT / folder).rglob("*.py")]
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
@@ -62,7 +68,7 @@ def _loaded_names():
     # a Name or Attribute read anywhere in the project; an import alias is not
     # a read, so the package's re-exports in __init__.py keep nothing alive
     loaded = set()
-    for path in (p for folder in ("src", "tests", "benchmarks") for p in (_ROOT / folder).rglob("*.py")):
+    for path in _PROJECT:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
@@ -71,20 +77,205 @@ def _loaded_names():
     return frozenset(loaded)
 
 
+@functools.cache
+def _package():
+    """The package's class names, its members, and what each annotated function, method or field gives.
+
+    A function or method gives the class its return annotation names, a
+    field the class of its annotation; `C[]` stands for a list or tuple of C.
+    """
+    trees = [ast.parse(path.read_text()) for path in _MODULES]
+    classes = {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    members = [name for tree in trees for name in _definitions(tree) if "." in name]
+    gives = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                gives[node.name] = _annotated(node.returns, classes)
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef):
+                    gives[f"{node.name}.{item.name}"] = _annotated(item.returns, classes)
+                elif isinstance(item, ast.AnnAssign):
+                    gives[f"{node.name}.{item.target.id}"] = _annotated(item.annotation, classes)
+    return classes, members, {key: value for key, value in gives.items() if value}
+
+
+def _annotated(annotation, classes):
+    """The package class an annotation names (C, "C", C | None), C[] for list[C] or tuple[C, ...]; else None."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    if isinstance(annotation, ast.BinOp):
+        found = {_annotated(side, classes) for side in (annotation.left, annotation.right)} - {None}
+        return found.pop() if len(found) == 1 else None
+    if isinstance(annotation, ast.Subscript) and ast.unparse(annotation.value) in ("list", "tuple", "Sequence"):
+        item = annotation.slice.elts[0] if isinstance(annotation.slice, ast.Tuple) else annotation.slice
+        found = _annotated(item, classes)
+        return f"{found}[]" if found and not found.endswith("[]") else None
+    name = annotation.attr if isinstance(annotation, ast.Attribute) else getattr(annotation, "id", None)
+    return name if name in classes else None
+
+
+def _types(expr, env):
+    """What expr may evaluate to, as far as names, calls, fields and subscripts tell: C or C[]."""
+    classes, _, gives = _package()
+    if isinstance(expr, ast.Name):
+        return env.get(expr.id, set())
+    if isinstance(expr, ast.Subscript):
+        return {found[:-2] for found in _types(expr.value, env) if found.endswith("[]")}
+    if isinstance(expr, ast.Attribute):
+        return {gives[key] for c in _types(expr.value, env) if (key := f"{c}.{expr.attr}") in gives}
+    if not isinstance(expr, ast.Call):
+        return set()
+    func = expr.func
+    if isinstance(func, ast.Attribute):
+        owners = _owners(func.value, env)
+        if owners:
+            return {gives[key] for c in owners if (key := f"{c}.{func.attr}") in gives}
+        # module.C(...) or module.function(...)
+        func = ast.Name(func.attr)
+    if isinstance(func, ast.Name):
+        return {func.id} if func.id in classes else {gives[func.id]} if func.id in gives else set()
+    return set()
+
+
+def _owners(expr, env):
+    # the classes whose members expr.attr may read: a package class itself, or its instance's
+    classes = _package()[0]
+    if isinstance(expr, ast.Name) and expr.id in classes:
+        return {expr.id}
+    return {found for found in _types(expr, env) if not found.endswith("[]")}
+
+
+def _scope(node):
+    """node and the nodes inside it, yielding but not entering nested functions and classes."""
+    yield node
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+        for child in ast.iter_child_nodes(node):
+            yield from _scope(child)
+
+
+@functools.cache
+def _resolved_reads():
+    """Every Class.member read whose owner resolves to a package class.
+
+    An owner resolves through self or cls in the class's own methods, the
+    class's name, an annotated parameter, or a name bound to a constructor
+    call, an annotated function's result, an annotated field or an element
+    of an annotated list or tuple; names are bound per scope, not per line.
+    """
+    classes = _package()[0]
+    reads = set()
+
+    def visit(node, env, cls):
+        env = dict(env)
+        if not isinstance(node, ast.Module):
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            for i, arg in enumerate(arguments):
+                found = _annotated(arg.annotation, classes)
+                if found or i == 0 and cls in classes:
+                    env[arg.arg] = {found or cls}
+        body = node.body if isinstance(node.body, list) else [node.body]
+        scope = [inner for statement in body for inner in _scope(statement)]
+        for inner in scope:
+            if isinstance(inner, ast.Assign) and len(inner.targets) == 1 and isinstance(inner.targets[0], ast.Name):
+                bound, found = inner.targets[0].id, _types(inner.value, env)
+            elif isinstance(inner, ast.AnnAssign) and isinstance(inner.target, ast.Name):
+                bound, found = inner.target.id, {_annotated(inner.annotation, classes)} - {None}
+            elif isinstance(inner, (ast.For, ast.comprehension)) and isinstance(inner.target, ast.Name):
+                bound, found = inner.target.id, _types(ast.Subscript(inner.iter, ast.Constant(0)), env)
+            else:
+                continue
+            env[bound] = env.get(bound, set()) | found
+        for inner in scope:
+            if isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Load):
+                reads.update(f"{owner}.{inner.attr}" for owner in _owners(inner.value, env))
+            elif isinstance(inner, ast.ClassDef):
+                for item in inner.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        visit(item, env, inner.name)
+            elif isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(inner, env, None)
+
+    for path in _PROJECT:
+        visit(ast.parse(path.read_text()), {}, None)
+    return frozenset(reads)
+
+
+@functools.cache
+def _shared_names():
+    # member names a read cannot attribute by name alone: two package classes
+    # have them, or numpy arrays, dicts, lists or strings do
+    members = [name.split(".")[1] for name in _package()[1]]
+    return {name for name in members
+            if members.count(name) > 1 or any(hasattr(t, name) for t in (np.ndarray, dict, list, str))}
+
+
+# shared-name members read only where the resolver cannot name the owner
+_UNRESOLVED_READS = {
+    # tests read report.tau on elements of evaluate_taus' dict of lists
+    "MetricsReport.tau",
+}
+
+
+def _read(definition):
+    cls, _, member = definition.rpartition(".")
+    if not cls:
+        return definition in _loaded_names()
+    if definition in _resolved_reads():
+        return True
+    return definition in _UNRESOLVED_READS if member in _shared_names() else member in _loaded_names()
+
+
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
 def test_every_definition_is_read(path):
     # a function, class, method or dataclass field that nothing in src/,
-    # tests/ or benchmarks/ reads is dead; dunder methods are called implicitly
-    dead = [name for name in _definitions(ast.parse(path.read_text())) if name.split(".")[-1] not in _loaded_names()]
+    # tests/ or benchmarks/ reads is dead; dunder methods are called
+    # implicitly.  A member is read where a read's owner resolves to its
+    # class; a read the resolver cannot place counts only for a member whose
+    # name no other package class, numpy array, dict, list or str shares
+    dead = [name for name in _definitions(ast.parse(path.read_text())) if not _read(name)]
     assert not dead, dead
+
+
+def test_unresolved_reads_are_needed():
+    # each entry names a member whose name is shared and whose reads the
+    # resolver cannot place; one it places, or that is gone, leaves the list
+    members = set(_package()[1])
+    needed = {name for name in members if name.split(".")[1] in _shared_names()} - _resolved_reads()
+    assert _UNRESOLVED_READS <= needed, sorted(_UNRESOLVED_READS - needed)
+
+
+def test_package_root_is_the_union_of_the_module_lists():
+    # each public name is declared once, in its module's __all__; the
+    # package root re-exports every module's list and leaves cli out
+    package = importlib.import_module("intervalfusion")
+    modules = [importlib.import_module(f"intervalfusion.{path.stem}") for path in _MODULES if path.stem != "cli"]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names)), sorted({name for name in names if names.count(name) > 1})
+    assert sorted(package.__all__) == sorted(names)
+    assert all(getattr(package, name) is getattr(module, name) for module in modules for name in module.__all__)
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter with src/ on its path; returns its stdout."""
+    path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True).stdout
 
 
 def test_package_imports_without_scipy():
     # numpy is the only runtime dependency, but the test extra installs scipy,
     # so only a fresh interpreter shows a stray import of it
-    code = ("import sys, intervalfusion, intervalfusion.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]", done.stdout
+    out = _run_python("import sys, intervalfusion, intervalfusion.cli; "
+                      "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert out.strip() == "[]", out
+
+
+def test_readme_quick_start_runs():
+    # the README's library quick start, run as a reader would paste it
+    readme = (_ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    assert "import intervalfusion" in code or "from intervalfusion import" in code
+    assert _run_python(code).strip()
