@@ -22,7 +22,8 @@ Configuration is a flat JSON object.  Keys:
     format          "csv" (default) or "json"
 
 The environment variables INTERVALFUSION_SEED and INTERVALFUSION_TRIALS
-override the config file; the --seed/--trials/--out flags override both.
+override the config file; the --seed/--trials/--out flags override both
+(fit-linear's --out names its coefficient file and leaves output_path alone).
 Identical effective configuration produces byte-identical output files.
 """
 
@@ -42,7 +43,7 @@ from .fusion import GbiWeights, coverage_rows, fuse_gbi, gbi_bayes_weights, gbi_
 # evaluate stays importable from this module: benchmarks/tracing.py wraps it here
 from .metrics import AlgorithmSpec, combine_objective, evaluate, evaluate_taus  # noqa: F401
 # select_linear_coefficients stays importable from this module: benchmarks/tracing.py wraps it here
-from .optimal import LinearSelection, select_linear_coefficients, select_linear_exact  # noqa: F401
+from .optimal import fit_linear_exact, select_linear_coefficients, select_linear_exact  # noqa: F401
 # posterior_mean_exact stays importable from this module: benchmarks/tracing.py wraps it here
 from .oracle import posterior_mean_exact, posterior_rows  # noqa: F401
 # make_trial stays importable from this module: benchmarks/tracing.py wraps it here
@@ -232,12 +233,15 @@ def run_sweep(config: RunConfig) -> list[dict]:
     """Evaluate every configured algorithm at every tau; return one row per cell.
 
     Linear fusers are fitted per (tau, lambda) on the exact law at any
-    m >= 2 (`select_linear_exact`, which draws no trials), so their
-    coefficients depend on neither seed nor moment_samples; when the
-    closed-form recipe was rejected, or not run because m != 2, the row's
-    flags field records fit_substituted.  Every fit runs first; then one
-    `evaluate_taus` pass draws each block of trials once and masks it at
-    every tau, so all algorithms at one tau share bit-identical trials.
+    m >= 2 (`fit_linear_exact`, which draws no trials), so their
+    coefficients depend on neither seed nor moment_samples.  The sweep does
+    not run the two-agent closed-form recipe: its candidates share
+    coefficients across sensors, the family the fit minimizes over, so it
+    can at best tie the fit.  Every linear row's flags field therefore
+    records fit_substituted; fit-linear runs the recipe on demand.  Every
+    fit runs first; then one `evaluate_taus` pass draws each block of trials
+    once and masks it at every tau, so all algorithms at one tau share
+    bit-identical trials.
     Rows come in tau order, then algorithm order.
     """
     plans = _parse_algorithms(config)
@@ -251,14 +255,12 @@ def run_sweep(config: RunConfig) -> list[dict]:
                                   f"the bound for a marzullo selector")
     if not plans:
         return []
-    selections: dict[tuple[int, float], LinearSelection] = {}
-    for tau in config.taus:
-        for plan in plans:
-            if plan.kind == "linear" and (tau, plan.lam) not in selections:
-                selections[tau, plan.lam] = select_linear_exact(config.scenario(tau), plan.lam)
+    # plan labels are distinct, so each (tau, lambda) is fitted once
+    fits = {(tau, plan.lam): fit_linear_exact(config.scenario(tau), plan.lam)
+            for tau in config.taus for plan in plans if plan.kind == "linear"}
     specs = {
         tau: [AlgorithmSpec(kind=plan.kind, label=plan.label, constant_value=plan.constant_value,
-                            coeffs=selections[tau, plan.lam].coeffs if plan.kind == "linear" else None)
+                            coeffs=fits[tau, plan.lam] if plan.kind == "linear" else None)
               for plan in plans]
         for tau in config.taus
     }
@@ -273,7 +275,7 @@ def run_sweep(config: RunConfig) -> list[dict]:
             flags = []
             if report.degenerate_count:
                 flags.append(f"degenerate={report.degenerate_count}")
-            if plan.kind == "linear" and not selections[tau, plan.lam].closed_form_used:
+            if plan.kind == "linear":
                 flags.append("fit_substituted")
             # each estimate is followed by its standard error, as in the header
             values = [
@@ -360,7 +362,8 @@ def run_fit_linear(config: RunConfig, lam: float) -> list[dict]:
 
     Each entry is `select_linear_exact`'s selection: its empirical_objective
     and closed_form_objective are the exact population objectives of the
-    fit and the recipe, and no trial is drawn.
+    fit and the recipe, and no trial is drawn.  This is the one command that
+    runs the two-agent recipe.
     """
     if config.m < 2:
         raise ConfigError(f"fit-linear requires m >= 2 agents (field 'm'), got m={config.m}")
@@ -409,9 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # fit-linear's --out names its coefficient file, not the sweep's output_path
         config = load_config(args.config, seed_override=args.seed,
                              trials_override=getattr(args, "trials", None),
-                             out_override=getattr(args, "out", None))
+                             out_override=args.out if args.command == "sweep" else None)
         if args.command == "sweep":
             rows = run_sweep(config)
             write_rows(rows, config)
@@ -431,7 +435,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         results = run_fit_linear(config, args.lam)
         payload = json.dumps(results, indent=2)
-        if getattr(args, "out", None):
+        if args.out is not None:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(payload + "\n")

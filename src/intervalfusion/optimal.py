@@ -15,13 +15,16 @@ agents there is also a closed-form moment recipe (solve_linear_two_agent);
 it is implemented exactly as published even though parts of it look
 inconsistent, so a selection cross-checks it against the fit, which serves
 as the authority when they disagree.  select_linear_exact, which the
-command line runs, feeds the recipe the exact moments and scores both
+fit-linear command runs, feeds the recipe the exact moments and scores both
 candidates on the exact population objective (population_scores);
 select_linear_coefficients is its sampled view, drawing moment, fitting and
 validation batches from a random stream and scoring on the validation batch
-with metrics.empirical_objective.  The recipe's coefficient search runs on a
-local Nelder-Mead (_nelder_mead) that reproduces scipy's default
-non-adaptive method bit for bit, so the package does not import scipy.
+with metrics.empirical_objective.  Sweeps take fit_linear_exact alone: the
+recipe's candidates share coefficients across sensors, the family the fit
+minimizes over, so they can at best tie it.  The recipe's coefficient
+search runs on a local Nelder-Mead (_nelder_mead) that reproduces scipy's
+default non-adaptive method bit for bit, so the package does not import
+scipy.
 """
 
 from __future__ import annotations
@@ -466,8 +469,9 @@ def solve_linear_two_agent(
     (xatol 1e-10, fatol 1e-12, maxiter 600) bit for bit, point by point; a
     search stops early only at an exact fixed point (most do, collapsed
     against the |z| = 1 wall), whose result scipy's run to maxiter would
-    only repeat.  On the sweep's exact moments (n=10, tau=3, x_max=5) a run
-    is 27 searches and the polish, 9,100-9,700 objective calls.
+    only repeat.  On the exact moments of the README study (n=10, tau=3,
+    x_max=5), as fit-linear runs it, a run is 27 searches and the polish,
+    9,100-9,700 objective calls.
 
     Raises InfeasibleSearchError when the best point found is a penalty, and
     when no search ends below +inf (moments so large that every candidate

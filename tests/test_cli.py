@@ -212,7 +212,8 @@ class TestSweep:
         recombined = lam * (float(row["mse_agent_1"]) + float(row["mse_agent_2"]))
         recombined += (1 - lam) * float(row["cns_pair_1_2"])
         assert objective == pytest.approx(recombined, rel=1e-9)
-        assert row["flags"] in ("", "fit_substituted")
+        # the sweep fits on the exact law and never runs the two-agent recipe
+        assert row["flags"] == "fit_substituted"
 
     def test_linear_fits_draw_nothing(self, tmp_path, monkeypatch):
         # the fits run on the exact law: no fitting batch is drawn, so
@@ -225,6 +226,22 @@ class TestSweep:
             rows.append(run_sweep(load_config(path)))
         assert rows[0] == rows[1]
         assert [r["algorithm"] for r in rows[0]] == ["linear@0.1", "linear@0.9", "bi"] * 2
+
+    def test_sweep_never_runs_the_recipe(self, tmp_path, monkeypatch):
+        # the linear rows come from fit_linear_exact alone: neither the
+        # two-agent recipe nor the selection that scores it runs, also at
+        # x_max = 1, m = 2, where a selection kept the recipe's tie
+        def no_recipe(*args, **kwargs):
+            raise AssertionError("the sweep ran the two-agent recipe or its selection")
+
+        for name in ("solve_linear_two_agent", "population_scores", "_select"):
+            monkeypatch.setattr(optimal, name, no_recipe)
+        for x_max in (1, 5):
+            path, _ = write_config(tmp_path, x_max=x_max, taus=[0, 2], algorithms=["linear", "bi"],
+                                   lambdas=[0.1, 0.9])
+            rows = run_sweep(load_config(path))
+            linear = [row["flags"] for row in rows if row["algorithm"].startswith("linear@")]
+            assert linear == ["fit_substituted"] * 4
 
     def test_large_n_gbi_sweep(self, tmp_path):
         # C(40, 20) ~ 1.4e11 subsets: only the region fuser can run this cell
@@ -282,7 +299,7 @@ class TestSweep:
         assert main(["sweep", "--config", path]) == 0
         linear, bi = read_rows(raw["output_path"])
         assert linear["algorithm"] == "linear@0.5"
-        # the recipe is two-agent only, so the fit always stands in for it
+        # the sweep's fit stands in for the recipe at every m
         assert linear["flags"] == "fit_substituted"
         mse = sum(float(linear[f"mse_agent_{j}"]) for j in (1, 2, 3))
         cns = sum(float(linear[f"cns_pair_{j}_{k}"]) for j, k in ((1, 2), (1, 3), (2, 3)))
@@ -342,7 +359,7 @@ class TestSweep:
         def no_work(*args, **kwargs):
             raise AssertionError("the sweep fitted or evaluated before refusing the config")
 
-        monkeypatch.setattr(cli, "select_linear_exact", no_work)
+        monkeypatch.setattr(cli, "fit_linear_exact", no_work)
         monkeypatch.setattr(cli, "evaluate_taus", no_work)
         with pytest.raises(ConfigError, match="'taus'"):
             run_sweep(config)
@@ -553,6 +570,14 @@ class TestFitLinear:
         out = tmp_path / "absent" / "fit.json"
         assert main(["fit-linear", "--config", path, "--lambda", "0.5", "--out", str(out)]) == 2
         assert "--out" in capsys.readouterr().err
+
+    def test_empty_out_names_out(self, tmp_path, capsys):
+        # --out names the coefficient file and never stands in for the
+        # config's output_path, so an empty one is refused as --out
+        path, _ = write_config(tmp_path)
+        assert main(["fit-linear", "--config", path, "--lambda", "0.5", "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert "--out ''" in err and "output_path" not in err
 
     def test_runs_at_tau_n_minus_one_with_marzullo_listed(self, tmp_path):
         # fit-linear ignores algorithms, so the sweep's marzullo bound does not apply

@@ -1232,6 +1232,23 @@ class TestSelectLinearExact:
         for got, want in zip(sel.coeffs, fit, strict=True):
             assert bits([*got.eps, *got.delta, got.gamma]) == bits([*want.eps, *want.delta, want.gamma])
 
+    def test_selection_is_the_exact_fit(self):
+        # sweeps run fit_linear_exact alone because of this: the recipe's
+        # candidates share coefficients across sensors, the family the fit
+        # minimizes over, so the selection returns the fit's bits.  At
+        # x_max = 1 every reading is the whole range and both give the
+        # constant fuser, so the recipe ties and is kept; elsewhere it loses
+        for n in (3, 6, 10):
+            for tau in range(n):
+                for x_max in (1, 2, 5):
+                    for lam in (0.1, 0.5, 0.9):
+                        params = ScenarioParams(n=n, m=2, tau=tau, x_max=x_max, seed=75)
+                        sel = select_linear_exact(params, lam)
+                        assert sel.closed_form_used == (x_max == 1), (n, tau, x_max, lam)
+                        for got, want in zip(sel.coeffs, fit_linear_exact(params, lam), strict=True):
+                            assert (bits([*got.eps, *got.delta, got.gamma])
+                                    == bits([*want.eps, *want.delta, want.gamma])), (n, tau, x_max, lam)
+
     def test_recipe_skipped_beyond_two_agents(self):
         params = ScenarioParams(n=6, m=3, tau=1, x_max=5, seed=71)
         with mock.patch.object(optimal, "solve_linear_two_agent", side_effect=AssertionError("recipe ran")):

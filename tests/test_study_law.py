@@ -22,18 +22,18 @@ LAMBDAS = STUDY.lambdas
 
 @pytest.fixture(scope="module")
 def study():
-    """The sweep's rows, and the exact scores of the coefficients it selected, by (tau, lambda)."""
-    selected = {}
-    select = cli.select_linear_exact
+    """The sweep's rows, and the exact scores of the coefficients it fitted, by (tau, lambda)."""
+    fitted = {}
+    fit = cli.fit_linear_exact
 
     def recording(params: ScenarioParams, lam: float):
-        selected[params.tau, lam] = selection = select(params, lam)
-        return selection
+        fitted[params.tau, lam] = coeffs = fit(params, lam)
+        return coeffs
 
-    with mock.patch.object(cli, "select_linear_exact", recording):
+    with mock.patch.object(cli, "fit_linear_exact", recording):
         rows = run_sweep(STUDY)
-    scores = {(tau, lam): population_scores(law_moments(STUDY.scenario(tau)), selection.coeffs)
-              for (tau, lam), selection in selected.items()}
+    scores = {(tau, lam): population_scores(law_moments(STUDY.scenario(tau)), coeffs)
+              for (tau, lam), coeffs in fitted.items()}
     return rows, scores
 
 

@@ -1,12 +1,14 @@
 """The benchmark's tracer finds every name it wraps; the package keeps no dead import or definition.
 
 The package root exports exactly its modules' public names, and the package
-imports without scipy and runs the README's quick start in a fresh interpreter.
+imports without scipy, runs fit-linear without scipy and runs the README's
+quick start, each in a fresh interpreter.
 """
 
 import ast
 import functools
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -271,11 +273,31 @@ def test_package_imports_without_scipy():
     assert out.strip() == "[]", out
 
 
+def _readme_block(anchor, language):
+    """The first fenced `language` block of README.md after the text anchor."""
+    readme = (_ROOT / "README.md").read_text()
+    section = readme[readme.index(anchor):]
+    start = section.index(f"```{language}\n") + len(f"```{language}\n")
+    return section[start:section.index("```", start)]
+
+
 def test_readme_quick_start_runs():
     # the README's library quick start, run as a reader would paste it
-    readme = (_ROOT / "README.md").read_text()
-    section = readme[readme.index("## Library quick start"):]
-    start = section.index("```python\n") + len("```python\n")
-    code = section[start:section.index("```", start)]
+    code = _readme_block("## Library quick start", "python")
     assert "import intervalfusion" in code or "from intervalfusion import" in code
     assert _run_python(code).strip()
+
+
+def test_fit_linear_runs_without_scipy(tmp_path):
+    # fit-linear is the one command that runs the two-agent recipe and its
+    # local Nelder-Mead; on the README's study config it needs numpy alone
+    config = tmp_path / "study.json"
+    config.write_text(_readme_block("Example config reproducing", "json"))
+    out = _run_python(
+        "import sys\n"
+        "from intervalfusion.cli import main\n"
+        f"assert main(['fit-linear', '--config', {str(config)!r}, '--lambda', '0.5',"
+        f" '--out', {str(tmp_path / 'fit.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    assert out.splitlines()[-1] == "[]", out
+    assert len(json.loads((tmp_path / "fit.json").read_text())) == 7
