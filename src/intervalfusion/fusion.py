@@ -318,11 +318,12 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     factors = (inside * (shortest / widths)[rows]).T
     esym = np.zeros((k + 1, rows.size))
     esym[0] = 1.0
-    upper, lower = esym[1:], esym[:-1]
-    for row in factors:
-        # the product is formed before the in-place add, so lower still holds
-        # the previous degree's values
-        upper += row * lower
+    for i, row in enumerate(factors):
+        # after sensor i a degree above i + 1 would only add row * 0.0 = +0.0, and
+        # one below k - (n - 1 - i) can no longer reach degree k; the product is
+        # formed before the in-place add, so it reads the previous degree's values
+        first, last = max(1, k - (n - 1 - i)), min(i + 1, k)
+        esym[first:last + 1] += row * esym[first - 1:last]
     values = _row_means(rows, esym[k] * (right - left), (left + right) / 2.0, keep.shape[0])
     return values, degenerate
 
@@ -335,8 +336,9 @@ def fuse_gbi_regions(readings: Sequence[Interval] | np.ndarray, tau: int) -> flo
     the coverage profile: the estimate is
     sum_r e_k(v_r) * integral_r x dx / sum_r e_k(v_r) * |r|, where k = n - tau,
     v_r holds the inverse widths of the readings covering r and e_k is the
-    elementary symmetric polynomial of degree k.  Each e_k comes from an
-    O(n * k) recurrence, so the cost is polynomial in n.  Raises
+    elementary symmetric polynomial of degree k.  Each e_k comes from a
+    recurrence over the readings that updates only the degrees that can still
+    reach k, k * (n - k + 1) steps, so the cost is polynomial in n.  Raises
     DegenerateInputError when no open region is covered by n - tau readings
     and ValueError on zero-width readings.
     """

@@ -110,24 +110,29 @@ def _block_estimates(
     Returns estimates of shape (algorithms, m, trials) and each algorithm's
     count of degenerate (trial, agent) estimates.  The batch fusers read the
     block's `TrialBatch.rows`; BI and GBI share one coverage profile per row,
-    and GBI falls back to the BI estimate on its degenerate rows.
+    and GBI falls back to the BI estimate on its degenerate rows.  A BI
+    estimate reads its own row alone, so the fallback runs BI on those rows
+    only, and a block with no bi spec and no degenerate row runs no BI.
     """
     size, m = batch.size, batch.lo.shape[2]
     rows = batch.rows()
     if any(spec.kind in ("bi", "gbi_oneopt") for spec in algos):
         cov = fusion.coverage_rows(rows)
-        bi = fusion.bi_rows(cov, tau)
     estimates = np.empty((len(algos), m * size))
     degenerate = np.zeros(len(algos), dtype=int)
     for a, spec in enumerate(algos):
         if spec.kind == "marzullo":
             estimates[a] = fusion.marzullo_rows(rows, tau)
         elif spec.kind == "bi":
-            estimates[a], flags = bi
+            estimates[a], flags = fusion.bi_rows(cov, tau)
             degenerate[a] = flags.sum()
         elif spec.kind == "gbi_oneopt":
             values, flags = fusion.gbi_rows(cov, tau)
-            estimates[a] = np.where(flags, bi[0], values)
+            if flags.any():
+                flagged = fusion.TransitionProfile(points=cov.points[flags], counts=cov.counts[flags],
+                                                   lo=cov.lo[flags], hi=cov.hi[flags])
+                values[flags] = fusion.bi_rows(flagged, tau)[0]
+            estimates[a] = values
             degenerate[a] = flags.sum()
         elif spec.kind == "linear":
             for j, coeffs in enumerate(spec.coeffs):

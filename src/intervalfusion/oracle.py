@@ -8,11 +8,14 @@ constant between reading endpoints and admits exact integration.  No term
 cancellation is applied; every pattern's marginal factors stay in the sum.
 
 `posterior_rows` computes the density of B `scenario.ReadingRows` at once,
-over a (rows, patterns, regions) membership array, as one `PiecewiseDensity`
-with a leading row axis; `posterior_density` and `posterior_mean_exact` are
-its one-row views.  The fault patterns come from `itertools.combinations` here,
-not from the fusers' subset tables or their e_k recurrence, so the oracle
-stays independent of the fusers it checks.
+as one `PiecewiseDensity` with a leading row axis; `posterior_density` and
+`posterior_mean_exact` are its one-row views.  It sums the fault patterns'
+levels over the positive-width regions that n - tau readings cover, the only
+cells a pattern's truthful intersection can hold, and a pattern holds a cell
+when its one-hot row counts n - tau of the cell's covering readings.  The
+fault patterns come from `itertools.combinations` here, not from the fusers'
+subset tables or their e_k recurrence, so the oracle stays independent of
+the fusers it checks.
 
 `law_moments` gives the exact first and second moments of the trial law
 that the linear fusers are fitted and scored on, as finite sums over the
@@ -22,7 +25,9 @@ precision lattices; it draws no trials.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -105,6 +110,23 @@ def implied_precision(reading: Interval, x_max: int) -> int:
     return int(_implied_precisions(np.array([reading.width]), x_max)[0])
 
 
+@lru_cache(maxsize=64)
+def _patterns(n: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """A one-hot (patterns, n) table of each fault pattern's truthful readings, and its faulty ones.
+
+    The patterns are the (n - tau)-subsets in lexicographic order.  Their
+    complements are the tau-subsets in reverse lexicographic order, so the
+    faulty table is (patterns, tau); at tau = 0 it has no column.
+    """
+    truthful = np.zeros((math.comb(n, tau), n))
+    for p, subset in enumerate(itertools.combinations(range(n), n - tau)):
+        truthful[p, subset] = 1.0
+    faulty = np.array(list(itertools.combinations(range(n), tau)), dtype=np.intp).reshape(len(truthful), tau)[::-1]
+    truthful.setflags(write=False)
+    faulty.setflags(write=False)
+    return truthful, faulty
+
+
 def posterior_rows(rows: ReadingRows, params: ScenarioParams) -> PiecewiseDensity:
     """Unnormalized posterior densities of the target given B reading rows.
 
@@ -114,9 +136,10 @@ def posterior_rows(rows: ReadingRows, params: ScenarioParams) -> PiecewiseDensit
     readings (clipped to [-x_max, x_max]) and zero elsewhere; its level is the
     flat prior 1/(2*x_max) times the truthful factors (1/x_max) times the
     assumed-faulty readings' marginal cell probabilities 1/(x_max*precision),
-    applied as divisions in index order.  Raises ValueError on a wrong reading count,
-    OffLatticeError on a width off the reading lattice and
-    InconsistentReadingsError on a row with no mass.
+    applied as divisions in index order, and a positive-width region sums its
+    patterns' levels in pattern order.  A zero-width gap gets level 0.  Raises
+    ValueError on a wrong reading count, OffLatticeError on a width off the
+    reading lattice and InconsistentReadingsError on a row with no mass.
     """
     lo, hi = rows.lo, rows.hi
     n = lo.shape[1]
@@ -130,20 +153,20 @@ def posterior_rows(rows: ReadingRows, params: ScenarioParams) -> PiecewiseDensit
     points = np.sort(np.clip(np.concatenate([lo, hi, -edges, edges], axis=1), -bound, bound), axis=1)
     left, right = points[:, None, :-1], points[:, None, 1:]
 
-    truthful = np.array(list(itertools.combinations(range(n), n - tau)), dtype=np.intp)
-    # the complements of the (n-tau)-subsets in lexicographic order are the
-    # tau-subsets in reverse lexicographic order; at tau = 0 this is one empty row
-    faulty = np.array(list(itertools.combinations(range(n), tau)), dtype=np.intp).reshape(len(truthful), tau)[::-1]
-
-    # (rows, patterns): the truthful intersection [a, b] and its level
-    a = np.maximum(lo[:, truthful].max(axis=2), -bound)[:, :, None]
-    b = np.minimum(hi[:, truthful].min(axis=2), bound)[:, :, None]
+    truthful, faulty = _patterns(n, tau)
+    # (rows, patterns): each pattern's level
     coeff = np.full((lo.shape[0], truthful.shape[0]), 1.0 / (2.0 * x_max) * (1.0 / x_max) ** (n - tau))
     for slot in range(tau):
         coeff /= x_max * precisions[:, faulty[:, slot]]
-    # (rows, patterns, regions): a region lies in a pattern's nonempty intersection
-    member = (b > a) & (a <= left) & (right <= b)
-    levels = np.einsum("rp,rpg->rg", coeff, member)
+    # a positive-width region lies in a pattern's intersection when every truthful
+    # reading covers it; the regions fewer than n - tau readings cover lie in none
+    cover = (lo[:, :, None] <= left) & (right <= hi[:, :, None]) & (right > left)
+    row, gap = np.nonzero(cover.sum(axis=1) >= n - tau)
+    # (patterns, kept cells): a pattern's truthful readings that cover the cell,
+    # counted; each cell's levels are summed in pattern order
+    pattern, cell = np.nonzero(truthful @ cover[row, :, gap].T == n - tau)
+    levels = np.zeros(points[:, 1:].shape)
+    levels[row, gap] = np.bincount(cell, weights=coeff[row[cell], pattern], minlength=row.size)
 
     density = PiecewiseDensity(breakpoints=points, levels=levels)
     empty = ~(density.masses() > 0.0)

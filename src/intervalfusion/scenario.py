@@ -56,8 +56,8 @@ _MASK64 = (1 << 64) - 1
 # trials per substream block.  A block is drawn whole, so this is also the
 # cost of one make_trial call; callers fuse whole blocks at a time (evaluate
 # two, oracle-check one), so that numpy call overhead is amortised while
-# per-call temporaries such as the oracle's (rows, patterns, regions)
-# membership stay small
+# per-call temporaries such as the oracle's (patterns, kept cells) pattern
+# counts stay small
 _BLOCK_TRIALS = 128
 
 

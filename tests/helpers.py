@@ -9,7 +9,11 @@ package replaced: the regions n - tau readings cover, then the
 maximal-coverage regions patched in on degenerate rows.  The region GBI rows
 here are a literal copy of the kernel before its coverage counts came from
 one endpoint sweep: a (rows, n, 2n) array of which reading covers which gap,
-summed into the counts and gathered at the kept regions.
+summed into the counts and gathered at the kept regions.  The exact
+posterior rows here are a literal copy of the oracle before it summed over
+the cells n - tau readings cover: every pattern's truthful intersection from
+a (rows, patterns, n - tau) gather, and its level summed into every region
+through a (rows, patterns, regions) membership array.
 
 The moment estimates and the linear fit here are literal copies of the
 package's formulas before their products and sensor sums were formed once,
@@ -40,6 +44,7 @@ of gap over unordered pairs.
 """
 
 import functools
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -47,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from intervalfusion import DirectionMoments, MomentSet, TrialBatch, fusion, metrics, optimal, sample_batch
+from intervalfusion import DirectionMoments, MomentSet, TrialBatch, fusion, metrics, optimal, oracle, sample_batch
 
 
 def _reference_cells(x, prec, x_max):
@@ -214,6 +219,32 @@ def reference_gbi_rows(lo, hi, tau):
     left, right = left[rows, regions], right[rows, regions]
     values = fusion._row_means(rows, esym[k] * (right - left), (left + right) / 2.0, keep.shape[0])
     return values, degenerate
+
+
+def reference_posterior_rows(lo, hi, params):
+    """Unnormalized posterior densities of B reading rows, through the (rows, patterns, regions) membership."""
+    n = lo.shape[1]
+    tau, x_max = params.tau, params.x_max
+    if n != params.n:
+        raise ValueError(f"expected {params.n} readings, got {n}")
+    precisions = oracle._implied_precisions(hi - lo, x_max)
+
+    bound = float(x_max)
+    edges = np.full((lo.shape[0], 1), bound)
+    points = np.sort(np.clip(np.concatenate([lo, hi, -edges, edges], axis=1), -bound, bound), axis=1)
+    left, right = points[:, None, :-1], points[:, None, 1:]
+
+    truthful = np.array(list(itertools.combinations(range(n), n - tau)), dtype=np.intp)
+    faulty = np.array(list(itertools.combinations(range(n), tau)), dtype=np.intp).reshape(len(truthful), tau)[::-1]
+
+    a = np.maximum(lo[:, truthful].max(axis=2), -bound)[:, :, None]
+    b = np.minimum(hi[:, truthful].min(axis=2), bound)[:, :, None]
+    coeff = np.full((lo.shape[0], truthful.shape[0]), 1.0 / (2.0 * x_max) * (1.0 / x_max) ** (n - tau))
+    for slot in range(tau):
+        coeff /= x_max * precisions[:, faulty[:, slot]]
+    member = (b > a) & (a <= left) & (right <= b)
+    levels = np.einsum("rp,rpg->rg", coeff, member)
+    return oracle.PiecewiseDensity(breakpoints=points, levels=levels)
 
 
 def random_direction_moments(rng, m):

@@ -506,8 +506,9 @@ class TestBatchKernels:
         assert np.array_equal(cov.points.view(np.uint64), points.view(np.uint64))
 
     def test_gbi_rows_equal_cover_reference(self):
-        # in-model trials over n 1-40, x_max 1/2/5 and four taus each, then
-        # half-integer stacks whose disjoint readings leave degenerate rows
+        # in-model trials over n 1-40, x_max 1/2/5 and four taus each, then every
+        # tau at three n, then half-integer stacks whose disjoint readings leave
+        # degenerate rows
         for n in range(1, 41):
             for x_max in (1, 2, 5):
                 draw = draw_trials(ScenarioParams(n=n, m=2, tau=0, x_max=x_max, seed=100 * n + x_max), 0, 512)
@@ -517,6 +518,15 @@ class TestBatchKernels:
                     want_values, want_flags = reference_gbi_rows(rows.lo, rows.hi, tau)
                     assert np.array_equal(values.view(np.int64), want_values.view(np.int64)), (n, x_max, tau)
                     assert np.array_equal(flags, want_flags), (n, x_max, tau)
+        # every tau at wider n, where the recurrence skips most of its degrees
+        for n in (16, 24, 40):
+            draw = draw_trials(ScenarioParams(n=n, m=2, tau=0, x_max=5, seed=n), 0, 8)
+            for tau in range(n):
+                rows = draw.at(tau).rows()
+                values, flags = gbi_rows(coverage_rows(rows), tau)
+                want_values, want_flags = reference_gbi_rows(rows.lo, rows.hi, tau)
+                assert np.array_equal(values.view(np.int64), want_values.view(np.int64)), (n, tau)
+                assert np.array_equal(flags, want_flags), (n, tau)
         rng = np.random.default_rng(19)
         degenerate = 0
         for n in range(1, 12):

@@ -218,6 +218,41 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"'gbi_oneopt'.*tau=2"):
             evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 200)
 
+    def test_gbi_alone_runs_no_bi(self, monkeypatch):
+        # BI is GBI's fallback on degenerate rows only, and in-model trials leave none
+        calls = []
+        real_bi_rows = fusion.bi_rows
+        monkeypatch.setattr(fusion, "bi_rows", lambda cov, tau: calls.append(tau) or real_bi_rows(cov, tau))
+        for tau in range(5):
+            params = ScenarioParams(n=5, m=2, tau=tau, x_max=5, seed=79)
+            report, = evaluate([AlgorithmSpec.gbi_oneopt()], params, 300)
+            assert report.degenerate_count == 0
+        assert calls == []
+
+    def test_flagged_gbi_rows_take_bi_values(self, monkeypatch):
+        params = ScenarioParams(n=6, m=2, tau=2, x_max=5, seed=80)
+        batch = make_trials(params, 0, 200)
+        cov = fusion.coverage_rows(batch.rows())
+        bi, _ = fusion.bi_rows(cov, 2)
+        gbi, _ = fusion.gbi_rows(cov, 2)
+        flagged = np.arange(bi.size) % 3 == 0
+        real_gbi_rows = fusion.gbi_rows
+
+        def every_third_row_flagged(cov, tau):
+            values, flags = real_gbi_rows(cov, tau)
+            return np.where(flagged, np.nan, values), flags | flagged
+
+        monkeypatch.setattr(fusion, "gbi_rows", every_third_row_flagged)
+        want = np.where(flagged, bi, gbi).reshape(2, 200)
+        for algos in ([AlgorithmSpec.gbi_oneopt()], [AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()]):
+            estimates, degenerate = metrics._block_estimates(algos, batch, 2)
+            assert np.array_equal(estimates[-1].view(np.int64), want.view(np.int64))
+            assert degenerate[-1] == flagged.sum()
+        # the 200 trials are one chunk of evaluate, so its rows are the batch's
+        report, = evaluate([AlgorithmSpec.gbi_oneopt()], params, 200)
+        assert report.degenerate_count == flagged.sum()
+        assert np.array_equal(report.sq_err, (batch.x - want) ** 2)
+
     @pytest.mark.parametrize("value", [1e200, np.nan], ids=["squared-error-overflows", "nan"])
     def test_non_finite_squared_error_refused(self, value):
         # (x - 1e200)^2 overflows although the estimate is finite

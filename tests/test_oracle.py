@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_law_moments
+from helpers import reference_law_moments, reference_posterior_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,7 @@ from intervalfusion import (
     posterior_mean_exact,
 )
 from intervalfusion.oracle import posterior_rows
-from intervalfusion.scenario import ReadingRows, sample_batch
+from intervalfusion.scenario import ReadingRows, draw_trials, sample_batch
 
 
 def agent_readings(trial, agent=0):
@@ -347,6 +347,62 @@ class TestBatchOracle:
                 for row, want in enumerate(means.tolist()):
                     readings = [Interval(a, b) for a, b in zip(rows.lo[row].tolist(), rows.hi[row].tolist())]
                     assert posterior_mean_exact(readings, params) == want, (n, tau, x_max, row)
+
+    def test_equals_the_membership_cube_copy(self):
+        # means and positive-width levels bit for bit; a zero-width gap now carries level 0
+        def assert_bit_equal(rows, params):
+            got = posterior_rows(rows, params)
+            want = reference_posterior_rows(rows.lo, rows.hi, params)
+            assert np.array_equal(got.breakpoints.view(np.uint64), want.breakpoints.view(np.uint64))
+            gaps = np.diff(got.breakpoints, axis=1) > 0
+            assert np.array_equal(got.levels[gaps].view(np.int64), want.levels[gaps].view(np.int64))
+            assert (got.levels[~gaps] == 0.0).all()
+            assert np.array_equal(got.means().view(np.int64), want.means().view(np.int64))
+            return gaps
+
+        for n, x_max in itertools.product(range(1, 9), (1, 3, 5)):
+            for tau in range(n):
+                params = ScenarioParams(n=n, m=3, tau=tau, x_max=x_max, seed=89 * n + tau)
+                assert_bit_equal(make_trials(params, 0, 40).rows(), params)
+        for tau in (4, 8, 12):
+            params = ScenarioParams(n=16, m=2, tau=tau, x_max=5, seed=16 + tau)
+            assert_bit_equal(draw_trials(params, 0, 16).at(tau).rows(), params)
+        # tied endpoints, readings past +-x_max, endpoints on +-x_max, touching
+        # readings and signed zeros, all on the lattice of x_max = 5
+        hand = np.array([
+            [(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.5), (-5.0, 5.0)],
+            [(3.0, 8.0), (-7.0, 3.0), (4.0, 9.0), (3.0, 5.0)],
+            [(-5.0, -3.0), (3.0, 5.0), (-5.0, 5.0), (-5.0, 0.0)],
+            [(6.0, 8.0), (-2.0, 0.0), (-2.0, 0.5), (0.0, 2.0)],
+            [(-0.0, 2.0), (0.0, 2.5), (-2.0, 0.0), (-2.5, -0.0)],
+        ])
+        zero_width = 0
+        for tau in range(4):
+            params = ScenarioParams(n=4, m=1, tau=tau, x_max=5, seed=0)
+            consistent = []
+            for row in hand:
+                rows = ReadingRows.of(row)
+                if reference_posterior_rows(rows.lo, rows.hi, params).masses()[0] > 0.0:
+                    consistent.append(row)
+                    zero_width += int((~assert_bit_equal(rows, params)).sum())
+                else:
+                    with pytest.raises(InconsistentReadingsError):
+                        posterior_rows(rows, params)
+            assert_bit_equal(ReadingRows.of_stack(np.array(consistent)), params)
+        assert zero_width > 0
+
+    def test_posterior_memory_at_n_16(self):
+        # the (rows, patterns, regions) membership peaked at 37.5 MiB here
+        params = ScenarioParams(n=16, m=2, tau=8, x_max=5, seed=777)
+        rows = draw_trials(params, 0, 16).at(8).rows()
+        tracemalloc.start()
+        try:
+            density = posterior_rows(rows, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert density.levels.shape[0] == 32
+        assert peak < 24 * 2**20, peak
 
     def test_non_finite_endpoints_rejected(self):
         params = ScenarioParams(n=2, m=1, tau=0, x_max=5, seed=0)
