@@ -14,12 +14,11 @@ Configuration is a flat JSON object.  Keys:
                     "linear" (one instance per entry of lambdas),
                     "linear@<v>", "constant@<v>"
     trials          Monte Carlo trials per (algorithm, tau) cell (int >= 100)
-    moment_samples  sample count for the sampled moment estimates and fits of
-                    the library (int >= 10000, default 100000); validated,
-                    but sweep and fit-linear do not read it: they fit on the
-                    exact law and draw no fitting samples
     output_path     where sweep results go
     format          "csv" (default) or "json"
+
+A "moment_samples" key is accepted with any value and ignored: no command
+draws fitting samples, since sweep and fit-linear fit on the exact law.
 
 The environment variables INTERVALFUSION_SEED and INTERVALFUSION_TRIALS
 override the config file; the --seed/--trials/--out flags override both
@@ -69,7 +68,6 @@ class RunConfig:
     lambdas: tuple[float, ...]
     algorithms: tuple[str, ...]
     trials: int
-    moment_samples: int
     output_path: str
     format: str
 
@@ -78,8 +76,9 @@ class RunConfig:
 
 
 _REQUIRED = ("n", "m", "x_max", "seed", "taus", "algorithms", "trials", "output_path")
-_DEFAULTS = {"lambdas": (), "moment_samples": 100_000, "format": "csv"}
-_ALL_KEYS = set(_REQUIRED) | set(_DEFAULTS)
+_DEFAULTS = {"lambdas": (), "format": "csv"}
+# moment_samples is accepted and ignored: older configs set it, and no command reads it
+_ALL_KEYS = set(_REQUIRED) | set(_DEFAULTS) | {"moment_samples"}
 
 
 def _require_int(raw: object, field: str, minimum: int | None = None) -> int:
@@ -162,9 +161,6 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
 
     trials = _resolve_int(raw["trials"], ENV_TRIALS, trials_override, "trials", minimum=100)
 
-    moment_samples = _require_int(raw.get("moment_samples", _DEFAULTS["moment_samples"]),
-                                  "moment_samples", minimum=10_000)
-
     output_path = out_override if out_override is not None else raw["output_path"]
     if not isinstance(output_path, str) or not output_path:
         raise ConfigError("field 'output_path' must be a non-empty string")
@@ -175,8 +171,8 @@ def load_config(path: str, seed_override: int | None = None, trials_override: in
 
     config = RunConfig(
         n=n, m=m, x_max=x_max, seed=seed, taus=taus, lambdas=tuple(lambdas),
-        algorithms=tuple(algorithms_raw), trials=trials, moment_samples=moment_samples,
-        output_path=output_path, format=fmt,
+        algorithms=tuple(algorithms_raw), trials=trials, output_path=output_path,
+        format=fmt,
     )
     _parse_algorithms(config)  # validate selectors eagerly
     return config
@@ -234,14 +230,13 @@ def run_sweep(config: RunConfig) -> list[dict]:
 
     Linear fusers are fitted per (tau, lambda) on the exact law at any
     m >= 2 (`fit_linear_exact`, which draws no trials), so their
-    coefficients depend on neither seed nor moment_samples.  The sweep does
-    not run the two-agent closed-form recipe: its candidates share
-    coefficients across sensors, the family the fit minimizes over, so it
-    can at best tie the fit.  Every linear row's flags field therefore
-    records fit_substituted; fit-linear runs the recipe on demand.  Every
-    fit runs first; then one `evaluate_taus` pass draws each block of trials
-    once and masks it at every tau, so all algorithms at one tau share
-    bit-identical trials.
+    coefficients do not depend on the seed.  The sweep does not run the
+    two-agent closed-form recipe: its candidates share coefficients across
+    sensors, the family the fit minimizes over, so it can at best tie the
+    fit; fit-linear runs the recipe on demand.  A row's flags field records
+    only its degenerate-trial count.  Every fit runs first; then one
+    `evaluate_taus` pass draws each block of trials once and masks it at
+    every tau, so all algorithms at one tau share bit-identical trials.
     Rows come in tau order, then algorithm order.
     """
     plans = _parse_algorithms(config)
@@ -272,17 +267,13 @@ def run_sweep(config: RunConfig) -> list[dict]:
             objective = None
             if plan.lam is not None:
                 objective, _ = combine_objective(report, plan.lam)
-            flags = []
-            if report.degenerate_count:
-                flags.append(f"degenerate={report.degenerate_count}")
-            if plan.kind == "linear":
-                flags.append("fit_substituted")
+            flags = f"degenerate={report.degenerate_count}" if report.degenerate_count else ""
             # each estimate is followed by its standard error, as in the header
             values = [
                 plan.label, tau, plan.lam,
                 *np.column_stack([report.mse, report.mse_stderr]).ravel().tolist(),
                 *np.column_stack([report.cns, report.cns_stderr]).ravel().tolist(),
-                objective, config.trials, config.seed, ";".join(flags),
+                objective, config.trials, config.seed, flags,
             ]
             rows.append(dict(zip(header, values, strict=True)))
     return rows

@@ -379,40 +379,29 @@ def _recipe_kernel(moments: MomentSet, lam: float,
     four_xi13, coupling = 4.0 * xi1 * xi3, -(1.0 - lam)
     sqrt, copysign = math.sqrt, math.copysign
 
-    def evaluate(e1: float, e2: float):
-        # each agent's real roots of xi1*d^2 + xi2*d + xi3 = 0, xi2 = 2*e*kappa,
-        # in the stable two-root form
-        xi2_1, xi2_2 = 2.0 * e1 * kappa, 2.0 * e2 * kappa
-        roots1 = roots2 = ()
+    def roots(xi2: float) -> tuple[float, ...]:
+        # the real roots of xi1*d^2 + xi2*d + xi3 = 0, in the stable two-root form
         if xi1 == 0.0:
-            if xi2_1 == 0.0:
-                roots1 = (0.0,) if xi3 == 0.0 else ()
-            else:
-                roots1 = (-xi3 / xi2_1,)
-            if xi2_2 == 0.0:
-                roots2 = (0.0,) if xi3 == 0.0 else ()
-            else:
-                roots2 = (-xi3 / xi2_2,)
-        else:
-            disc = xi2_1 * xi2_1 - four_xi13
-            if not disc < 0.0:
-                root = sqrt(disc)
-                q = -(xi2_1 + copysign(root, xi2_1)) / 2.0 if xi2_1 != 0.0 else root / 2.0
-                if q == 0.0:
-                    roots1 = (0.0,)
-                else:
-                    r1, r2 = q / xi1, xi3 / q
-                    roots1 = (r1,) if r1 == r2 else (r1, r2)
-                disc = xi2_2 * xi2_2 - four_xi13
-                if not disc < 0.0:
-                    root = sqrt(disc)
-                    q = -(xi2_2 + copysign(root, xi2_2)) / 2.0 if xi2_2 != 0.0 else root / 2.0
-                    if q == 0.0:
-                        roots2 = (0.0,)
-                    else:
-                        r1, r2 = q / xi1, xi3 / q
-                        roots2 = (r1,) if r1 == r2 else (r1, r2)
-        if not roots1 or not roots2:
+            if xi2 == 0.0:
+                return (0.0,) if xi3 == 0.0 else ()
+            return (-xi3 / xi2,)
+        disc = xi2 * xi2 - four_xi13
+        if disc < 0.0:
+            return ()
+        root = sqrt(disc)
+        q = -(xi2 + copysign(root, xi2)) / 2.0 if xi2 != 0.0 else root / 2.0
+        if q == 0.0:
+            return (0.0,)
+        r1, r2 = q / xi1, xi3 / q
+        return (r1,) if r1 == r2 else (r1, r2)
+
+    def evaluate(e1: float, e2: float):
+        # each agent's deltas are the roots at xi2 = 2*e*kappa; the penalty
+        # reads no root, so the second agent's are skipped when the first has none
+        xi2_1, xi2_2 = 2.0 * e1 * kappa, 2.0 * e2 * kappa
+        roots1 = roots(xi2_1)
+        roots2 = roots(xi2_2) if roots1 else ()
+        if not roots2:
             gap1 = max(0.0, four_xi13 - xi2_1 ** 2)
             gap2 = max(0.0, four_xi13 - xi2_2 ** 2)
             return 1e12 + gap1 + gap2, None, None
@@ -532,20 +521,6 @@ def solve_linear_two_agent(
                                   z=float(z), objective_value=float(value))
 
 
-def _sensor_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=1) of a (samples, n, m) array, m >= 2, added sensor by sensor.
-
-    numpy reduces an axis that is not the innermost in index order, so this
-    equals a.sum(axis=1) bit for bit, in one contiguous pass per sensor.  At
-    m = 1 numpy would sum pairwise instead, which differs for n >= 8; the fit
-    refuses m < 2.
-    """
-    total = a[:, 0].copy()
-    for i in range(1, a.shape[1]):
-        total += a[:, i]
-    return total
-
-
 def _check_fit(params: ScenarioParams, lam: float) -> None:
     _check_lam(lam)
     if params.m < 2:
@@ -610,9 +585,10 @@ def fit_linear_empirical(
     mean_l = float(batch.lo[:, :, 0].mean())
     mean_u = float(batch.hi[:, :, 0].mean())
 
-    # columns (F_1L, F_1U, ..., F_mL, F_mU), matching the layout of v
+    # columns (F_1L, F_1U, ..., F_mL, F_mU), matching the layout of v; at m >= 2
+    # numpy sums the sensor axis, not the innermost, in index order
     feats = np.stack(
-        [_sensor_sums(batch.lo) - n * mean_l, _sensor_sums(batch.hi) - n * mean_u], axis=2
+        [batch.lo.sum(axis=1) - n * mean_l, batch.hi.sum(axis=1) - n * mean_u], axis=2
     ).reshape(samples, 2 * m)
     return _solve_shared(feats.T @ feats, feats.T @ batch.x, lam, n, mean_l, mean_u, count=samples)
 

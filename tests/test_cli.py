@@ -60,7 +60,8 @@ class TestLoadConfig:
         assert config.taus == (1,)
         assert config.lambdas == (0.25, 0.5)
         assert config.format == "csv"
-        assert config.moment_samples == 10_000
+        # the file's moment_samples key is accepted and ignored
+        assert not hasattr(config, "moment_samples")
 
     @pytest.mark.parametrize(
         "overrides,needle",
@@ -74,7 +75,7 @@ class TestLoadConfig:
             (dict(lambdas=[1.5]), "'lambdas'"),
             (dict(format="xml"), "'format'"),
             (dict(output_path=""), "'output_path'"),
-            (dict(moment_samples=10), "'moment_samples'"),
+            (dict(seed=1.5), "'seed'"),
             (dict(taus=[2, 2]), "'taus'"),
             (dict(lambdas=0.5), "'lambdas'"),
             (dict(lambdas=["0.5"]), "'lambdas'"),
@@ -212,19 +213,22 @@ class TestSweep:
         recombined = lam * (float(row["mse_agent_1"]) + float(row["mse_agent_2"]))
         recombined += (1 - lam) * float(row["cns_pair_1_2"])
         assert objective == pytest.approx(recombined, rel=1e-9)
-        # the sweep fits on the exact law and never runs the two-agent recipe
-        assert row["flags"] == "fit_substituted"
+        # flags record only degenerate trials, and a linear fuser has none
+        assert row["flags"] == ""
 
     def test_linear_fits_draw_nothing(self, tmp_path, monkeypatch):
-        # the fits run on the exact law: no fitting batch is drawn, so
-        # moment_samples (validated, not read) does not move a row
+        # the fits run on the exact law: no fitting batch is drawn, and a
+        # moment_samples key, absent or of any value, is ignored
+        monkeypatch.setattr(optimal, "sample_batch", no_draw)
         rows = []
-        for samples in (10_000, 50_000):
-            path, _ = write_config(tmp_path, algorithms=["linear", "bi"], lambdas=[0.1, 0.9],
-                                   taus=[1, 3], moment_samples=samples)
-            monkeypatch.setattr(optimal, "sample_batch", no_draw)
+        for samples in (None, 10, 10_000, "many"):
+            path, raw = write_config(tmp_path, algorithms=["linear", "bi"], lambdas=[0.1, 0.9],
+                                     taus=[1, 3], moment_samples=samples)
+            if samples is None:
+                del raw["moment_samples"]
+                (tmp_path / "config.json").write_text(json.dumps(raw))
             rows.append(run_sweep(load_config(path)))
-        assert rows[0] == rows[1]
+        assert all(other == rows[0] for other in rows[1:])
         assert [r["algorithm"] for r in rows[0]] == ["linear@0.1", "linear@0.9", "bi"] * 2
 
     def test_sweep_never_runs_the_recipe(self, tmp_path, monkeypatch):
@@ -241,7 +245,7 @@ class TestSweep:
                                    lambdas=[0.1, 0.9])
             rows = run_sweep(load_config(path))
             linear = [row["flags"] for row in rows if row["algorithm"].startswith("linear@")]
-            assert linear == ["fit_substituted"] * 4
+            assert linear == [""] * 4
 
     def test_large_n_gbi_sweep(self, tmp_path):
         # C(40, 20) ~ 1.4e11 subsets: only the region fuser can run this cell
@@ -299,8 +303,7 @@ class TestSweep:
         assert main(["sweep", "--config", path]) == 0
         linear, bi = read_rows(raw["output_path"])
         assert linear["algorithm"] == "linear@0.5"
-        # the sweep's fit stands in for the recipe at every m
-        assert linear["flags"] == "fit_substituted"
+        assert linear["flags"] == ""
         mse = sum(float(linear[f"mse_agent_{j}"]) for j in (1, 2, 3))
         cns = sum(float(linear[f"cns_pair_{j}_{k}"]) for j, k in ((1, 2), (1, 3), (2, 3)))
         assert float(linear["objective"]) == pytest.approx(0.5 * mse + 0.5 / 2 * cns, rel=1e-9)

@@ -16,7 +16,7 @@ from intervalfusion.cli import RunConfig, run_sweep
 
 STUDY = RunConfig(n=10, m=2, x_max=5, seed=20260814, taus=tuple(range(1, 8)), lambdas=(0.1, 0.5, 0.9),
                   algorithms=("linear", "bi", "marzullo", "gbi_oneopt"), trials=20_000,
-                  moment_samples=20_000, output_path="unused.csv", format="csv")
+                  output_path="unused.csv", format="csv")
 LAMBDAS = STUDY.lambdas
 
 
