@@ -110,9 +110,10 @@ def _block_estimates(
     Returns estimates of shape (algorithms, m, trials) and each algorithm's
     count of degenerate (trial, agent) estimates.  The batch fusers read the
     block's `TrialBatch.rows`; BI and GBI share one coverage profile per row,
-    and GBI falls back to the BI estimate on its degenerate rows.  A BI
-    estimate reads its own row alone, so the fallback runs BI on those rows
-    only, and a block with no bi spec and no degenerate row runs no BI.
+    and GBI falls back to the BI estimate on its degenerate rows: when some
+    GBI row is flagged, BI runs on the block's profile and only the flagged
+    rows take its values, so a block with no bi spec and no degenerate row
+    runs no BI.
     """
     size, m = batch.size, batch.lo.shape[2]
     rows = batch.rows()
@@ -129,9 +130,7 @@ def _block_estimates(
         elif spec.kind == "gbi_oneopt":
             values, flags = fusion.gbi_rows(cov, tau)
             if flags.any():
-                flagged = fusion.TransitionProfile(points=cov.points[flags], counts=cov.counts[flags],
-                                                   lo=cov.lo[flags], hi=cov.hi[flags])
-                values[flags] = fusion.bi_rows(flagged, tau)[0]
+                values[flags] = fusion.bi_rows(cov, tau)[0][flags]
             estimates[a] = values
             degenerate[a] = flags.sum()
         elif spec.kind == "linear":

@@ -116,9 +116,11 @@ def _patterns(n: int, tau: int) -> tuple[np.ndarray, np.ndarray]:
 
     The patterns are the (n - tau)-subsets in lexicographic order.  Their
     complements are the tau-subsets in reverse lexicographic order, so the
-    faulty table is (patterns, tau); at tau = 0 it has no column.
+    faulty table is (patterns, tau); at tau = 0 it has no column.  The
+    truthful table is float32: the counts it forms are integers <= n, exact
+    in float32 at half float64's memory.
     """
-    truthful = np.zeros((math.comb(n, tau), n))
+    truthful = np.zeros((math.comb(n, tau), n), dtype=np.float32)
     for p, subset in enumerate(itertools.combinations(range(n), n - tau)):
         truthful[p, subset] = 1.0
     faulty = np.array(list(itertools.combinations(range(n), tau)), dtype=np.intp).reshape(len(truthful), tau)[::-1]

@@ -428,6 +428,21 @@ class TestOracleCheck:
         assert run_oracle_check(config, weight_fn=counting) == run_oracle_check(config)
         assert calls == [(tau, (rows, 4, 2)) for rows in (256, 44) for tau in (1, 2)]
 
+    def test_result_independent_of_pass_size(self, tmp_path, monkeypatch):
+        # rows are corrupted by their content alone, so the failures and the
+        # worst deviation must not move with the number of trials per pass
+        def shift_negative_starts(readings, tau):
+            w = gbi_bayes_weights(readings, tau)
+            w.midpoints[readings[:, 0, 0] < 0.0] += 1e-6
+            return w
+
+        config = load_config(write_config(tmp_path, n=5, taus=[1, 3], trials=150)[0])
+        want = run_oracle_check(config, weight_fn=shift_negative_starts)
+        assert want[1] and len(want[1]) < 2 * 2 * 150
+        for size in (7, 300):
+            monkeypatch.setattr(cli, "_BLOCK_TRIALS", size)
+            assert run_oracle_check(config, weight_fn=shift_negative_starts) == want, size
+
     def test_one_corrupted_row_named(self, tmp_path):
         # shifting one row's midpoints in the second block of tau 2 must flag
         # exactly that (tau, trial, agent); the block's rows are agent-major,
