@@ -22,7 +22,9 @@ draws fitting samples, since sweep and fit-linear fit on the exact law.
 
 The environment variables INTERVALFUSION_SEED and INTERVALFUSION_TRIALS
 override the config file; the --seed/--trials/--out flags override both
-(fit-linear's --out names its coefficient file and leaves output_path alone).
+(fit-linear has no --seed or --trials, since its fit on the exact law reads
+neither, and its --out names its coefficient file and leaves output_path
+alone).
 Identical effective configuration produces byte-identical output files.
 """
 
@@ -200,6 +202,8 @@ def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
         elif selector == "linear":
             if not config.lambdas:
                 raise ConfigError("algorithm 'linear' needs a non-empty 'lambdas' field")
+            if len(set(config.lambdas)) != len(config.lambdas):
+                raise ConfigError(f"duplicate entries in field 'lambdas': {list(config.lambdas)}")
             for lam in config.lambdas:
                 plans.append(_AlgorithmPlan(label=f"linear@{lam:g}", kind="linear", lam=lam))
         elif at and kind == "linear":
@@ -391,8 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit-linear", help="fit linear fuser coefficients for one lambda")
     for p in (sweep, check, fit):
         p.add_argument("--config", required=True, help="path to the JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    # fit-linear fits on the exact law, so neither the seed nor the trial count reaches it
     for p in (sweep, check):
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials", type=int, default=None, help="override the config trial count")
     sweep.add_argument("--out", default=None, help="override the config output_path")
     fit.add_argument("--out", default=None, help="write fitted coefficients to this file instead of stdout")
@@ -404,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # fit-linear's --out names its coefficient file, not the sweep's output_path
-        config = load_config(args.config, seed_override=args.seed,
+        config = load_config(args.config, seed_override=getattr(args, "seed", None),
                              trials_override=getattr(args, "trials", None),
                              out_override=args.out if args.command == "sweep" else None)
         if args.command == "sweep":

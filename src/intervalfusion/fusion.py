@@ -296,9 +296,11 @@ def fuse_gbi_oneopt(readings: Sequence[Interval] | np.ndarray, tau: int) -> floa
 def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     """Posterior-mean generalized Brooks-Iyengar estimates of B rows, by region.
 
-    See `fuse_gbi_regions`.  Returns the estimates and a flag per row that is
-    set, with the estimate nan, when no open region of the row is covered by
-    n - tau readings.  Raises ValueError if any reading has zero width.
+    See `fuse_gbi_regions`.  Returns the estimates and a flag per row, as
+    `bi_rows` does: the flag is set when no open region of the row is covered
+    by n - tau readings, and such a row takes its `bi_rows` estimate, so BI
+    runs only when some row is flagged.  Raises ValueError if any reading has
+    zero width.
     """
     n = cov.lo.shape[1]
     _check_tau(tau, n)
@@ -325,6 +327,8 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
         first, last = max(1, k - (n - 1 - i)), min(i + 1, k)
         esym[first:last + 1] += row * esym[first - 1:last]
     values = _row_means(rows, esym[k] * (right - left), (left + right) / 2.0, keep.shape[0])
+    if degenerate.any():
+        values[degenerate] = bi_rows(cov, tau)[0][degenerate]
     return values, degenerate
 
 

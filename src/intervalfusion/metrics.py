@@ -55,33 +55,15 @@ class AlgorithmSpec:
         if self.label is None:
             object.__setattr__(self, "label", self.kind)
 
-    @classmethod
-    def marzullo(cls) -> "AlgorithmSpec":
-        return cls(kind="marzullo")
-
-    @classmethod
-    def bi(cls) -> "AlgorithmSpec":
-        return cls(kind="bi")
-
-    @classmethod
-    def gbi_oneopt(cls) -> "AlgorithmSpec":
-        return cls(kind="gbi_oneopt")
-
-    @classmethod
-    def linear(cls, coeffs: tuple[LinearCoefficients, ...], label: str | None = None) -> "AlgorithmSpec":
-        return cls(kind="linear", coeffs=tuple(coeffs), label=label or "linear")
-
-    @classmethod
-    def constant(cls, value: float, label: str | None = None) -> "AlgorithmSpec":
-        return cls(kind="constant", constant_value=float(value), label=label or "constant")
-
 
 @dataclass(frozen=True)
 class MetricsReport:
     """Evaluation summary for one algorithm.
 
     mse[j] estimates E[(X - Xhat_j)^2] for agent j; cns[p] estimates
-    E[(Xhat_j - Xhat_k)^2] for the p-th unordered agent pair in `pairs`.
+    E[(Xhat_j - Xhat_k)^2] for the p-th agent pair (j, k) of
+    np.triu_indices(m, 1), the itertools.combinations order (0, 1), (0, 2),
+    ..., (1, 2), ...
     Standard errors are per-trial sample standard deviations over the square
     root of the trial count.  degenerate_count tallies trials where the
     fuser needed its fallback rule.  Every report carries its per-trial
@@ -96,7 +78,6 @@ class MetricsReport:
     mse_stderr: np.ndarray
     cns: np.ndarray
     cns_stderr: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
     degenerate_count: int
     sq_err: np.ndarray
     pair_gap_sq: np.ndarray
@@ -109,11 +90,8 @@ def _block_estimates(
 
     Returns estimates of shape (algorithms, m, trials) and each algorithm's
     count of degenerate (trial, agent) estimates.  The batch fusers read the
-    block's `TrialBatch.rows`; BI and GBI share one coverage profile per row,
-    and GBI falls back to the BI estimate on its degenerate rows: when some
-    GBI row is flagged, BI runs on the block's profile and only the flagged
-    rows take its values, so a block with no bi spec and no degenerate row
-    runs no BI.
+    block's `TrialBatch.rows`, and BI and GBI share one coverage profile per
+    row.
     """
     size, m = batch.size, batch.lo.shape[2]
     rows = batch.rows()
@@ -124,14 +102,9 @@ def _block_estimates(
     for a, spec in enumerate(algos):
         if spec.kind == "marzullo":
             estimates[a] = fusion.marzullo_rows(rows, tau)
-        elif spec.kind == "bi":
-            estimates[a], flags = fusion.bi_rows(cov, tau)
-            degenerate[a] = flags.sum()
-        elif spec.kind == "gbi_oneopt":
-            values, flags = fusion.gbi_rows(cov, tau)
-            if flags.any():
-                values[flags] = fusion.bi_rows(cov, tau)[0][flags]
-            estimates[a] = values
+        elif spec.kind in ("bi", "gbi_oneopt"):
+            kernel = fusion.bi_rows if spec.kind == "bi" else fusion.gbi_rows
+            estimates[a], flags = kernel(cov, tau)
             degenerate[a] = flags.sum()
         elif spec.kind == "linear":
             for j, coeffs in enumerate(spec.coeffs):
@@ -204,7 +177,8 @@ def empirical_objective(
     if len(coeffs) != m:
         raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        estimates, _ = _block_estimates([AlgorithmSpec.linear(coeffs)], batch, tau=0)  # linear fusers read no tau
+        # linear fusers read no tau
+        estimates, _ = _block_estimates([AlgorithmSpec(kind="linear", coeffs=coeffs)], batch, tau=0)
         sq_err, gap_sq = _score(batch.x, estimates[0], np.triu_indices(m, 1))
         return float(_objective_per_trial(sq_err, gap_sq, lam).mean())
 
@@ -278,7 +252,6 @@ def evaluate_taus(
             degenerate[tau] += flagged
             sq_err[tau][:, :, start:stop], gap_sq[tau][:, :, start:stop] = err, gap
 
-    pair_list = tuple(zip(pairs[0].tolist(), pairs[1].tolist()))
     reports = {}
     for tau, algos in specs.items():
         mse, mse_se = _mean_stderr(sq_err[tau])
@@ -291,7 +264,6 @@ def evaluate_taus(
                 mse_stderr=mse_se[a],
                 cns=cns[a],
                 cns_stderr=cns_se[a],
-                pairs=pair_list,
                 degenerate_count=int(degenerate[tau][a]),
                 sq_err=sq_err[tau][a],
                 pair_gap_sq=gap_sq[tau][a],

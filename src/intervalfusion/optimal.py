@@ -146,7 +146,14 @@ class DirectionMoments:
 
 @dataclass(frozen=True)
 class AmplitudeSolution:
-    """Optimal per-agent amplitudes c and intercepts b for fixed directions."""
+    """Optimal per-agent amplitudes c and intercepts b for fixed directions.
+
+    a_matrix is the amplitude system A of `amplitude_solution` (unit
+    diagonal, off-diagonal -(1-lam)/(m-1) * cross[j][k]) and theta its right
+    side lam * target; c solves A c = theta, and b holds every agent's
+    intercept mean_x.  objective_value is theta^T (A A^T)^-1 theta, which
+    equals c @ c; it is not the accuracy/consensus objective at c.
+    """
 
     c: np.ndarray
     b: np.ndarray

@@ -195,7 +195,10 @@ def reference_bi_rows(cov, tau):
 
 
 def reference_gbi_rows(lo, hi, tau):
-    """Region GBI estimates and degenerate flags of B rows, through the (rows, n, 2n) cover array."""
+    """Region GBI estimates and degenerate flags of B rows, through the (rows, n, 2n) cover array.
+
+    A degenerate row takes its two-step BI estimate.
+    """
     points = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
     left, right = points[:, :-1], points[:, 1:]
     cover = (lo[:, :, None] <= left[:, None, :]) & (hi[:, :, None] >= right[:, None, :])
@@ -218,6 +221,8 @@ def reference_gbi_rows(lo, hi, tau):
         upper += row * lower
     left, right = left[rows, regions], right[rows, regions]
     values = fusion._row_means(rows, esym[k] * (right - left), (left + right) / 2.0, keep.shape[0])
+    profile = fusion.TransitionProfile(points=points, counts=counts, lo=lo, hi=hi)
+    values[degenerate] = reference_bi_rows(profile, tau)[0][degenerate]
     return values, degenerate
 
 

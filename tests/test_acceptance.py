@@ -81,10 +81,10 @@ def study():
             AlgorithmSpec(kind="marzullo"),
             AlgorithmSpec(kind="bi"),
             AlgorithmSpec(kind="gbi_oneopt"),
-            AlgorithmSpec.constant(0.0, label="constant@0"),
+            AlgorithmSpec(kind="constant", constant_value=0.0, label="constant@0"),
         ]
         specs += [
-            AlgorithmSpec.linear(selections[(tau, lam)].coeffs, label=f"linear@{lam:g}")
+            AlgorithmSpec(kind="linear", coeffs=selections[(tau, lam)].coeffs, label=f"linear@{lam:g}")
             for lam in LAMBDAS
         ]
         start = time.perf_counter()
@@ -190,7 +190,7 @@ def test_criterion_4_consensus_only_weight_degenerates(capsys):
         assert sol.objective_value == 0.0
     params = study_params(3)
     mo = estimate_moments(params, 20_000, np.random.default_rng(44))
-    rep, = evaluate([AlgorithmSpec.constant(mo.mean_x)], params, 5_000)
+    rep, = evaluate([AlgorithmSpec(kind="constant", constant_value=mo.mean_x)], params, 5_000)
     assert np.all(rep.cns == 0.0)
     var = 25.0 / 3.0
     for j in range(2):

@@ -153,6 +153,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_duplicate_lambdas_named(self, tmp_path):
+        # bare "linear" makes one instance per lambda, so the repeat is the lambdas' fault
+        path, _ = write_config(tmp_path, algorithms=["linear"], lambdas=[0.5, 0.5])
+        with pytest.raises(ConfigError, match="field 'lambdas'"):
+            load_config(path)
+
 
 class TestOverrides:
     def test_env_overrides_file(self, tmp_path, monkeypatch):
@@ -524,8 +530,8 @@ class TestOracleCheck:
         assert worst == pytest.approx(1e-6, rel=1e-6)
 
     def test_nan_region_estimate_fails(self, tmp_path, monkeypatch, capsys):
-        # a nan from gbi_rows (a degenerate row) must fail the gate, not slip
-        # past a > comparison
+        # a nan from gbi_rows (an e_k that underflows gives one) must fail the
+        # gate, not slip past a > comparison
         real = cli.gbi_rows
 
         def nan_on_agent_one_trial_one(cov, tau):
@@ -613,6 +619,13 @@ class TestFitLinear:
             main(["fit-linear", "--config", path, "--lambda", "0.5", "--trials", "150"])
         assert info.value.code == 2
 
+    def test_seed_flag_rejected(self, tmp_path):
+        # the fit reads the exact law, so its output does not depend on the seed
+        path, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["fit-linear", "--config", path, "--lambda", "0.5", "--seed", "7"])
+        assert info.value.code == 2
+
     def test_lambda_validated(self, tmp_path):
         path, _ = write_config(tmp_path)
         assert main(["fit-linear", "--config", path, "--lambda", "1.5"]) == 2
@@ -678,8 +691,8 @@ class TestRowChecks:
     def test_agent_slices_not_checked_again(self, checks):
         params = ScenarioParams(n=5, m=3, tau=1, x_max=5, seed=12)
         coeffs = tuple(LinearCoefficients(np.full(5, 0.1), np.full(5, 0.1), 0.0) for _ in range(3))
-        evaluate([AlgorithmSpec.marzullo(), AlgorithmSpec.linear(coeffs), AlgorithmSpec.constant(0.5)],
-                 params, 300)
+        evaluate([AlgorithmSpec(kind="marzullo"), AlgorithmSpec(kind="linear", coeffs=coeffs),
+                  AlgorithmSpec(kind="constant", constant_value=0.5)], params, 300)
         assert checks == [(3 * 256, 5), (3 * 44, 5)]
 
     def test_twice_per_block_in_an_oracle_check(self, tmp_path, checks):

@@ -468,7 +468,7 @@ class TestBatchKernels:
                 value = fuse_gbi_regions(family, tau)
             except DegenerateInputError:
                 assert gbi_flags[row]
-                assert np.isnan(gbi[row])
+                assert gbi[row] == bi[row]
                 continue
             assert not gbi_flags[row]
             assert gbi[row] == pytest.approx(value, rel=1e-12, abs=1e-12)
@@ -540,6 +540,22 @@ class TestBatchKernels:
                 assert np.array_equal(flags, want_flags), (n, tau)
                 degenerate += int(flags.sum())
         assert degenerate > 0
+
+    def test_flagged_gbi_rows_take_bi_values(self):
+        # rows 0 and 2 hold disjoint readings, so no open region of theirs is
+        # covered n - tau = 3 times; row 1's four readings share [1.5, 2]
+        lo = np.array([[0.0, 2.0, 4.0, 6.0], [0.0, 0.5, 1.0, 1.5], [-3.0, -1.0, 1.5, 4.0]])
+        hi = lo + np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 0.5, 3.0]])
+        cov = coverage_rows(ReadingRows(lo, hi))
+        bi, bi_flags = bi_rows(cov, 1)
+        gbi, flags = gbi_rows(cov, 1)
+        assert flags.tolist() == bi_flags.tolist() == [True, False, True]
+        assert np.array_equal(gbi[flags].view(np.int64), bi[flags].view(np.int64))
+        readings = np.stack([lo, hi], axis=2)
+        assert gbi[1] == pytest.approx(fuse_gbi_oneopt(readings[1], 1), rel=1e-12, abs=1e-12)
+        for row in (0, 2):
+            with pytest.raises(DegenerateInputError, match="n - tau"):
+                fuse_gbi_regions(readings[row], 1)
 
     def test_kernels_hold_no_membership_cube_at_large_n(self):
         # one 256-row block at n = 256: a (rows, n, 2n) reading-by-gap array

@@ -1,6 +1,7 @@
 """Monte Carlo evaluation harness: paired trials, error accounting, reports."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,9 +46,9 @@ class TestAlgorithmSpec:
             AlgorithmSpec(kind="median")
 
     def test_default_labels(self):
-        assert AlgorithmSpec.marzullo().label == "marzullo"
-        assert AlgorithmSpec.constant(0.0).label == "constant"
-        assert AlgorithmSpec.constant(0.0, label="zero").label == "zero"
+        assert AlgorithmSpec(kind="marzullo").label == "marzullo"
+        assert AlgorithmSpec(kind="constant", constant_value=0.0).label == "constant"
+        assert AlgorithmSpec(kind="constant", constant_value=0.0, label="zero").label == "zero"
 
 
 class TestEvaluate:
@@ -55,7 +56,7 @@ class TestEvaluate:
         # X has variance 25/3 on [-5, 5]; a constant-zero estimator's squared
         # error is X^2 and both agents agree exactly
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=61)
-        report, = evaluate([AlgorithmSpec.constant(0.0)], params, 5_000)
+        report, = evaluate([AlgorithmSpec(kind="constant", constant_value=0.0)], params, 5_000)
         for j in range(2):
             assert abs(report.mse[j] - 25.0 / 3.0) <= 3 * report.mse_stderr[j]
         assert report.cns.tolist() == [0.0]
@@ -64,31 +65,29 @@ class TestEvaluate:
     def test_no_faults_means_full_consensus(self):
         params = ScenarioParams(n=5, m=3, tau=0, x_max=5, seed=62)
         algos = [
-            AlgorithmSpec.marzullo(),
-            AlgorithmSpec.bi(),
-            AlgorithmSpec.gbi_oneopt(),
-            AlgorithmSpec.linear(
-                tuple(
-                    LinearCoefficients(np.full(5, 0.1), np.full(5, 0.1), 0.0) for _ in range(3)
-                )
+            AlgorithmSpec(kind="marzullo"),
+            AlgorithmSpec(kind="bi"),
+            AlgorithmSpec(kind="gbi_oneopt"),
+            AlgorithmSpec(
+                kind="linear",
+                coeffs=tuple(LinearCoefficients(np.full(5, 0.1), np.full(5, 0.1), 0.0) for _ in range(3)),
             ),
         ]
         reports = evaluate(algos, params, 500)
         for report in reports:
             assert np.all(report.cns == 0.0)
-            assert report.pairs == ((0, 1), (0, 2), (1, 2))
 
     def test_common_random_numbers_across_calls(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=63)
-        solo, = evaluate([AlgorithmSpec.marzullo()], params, 300)
-        paired = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.marzullo()], params, 300)
+        solo, = evaluate([AlgorithmSpec(kind="marzullo")], params, 300)
+        paired = evaluate([AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="marzullo")], params, 300)
         assert np.array_equal(solo.mse, paired[1].mse)
         assert np.array_equal(solo.cns, paired[1].cns)
 
     def test_objective_recombines_from_components(self):
         params = ScenarioParams(n=6, m=3, tau=2, x_max=5, seed=64)
         lam = 0.35
-        reports = evaluate([AlgorithmSpec.marzullo(), AlgorithmSpec.bi()], params, 400)
+        reports = evaluate([AlgorithmSpec(kind="marzullo"), AlgorithmSpec(kind="bi")], params, 400)
         for report in reports:
             recombined = lam * report.mse.sum() + (1 - lam) / 2 * report.cns.sum()
             objective, _ = combine_objective(report, lam)
@@ -97,11 +96,11 @@ class TestEvaluate:
     def test_posterior_mean_fuser_wins_on_mse(self):
         params = ScenarioParams(n=6, m=2, tau=2, x_max=5, seed=66)
         algos = [
-            AlgorithmSpec.gbi_oneopt(),
-            AlgorithmSpec.marzullo(),
-            AlgorithmSpec.bi(),
-            AlgorithmSpec.linear(midpoint_coeffs(6)),
-            AlgorithmSpec.constant(0.0),
+            AlgorithmSpec(kind="gbi_oneopt"),
+            AlgorithmSpec(kind="marzullo"),
+            AlgorithmSpec(kind="bi"),
+            AlgorithmSpec(kind="linear", coeffs=midpoint_coeffs(6)),
+            AlgorithmSpec(kind="constant", constant_value=0.0),
         ]
         reports = evaluate(algos, params, 4_000)
         gbi = reports[0]
@@ -115,7 +114,7 @@ class TestEvaluate:
         # replay the identical trial stream through the exact posterior mean
         params = ScenarioParams(n=4, m=2, tau=1, x_max=5, seed=67)
         trials = 10_000
-        report, = evaluate([AlgorithmSpec.gbi_oneopt()], params, trials)
+        report, = evaluate([AlgorithmSpec(kind="gbi_oneopt")], params, trials)
         batch = make_trials(params, 0, trials)
         sq = np.empty((2, trials))
         for t in range(trials):
@@ -127,18 +126,18 @@ class TestEvaluate:
 
     def test_no_degenerate_trials_in_model(self):
         params = ScenarioParams(n=5, m=2, tau=2, x_max=5, seed=68)
-        reports = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 2_000)
+        reports = evaluate([AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="gbi_oneopt")], params, 2_000)
         assert all(r.degenerate_count == 0 for r in reports)
 
     def test_validation(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=69)
         with pytest.raises(ValueError):
-            evaluate([AlgorithmSpec.bi()], params, 99)
+            evaluate([AlgorithmSpec(kind="bi")], params, 99)
         with pytest.raises(ValueError):
-            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.bi()], params, 100)
+            evaluate([AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="bi")], params, 100)
         short = (LinearCoefficients(np.full(5, 0.1), np.full(5, 0.1), 0.0),)
         with pytest.raises(ValueError):
-            evaluate([AlgorithmSpec.linear(short)], params, 100)
+            evaluate([AlgorithmSpec(kind="linear", coeffs=short)], params, 100)
 
     def test_marzullo_tau_checked_before_any_trial(self, monkeypatch):
         def no_trials(*args):
@@ -147,11 +146,11 @@ class TestEvaluate:
         monkeypatch.setattr(metrics, "draw_trials", no_trials)
         params = ScenarioParams(n=5, m=2, tau=4, x_max=5, seed=73)
         with pytest.raises(ValueError, match="tau"):
-            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.marzullo()], params, 100)
+            evaluate([AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="marzullo")], params, 100)
 
     def test_bi_and_gbi_at_tau_n_minus_one(self):
         params = ScenarioParams(n=5, m=2, tau=4, x_max=5, seed=74)
-        reports = evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 100)
+        reports = evaluate([AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="gbi_oneopt")], params, 100)
         for report in reports:
             assert np.isfinite(report.mse).all()
             assert np.isfinite(report.cns).all()
@@ -162,11 +161,11 @@ class TestEvaluate:
             LinearCoefficients(np.full(6, 0.05 * (j + 1)), np.full(6, 0.05), 0.1 * j) for j in range(3)
         )
         algos = [
-            AlgorithmSpec.marzullo(),
-            AlgorithmSpec.bi(),
-            AlgorithmSpec.gbi_oneopt(),
-            AlgorithmSpec.linear(coeffs),
-            AlgorithmSpec.constant(0.5),
+            AlgorithmSpec(kind="marzullo"),
+            AlgorithmSpec(kind="bi"),
+            AlgorithmSpec(kind="gbi_oneopt"),
+            AlgorithmSpec(kind="linear", coeffs=coeffs),
+            AlgorithmSpec(kind="constant", constant_value=0.5),
         ]
         block = metrics._BLOCK_TRIALS
         long = evaluate(algos, params, block + 50)
@@ -189,11 +188,11 @@ class TestEvaluate:
             LinearCoefficients(np.full(6, 0.05 * (j + 1)), np.full(6, 0.05), 0.1 * j) for j in range(m)
         )
         algos = [
-            AlgorithmSpec.marzullo(),
-            AlgorithmSpec.bi(),
-            AlgorithmSpec.gbi_oneopt(),
-            AlgorithmSpec.linear(coeffs),
-            AlgorithmSpec.constant(0.5),
+            AlgorithmSpec(kind="marzullo"),
+            AlgorithmSpec(kind="bi"),
+            AlgorithmSpec(kind="gbi_oneopt"),
+            AlgorithmSpec(kind="linear", coeffs=coeffs),
+            AlgorithmSpec(kind="constant", constant_value=0.5),
         ]
         trials = 300
         for report in evaluate(algos, params, trials):
@@ -216,7 +215,7 @@ class TestEvaluate:
         monkeypatch.setattr(fusion, "gbi_rows", one_nan_row)
         params = ScenarioParams(n=5, m=2, tau=2, x_max=5, seed=77)
         with pytest.raises(ValueError, match=r"'gbi_oneopt'.*tau=2"):
-            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()], params, 200)
+            evaluate([AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="gbi_oneopt")], params, 200)
 
     def test_gbi_alone_runs_no_bi(self, monkeypatch):
         # BI is GBI's fallback on degenerate rows only, and in-model trials leave none
@@ -225,31 +224,30 @@ class TestEvaluate:
         monkeypatch.setattr(fusion, "bi_rows", lambda cov, tau: calls.append(tau) or real_bi_rows(cov, tau))
         for tau in range(5):
             params = ScenarioParams(n=5, m=2, tau=tau, x_max=5, seed=79)
-            report, = evaluate([AlgorithmSpec.gbi_oneopt()], params, 300)
+            report, = evaluate([AlgorithmSpec(kind="gbi_oneopt")], params, 300)
             assert report.degenerate_count == 0
         assert calls == []
 
     def test_flagged_gbi_rows_take_bi_values(self, monkeypatch):
+        # every third trial is moved out of the fault model: sensor i's readings
+        # shift by 20 * i, more than any reading's width, so they are disjoint
+        # and no open region of those rows is covered n - tau times
         params = ScenarioParams(n=6, m=2, tau=2, x_max=5, seed=80)
-        batch = make_trials(params, 0, 200)
-        cov = fusion.coverage_rows(batch.rows())
-        bi, _ = fusion.bi_rows(cov, 2)
-        gbi, _ = fusion.gbi_rows(cov, 2)
-        flagged = np.arange(bi.size) % 3 == 0
-        real_gbi_rows = fusion.gbi_rows
-
-        def every_third_row_flagged(cov, tau):
-            values, flags = real_gbi_rows(cov, tau)
-            return np.where(flagged, np.nan, values), flags | flagged
-
-        monkeypatch.setattr(fusion, "gbi_rows", every_third_row_flagged)
+        model = make_trials(params, 0, 200)
+        spread = np.arange(200) % 3 == 0
+        shift = np.where(spread[:, None, None], 20.0 * np.arange(6)[None, :, None], 0.0)
+        batch = dataclasses.replace(model, lo=model.lo + shift, hi=model.hi + shift)
+        bi, flagged = fusion.bi_rows(fusion.coverage_rows(batch.rows()), 2)
+        gbi, model_flags = fusion.gbi_rows(fusion.coverage_rows(model.rows()), 2)
+        assert np.array_equal(flagged, np.tile(spread, 2)) and not model_flags.any()
         want = np.where(flagged, bi, gbi).reshape(2, 200)
-        for algos in ([AlgorithmSpec.gbi_oneopt()], [AlgorithmSpec.bi(), AlgorithmSpec.gbi_oneopt()]):
+        for algos in ([AlgorithmSpec(kind="gbi_oneopt")], [AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="gbi_oneopt")]):
             estimates, degenerate = metrics._block_estimates(algos, batch, 2)
             assert np.array_equal(estimates[-1].view(np.int64), want.view(np.int64))
             assert degenerate[-1] == flagged.sum()
-        # the 200 trials are one chunk of evaluate, so its rows are the batch's
-        report, = evaluate([AlgorithmSpec.gbi_oneopt()], params, 200)
+        # the 200 trials are one chunk of evaluate, which reads the batch as its draw
+        monkeypatch.setattr(metrics, "draw_trials", lambda params, start, stop: SimpleNamespace(at=lambda tau: batch))
+        report, = evaluate([AlgorithmSpec(kind="gbi_oneopt")], params, 200)
         assert report.degenerate_count == flagged.sum()
         assert np.array_equal(report.sq_err, (batch.x - want) ** 2)
 
@@ -258,7 +256,7 @@ class TestEvaluate:
         # (x - 1e200)^2 overflows although the estimate is finite
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=78)
         with pytest.raises(ValueError, match=r"'constant'.*squared error at tau=1"):
-            evaluate([AlgorithmSpec.bi(), AlgorithmSpec.constant(value)], params, 100)
+            evaluate([AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="constant", constant_value=value)], params, 100)
 
 
 class TestEvaluateTaus:
@@ -273,11 +271,11 @@ class TestEvaluateTaus:
             for _ in range(m)
         )
         return [
-            AlgorithmSpec.marzullo(),
-            AlgorithmSpec.bi(),
-            AlgorithmSpec.gbi_oneopt(),
-            AlgorithmSpec.linear(coeffs),
-            AlgorithmSpec.constant(0.25 * tau),
+            AlgorithmSpec(kind="marzullo"),
+            AlgorithmSpec(kind="bi"),
+            AlgorithmSpec(kind="gbi_oneopt"),
+            AlgorithmSpec(kind="linear", coeffs=coeffs),
+            AlgorithmSpec(kind="constant", constant_value=0.25 * tau),
         ]
 
     @pytest.mark.parametrize("trials", [100, 129, 300, 500])
@@ -316,11 +314,12 @@ class TestEvaluateTaus:
                     assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (tau, f.name)
 
     @pytest.mark.parametrize("specs, match", [
-        ({1: [AlgorithmSpec.bi()], 4: [AlgorithmSpec.marzullo()]}, "marzullo"),
-        ({1: [AlgorithmSpec.bi()], 5: [AlgorithmSpec.bi()]}, "tau"),
-        ({1: [AlgorithmSpec.bi()], 2: [AlgorithmSpec.bi(), AlgorithmSpec.bi()]}, "unique"),
-        ({1: [AlgorithmSpec.bi()], 2: [AlgorithmSpec.linear((LinearCoefficients(np.zeros(4), np.zeros(4), 0.0),) * 2,
-                                                             label="short")]},
+        ({1: [AlgorithmSpec(kind="bi")], 4: [AlgorithmSpec(kind="marzullo")]}, "marzullo"),
+        ({1: [AlgorithmSpec(kind="bi")], 5: [AlgorithmSpec(kind="bi")]}, "tau"),
+        ({1: [AlgorithmSpec(kind="bi")], 2: [AlgorithmSpec(kind="bi"), AlgorithmSpec(kind="bi")]}, "unique"),
+        ({1: [AlgorithmSpec(kind="bi")],
+          2: [AlgorithmSpec(kind="linear", coeffs=(LinearCoefficients(np.zeros(4), np.zeros(4), 0.0),) * 2,
+                            label="short")]},
          "short"),
     ])
     def test_every_tau_checked_before_any_trial(self, specs, match, monkeypatch):
@@ -359,7 +358,7 @@ class TestEvaluateTaus:
 
         monkeypatch.setattr(fusion, "gbi_rows", nan_at_tau_three)
         params = ScenarioParams(n=5, m=2, tau=0, x_max=5, seed=81)
-        specs = {tau: [AlgorithmSpec.gbi_oneopt()] for tau in (1, 2, 3)}
+        specs = {tau: [AlgorithmSpec(kind="gbi_oneopt")] for tau in (1, 2, 3)}
         with pytest.raises(ValueError, match=r"'gbi_oneopt'.*tau=3"):
             evaluate_taus(specs, params, 200)
 
@@ -369,7 +368,7 @@ class TestCombineObjective:
         # the mean and standard error of the per-trial objective, by hand
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=70)
         lam = 0.6
-        report, = evaluate([AlgorithmSpec.bi()], params, 500)
+        report, = evaluate([AlgorithmSpec(kind="bi")], params, 500)
         per_trial = lam * report.sq_err.sum(axis=0) + (1 - lam) * report.pair_gap_sq[0]
         objective, stderr = combine_objective(report, lam)
         assert objective == pytest.approx(per_trial.mean(), rel=1e-12)
@@ -377,7 +376,7 @@ class TestCombineObjective:
 
     def test_lam_checked(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=72)
-        report, = evaluate([AlgorithmSpec.bi()], params, 200)
+        report, = evaluate([AlgorithmSpec(kind="bi")], params, 200)
         with pytest.raises(ValueError):
             combine_objective(report, -0.1)
 
@@ -391,7 +390,7 @@ class TestEmpiricalObjective:
     def test_lam_checked_by_every_scorer_and_fit(self, lam):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=73)
         batch = make_trials(params, 0, 100)
-        report, = evaluate([AlgorithmSpec.bi()], params, 100)
+        report, = evaluate([AlgorithmSpec(kind="bi")], params, 100)
         dm = optimal.DirectionMoments(cross=np.eye(2), target=np.array([0.1, 0.2]))
         calls = [
             lambda: combine_objective(report, lam),
@@ -417,7 +416,7 @@ class TestEmpiricalObjective:
                 LinearCoefficients(rng.normal(size=10), rng.normal(size=10), float(rng.normal()))
                 for _ in range(m)
             )
-            report, = evaluate([AlgorithmSpec.linear(coeffs)], params, trials)
+            report, = evaluate([AlgorithmSpec(kind="linear", coeffs=coeffs)], params, trials)
             for lam in (0.1, 0.5, 0.9):
                 assert empirical_objective(batch, coeffs, lam) == combine_objective(report, lam)[0], (s, lam)
 

@@ -872,8 +872,9 @@ class TestFitLinearEmpirical:
         for tau in (1, 3, 5):
             params = ScenarioParams(n=6, m=m, tau=tau, x_max=5, seed=56)
             specs = [
-                AlgorithmSpec.linear(
-                    fit_linear_empirical(params, lam, 10_000, np.random.default_rng(10 + tau)),
+                AlgorithmSpec(
+                    kind="linear",
+                    coeffs=fit_linear_empirical(params, lam, 10_000, np.random.default_rng(10 + tau)),
                     label=f"linear@{lam:g}",
                 )
                 for lam in lambdas
@@ -892,7 +893,7 @@ class TestFitLinearEmpirical:
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=52)
         fit = fit_linear_empirical(params, 1.0, 20_000, np.random.default_rng(8))
         reports = evaluate(
-            [AlgorithmSpec.gbi_oneopt(), AlgorithmSpec.linear(fit)],
+            [AlgorithmSpec(kind="gbi_oneopt"), AlgorithmSpec(kind="linear", coeffs=fit)],
             params, 20_000,
         )
         gbi, linear = reports
@@ -959,9 +960,9 @@ class TestFitLinearExact:
         lambdas = (0.1, 0.5, 0.9)
         specs = []
         for lam in lambdas:
-            specs.append(AlgorithmSpec.linear(fit_linear_exact(params, lam), label=f"exact@{lam}"))
-            specs.append(AlgorithmSpec.linear(fit_linear_empirical(params, lam, 20_000, np.random.default_rng(m)),
-                                              label=f"sampled@{lam}"))
+            specs.append(AlgorithmSpec(kind="linear", coeffs=fit_linear_exact(params, lam), label=f"exact@{lam}"))
+            sampled = fit_linear_empirical(params, lam, 20_000, np.random.default_rng(m))
+            specs.append(AlgorithmSpec(kind="linear", coeffs=sampled, label=f"sampled@{lam}"))
         reports = evaluate(specs, params, 20_000)
         for i, lam in enumerate(lambdas):
             exact, sampled = reports[2 * i: 2 * i + 2]
@@ -1016,7 +1017,7 @@ class TestPopulationScores:
         coeffs = tuple(LinearCoefficients(np.full(8, e), np.full(8, d), g)
                        for e, d, g in rng.normal(scale=0.1, size=(3, 3)))
         mse, cns = population_scores(law, coeffs)
-        report, = evaluate([AlgorithmSpec.linear(coeffs)], params, 20_000)
+        report, = evaluate([AlgorithmSpec(kind="linear", coeffs=coeffs)], params, 20_000)
         assert np.all(np.abs(report.mse - mse) <= 4.0 * report.mse_stderr)
         assert np.all(np.abs(report.cns - cns) <= 4.0 * report.cns_stderr)
 

@@ -1,8 +1,9 @@
 """The benchmark's tracer finds every name it wraps; the package keeps no dead import or definition.
 
 The package root exports exactly its modules' public names, and the package
-imports without scipy, runs fit-linear without scipy and runs the README's
-quick start, each in a fresh interpreter.
+imports without scipy, runs fit-linear without scipy, answers `python -m
+intervalfusion.cli --help` and runs the README's quick start, each in a fresh
+interpreter.
 """
 
 import ast
@@ -258,17 +259,20 @@ def test_package_root_is_the_union_of_the_module_lists():
     assert all(getattr(package, name) is getattr(module, name) for module in modules for name in module.__all__)
 
 
-def _run_python(code):
-    """Run code in a fresh interpreter with src/ on its path; returns its stdout."""
+def _run_python(*args):
+    """Run `python *args` in a fresh interpreter with src/ on its path; returns its stdout.
+
+    A nonzero exit raises CalledProcessError.
+    """
     path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True).stdout
 
 
 def test_package_imports_without_scipy():
     # numpy is the only runtime dependency, but the test extra installs scipy,
     # so only a fresh interpreter shows a stray import of it
-    out = _run_python("import sys, intervalfusion, intervalfusion.cli; "
+    out = _run_python("-c", "import sys, intervalfusion, intervalfusion.cli; "
                       "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     assert out.strip() == "[]", out
 
@@ -285,7 +289,12 @@ def test_readme_quick_start_runs():
     # the README's library quick start, run as a reader would paste it
     code = _readme_block("## Library quick start", "python")
     assert "import intervalfusion" in code or "from intervalfusion import" in code
-    assert _run_python(code).strip()
+    assert _run_python("-c", code).strip()
+
+
+def test_module_entry_point_runs():
+    # the README names `python3 -m intervalfusion.cli` beside the console script
+    assert "fit-linear" in _run_python("-m", "intervalfusion.cli", "--help")
 
 
 def test_fit_linear_runs_without_scipy(tmp_path):
@@ -294,6 +303,7 @@ def test_fit_linear_runs_without_scipy(tmp_path):
     config = tmp_path / "study.json"
     config.write_text(_readme_block("Example config reproducing", "json"))
     out = _run_python(
+        "-c",
         "import sys\n"
         "from intervalfusion.cli import main\n"
         f"assert main(['fit-linear', '--config', {str(config)!r}, '--lambda', '0.5',"
