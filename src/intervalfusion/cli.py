@@ -12,7 +12,9 @@ Configuration is a flat JSON object.  Keys:
     lambdas         objective weights for linear fusers (list of floats in [0, 1])
     algorithms      fusers to run: "marzullo", "bi", "gbi_oneopt",
                     "linear" (one instance per entry of lambdas),
-                    "linear@<v>", "constant@<v>"
+                    "linear@<v>", "constant@<v>"; a linear instance is
+                    labelled linear@<lambda> with six significant digits,
+                    and distinct lambdas that share a label are refused
     trials          Monte Carlo trials per (algorithm, tau) cell (int >= 100)
     output_path     where sweep results go
     format          "csv" (default) or "json"
@@ -188,6 +190,21 @@ class _AlgorithmPlan:
     constant_value: float | None = None
 
 
+def _linear_label(lam: float) -> str:
+    return f"linear@{lam:g}"
+
+
+def _refuse_shared_labels(lams: Sequence[float], field: str) -> None:
+    """Distinct lambdas must get distinct labels, or their rows could not be told apart."""
+    first: dict[str, float] = {}
+    for lam in lams:
+        label = _linear_label(lam)
+        other = first.setdefault(label, lam)
+        if other != lam:
+            raise ConfigError(f"field {field!r} holds distinct lambdas {other!r} and {lam!r} "
+                              f"that share the label {label!r}")
+
+
 def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
     plans: list[_AlgorithmPlan] = []
     for selector in config.algorithms:
@@ -204,12 +221,13 @@ def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
                 raise ConfigError("algorithm 'linear' needs a non-empty 'lambdas' field")
             if len(set(config.lambdas)) != len(config.lambdas):
                 raise ConfigError(f"duplicate entries in field 'lambdas': {list(config.lambdas)}")
+            _refuse_shared_labels(config.lambdas, "lambdas")
             for lam in config.lambdas:
-                plans.append(_AlgorithmPlan(label=f"linear@{lam:g}", kind="linear", lam=lam))
+                plans.append(_AlgorithmPlan(label=_linear_label(lam), kind="linear", lam=lam))
         elif at and kind == "linear":
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"algorithm selector {selector!r} has lambda outside [0, 1]")
-            plans.append(_AlgorithmPlan(label=f"linear@{value:g}", kind="linear", lam=value))
+            plans.append(_AlgorithmPlan(label=_linear_label(value), kind="linear", lam=value))
         elif at and kind == "constant":
             # evaluate refuses non-finite estimates, so refuse them here by field
             if not np.isfinite(value):
@@ -217,6 +235,7 @@ def _parse_algorithms(config: RunConfig) -> list[_AlgorithmPlan]:
             plans.append(_AlgorithmPlan(label=selector, kind="constant", constant_value=value))
         else:
             raise ConfigError(f"unknown algorithm selector {selector!r} in field 'algorithms'")
+    _refuse_shared_labels([p.lam for p in plans if p.kind == "linear"], "algorithms")
     labels = [p.label for p in plans]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate algorithm instances in field 'algorithms': {labels}")

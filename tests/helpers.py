@@ -189,7 +189,8 @@ def reference_bi_rows(cov, tau):
     qualified[degenerate] = (counts[degenerate] == top[degenerate, None]) & ~uncovered[degenerate, None]
     rows, regions = np.nonzero(qualified)
     mids = (cov.left[rows, regions] + cov.right[rows, regions]) / 2.0
-    values = fusion._row_means(rows, counts[rows, regions].astype(float), mids, counts.shape[0])
+    values = fusion._row_means(rows, counts[rows, regions].astype(float), mids,
+                               np.bincount(rows, minlength=counts.shape[0]) > 0)
     values[uncovered] = ((cov.lo[uncovered] + cov.hi[uncovered]) / 2.0).mean(axis=1)
     return values, degenerate
 
@@ -220,10 +221,18 @@ def reference_gbi_rows(lo, hi, tau):
     for row in factors:
         upper += row * lower
     left, right = left[rows, regions], right[rows, regions]
-    values = fusion._row_means(rows, esym[k] * (right - left), (left + right) / 2.0, keep.shape[0])
+    values = fusion._row_means(rows, esym[k] * (right - left), (left + right) / 2.0, keep.any(axis=1))
     profile = fusion.TransitionProfile(points=points, counts=counts, lo=lo, hi=hi)
     values[degenerate] = reference_bi_rows(profile, tau)[0][degenerate]
     return values, degenerate
+
+
+def reference_linear_rows(lo, hi, coeffs):
+    """Affine estimates of B rows, one coefficient set, summed sensor by sensor from gamma."""
+    total = np.full(lo.shape[0], coeffs.gamma, dtype=float)
+    for lo_i, hi_i, eps, delta in zip(lo.T, hi.T, coeffs.eps, coeffs.delta):
+        total += lo_i * eps + hi_i * delta
+    return total
 
 
 def reference_posterior_rows(lo, hi, params):

@@ -159,6 +159,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="field 'lambdas'"):
             load_config(path)
 
+    def test_lambdas_sharing_a_label_named(self, tmp_path):
+        # labels keep six significant digits, so distinct lambdas can round to one label
+        path, _ = write_config(tmp_path, algorithms=["linear"], lambdas=[0.1, 0.1000001])
+        with pytest.raises(ConfigError, match=r"^field 'lambdas' holds distinct lambdas 0\.1 and 0\.1000001 "
+                                              r"that share the label 'linear@0\.1'$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("algorithms", [["linear@0.1", "linear@0.1000001"], ["linear", "linear@0.1000001"]],
+                             ids=["two-selectors", "lambdas-and-selector"])
+    def test_selectors_sharing_a_label_named(self, tmp_path, algorithms):
+        path, _ = write_config(tmp_path, algorithms=algorithms, lambdas=[0.1])
+        with pytest.raises(ConfigError, match=r"^field 'algorithms' holds distinct lambdas 0\.1 and 0\.1000001 "
+                                              r"that share the label 'linear@0\.1'$"):
+            load_config(path)
+
 
 class TestOverrides:
     def test_env_overrides_file(self, tmp_path, monkeypatch):

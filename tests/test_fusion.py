@@ -660,6 +660,87 @@ class TestBatchKernels:
                     call(stack)
 
 
+class TestSharedKeptCells:
+    """bi_rows and gbi_rows share one kept-cell pass per (profile, tau), and it changes no value."""
+
+    N = 6
+
+    def block(self, uncovered):
+        # 120 rows of in-model trials; every third row leaves the model, its
+        # sensor i shifted by 20 * i, more than any reading's width, so no open
+        # region is covered twice and the row is flagged at every tau < n - 1;
+        # with uncovered, every third row from the third on has only
+        # zero-width readings, which cover no open region
+        batch = make_trials(ScenarioParams(n=self.N, m=2, tau=2, x_max=5, seed=81), 0, 60)
+        rows = batch.rows()
+        lo, hi = rows.lo.copy(), rows.hi.copy()
+        kind = np.arange(lo.shape[0]) % 3
+        shift = 20.0 * np.arange(self.N)
+        lo[kind == 1] += shift
+        hi[kind == 1] += shift
+        if uncovered:
+            hi[kind == 2] = lo[kind == 2]
+        return ReadingRows(lo, hi)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-profile", "fresh-profiles"])
+    @pytest.mark.parametrize("order", [("bi", "gbi"), ("gbi", "bi")], ids=["bi-first", "gbi-first"])
+    def test_either_order_equals_the_references(self, order, shared):
+        rows = self.block(uncovered=False)
+        kernels = {"bi": bi_rows, "gbi": gbi_rows}
+        for tau in (1, 2, 4):
+            want = {"bi": reference_bi_rows(coverage_rows(rows), tau),
+                    "gbi": reference_gbi_rows(rows.lo, rows.hi, tau)}
+            assert 0 < want["bi"][1].sum() < rows.lo.shape[0]
+            profile = coverage_rows(rows)
+            for name in order:
+                values, flags = kernels[name](profile if shared else coverage_rows(rows), tau)
+                assert np.array_equal(values.view(np.int64), want[name][0].view(np.int64)), (name, tau)
+                assert np.array_equal(flags, want[name][1]), (name, tau)
+
+    @pytest.mark.parametrize("gbi_first", [True, False], ids=["gbi-first", "bi-first"])
+    def test_uncovered_rows(self, gbi_first):
+        # GBI refuses the zero-width readings of an uncovered row, as its
+        # reference does, before it reads the profile's cells
+        rows = self.block(uncovered=True)
+        for tau in (1, 2, 4):
+            profile = coverage_rows(rows)
+            assert (profile.counts.max(axis=1) == 0).sum() == 40
+            if gbi_first:
+                with pytest.raises(ValueError, match="positive width"):
+                    gbi_rows(profile, tau)
+            values, flags = bi_rows(profile, tau)
+            want_values, want_flags = reference_bi_rows(coverage_rows(rows), tau)
+            assert np.array_equal(values.view(np.int64), want_values.view(np.int64)) and np.array_equal(flags, want_flags)
+            with pytest.raises(ValueError, match="positive width"):
+                gbi_rows(profile, tau)
+            with pytest.raises(ValueError, match="positive width"):
+                reference_gbi_rows(rows.lo, rows.hi, tau)
+
+    def test_each_tau_keeps_its_own_cells(self):
+        rows = self.block(uncovered=False)
+        profile = coverage_rows(rows)
+        low, high = profile._kept(1), profile._kept(4)
+        assert profile._kept(1) is low and profile._kept(4) is high
+        # fewer readings must cover a cell at the higher tau, so it keeps more cells
+        assert low.rows.size < high.rows.size
+        for tau in (1, 4):
+            values, flags = gbi_rows(profile, tau)
+            want_values, want_flags = reference_gbi_rows(rows.lo, rows.hi, tau)
+            assert np.array_equal(values.view(np.int64), want_values.view(np.int64)) and np.array_equal(flags, want_flags)
+
+    def test_memoised_cells_refuse_writes(self):
+        rows = self.block(uncovered=False)
+        profile = coverage_rows(rows)
+        _, flags = bi_rows(profile, 2)
+        cells = profile._kept(2)
+        for array in cells:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        # the flags a kernel returns are the caller's own
+        flags[...] = True
+        assert not np.array_equal(profile._kept(2).flagged, flags)
+
+
 LOWER_MIDPOINT = LinearCoefficients(np.full(3, 0.5), np.zeros(3), 0.0)
 ONE_ROW_CALLS = {
     "fuse_marzullo": lambda r: fuse_marzullo(r, 0),
