@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,33 +70,6 @@ def fuse_marzullo(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
     return marzullo_rows(ReadingRows.of(readings), tau).item()
 
 
-class _KeptCells(NamedTuple):
-    """The (row, region) cells of a profile that n - tau readings cover, in row-major order.
-
-    rows[c] and regions[c] place cell c, left/right/mids are its bounds and
-    midpoint, and flagged marks each row that holds no such cell.  Every array
-    is read-only, since a profile hands the same cells to each kernel.
-    """
-
-    rows: np.ndarray
-    regions: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    mids: np.ndarray
-    flagged: np.ndarray
-
-
-def _kept_cells(cov: TransitionProfile, tau: int) -> _KeptCells:
-    """The cells of cov that n - tau readings cover; see `TransitionProfile._kept`."""
-    keep = cov.counts >= cov.lo.shape[1] - tau
-    rows, regions = np.nonzero(keep)
-    left, right = cov.left[rows, regions], cov.right[rows, regions]
-    cells = _KeptCells(rows, regions, left, right, (left + right) / 2.0, ~keep.any(axis=1))
-    for array in cells:
-        array.setflags(write=False)
-    return cells
-
-
 @dataclass(frozen=True)
 class TransitionProfile:
     """Coverage structure of an interval family, or of B families stacked.
@@ -118,7 +91,7 @@ class TransitionProfile:
     counts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    _memo: dict[int, _KeptCells] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict[int, tuple[np.ndarray, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def left(self) -> np.ndarray:
@@ -128,10 +101,17 @@ class TransitionProfile:
     def right(self) -> np.ndarray:
         return self.points[..., 1:]
 
-    def _kept(self, tau: int) -> _KeptCells:
-        """The cells n - tau readings cover: found on the first call at tau, then shared."""
+    def _kept(self, tau: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (row, region) cells n - tau readings cover, in row-major order,
+        and a flag per row that holds none: found on the first call at tau,
+        then shared.  The arrays are read-only, since each kernel gets the same.
+        """
         if tau not in self._memo:
-            self._memo[tau] = _kept_cells(self, tau)
+            keep = self.counts >= self.lo.shape[1] - tau
+            cells = (*np.nonzero(keep), ~keep.any(axis=1))
+            for array in cells:
+                array.setflags(write=False)
+            self._memo[tau] = cells
         return self._memo[tau]
 
 
@@ -176,13 +156,14 @@ def _row_means(rows: np.ndarray, weights: np.ndarray, points: np.ndarray, filled
 def bi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     """Brooks-Iyengar estimates and degenerate flags of B rows; see `fuse_bi_with_flag`."""
     _check_tau(tau, cov.lo.shape[1])
-    cells = cov._kept(tau)
+    rows, regions, degenerate = cov._kept(tau)
     counts = cov.counts
-    values = _row_means(cells.rows, counts[cells.rows, cells.regions].astype(float), cells.mids, ~cells.flagged)
-    if cells.flagged.any():
+    mids = (cov.left[rows, regions] + cov.right[rows, regions]) / 2.0
+    values = _row_means(rows, counts[rows, regions].astype(float), mids, ~degenerate)
+    if degenerate.any():
         # a degenerate row uses its maximal-coverage regions instead; a row where
         # nothing covers any open region (top 0) uses none of its gaps
-        flagged = np.flatnonzero(cells.flagged)
+        flagged = np.flatnonzero(degenerate)
         part = counts[flagged]
         top = part.max(axis=1)
         rows, regions = np.nonzero((part >= top[:, None]) & (part > 0))
@@ -191,7 +172,7 @@ def bi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
         # and falls back to the plain midpoint mean
         uncovered = flagged[top == 0]
         values[uncovered] = ((cov.lo[uncovered] + cov.hi[uncovered]) / 2.0).mean(axis=1)
-    return values, cells.flagged.copy()
+    return values, degenerate.copy()
 
 
 def fuse_bi_with_flag(readings: Sequence[Interval] | np.ndarray, tau: int) -> tuple[float, bool]:
@@ -353,8 +334,8 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("every reading must have positive width")
     k = n - tau
     # the DP runs over the kept (row, region) cells only, in row-major order
-    cells = cov._kept(tau)
-    rows, left, right = cells.rows, cells.left, cells.right
+    rows, regions, degenerate = cov._kept(tau)
+    left, right = cov.left[rows, regions], cov.right[rows, regions]
     # e_k(c*v) = c^k e_k(v) cancels in the ratio; scaling each row's inverse
     # widths so that the largest is 1 keeps every product in range
     inside = (cov.lo[rows] <= left[:, None]) & (cov.hi[rows] >= right[:, None])
@@ -367,10 +348,10 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
         # formed before the in-place add, so it reads the previous degree's values
         first, last = max(1, k - (n - 1 - i)), min(i + 1, k)
         esym[first:last + 1] += row * esym[first - 1:last]
-    values = _row_means(rows, esym[k] * (right - left), cells.mids, ~cells.flagged)
-    if cells.flagged.any():
-        values[cells.flagged] = bi_rows(cov, tau)[0][cells.flagged]
-    return values, cells.flagged.copy()
+    values = _row_means(rows, esym[k] * (right - left), (left + right) / 2.0, ~degenerate)
+    if degenerate.any():
+        values[degenerate] = bi_rows(cov, tau)[0][degenerate]
+    return values, degenerate.copy()
 
 
 def fuse_gbi_regions(readings: Sequence[Interval] | np.ndarray, tau: int) -> float:
@@ -412,42 +393,19 @@ class LinearCoefficients:
             raise ValueError("coefficients must be finite")
 
 
-def _linear_estimates(rows: ReadingRows, sets: Sequence[Sequence[LinearCoefficients]]) -> np.ndarray:
-    """Affine estimates of S coefficient sets per agent, in one loop over the sensors.
-
-    rows holds m agents' rows agent-major, B each: row j * B + b is agent j's
-    b-th.  sets[s][j] is agent j's coefficients in set s.  Returns (S, m, B)
-    estimates.  Each starts from gamma and adds lo_i*eps_i + hi_i*delta_i
-    sensor by sensor in index order, so a row's estimate does not depend on
-    which rows or sets share the call (a matmul's would: numpy sends a
-    one-row product to BLAS dot rather than gemv).
-    """
-    n = rows.lo.shape[1]
-    for coeffs in sets:
-        for c in coeffs:
-            if c.eps.size != n:
-                raise ValueError(f"coefficient length {c.eps.size} does not match reading count {n}")
-    m = len(sets[0])
-    # sensor-major views: lo[i] is (m, B), eps[i] is (S, m, 1)
-    lo, hi = (ends.T.reshape(n, m, rows.lo.shape[0] // m) for ends in (rows.lo, rows.hi))
-    eps = np.array([[c.eps for c in coeffs] for coeffs in sets]).transpose(2, 0, 1)[..., None]
-    delta = np.array([[c.delta for c in coeffs] for coeffs in sets]).transpose(2, 0, 1)[..., None]
-    gamma = np.array([[c.gamma for c in coeffs] for coeffs in sets], dtype=float)
-    total = np.repeat(gamma[:, :, None], lo.shape[2], axis=2)
-    for lo_i, hi_i, eps_i, delta_i in zip(lo, hi, eps, delta):
-        total += lo_i * eps_i + hi_i * delta_i
-    return total
-
-
 def linear_rows(rows: ReadingRows, coeffs: LinearCoefficients) -> np.ndarray:
     """Affine estimates of B reading rows: gamma + sum_i (lo_i*eps_i + hi_i*delta_i).
 
-    The one-coefficient-set view of the sensor loop that `metrics` runs for
-    every linear fuser of a block at once, so the sum runs sensor by sensor in
-    index order and a row's estimate does not depend on how many rows share
-    the call.
+    The sum runs sensor by sensor in index order, so a row's estimate does
+    not depend on how many rows share the call (a matmul's would: numpy
+    sends a one-row product to BLAS dot rather than gemv).
     """
-    return _linear_estimates(rows, [[coeffs]])[0, 0]
+    if rows.lo.shape[1] != coeffs.eps.size:
+        raise ValueError(f"coefficient length {coeffs.eps.size} does not match reading count {rows.lo.shape[1]}")
+    total = np.full(rows.lo.shape[0], coeffs.gamma, dtype=float)
+    for lo, hi, eps, delta in zip(rows.lo.T, rows.hi.T, coeffs.eps, coeffs.delta):
+        total += lo * eps + hi * delta
+    return total
 
 
 def fuse_linear(readings: Sequence[Interval] | np.ndarray, coeffs: LinearCoefficients) -> float:

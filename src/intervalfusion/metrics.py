@@ -90,10 +90,8 @@ def _block_estimates(
 
     Returns estimates of shape (algorithms, m, trials) and each algorithm's
     count of degenerate (trial, agent) estimates.  The batch fusers read the
-    block's `TrialBatch.rows`, and each fact the fusers share is computed once
-    per block: BI and GBI read one coverage profile, which finds the cells
-    n - tau readings cover once for both, and every linear fuser's estimates
-    come from one loop over the sensors with all coefficient sets stacked.
+    block's `TrialBatch.rows`, and BI and GBI share one coverage profile per
+    row, which finds the cells n - tau readings cover once for both.
     """
     size, m = batch.size, batch.lo.shape[2]
     rows = batch.rows()
@@ -101,10 +99,6 @@ def _block_estimates(
         cov = fusion.coverage_rows(rows)
     estimates = np.empty((len(algos), m * size))
     degenerate = np.zeros(len(algos), dtype=int)
-    linear = [a for a, spec in enumerate(algos) if spec.kind == "linear"]
-    if linear:
-        stacked = fusion._linear_estimates(rows, [algos[a].coeffs for a in linear])
-        estimates[linear] = stacked.reshape(len(linear), m * size)
     for a, spec in enumerate(algos):
         if spec.kind == "marzullo":
             estimates[a] = fusion.marzullo_rows(rows, tau)
@@ -112,7 +106,11 @@ def _block_estimates(
             kernel = fusion.bi_rows if spec.kind == "bi" else fusion.gbi_rows
             estimates[a], flags = kernel(cov, tau)
             degenerate[a] = flags.sum()
-        elif spec.kind == "constant":
+        elif spec.kind == "linear":
+            for j, coeffs in enumerate(spec.coeffs):
+                agent = slice(j * size, (j + 1) * size)
+                estimates[a, agent] = fusion.linear_rows(rows[agent], coeffs)
+        else:
             estimates[a] = spec.constant_value
     return estimates.reshape(len(algos), m, size), degenerate
 

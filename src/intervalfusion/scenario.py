@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -227,31 +226,20 @@ class TrialDraw:
     def size(self) -> int:
         return self.x.shape[0]
 
-    def _per_agent(self, a: np.ndarray) -> np.ndarray:
-        """A (size, n) array repeated over the agent axis to (size, n, m).
-
-        np.where runs faster on contiguous (size, n, m) operands than when it
-        broadcasts (size, n) ones over the short agent axis.
-        """
-        return np.repeat(a, self.fake_lo.shape[2], axis=1).reshape(self.fake_lo.shape)
-
-    @cached_property
-    def _truthful(self) -> tuple[np.ndarray, np.ndarray]:
-        """true_lo and true_hi per agent: they read no tau, so a draw builds them once for all of its masks."""
-        return self._per_agent(self.true_lo), self._per_agent(self.true_hi)
-
     def at(self, tau: int) -> TrialBatch:
-        """These trials with their sensors ranked below tau faulty.
-
-        Only the fault mask is built per tau; the truthful cells repeated over
-        the agent axis are built on the first call and shared by every later one.
-        """
+        """These trials with their sensors ranked below tau faulty."""
         _check_tau(tau, self.rank.shape[1])
         faulty = self.rank < tau
-        mask = self._per_agent(faulty)
-        true_lo, true_hi = self._truthful
-        lo = np.where(mask, self.fake_lo, true_lo)
-        hi = np.where(mask, self.fake_hi, true_hi)
+        # np.where runs faster on contiguous (size, n, m) operands than when
+        # it broadcasts (size, n) ones over the short agent axis
+        shape = self.fake_lo.shape
+
+        def per_agent(a: np.ndarray) -> np.ndarray:
+            return np.repeat(a, shape[2], axis=1).reshape(shape)
+
+        mask = per_agent(faulty)
+        lo = np.where(mask, self.fake_lo, per_agent(self.true_lo))
+        hi = np.where(mask, self.fake_hi, per_agent(self.true_hi))
         return TrialBatch(x=self.x, lo=lo, hi=hi, faulty=faulty, precisions=self.precisions)
 
 

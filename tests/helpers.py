@@ -227,14 +227,6 @@ def reference_gbi_rows(lo, hi, tau):
     return values, degenerate
 
 
-def reference_linear_rows(lo, hi, coeffs):
-    """Affine estimates of B rows, one coefficient set, summed sensor by sensor from gamma."""
-    total = np.full(lo.shape[0], coeffs.gamma, dtype=float)
-    for lo_i, hi_i, eps, delta in zip(lo.T, hi.T, coeffs.eps, coeffs.delta):
-        total += lo_i * eps + hi_i * delta
-    return total
-
-
 def reference_posterior_rows(lo, hi, params):
     """Unnormalized posterior densities of B reading rows, through the (rows, patterns, regions) membership."""
     n = lo.shape[1]

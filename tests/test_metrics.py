@@ -12,7 +12,6 @@ from intervalfusion import (
     AlgorithmSpec,
     LinearCoefficients,
     Interval,
-    ReadingRows,
     ScenarioParams,
     TrialBatch,
     combine_objective,
@@ -23,7 +22,7 @@ from intervalfusion import (
     posterior_mean_exact,
 )
 
-from helpers import reference_evaluate, reference_linear_rows
+from helpers import reference_evaluate
 
 
 def midpoint_coeffs(n):
@@ -362,34 +361,6 @@ class TestEvaluateTaus:
         specs = {tau: [AlgorithmSpec(kind="gbi_oneopt")] for tau in (1, 2, 3)}
         with pytest.raises(ValueError, match=r"'gbi_oneopt'.*tau=3"):
             evaluate_taus(specs, params, 200)
-
-
-class TestStackedLinearLoop:
-    """Every linear fuser of a block runs in one sensor loop, and each estimate is its agent's alone."""
-
-    @pytest.mark.parametrize("trials", [1, 256])
-    def test_equals_each_spec_and_agent_alone(self, trials):
-        n, m = 12, 3
-        batch = make_trials(ScenarioParams(n=n, m=m, tau=4, x_max=5, seed=82), 0, trials)
-        rng = np.random.default_rng(83)
-        linear = [
-            AlgorithmSpec(kind="linear", label=f"linear{s}", coeffs=tuple(
-                LinearCoefficients(rng.normal(size=n), rng.normal(size=n), float(rng.normal())) for _ in range(m)))
-            for s in range(3)
-        ]
-        # the linear specs sit between others, so the stacked rows must land at their own indices
-        algos = [linear[0], AlgorithmSpec(kind="marzullo"), linear[1],
-                 AlgorithmSpec(kind="constant", constant_value=0.5), linear[2]]
-        estimates, degenerate = metrics._block_estimates(algos, batch, 4)
-        assert estimates.shape == (5, m, trials) and not degenerate.any()
-        for a, spec in enumerate(algos):
-            if spec.kind != "linear":
-                continue
-            for j, coeffs in enumerate(spec.coeffs):
-                lo, hi = batch.lo[:, :, j], batch.hi[:, :, j]
-                want = fusion.linear_rows(ReadingRows(lo, hi), coeffs)
-                assert np.array_equal(estimates[a, j].view(np.int64), want.view(np.int64)), (a, j)
-                assert np.array_equal(want.view(np.int64), reference_linear_rows(lo, hi, coeffs).view(np.int64))
 
 
 class TestCombineObjective:

@@ -259,41 +259,30 @@ def test_package_root_is_the_union_of_the_module_lists():
     assert all(getattr(package, name) is getattr(module, name) for module in modules for name in module.__all__)
 
 
-def test_block_estimates_computes_shared_facts_once(monkeypatch):
-    # BI and GBI read one kept-cell pass per tau, and the linear fusers run in
-    # one sensor loop; a refactor that forks either path again fails here
+def test_block_estimates_finds_kept_cells_once(monkeypatch):
+    # BI and GBI read one kept-cell pass per tau; a refactor that forks the
+    # path again fails here
     from intervalfusion import fusion, metrics
     from intervalfusion.scenario import ScenarioParams, draw_trials
 
-    calls = {"kept": [], "kept_cells": [], "linear": []}
+    found = []
+    real = fusion.TransitionProfile._kept
 
-    def counted(name, real):
-        def wrapper(*args):
-            calls[name].append(args[-1])
-            return real(*args)
-        return wrapper
+    def counted(profile, tau):
+        cells = real(profile, tau)
+        found.append((tau, cells))
+        return cells
 
-    def per_agent(*args):
-        raise AssertionError("linear fusers must share one sensor loop, not call linear_rows per agent")
-
-    monkeypatch.setattr(fusion.TransitionProfile, "_kept", counted("kept", fusion.TransitionProfile._kept))
-    monkeypatch.setattr(fusion, "_kept_cells", counted("kept_cells", fusion._kept_cells))
-    monkeypatch.setattr(fusion, "_linear_estimates", counted("linear", fusion._linear_estimates))
-    monkeypatch.setattr(fusion, "linear_rows", per_agent)
+    monkeypatch.setattr(fusion.TransitionProfile, "_kept", counted)
     params = ScenarioParams(n=8, m=2, tau=1, x_max=5, seed=84)
-    coeffs = [tuple(fusion.LinearCoefficients(np.full(8, w), np.full(8, w), 0.0) for _ in range(2)) for w in (0.05, 0.07)]
-    algos = [metrics.AlgorithmSpec(kind="bi"), metrics.AlgorithmSpec(kind="gbi_oneopt"),
-             metrics.AlgorithmSpec(kind="linear", coeffs=coeffs[0], label="linear@a"),
-             metrics.AlgorithmSpec(kind="linear", coeffs=coeffs[1], label="linear@b")]
+    algos = [metrics.AlgorithmSpec(kind="bi"), metrics.AlgorithmSpec(kind="gbi_oneopt")]
     draw = draw_trials(params, 0, 256)
     for tau in (1, 3, 6):
-        for found in calls.values():
-            found.clear()
+        found.clear()
         _, degenerate = metrics._block_estimates(algos, draw.at(tau), tau)
         assert not degenerate.any()
-        assert calls["kept_cells"] == [tau], calls
-        assert calls["kept"] == [tau, tau], calls
-        assert len(calls["linear"]) == 1 and len(calls["linear"][0]) == 2, calls
+        assert [t for t, _ in found] == [tau, tau]
+        assert found[0][1] is found[1][1]
 
 
 def _run_python(*args):
