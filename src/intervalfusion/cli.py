@@ -252,8 +252,9 @@ def run_sweep(config: RunConfig) -> list[dict]:
     """Evaluate every configured algorithm at every tau; return one row per cell.
 
     Linear fusers are fitted per (tau, lambda) on the exact law at any
-    m >= 2 (`fit_linear_exact`, which draws no trials), so their
-    coefficients do not depend on the seed.  The sweep does not run the
+    m >= 2 (`fit_linear_exact`: one closed-form scalar, formed from Python
+    ints and floats and drawing no trials), so their coefficients depend
+    neither on the seed nor on the host's BLAS or SIMD kernels.  The sweep does not run the
     two-agent closed-form recipe: its candidates share coefficients across
     sensors, the family the fit minimizes over, so it can at best tie the
     fit; fit-linear runs the recipe on demand.  A row's flags field records

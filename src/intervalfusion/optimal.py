@@ -8,9 +8,12 @@ consensus term has no pairs to count.  Given unit variance zero-mean
 directions f_j, the optimal amplitudes solve a small linear system
 (amplitude_solution).  With the endpoint sums as each agent's two
 features, the same quadratic system (_quadratic_system builds it for both)
-gives the shared-coefficient linear fusers: fit_linear_exact solves it on
-the law's exact feature moments (oracle.law_moments), and
-fit_linear_empirical on the sample moments of a fitting batch.  For two
+gives the shared-coefficient linear fusers: fit_linear_empirical solves it
+on the sample moments of a fitting batch.  On the exact law the law's
+symmetries reduce its minimizer to one scalar per (tau, lambda), and
+fit_linear_exact returns that scalar in closed form, from two sums over
+the precision lattice (_lattice_sums) in Python ints and floats: no linear
+solve, no BLAS call, the same bits on every host.  For two
 agents there is also a closed-form moment recipe (solve_linear_two_agent);
 it is implemented exactly as published even though parts of it look
 inconsistent, so a selection cross-checks it against the fit, which serves
@@ -29,6 +32,7 @@ scipy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -552,23 +556,57 @@ def _solve_shared(gram: np.ndarray, target: np.ndarray, lam: float, n: int, mean
     return _shared_coefficients(eps, delta, gamma, n)
 
 
-def _fit_law(law: LawMoments, lam: float, n: int) -> tuple[LinearCoefficients, ...]:
-    return _solve_shared(law.gram, law.target, lam, n, law.moments.mean_l, law.moments.mean_u)
+def _lattice_sums(x_max: int) -> tuple[float, float]:
+    """A = sum_p (1 - 1/p^2) and B = A^2 + sum_{p,q} (gcd(p,q)^2 - 1)/(p^2 q^2), over precisions 1..x_max.
+
+    They are the law's endpoint-sum moments up to scale: with S the sum of
+    one reading's two endpoints, E[S^2] = 4*x_max*A/3, and two readings of
+    one target, truthful at independent precisions, have E[S S'] = 4*B/3.
+    The cross term is Franel's integral of two sawtooth functions,
+    int_0^1 B1({pt}) B1({qt}) dt = gcd(p,q)^2/(12pq).  Each lattice term is
+    an integer ratio rounded once, and math.fsum rounds the exact sum of its
+    terms once, so the bits depend on no summation order and no BLAS or SIMD
+    kernel.  Terms are >= 0, so nothing cancels.  Time grows as x_max^2
+    (about 0.1 s at x_max = 1000); memory does not grow.
+    """
+    a = math.fsum((p * p - 1) / (p * p) for p in range(1, x_max + 1))
+    # pairs of coprime precisions add 0; (p, q) and (q, p) add one term twice
+    pairs = ((2 - (p == q)) * (g * g - 1) / (p * p * q * q)
+             for p in range(2, x_max + 1) for q in range(p, x_max + 1) if (g := math.gcd(p, q)) > 1)
+    return a, math.fsum(itertools.chain((a * a,), pairs))
 
 
 def fit_linear_exact(params: ScenarioParams, lam: float) -> tuple[LinearCoefficients, ...]:
     """Minimize the exact population objective over (eps_j, delta_j); returns one fuser per agent.
 
     Coefficients are shared across sensors within an agent, with intercept
-    gamma_j = -n*(eps_j*E[L] + delta_j*E[U]), so agent j's estimate is
-    v_j . F_j with F_j = (sum L_j - n*E[L], sum U_j - n*E[U]); the
-    objective's quadratic system (_quadratic_system) is built from the
-    law's exact E[F F^T] and E[X F] (oracle.law_moments).  No trial is
-    drawn.  Needs m >= 2: at m = 1 the diagonal would count 1-lam of gap
-    terms that do not exist.
+    gamma_j = -n*(eps_j*E[L] + delta_j*E[U]).  The law has two symmetries:
+    agents are exchangeable, and x -> -x maps (L, U, X) to (-U, -L, -X), so
+    E[L] = -E[U] and the minimizer is eps_j = delta_j = c, gamma_j = 0 for
+    every agent.  With S_j agent j's sum of every endpoint, the objective
+    m*(lam*E[(c S - X)^2] + (1-lam)*c^2*(E[S^2] - E[S_1 S_2])) gives
+        c = lam*E[X S] / (E[S^2] - (1-lam)*E[S_1 S_2])
+          = lam*keep*x_max*A / (2*(x_max*A*(1 - (1-lam)*keep) + lam*t2*B)),
+    keep = (n-tau)/n, t2 = (n-tau)(n-tau-1)/n and A, B from _lattice_sums;
+    c does not depend on m.  Where the denominator is 0 (x_max = 1, where
+    every reading is the whole range, or lam = 0 at tau = 0, where the
+    agents' readings coincide), c = 0, the minimum-norm minimizer that a
+    least-squares solve returns.  The value is formed from Python ints and
+    floats only, so its bits do not depend on the host's BLAS or SIMD
+    kernels.  No trial is drawn.  Needs m >= 2: at m = 1 the consensus term
+    has no pairs.
     """
     _check_fit(params, lam)
-    return _fit_law(law_moments(params), lam, params.n)
+    n, m, tau, x_max = params.n, params.m, params.tau, params.x_max
+    a, b = _lattice_sums(x_max)
+    keep = (n - tau) / n
+    t2 = (n - tau) * (n - tau - 1) / n
+    den = x_max * a * (1.0 - (1.0 - lam) * keep) + lam * t2 * b
+    c = lam * keep * x_max * a / (2.0 * den) if den else 0.0
+    # gamma is the intercept formula's -n * (c*E[L] + c*E[U]) = -n * +0.0,
+    # which is -0.0, the recipe's value at its degenerate point: a tie with
+    # the recipe (x_max = 1) keeps these bits
+    return _shared_coefficients([c] * m, [c] * m, [-0.0] * m, n)
 
 
 def fit_linear_empirical(
@@ -702,7 +740,7 @@ def select_linear_exact(params: ScenarioParams, lam: float) -> LinearSelection:
         mse, cns = population_scores(law, coeffs)
         return float(_objective_per_trial(mse[:, None], cns[:, None], lam)[0])
 
-    return _select(params, lam, law.moments, _fit_law(law, lam, params.n), score)
+    return _select(params, lam, law.moments, fit_linear_exact(params, lam), score)
 
 
 def select_linear_coefficients(

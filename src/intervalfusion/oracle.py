@@ -18,7 +18,7 @@ subset tables or their e_k recurrence, so the oracle stays independent of
 the fusers it checks.
 
 `law_moments` gives the exact first and second moments of the trial law
-that the linear fusers are fitted and scored on, as finite sums over the
+that fit-linear scores the linear fusers on, as finite sums over the
 precision lattices; it draws no trials.
 """
 
@@ -253,7 +253,7 @@ def law_moments(params: ScenarioParams) -> LawMoments:
     as `optimal.estimate_moments` does.  Time and memory grow as x_max^2, the
     number of cells over all precisions: on a 2-vCPU Intel Xeon host with
     numpy 2.4.6, 0.06 s and a 54 MiB tracemalloc peak at x_max = 1000, 0.2-0.3 s
-    and 216 MiB at 2000, 1.1-1.5 s and 862 MiB at 4000, so a fit near
+    and 216 MiB at 2000, 1.1-1.5 s and 862 MiB at 4000, so scoring near
     x_max = 10^4 needs several GiB.
     """
     n, m, tau, x_max = params.n, params.m, params.tau, params.x_max

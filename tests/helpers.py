@@ -18,7 +18,11 @@ through a (rows, patterns, regions) membership array.
 The moment estimates and the linear fit here are literal copies of the
 package's formulas before their products and sensor sums were formed once,
 in place: every endpoint product is formed again for its row sums, and each
-agent's sensor sums come from `sum(axis=1)`.
+agent's sensor sums come from `sum(axis=1)`.  The exact fit here is the
+package's before it took its closed form: `oracle.law_moments`' Gram and
+target, the quadratic system of `optimal._quadratic_system` and the
+minimum-norm solution of `np.linalg.lstsq`, whose last bits follow the
+BLAS kernel.
 
 The two-agent recipe's search engine, objective kernel and root formula
 here are literal copies of the package's before the engine held its simplex
@@ -176,6 +180,16 @@ def reference_fit_linear_empirical(params, lam, samples, rng):
     eps, delta = v[0::2], v[1::2]
     gamma = -n * (eps * mean_l + delta * mean_u)
     return optimal._shared_coefficients(eps, delta, gamma, n)
+
+
+def reference_fit_linear_lstsq(params, lam):
+    """`fit_linear_exact` as a least-squares solve of the quadratic system on `law_moments`."""
+    law = oracle.law_moments(params)
+    q, b = optimal._quadratic_system(law.gram, law.target, lam, per_agent=2)
+    v = np.linalg.lstsq(q, b, rcond=None)[0]
+    eps, delta = v[0::2], v[1::2]
+    gamma = -params.n * (eps * law.moments.mean_l + delta * law.moments.mean_u)
+    return optimal._shared_coefficients(eps, delta, gamma, params.n)
 
 
 def reference_bi_rows(cov, tau):

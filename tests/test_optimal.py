@@ -14,6 +14,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +28,7 @@ from helpers import (
     reference_delta_roots,
     reference_estimate_moments,
     reference_fit_linear_empirical,
+    reference_fit_linear_lstsq,
     reference_nelder_mead,
     reference_recipe_kernel,
 )
@@ -989,6 +992,69 @@ class TestFitLinearExact:
                         bumped = point.copy()
                         bumped[j, c] *= 1.0 + sign * 0.01
                         assert population_objective(law, shared(6, bumped, mean_l, mean_u), lam) >= base * (1 - 1e-12)
+
+    def test_closed_form_is_the_lstsq_solution(self):
+        # the least-squares solve of the full 2m x 2m system on the law's Gram
+        # finds the closed form's scalar to rounding, with the intercepts'
+        # cancelling terms left over; where the closed form is 0 it is 0 too
+        for m in (2, 3, 4):
+            for n in (1, 2, 5, 10, 16):
+                for x_max in (1, 2, 3, 5, 20):
+                    harmonic = math.fsum(1.0 / p for p in range(1, x_max + 1))
+                    for tau in range(n):
+                        params = ScenarioParams(n=n, m=m, tau=tau, x_max=x_max, seed=76)
+                        for lam in (0.0, 0.1, 0.5, 0.9, 1.0):
+                            fit = fit_linear_exact(params, lam)
+                            c = fit[0].eps[0]
+                            cell = (m, n, x_max, tau, lam)
+                            assert c >= 0.0 and (c == 0.0) == (lam == 0.0 or x_max == 1), cell
+                            for got, want in zip(fit, reference_fit_linear_lstsq(params, lam), strict=True):
+                                assert (got.eps == c).all() and (got.delta == c).all() and got.gamma == 0.0, cell
+                                assert np.abs(np.concatenate([want.eps, want.delta]) - c).max() <= 1e-12 * c, cell
+                                assert abs(want.gamma) <= 1e-12 * n * c * harmonic, cell
+
+    def test_lattice_sums_are_the_law_moments(self):
+        # cov_lx = keep*x_max*A/3, cov_ll = both*B/3 and the variance of one
+        # reading's endpoint sum, var_l + 2*cov_lu_same + var_u = 4*x_max*A/3
+        for x_max in (1, 2, 3, 5, 20):
+            a, b = optimal._lattice_sums(x_max)
+            for n in (1, 2, 5, 10, 16):
+                for tau in range(n):
+                    mo = law_moments(ScenarioParams(n=n, m=2, tau=tau, x_max=x_max, seed=77)).moments
+                    keep = (n - tau) / n
+                    assert mo.cov_lx == pytest.approx(keep * x_max * a / 3.0, rel=1e-12, abs=0.0)
+                    assert (mo.var_l + 2.0 * mo.cov_lu_same + mo.var_u
+                            == pytest.approx(4.0 * x_max * a / 3.0, rel=1e-12, abs=0.0))
+                    if n > 1:
+                        both = (n - tau) * (n - tau - 1) / (n * (n - 1))
+                        assert mo.cov_ll == pytest.approx(both * b / 3.0, rel=1e-12, abs=0.0)
+
+    def test_large_lattice_is_quick_and_small(self):
+        # 500,500 cells at x_max = 1000, which law_moments holds in arrays;
+        # the closed form streams its lattice sums.  Timed without tracemalloc
+        params = ScenarioParams(n=10, m=2, tau=3, x_max=1000, seed=78)
+        start = time.perf_counter()
+        fit = fit_linear_exact(params, 0.5)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            fit_linear_exact(params, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5, f"{elapsed:.2f} s"
+        assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
+        c = fit[0].eps[0]
+        for want in reference_fit_linear_lstsq(params, 0.5):
+            assert np.abs(np.concatenate([want.eps, want.delta]) - c).max() <= 1e-12 * c
+
+    def test_builds_no_lattice_and_solves_nothing(self, monkeypatch):
+        # the scalar comes from Python ints and floats: no law_moments arrays
+        # and no BLAS or LAPACK call whose bits follow the host's kernel
+        monkeypatch.setattr(optimal, "law_moments", mock.Mock(side_effect=AssertionError("built the lattice")))
+        monkeypatch.setattr(np.linalg, "lstsq", mock.Mock(side_effect=AssertionError("called lstsq")))
+        fit = fit_linear_exact(ScenarioParams(n=10, m=3, tau=3, x_max=5, seed=79), 0.5)
+        assert len(fit) == 3 and fit[0].eps[0] > 0.0
 
     def test_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(optimal, "sample_batch", mock.Mock(side_effect=AssertionError("drew trials")))

@@ -2,7 +2,9 @@
 
 The package root exports exactly its modules' public names, and the package
 imports without scipy, runs fit-linear without scipy, answers `python -m
-intervalfusion.cli --help` and runs the README's quick start, each in a fresh
+intervalfusion.cli --help`, runs the README's quick start, and writes a
+linear sweep's rows and fit-linear's coefficients with the same bytes under
+every OpenBLAS kernel and numpy SIMD level the CPU can run, each in a fresh
 interpreter.
 """
 
@@ -11,6 +13,7 @@ import functools
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -285,13 +288,13 @@ def test_block_estimates_finds_kept_cells_once(monkeypatch):
         assert found[0][1] is found[1][1]
 
 
-def _run_python(*args):
-    """Run `python *args` in a fresh interpreter with src/ on its path; returns its stdout.
+def _run_python(*args, **env):
+    """Run `python *args` in a fresh interpreter with src/ on its path and env added; returns its stdout.
 
     A nonzero exit raises CalledProcessError.
     """
     path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, *args], env={**os.environ, **env, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -337,3 +340,84 @@ def test_fit_linear_runs_without_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     assert out.splitlines()[-1] == "[]", out
     assert len(json.loads((tmp_path / "fit.json").read_text())) == 7
+
+
+# run in a fresh interpreter: tests/ and a scratch folder as arguments; prints
+# the hash of the least-squares reference fit's bytes on a grid, the hash of a
+# small linear sweep's CSV and fit-linear's coefficients, as one JSON line
+_KERNEL_PROBE = """
+import hashlib, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from helpers import reference_fit_linear_lstsq
+from intervalfusion import ScenarioParams
+from intervalfusion.cli import main
+
+folder = Path(sys.argv[2])
+config = folder / "config.json"
+config.write_text(json.dumps({"n": 6, "m": 2, "x_max": 5, "seed": 11, "taus": [1, 3],
+                              "lambdas": [0.1, 0.5, 0.9], "algorithms": ["linear"], "trials": 200,
+                              "output_path": str(folder / "rows.csv")}))
+reference = hashlib.sha256()
+for tau in range(10):
+    for lam in (0.1, 0.5, 0.9):
+        for c in reference_fit_linear_lstsq(ScenarioParams(n=10, m=2, tau=tau, x_max=5, seed=0), lam):
+            reference.update(c.eps.tobytes() + c.delta.tobytes() + float(c.gamma).hex().encode())
+assert main(["sweep", "--config", str(config)]) == 0
+assert main(["fit-linear", "--config", str(config), "--lambda", "0.5", "--out", str(folder / "fit.json")]) == 0
+fit = json.loads((folder / "fit.json").read_text())
+print(json.dumps({"reference": reference.hexdigest(),
+                  "rows": hashlib.sha256((folder / "rows.csv").read_bytes()).hexdigest(),
+                  "coefficients": [[entry["eps"], entry["delta"], entry["gamma"]] for entry in fit]}))
+"""
+
+
+def _kernel_environments():
+    """Settings that switch numpy's BLAS and SIMD kernels, each one this CPU can run.
+
+    OPENBLAS_CORETYPE forces an OpenBLAS kernel; a kernel whose instructions
+    the CPU lacks (SkylakeX needs avx512f, Haswell avx2) would stop the
+    process with SIGILL, so it is forced only where /proc/cpuinfo lists the
+    flag.  NPY_DISABLE_CPU_FEATURES turns off every SIMD extension numpy
+    dispatches to and this CPU has, leaving numpy's baseline.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        cpuinfo = ""
+    flags = {flag for line in cpuinfo.splitlines() if line.startswith("flags") for flag in line.split(":", 1)[1].split()}
+    environments = {"host default": {}}
+    for coretype, needs in (("Prescott", None), ("Haswell", "avx2"), ("SkylakeX", "avx512f")):
+        if needs is None or needs in flags:
+            environments[coretype] = {"OPENBLAS_CORETYPE": coretype}
+    dispatched = [feature for feature in umath.__cpu_dispatch__ if umath.__cpu_features__.get(feature)]
+    if dispatched:
+        environments["numpy baseline"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)}
+    return environments
+
+
+def test_linear_rows_and_fit_ignore_the_blas_and_simd_kernels(tmp_path):
+    # the sweep's linear fit is formed from Python ints and floats, so its
+    # rows and fit-linear's coefficients are the same bytes under every
+    # kernel; the least-squares route it replaced is the positive control
+    # that the settings take effect on this numpy build
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OPENBLAS_CORETYPE names x86-64 kernels; this host is {platform.machine()}")
+    outputs = {}
+    for name, env in _kernel_environments().items():
+        folder = tmp_path / name.replace(" ", "-")
+        folder.mkdir()
+        stdout = _run_python("-c", _KERNEL_PROBE, str(_ROOT / "tests"), str(folder), **env)
+        outputs[name] = json.loads(stdout.splitlines()[-1])
+    references = {name: out["reference"] for name, out in outputs.items()}
+    if len(set(references.values())) < 2:
+        pytest.skip(f"the least-squares reference gave the same bytes under every setting ({sorted(references)}), "
+                    "so this numpy build does not show that they switch its kernels")
+    first = next(iter(outputs.values()))
+    for name, out in outputs.items():
+        assert out["rows"] == first["rows"], name
+        assert out["coefficients"] == first["coefficients"], name
