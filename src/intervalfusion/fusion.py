@@ -118,13 +118,18 @@ class TransitionProfile:
 def coverage_rows(rows: ReadingRows) -> TransitionProfile:
     """Coverage profiles of B reading rows."""
     lo, hi = rows.lo, rows.hi
-    ends = np.concatenate([lo, hi], axis=1)
-    points = np.sort(ends, axis=1)
-    left, right = points[:, :-1], points[:, 1:]
-    # +1 at each lower endpoint and -1 at each upper one, summed in sorted order.  No endpoint lies
-    # strictly inside a positive-width gap, so the order among tied endpoints cannot change its count
-    lower = np.argsort(ends, axis=1) < lo.shape[1]
-    counts = np.where(right > left, np.cumsum(np.where(lower[:, :-1], 1, -1), axis=1), 0)
+    n = lo.shape[1]
+    # the concatenation is a fresh array, so it is argsorted and then sorted in place
+    points = np.concatenate([lo, hi], axis=1)
+    lower = np.argsort(points, axis=1) < n
+    points.sort(axis=1)
+    # +1 at each lower endpoint and -1 at each upper one, summed in sorted order: after j + 1
+    # endpoints that is 2 * lowers - (j + 1).  No endpoint lies strictly inside a positive-width
+    # gap, so the order among tied endpoints cannot change its count
+    counts = np.cumsum(lower[:, :-1], axis=1)
+    counts *= 2
+    counts -= np.arange(1, 2 * n)
+    counts[points[:, 1:] <= points[:, :-1]] = 0
     return TransitionProfile(points=points, counts=counts, lo=lo, hi=hi)
 
 
@@ -325,6 +330,10 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     by n - tau readings, and such a row takes its `bi_rows` estimate, so BI
     runs only when some row is flagged.  Raises ValueError if any reading has
     zero width.
+
+    The recurrence runs over the kept (row, region) cells, forming one
+    sensor's factors over them at a time, so its memory is O((k + 1) * cells)
+    for k = n - tau, with no (cells, n) table of all sensors' factors.
     """
     n = cov.lo.shape[1]
     _check_tau(tau, n)
@@ -338,11 +347,13 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     left, right = cov.left[rows, regions], cov.right[rows, regions]
     # e_k(c*v) = c^k e_k(v) cancels in the ratio; scaling each row's inverse
     # widths so that the largest is 1 keeps every product in range
-    inside = (cov.lo[rows] <= left[:, None]) & (cov.hi[rows] >= right[:, None])
-    factors = (inside * (shortest / widths)[rows]).T
+    scaled = (shortest / widths).T
     esym = np.zeros((k + 1, rows.size))
     esym[0] = 1.0
-    for i, row in enumerate(factors):
+    for i in range(n):
+        # sensor i's factor at each kept cell: its scaled inverse width where it
+        # covers the cell, else +0.0
+        row = scaled[i][rows] * ((cov.lo[:, i][rows] <= left) & (cov.hi[:, i][rows] >= right))
         # after sensor i a degree above i + 1 would only add row * 0.0 = +0.0, and
         # one below k - (n - 1 - i) can no longer reach degree k; the product is
         # formed before the in-place add, so it reads the previous degree's values
@@ -364,9 +375,10 @@ def fuse_gbi_regions(readings: Sequence[Interval] | np.ndarray, tau: int) -> flo
     v_r holds the inverse widths of the readings covering r and e_k is the
     elementary symmetric polynomial of degree k.  Each e_k comes from a
     recurrence over the readings that updates only the degrees that can still
-    reach k, k * (n - k + 1) steps, so the cost is polynomial in n.  Raises
-    DegenerateInputError when no open region is covered by n - tau readings
-    and ValueError on zero-width readings.
+    reach k, k * (n - k + 1) steps, so the cost is polynomial in n, and
+    holds k + 1 values per region covered by n - tau readings, with no
+    per-sensor table.  Raises DegenerateInputError when no open region is
+    covered by n - tau readings and ValueError on zero-width readings.
     """
     values, degenerate = gbi_rows(coverage_rows(ReadingRows.of(readings)), tau)
     if degenerate.item():

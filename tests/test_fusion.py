@@ -497,7 +497,13 @@ class TestBatchKernels:
     @settings(max_examples=300)
     def test_counts_equal_the_membership_definition(self, stack):
         lo, hi = stack
-        cov = coverage_rows(ReadingRows(lo, hi))
+        rows = ReadingRows(lo.copy(), hi.copy())
+        cov = coverage_rows(rows)
+        # the endpoints are sorted in a fresh array, never in the readings
+        assert np.array_equal(rows.lo.view(np.uint64), lo.view(np.uint64))
+        assert np.array_equal(rows.hi.view(np.uint64), hi.view(np.uint64))
+        assert not np.shares_memory(cov.points, rows.lo) and not np.shares_memory(cov.points, rows.hi)
+        assert cov.counts.dtype == np.int_
         left, right = cov.left, cov.right
         members = (lo[:, :, None] <= left[:, None]) & (hi[:, :, None] >= right[:, None]) & (right > left)[:, None]
         assert np.array_equal(cov.counts, members.sum(axis=1))
@@ -571,6 +577,24 @@ class TestBatchKernels:
             tracemalloc.stop()
         assert np.isfinite(values).all() and not flags.any()
         assert peak < 16 * 2**20, peak
+
+    def test_gbi_rows_hold_no_sensor_by_cell_table(self):
+        # one 128-trial block at n = 64, tau = 56 keeps 2,553 cells, so one
+        # (cells, n) float64 table takes 1.25 MiB; a kernel that builds such a
+        # table per call peaks above it, one that forms a factor row per sensor
+        # stays near its (k + 1, cells) e_k table
+        tau = 56
+        rows = draw_trials(ScenarioParams(n=64, m=2, tau=tau, x_max=5, seed=777), 0, 128).at(tau).rows()
+        cov = coverage_rows(rows)
+        cells = cov._kept(tau)[0].size
+        tracemalloc.start()
+        try:
+            values, flags = gbi_rows(cov, tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(values).all() and not flags.any()
+        assert peak < cells * rows.lo.shape[1] * np.dtype(float).itemsize, (peak, cells)
 
     @given(profile_family())
     @settings(max_examples=200)

@@ -344,7 +344,9 @@ def test_fit_linear_runs_without_scipy(tmp_path):
 
 # run in a fresh interpreter: tests/ and a scratch folder as arguments; prints
 # the hash of the least-squares reference fit's bytes on a grid, the hash of a
-# small linear sweep's CSV and fit-linear's coefficients, as one JSON line
+# small linear sweep's CSV, fit-linear's coefficients and the hashes of two
+# small fuser sweeps' CSVs (the sorts and argsorts of the region kernels), as
+# one JSON line
 _KERNEL_PROBE = """
 import hashlib, json, sys
 from pathlib import Path
@@ -366,9 +368,18 @@ for tau in range(10):
 assert main(["sweep", "--config", str(config)]) == 0
 assert main(["fit-linear", "--config", str(config), "--lambda", "0.5", "--out", str(folder / "fit.json")]) == 0
 fit = json.loads((folder / "fit.json").read_text())
+fusers = []
+for n, taus, algorithms in ((10, [1, 2, 3, 4, 5, 6, 7], ["marzullo", "bi", "gbi_oneopt"]),
+                            (16, [4, 8, 12], ["gbi_oneopt", "marzullo"])):
+    out = folder / f"fusers-{n}.csv"
+    config.write_text(json.dumps({"n": n, "m": 2, "x_max": 5, "seed": 777, "taus": taus,
+                                  "algorithms": algorithms, "trials": 200, "output_path": str(out)}))
+    assert main(["sweep", "--config", str(config)]) == 0
+    fusers.append(hashlib.sha256(out.read_bytes()).hexdigest())
 print(json.dumps({"reference": reference.hexdigest(),
                   "rows": hashlib.sha256((folder / "rows.csv").read_bytes()).hexdigest(),
-                  "coefficients": [[entry["eps"], entry["delta"], entry["gamma"]] for entry in fit]}))
+                  "coefficients": [[entry["eps"], entry["delta"], entry["gamma"]] for entry in fit],
+                  "fusers": fusers}))
 """
 
 
@@ -403,8 +414,9 @@ def _kernel_environments():
 def test_linear_rows_and_fit_ignore_the_blas_and_simd_kernels(tmp_path):
     # the sweep's linear fit is formed from Python ints and floats, so its
     # rows and fit-linear's coefficients are the same bytes under every
-    # kernel; the least-squares route it replaced is the positive control
-    # that the settings take effect on this numpy build
+    # kernel, and so are the Marzullo, BI and region GBI rows; the
+    # least-squares route the fit replaced is the positive control that the
+    # settings take effect on this numpy build
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip(f"OPENBLAS_CORETYPE names x86-64 kernels; this host is {platform.machine()}")
     outputs = {}
@@ -421,3 +433,4 @@ def test_linear_rows_and_fit_ignore_the_blas_and_simd_kernels(tmp_path):
     for name, out in outputs.items():
         assert out["rows"] == first["rows"], name
         assert out["coefficients"] == first["coefficients"], name
+        assert out["fusers"] == first["fusers"], name
