@@ -11,15 +11,17 @@ features, the same quadratic system (_quadratic_system builds it for both)
 gives the shared-coefficient linear fusers: fit_linear_empirical solves it
 on the sample moments of a fitting batch.  On the exact law the law's
 symmetries reduce its minimizer to one scalar per (tau, lambda), and
-fit_linear_exact returns that scalar in closed form, from two sums over
-the precision lattice (_lattice_sums) in Python ints and floats: no linear
-solve, no BLAS call, the same bits on every host.  For two
+fit_linear_exact returns that scalar in closed form, from the two sums over
+the precision lattice that oracle.law_moments is built from too
+(oracle._lattice_sums), in Python ints and floats: no linear solve, no BLAS
+call, the same bits on every host.  For two
 agents there is also a closed-form moment recipe (solve_linear_two_agent);
 it is implemented exactly as published even though parts of it look
 inconsistent, so a selection cross-checks it against the fit, which serves
 as the authority when they disagree.  select_linear_exact, which the
 fit-linear command runs, feeds the recipe the exact moments and scores both
-candidates on the exact population objective (population_scores);
+candidates on the exact population objective (population_scores), all in
+Python floats, so its output follows no BLAS or SIMD kernel either;
 select_linear_coefficients is its sampled view, drawing moment, fitting and
 validation batches from a random stream and scoring on the validation batch
 with metrics.empirical_objective.  Sweeps take fit_linear_exact alone: the
@@ -41,7 +43,7 @@ import numpy as np
 
 from .fusion import LinearCoefficients
 from .metrics import _check_lam, _objective_per_trial, empirical_objective
-from .oracle import LawMoments, MomentSet, law_moments
+from .oracle import LawMoments, MomentSet, _lattice_sums, law_moments
 from .scenario import ScenarioParams, sample_batch
 
 __all__ = [
@@ -479,8 +481,9 @@ def solve_linear_two_agent(
 
     This recipe is kept verbatim; on realistic moments its objective can be
     unbounded below near the |z| = 1 wall, which makes the returned point a
-    search artifact.  Always validate the result with fit_linear_empirical
-    (see select_linear_coefficients) before using it.
+    search artifact.  Always validate the result against fit_linear_exact on
+    the exact population objective (population_scores on law_moments), as
+    select_linear_exact does, before using it.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1) for the two-agent recipe, got {lam}")
@@ -536,44 +539,6 @@ def _check_fit(params: ScenarioParams, lam: float) -> None:
     _check_lam(lam)
     if params.m < 2:
         raise ValueError(f"the shared-coefficient fit is defined for m >= 2 agents, got m={params.m}")
-
-
-def _solve_shared(gram: np.ndarray, target: np.ndarray, lam: float, n: int, mean_l: float, mean_u: float,
-                  count: int = 1) -> tuple[LinearCoefficients, ...]:
-    """The shared-coefficient fusers minimizing the objective of the endpoint-sum features.
-
-    gram and target are _quadratic_system's, over the features
-    F_j = (sum L_j - n*mean_l, sum U_j - n*mean_u); gamma_j =
-    -n*(eps_j*mean_l + delta_j*mean_u) makes agent j's estimate v_j . F_j.
-    Q is positive semidefinite, so the minimum-norm least-squares solution of
-    Q v = b is a global minimizer, also when Q is singular (lam=0,
-    single-cell scenarios).
-    """
-    q, b = _quadratic_system(gram, target, lam, per_agent=2, count=count)
-    v = np.linalg.lstsq(q, b, rcond=None)[0]
-    eps, delta = v[0::2], v[1::2]
-    gamma = -n * (eps * mean_l + delta * mean_u)
-    return _shared_coefficients(eps, delta, gamma, n)
-
-
-def _lattice_sums(x_max: int) -> tuple[float, float]:
-    """A = sum_p (1 - 1/p^2) and B = A^2 + sum_{p,q} (gcd(p,q)^2 - 1)/(p^2 q^2), over precisions 1..x_max.
-
-    They are the law's endpoint-sum moments up to scale: with S the sum of
-    one reading's two endpoints, E[S^2] = 4*x_max*A/3, and two readings of
-    one target, truthful at independent precisions, have E[S S'] = 4*B/3.
-    The cross term is Franel's integral of two sawtooth functions,
-    int_0^1 B1({pt}) B1({qt}) dt = gcd(p,q)^2/(12pq).  Each lattice term is
-    an integer ratio rounded once, and math.fsum rounds the exact sum of its
-    terms once, so the bits depend on no summation order and no BLAS or SIMD
-    kernel.  Terms are >= 0, so nothing cancels.  Time grows as x_max^2
-    (about 0.1 s at x_max = 1000); memory does not grow.
-    """
-    a = math.fsum((p * p - 1) / (p * p) for p in range(1, x_max + 1))
-    # pairs of coprime precisions add 0; (p, q) and (q, p) add one term twice
-    pairs = ((2 - (p == q)) * (g * g - 1) / (p * p * q * q)
-             for p in range(2, x_max + 1) for q in range(p, x_max + 1) if (g := math.gcd(p, q)) > 1)
-    return a, math.fsum(itertools.chain((a * a,), pairs))
 
 
 def fit_linear_exact(params: ScenarioParams, lam: float) -> tuple[LinearCoefficients, ...]:
@@ -635,7 +600,13 @@ def fit_linear_empirical(
     feats = np.stack(
         [batch.lo.sum(axis=1) - n * mean_l, batch.hi.sum(axis=1) - n * mean_u], axis=2
     ).reshape(samples, 2 * m)
-    return _solve_shared(feats.T @ feats, feats.T @ batch.x, lam, n, mean_l, mean_u, count=samples)
+    q, b = _quadratic_system(feats.T @ feats, feats.T @ batch.x, lam, per_agent=2, count=samples)
+    # Q is positive semidefinite, so the minimum-norm least-squares solution of
+    # Q v = b is a global minimizer, also when Q is singular (lam=0, single-cell
+    # scenarios)
+    v = np.linalg.lstsq(q, b, rcond=None)[0]
+    eps, delta = v[0::2], v[1::2]
+    return _shared_coefficients(eps, delta, -n * (eps * mean_l + delta * mean_u), n)
 
 
 def population_scores(law: LawMoments, coeffs: tuple[LinearCoefficients, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -647,7 +618,9 @@ def population_scores(law: LawMoments, coeffs: tuple[LinearCoefficients, ...]) -
         mse_j  = E[X^2] - 2*(v_j . E[X F_j] + c_j*E[X]) + v_j^T G_jj v_j + c_j^2,
         cns_jk = E[(v_j . F_j - v_k . F_k)^2] + (c_j - c_k)^2.
     Pairs come in np.triu_indices order, as `evaluate` reports them.  Every
-    agent's coefficients must be shared across its sensors.  Estimates too
+    agent's coefficients must be shared across its sensors.  The scores are
+    formed from Python floats over the 2x2 blocks of G, with no matrix
+    product, so their bits follow no BLAS or SIMD kernel.  Estimates too
     large for floats score inf or nan instead of raising.
     """
     mo = law.moments
@@ -657,17 +630,23 @@ def population_scores(law: LawMoments, coeffs: tuple[LinearCoefficients, ...]) -
     if any((c.eps != c.eps[0]).any() or (c.delta != c.delta[0]).any() for c in coeffs):
         raise ValueError("population scores need coefficients shared across each agent's sensors")
     n = coeffs[0].eps.size
-    v = np.array([[c.eps[0], c.delta[0]] for c in coeffs])
-    first, second = np.triu_indices(m, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        offset = np.array([c.gamma for c in coeffs]) + n * (v @ [mo.mean_l, mo.mean_u])
-        # quad[j, k] = v_j^T G_jk v_k
-        quad = np.einsum("ja,jakb,kb->jk", v, law.gram.reshape(m, 2, m, 2), v)
-        mse = (mo.var_x + mo.mean_x * mo.mean_x - 2.0 * ((v * law.target.reshape(m, 2)).sum(axis=1)
-               + offset * mo.mean_x) + np.diag(quad) + offset * offset)
-        cns = (quad[first, first] + quad[second, second] - 2.0 * quad[first, second]
-               + (offset[first] - offset[second]) ** 2)
-    return mse, cns
+    gram, target = law.gram.tolist(), law.target.tolist()
+    v = [(float(c.eps[0]), float(c.delta[0])) for c in coeffs]
+    offset = [float(c.gamma) + n * (e * mo.mean_l + d * mo.mean_u) for c, (e, d) in zip(coeffs, v)]
+
+    def quad(j: int, k: int) -> float:
+        # v_j^T G_jk v_k over the 2x2 block of agents j and k
+        (ej, dj), (ek, dk) = v[j], v[k]
+        row_l, row_u = gram[2 * j], gram[2 * j + 1]
+        return ej * (row_l[2 * k] * ek + row_l[2 * k + 1] * dk) + dj * (row_u[2 * k] * ek + row_u[2 * k + 1] * dk)
+
+    # Python floats overflow to inf and nan silently; squares are x * x, as ** raises
+    mse = [mo.var_x + mo.mean_x * mo.mean_x
+           - 2.0 * (e * target[2 * j] + d * target[2 * j + 1] + offset[j] * mo.mean_x)
+           + quad(j, j) + offset[j] * offset[j] for j, (e, d) in enumerate(v)]
+    cns = [quad(j, j) + quad(k, k) - 2.0 * quad(j, k) + (offset[j] - offset[k]) * (offset[j] - offset[k])
+           for j, k in itertools.combinations(range(m), 2)]
+    return np.array(mse), np.array(cns)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ subset tables or their e_k recurrence, so the oracle stays independent of
 the fusers it checks.
 
 `law_moments` gives the exact first and second moments of the trial law
-that fit-linear scores the linear fusers on, as finite sums over the
-precision lattices; it draws no trials.
+that fit-linear scores the linear fusers on, in closed form from lattice
+sums over the precisions (`_lattice_sums`, which `optimal.fit_linear_exact`
+reads too) in Python floats; it draws no trials.
 """
 
 from __future__ import annotations
@@ -236,63 +237,70 @@ class LawMoments:
     target: np.ndarray
 
 
+def _lattice_sums(x_max: int) -> tuple[float, float]:
+    """A = sum_p (1 - 1/p^2) and B = A^2 + sum_{p,q} (gcd(p,q)^2 - 1)/(p^2 q^2), over precisions 1..x_max.
+
+    They are the law's endpoint-sum moments up to scale: with S the sum of
+    one reading's two endpoints, E[S^2] = 4*x_max*A/3, and two readings of
+    one target, truthful at independent precisions, have E[S S'] = 4*B/3.
+    The cross term is Franel's integral of two sawtooth functions,
+    int_0^1 B1({pt}) B1({qt}) dt = gcd(p,q)^2/(12pq).  Each lattice term is
+    an integer ratio rounded once, and math.fsum rounds the exact sum of its
+    terms once, so the bits depend on no summation order and no BLAS or SIMD
+    kernel.  Terms are >= 0, so nothing cancels.  Time grows as x_max^2
+    (about 0.1 s at x_max = 1000); memory does not grow.
+    """
+    a = math.fsum((p * p - 1) / (p * p) for p in range(1, x_max + 1))
+    # pairs of coprime precisions add 0; (p, q) and (q, p) add one term twice
+    pairs = ((2 - (p == q)) * (g * g - 1) / (p * p * q * q)
+             for p in range(2, x_max + 1) for q in range(p, x_max + 1) if (g := math.gcd(p, q)) > 1)
+    return a, math.fsum(itertools.chain((a * a,), pairs))
+
+
 def law_moments(params: ScenarioParams) -> LawMoments:
     """The exact moments of the trial law at params, computed from the law; no trial is drawn.
 
     A reading has one marginal law whether truthful or faulty: a precision p
     uniform on 1..x_max, then each of its p cells with probability 1/p.  A
     truthful reading is shared by every agent and a faulty one is independent
-    of everything else; a sensor is truthful with probability (n-tau)/n and
-    two distinct sensors both are with probability (n-tau)(n-tau-1)/(n(n-1)).
-    For two truthful sensors E[l_p(X) l_q(X)] = E_X[g_L(X)^2] with
-    g_L(x) = E_p[l_p(x)], one step function on the union of the precision
-    lattices, and likewise for U.  The cell width u_p - l_p does not depend
-    on x, so g_U - E[U] = g_L - E[L]: the three distinct-sensor covariances
-    are one number, and so are cov_lx and cov_ux.  At n = 1 there is no
-    distinct pair, and the cross-sensor fields repeat the same-sensor ones,
-    as `optimal.estimate_moments` does.  Time and memory grow as x_max^2, the
-    number of cells over all precisions: on a 2-vCPU Intel Xeon host with
-    numpy 2.4.6, 0.06 s and a 54 MiB tracemalloc peak at x_max = 1000, 0.2-0.3 s
-    and 216 MiB at 2000, 1.1-1.5 s and 862 MiB at 4000, so scoring near
-    x_max = 10^4 needs several GiB.
+    of everything else; a sensor is truthful with probability keep =
+    (n-tau)/n and two distinct sensors both are with probability
+    both = (n-tau)(n-tau-1)/(n(n-1)).  Given p, the lower endpoint is
+    l = x_max*(2k/p - 1) with k uniform on 0..p-1, so E[l|p] = -x_max/p,
+    E[l^2|p] = x_max^2*(p^2+2)/(3p^2) and E[l u|p] = x_max^2*(p^2-4)/(3p^2),
+    and x -> -x maps l to -u.  With H = sum 1/p, Q = sum 1/p^2 over
+    p = 1..x_max and A, B from _lattice_sums:
+        mean_l = -H, mean_u = H,
+        var_l = var_u = x_max*(x_max + 2Q)/3 - H^2,
+        cov_lu_same = x_max*(x_max - 4Q)/3 + H^2,
+        cov_ll = cov_uu = cov_lu_cross = both*B/3,
+        cov_lx = cov_ux = keep*x_max*A/3,
+    where B/3 is the covariance of two truthful readings' endpoints, the
+    same for L, U and L with U since u - l does not depend on x.  At n = 1
+    there is no distinct pair, and the cross-sensor fields repeat the
+    same-sensor ones, as `optimal.estimate_moments` does.  Every field is
+    formed from Python ints and floats, H and Q with math.fsum, so its bits
+    follow no summation order and no BLAS or SIMD kernel; the Gram and
+    target are built elementwise from the fields.  Time grows as x_max^2,
+    the pairs of precisions that _lattice_sums visits; memory does not grow.
     """
     n, m, tau, x_max = params.n, params.m, params.tau, params.x_max
-    # every (precision, cell) pair: cell k = 0..p-1 of precision p is drawn with probability 1/(x_max*p)
-    prec = np.repeat(np.arange(1, x_max + 1), np.arange(1, x_max + 1))
-    cell = np.arange(prec.size) - (prec - 1) * prec // 2
-    width = 2.0 * x_max / prec
-    lo = -x_max + cell * width
-    hi = lo + width
-    weight = 1.0 / (x_max * prec)
-    mean_l, mean_u = weight @ lo, weight @ hi
-    dl, du = lo - mean_l, hi - mean_u
-    var_l, var_u, cov_lu = weight @ (dl * dl), weight @ (du * du), weight @ (dl * du)
-
-    # g_L on the union lattice, in units of (x + x_max) / (2 x_max): l_p steps
-    # up by its width at every inner cell edge k/p, so g_L by 2/p there; equal
-    # edges of different precisions only leave empty pieces
-    inner = cell > 0
-    edges = cell[inner] / prec[inner]
-    order = np.argsort(edges)
-    edges = np.concatenate([[0.0], edges[order], [1.0]])
-    centered = np.concatenate([[0.0], np.cumsum(2.0 / prec[inner][order])]) - x_max - mean_l
-    share = np.diff(edges)
-    mid_x = x_max * (edges[:-1] + edges[1:]) - x_max
-    truthful_cov = share @ (centered * centered)
-    truthful_cov_x = share @ (mid_x * centered)
+    harmonic = math.fsum(1.0 / p for p in range(1, x_max + 1))
+    inverse_squares = math.fsum(1.0 / (p * p) for p in range(1, x_max + 1))
+    a, b = _lattice_sums(x_max)
+    var = x_max * (x_max + 2.0 * inverse_squares) / 3.0 - harmonic * harmonic
+    cov_lu = x_max * (x_max - 4.0 * inverse_squares) / 3.0 + harmonic * harmonic
 
     keep = (n - tau) / n
     if n > 1:
         both = (n - tau) * (n - tau - 1) / (n * (n - 1))
-        cov_ll = cov_uu = cov_lu_cross = both * truthful_cov
+        cov_ll = cov_uu = cov_lu_cross = both * b / 3.0
     else:
-        cov_ll, cov_uu, cov_lu_cross = var_l, var_u, cov_lu
-    cov_x = keep * truthful_cov_x
+        cov_ll, cov_uu, cov_lu_cross = var, var, cov_lu
+    cov_x = keep * x_max * a / 3.0
     moments = MomentSet(
-        mean_x=0.0, var_x=x_max * x_max / 3.0, mean_l=float(mean_l), mean_u=float(mean_u),
-        var_l=float(var_l), cov_ll=float(cov_ll), var_u=float(var_u), cov_uu=float(cov_uu),
-        cov_lu_same=float(cov_lu), cov_lu_cross=float(cov_lu_cross), cov_lx=float(cov_x),
-        cov_ux=float(cov_x),
+        mean_x=0.0, var_x=x_max * x_max / 3.0, mean_l=-harmonic, mean_u=harmonic, var_l=var, cov_ll=cov_ll,
+        var_u=var, cov_uu=cov_uu, cov_lu_same=cov_lu, cov_lu_cross=cov_lu_cross, cov_lx=cov_x, cov_ux=cov_x,
     )
 
     # one sensor's readings at two agents are one reading when it is truthful and
@@ -300,7 +308,7 @@ def law_moments(params: ScenarioParams) -> LawMoments:
     # agent or at two
     nn1 = n * (n - 1)
     pair = nn1 * np.array([[cov_ll, cov_lu_cross], [cov_lu_cross, cov_uu]])
-    same = n * np.array([[var_l, cov_lu], [cov_lu, var_u]])
+    same = n * np.array([[var, cov_lu], [cov_lu, var]])
     agent = np.arange(2 * m) // 2
     gram = np.where(agent[:, None] == agent[None, :], np.tile(same + pair, (m, m)),
                     np.tile(keep * same + pair, (m, m)))

@@ -10,12 +10,14 @@ for a truthful sensor; fault mixing rescales the target covariances by
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +31,7 @@ from helpers import (
     reference_estimate_moments,
     reference_fit_linear_empirical,
     reference_fit_linear_lstsq,
+    reference_law_moments,
     reference_nelder_mead,
     reference_recipe_kernel,
 )
@@ -36,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from intervalfusion import optimal
+from intervalfusion import optimal, oracle
 from intervalfusion import (
     AlgorithmSpec,
     DirectionMoments,
@@ -1014,24 +1017,24 @@ class TestFitLinearExact:
                                 assert abs(want.gamma) <= 1e-12 * n * c * harmonic, cell
 
     def test_lattice_sums_are_the_law_moments(self):
-        # cov_lx = keep*x_max*A/3, cov_ll = both*B/3 and the variance of one
-        # reading's endpoint sum, var_l + 2*cov_lu_same + var_u = 4*x_max*A/3
+        # against the Fraction reference, since law_moments is built from
+        # them: cov_lx = keep*x_max*A/3, cov_ll = both*B/3 and the variance of
+        # one reading's endpoint sum, var_l + 2*cov_lu_same + var_u = 4*x_max*A/3
         for x_max in (1, 2, 3, 5, 20):
-            a, b = optimal._lattice_sums(x_max)
-            for n in (1, 2, 5, 10, 16):
+            a, b = oracle._lattice_sums(x_max)
+            for n in (2, 5, 10, 16):
                 for tau in range(n):
-                    mo = law_moments(ScenarioParams(n=n, m=2, tau=tau, x_max=x_max, seed=77)).moments
+                    mo, _, _ = reference_law_moments(n, 1, tau, x_max)
                     keep = (n - tau) / n
-                    assert mo.cov_lx == pytest.approx(keep * x_max * a / 3.0, rel=1e-12, abs=0.0)
-                    assert (mo.var_l + 2.0 * mo.cov_lu_same + mo.var_u
-                            == pytest.approx(4.0 * x_max * a / 3.0, rel=1e-12, abs=0.0))
-                    if n > 1:
-                        both = (n - tau) * (n - tau - 1) / (n * (n - 1))
-                        assert mo.cov_ll == pytest.approx(both * b / 3.0, rel=1e-12, abs=0.0)
+                    both = (n - tau) * (n - tau - 1) / (n * (n - 1))
+                    assert keep * x_max * a / 3.0 == pytest.approx(float(mo["cov_lx"]), rel=1e-12, abs=0.0)
+                    assert 4.0 * x_max * a / 3.0 == pytest.approx(
+                        float(mo["var_l"] + 2 * mo["cov_lu_same"] + mo["var_u"]), rel=1e-12, abs=0.0)
+                    assert both * b / 3.0 == pytest.approx(float(mo["cov_ll"]), rel=1e-12, abs=0.0)
 
     def test_large_lattice_is_quick_and_small(self):
-        # 500,500 cells at x_max = 1000, which law_moments holds in arrays;
-        # the closed form streams its lattice sums.  Timed without tracemalloc
+        # about 500,000 pairs of precisions at x_max = 1000, which the closed
+        # form streams through its lattice sums.  Timed without tracemalloc
         params = ScenarioParams(n=10, m=2, tau=3, x_max=1000, seed=78)
         start = time.perf_counter()
         fit = fit_linear_exact(params, 0.5)
@@ -1049,7 +1052,7 @@ class TestFitLinearExact:
             assert np.abs(np.concatenate([want.eps, want.delta]) - c).max() <= 1e-12 * c
 
     def test_builds_no_lattice_and_solves_nothing(self, monkeypatch):
-        # the scalar comes from Python ints and floats: no law_moments arrays
+        # the scalar comes from Python ints and floats: no law_moments call
         # and no BLAS or LAPACK call whose bits follow the host's kernel
         monkeypatch.setattr(optimal, "law_moments", mock.Mock(side_effect=AssertionError("built the lattice")))
         monkeypatch.setattr(np.linalg, "lstsq", mock.Mock(side_effect=AssertionError("called lstsq")))
@@ -1086,6 +1089,31 @@ class TestPopulationScores:
         report, = evaluate([AlgorithmSpec(kind="linear", coeffs=coeffs)], params, 20_000)
         assert np.all(np.abs(report.mse - mse) <= 4.0 * report.mse_stderr)
         assert np.all(np.abs(report.cns - cns) <= 4.0 * report.cns_stderr)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_equal_the_fraction_reference(self, m):
+        # mse and cns formed exactly from the Fraction reference's moments,
+        # Gram and target, at the scored coefficients
+        n, tau, x_max = 8, 2, 4
+        fields, gram, target = reference_law_moments(n, m, tau, x_max)
+        law = law_moments(ScenarioParams(n=n, m=m, tau=tau, x_max=x_max, seed=70))
+        coeffs = tuple(LinearCoefficients(np.full(n, e), np.full(n, d), g)
+                       for e, d, g in np.random.default_rng(m).normal(scale=0.1, size=(m, 3)))
+        v = [(Fraction(c.eps[0]), Fraction(c.delta[0])) for c in coeffs]
+        offset = [Fraction(c.gamma) + n * (e * fields["mean_l"] + d * fields["mean_u"]) for c, (e, d) in zip(coeffs, v)]
+
+        def quad(j, k):
+            return sum(v[j][a] * gram[2 * j + a][2 * k + b] * v[k][b] for a in range(2) for b in range(2))
+
+        mse, cns = population_scores(law, coeffs)
+        assert mse.shape == (m,) and cns.shape == (m * (m - 1) // 2,)
+        for j, (e, d) in enumerate(v):
+            want = (fields["var_x"] + fields["mean_x"] ** 2 + quad(j, j) + offset[j] ** 2
+                    - 2 * (e * target[2 * j] + d * target[2 * j + 1] + offset[j] * fields["mean_x"]))
+            assert mse[j] == pytest.approx(float(want), rel=1e-12, abs=0.0), j
+        for got, (j, k) in zip(cns, itertools.combinations(range(m), 2)):
+            want = quad(j, j) + quad(k, k) - 2 * quad(j, k) + (offset[j] - offset[k]) ** 2
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), (j, k)
 
     def test_constant_fusers_by_hand(self):
         # constant estimates c_j: mse_j = Var(X) + c_j^2 and cns = (c_j - c_k)^2

@@ -529,18 +529,21 @@ class TestLawMoments:
         assert moments.cov_lu_cross == moments.cov_lu_same
 
     def test_large_lattice_is_quick_and_small(self):
-        # 500,500 cells at x_max = 1000: time and memory grow as x_max^2
+        # about 500,000 pairs of precisions at x_max = 1000, summed one Python
+        # float at a time: time grows as x_max^2, memory not at all.  Timed
+        # without tracemalloc, which hooks every float the sums form
         params = ScenarioParams(n=10, m=2, tau=3, x_max=1000, seed=0)
+        start = time.perf_counter()
+        law = law_moments(params)
+        elapsed = time.perf_counter() - start
         tracemalloc.start()
         try:
-            start = time.perf_counter()
-            law = law_moments(params)
-            elapsed = time.perf_counter() - start
+            law_moments(params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert elapsed < 1.0, f"{elapsed:.2f} s"
-        assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
         # E[L] = -H(x_max), the harmonic number, by symmetry E[U] = H(x_max)
         harmonic = sum(1.0 / p for p in range(1, 1001))
         assert law.moments.mean_l == pytest.approx(-harmonic, rel=1e-12)

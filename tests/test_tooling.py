@@ -3,7 +3,7 @@
 The package root exports exactly its modules' public names, and the package
 imports without scipy, runs fit-linear without scipy, answers `python -m
 intervalfusion.cli --help`, runs the README's quick start, and writes a
-linear sweep's rows and fit-linear's coefficients with the same bytes under
+linear sweep's rows and fit-linear's whole JSON with the same bytes under
 every OpenBLAS kernel and numpy SIMD level the CPU can run, each in a fresh
 interpreter.
 """
@@ -344,7 +344,7 @@ def test_fit_linear_runs_without_scipy(tmp_path):
 
 # run in a fresh interpreter: tests/ and a scratch folder as arguments; prints
 # the hash of the least-squares reference fit's bytes on a grid, the hash of a
-# small linear sweep's CSV, fit-linear's coefficients and the hashes of two
+# small linear sweep's CSV, fit-linear's whole JSON and the hashes of two
 # small fuser sweeps' CSVs (the sorts and argsorts of the region kernels), as
 # one JSON line
 _KERNEL_PROBE = """
@@ -367,7 +367,6 @@ for tau in range(10):
             reference.update(c.eps.tobytes() + c.delta.tobytes() + float(c.gamma).hex().encode())
 assert main(["sweep", "--config", str(config)]) == 0
 assert main(["fit-linear", "--config", str(config), "--lambda", "0.5", "--out", str(folder / "fit.json")]) == 0
-fit = json.loads((folder / "fit.json").read_text())
 fusers = []
 for n, taus, algorithms in ((10, [1, 2, 3, 4, 5, 6, 7], ["marzullo", "bi", "gbi_oneopt"]),
                             (16, [4, 8, 12], ["gbi_oneopt", "marzullo"])):
@@ -378,7 +377,7 @@ for n, taus, algorithms in ((10, [1, 2, 3, 4, 5, 6, 7], ["marzullo", "bi", "gbi_
     fusers.append(hashlib.sha256(out.read_bytes()).hexdigest())
 print(json.dumps({"reference": reference.hexdigest(),
                   "rows": hashlib.sha256((folder / "rows.csv").read_bytes()).hexdigest(),
-                  "coefficients": [[entry["eps"], entry["delta"], entry["gamma"]] for entry in fit],
+                  "fit": (folder / "fit.json").read_text(),
                   "fusers": fusers}))
 """
 
@@ -412,11 +411,12 @@ def _kernel_environments():
 
 
 def test_linear_rows_and_fit_ignore_the_blas_and_simd_kernels(tmp_path):
-    # the sweep's linear fit is formed from Python ints and floats, so its
-    # rows and fit-linear's coefficients are the same bytes under every
-    # kernel, and so are the Marzullo, BI and region GBI rows; the
-    # least-squares route the fit replaced is the positive control that the
-    # settings take effect on this numpy build
+    # the sweep's linear fit, the law's moments and the population scores are
+    # formed from Python ints and floats, so the linear rows and fit-linear's
+    # whole JSON (coefficients, both objectives, the selection and its error)
+    # are the same bytes under every kernel, and so are the Marzullo, BI and
+    # region GBI rows; the least-squares route the fit replaced is the
+    # positive control that the settings take effect on this numpy build
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip(f"OPENBLAS_CORETYPE names x86-64 kernels; this host is {platform.machine()}")
     outputs = {}
@@ -432,5 +432,5 @@ def test_linear_rows_and_fit_ignore_the_blas_and_simd_kernels(tmp_path):
     first = next(iter(outputs.values()))
     for name, out in outputs.items():
         assert out["rows"] == first["rows"], name
-        assert out["coefficients"] == first["coefficients"], name
+        assert out["fit"] == first["fit"], name
         assert out["fusers"] == first["fusers"], name
