@@ -13,15 +13,17 @@ on the sample moments of a fitting batch.  On the exact law the law's
 symmetries reduce its minimizer to one scalar per (tau, lambda), and
 fit_linear_exact returns that scalar in closed form, from the two sums over
 the precision lattice that oracle.law_moments is built from too
-(oracle._lattice_sums), in Python ints and floats: no linear solve, no BLAS
-call, the same bits on every host.  For two
-agents there is also a closed-form moment recipe (solve_linear_two_agent);
-it is implemented exactly as published even though parts of it look
-inconsistent, so a selection cross-checks it against the fit, which serves
-as the authority when they disagree.  select_linear_exact, which the
-fit-linear command runs, feeds the recipe the exact moments and scores both
-candidates on the exact population objective (population_scores), all in
-Python floats, so its output follows no BLAS or SIMD kernel either;
+(oracle._lattice_sums, cached, so a process forms them once per x_max), in
+Python ints and floats: no linear solve, no BLAS call, the same bits on
+every host.  For two agents there is also a closed-form moment recipe
+(solve_linear_two_agent); it is implemented exactly as published even
+though parts of it look inconsistent, so a selection cross-checks it
+against the fit, which serves as the authority when they disagree.
+select_linear_exact, which the fit-linear command runs, feeds the recipe
+the law's exact MomentSet (oracle.law_moments) and scores both candidates
+on the exact population objective, whose Gram blocks population_scores
+forms from that same MomentSet, all in Python floats, so its output
+follows no BLAS or SIMD kernel either;
 select_linear_coefficients is its sampled view, drawing moment, fitting and
 validation batches from a random stream and scoring on the validation batch
 with metrics.empirical_objective.  Sweeps take fit_linear_exact alone: the
@@ -43,7 +45,7 @@ import numpy as np
 
 from .fusion import LinearCoefficients
 from .metrics import _check_lam, _objective_per_trial, empirical_objective
-from .oracle import LawMoments, MomentSet, _lattice_sums, law_moments
+from .oracle import MomentSet, _lattice_sums, law_moments
 from .scenario import ScenarioParams, sample_batch
 
 __all__ = [
@@ -482,7 +484,7 @@ def solve_linear_two_agent(
     This recipe is kept verbatim; on realistic moments its objective can be
     unbounded below near the |z| = 1 wall, which makes the returned point a
     search artifact.  Always validate the result against fit_linear_exact on
-    the exact population objective (population_scores on law_moments), as
+    the exact population objective (population_scores), as
     select_linear_exact does, before using it.
     """
     if not 0.0 < lam < 1.0:
@@ -558,8 +560,10 @@ def fit_linear_exact(params: ScenarioParams, lam: float) -> tuple[LinearCoeffici
     agents' readings coincide), c = 0, the minimum-norm minimizer that a
     least-squares solve returns.  The value is formed from Python ints and
     floats only, so its bits do not depend on the host's BLAS or SIMD
-    kernels.  No trial is drawn.  Needs m >= 2: at m = 1 the consensus term
-    has no pairs.
+    kernels.  No trial is drawn.  The lattice sums take time x_max^2 the
+    first time an x_max is fitted and are cached, so a sweep or a
+    fit-linear run forms them once per x_max.  Needs m >= 2: at m = 1 the
+    consensus term has no pairs.
     """
     _check_fit(params, lam)
     n, m, tau, x_max = params.n, params.m, params.tau, params.x_max
@@ -609,44 +613,54 @@ def fit_linear_empirical(
     return _shared_coefficients(eps, delta, -n * (eps * mean_l + delta * mean_u), n)
 
 
-def population_scores(law: LawMoments, coeffs: tuple[LinearCoefficients, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-agent mse and per-pair cns of shared-coefficient linear fusers under the law.
+def population_scores(params: ScenarioParams,
+                      coeffs: tuple[LinearCoefficients, ...]) -> tuple[list[float], list[float]]:
+    """Exact per-agent mse and per-pair cns of shared-coefficient linear fusers under the law at params.
 
     Agent j's estimate is v_j . F_j + c_j with v_j = (eps_j, delta_j), F_j
     its centered endpoint-sum features and c_j = gamma_j +
-    n*(eps_j*E[L] + delta_j*E[U]), so with G = law.gram
+    n*(eps_j*E[L] + delta_j*E[U]), so with G_jk = E[F_j F_k^T]
         mse_j  = E[X^2] - 2*(v_j . E[X F_j] + c_j*E[X]) + v_j^T G_jj v_j + c_j^2,
         cns_jk = E[(v_j . F_j - v_k . F_k)^2] + (c_j - c_k)^2.
-    Pairs come in np.triu_indices order, as `evaluate` reports them.  Every
-    agent's coefficients must be shared across its sensors.  The scores are
-    formed from Python floats over the 2x2 blocks of G, with no matrix
-    product, so their bits follow no BLAS or SIMD kernel.  Estimates too
-    large for floats score inf or nan instead of raising.
+    The 2x2 blocks come from law_moments(params): one sensor's readings at
+    two agents are one reading when it is truthful (probability keep =
+    (n-tau)/n) and independent when faulty, and two distinct sensors covary
+    alike at one agent or at two, so with same = [[var_l, cov_lu_same],
+    [cov_lu_same, var_u]] and pair = [[cov_ll, cov_lu_cross], [cov_lu_cross,
+    cov_uu]], G_jj = n*same + n(n-1)*pair, G_jk = keep*(n*same) +
+    n(n-1)*pair for j != k, and E[X F_j] = (n*cov_lx, n*cov_ux).  Pairs come
+    in np.triu_indices order, as `evaluate` reports them.  Every agent's
+    coefficients must be shared across its sensors.  The scores are Python
+    floats, formed with no matrix product, so their bits follow no BLAS or
+    SIMD kernel.  Estimates too large for floats score inf or nan instead of
+    raising.
     """
-    mo = law.moments
-    m = law.target.size // 2
+    n, m = params.n, params.m
     if len(coeffs) != m:
         raise ValueError(f"need one coefficient set per agent ({m}), got {len(coeffs)}")
     if any((c.eps != c.eps[0]).any() or (c.delta != c.delta[0]).any() for c in coeffs):
         raise ValueError("population scores need coefficients shared across each agent's sensors")
-    n = coeffs[0].eps.size
-    gram, target = law.gram.tolist(), law.target.tolist()
+    mo = law_moments(params)
+    nn1 = n * (n - 1)
+    # (LL, LU, UU) of G_jk, indexed by j == k; scaling by 1.0 changes no bit
+    blocks = [(s * (n * mo.var_l) + nn1 * mo.cov_ll, s * (n * mo.cov_lu_same) + nn1 * mo.cov_lu_cross,
+               s * (n * mo.var_u) + nn1 * mo.cov_uu) for s in ((n - params.tau) / n, 1.0)]
     v = [(float(c.eps[0]), float(c.delta[0])) for c in coeffs]
     offset = [float(c.gamma) + n * (e * mo.mean_l + d * mo.mean_u) for c, (e, d) in zip(coeffs, v)]
 
     def quad(j: int, k: int) -> float:
-        # v_j^T G_jk v_k over the 2x2 block of agents j and k
+        # v_j^T G_jk v_k
         (ej, dj), (ek, dk) = v[j], v[k]
-        row_l, row_u = gram[2 * j], gram[2 * j + 1]
-        return ej * (row_l[2 * k] * ek + row_l[2 * k + 1] * dk) + dj * (row_u[2 * k] * ek + row_u[2 * k + 1] * dk)
+        ll, lu, uu = blocks[j == k]
+        return ej * (ll * ek + lu * dk) + dj * (lu * ek + uu * dk)
 
     # Python floats overflow to inf and nan silently; squares are x * x, as ** raises
     mse = [mo.var_x + mo.mean_x * mo.mean_x
-           - 2.0 * (e * target[2 * j] + d * target[2 * j + 1] + offset[j] * mo.mean_x)
+           - 2.0 * (e * (n * mo.cov_lx) + d * (n * mo.cov_ux) + offset[j] * mo.mean_x)
            + quad(j, j) + offset[j] * offset[j] for j, (e, d) in enumerate(v)]
     cns = [quad(j, j) + quad(k, k) - 2.0 * quad(j, k) + (offset[j] - offset[k]) * (offset[j] - offset[k])
            for j, k in itertools.combinations(range(m), 2)]
-    return np.array(mse), np.array(cns)
+    return mse, cns
 
 
 @dataclass(frozen=True)
@@ -705,21 +719,20 @@ def _select(
 def select_linear_exact(params: ScenarioParams, lam: float) -> LinearSelection:
     """Fit linear fusers on the exact law and pick the moment recipe's only when it holds up.
 
-    The recipe runs on the law's exact MomentSet (at m=2), the fit is
-    fit_linear_exact, and both candidates are scored on the exact population
-    objective (population_scores); the recipe is selected when its objective
-    is within 5% of the fit's, otherwise the fit is returned and the
-    substitution recorded.  No trial is drawn, so the result depends on
-    params only through n, m, tau and x_max.
+    The recipe runs on law_moments(params), the law's exact MomentSet (at
+    m=2), the fit is fit_linear_exact, and both candidates are scored on
+    the exact population objective (population_scores); the recipe is
+    selected when its objective is within 5% of the fit's, otherwise the
+    fit is returned and the substitution recorded.  No trial is drawn, so
+    the result depends on params only through n, m, tau and x_max.
     """
     _check_fit(params, lam)
-    law = law_moments(params)
 
     def score(coeffs: tuple[LinearCoefficients, ...]) -> float:
-        mse, cns = population_scores(law, coeffs)
-        return float(_objective_per_trial(mse[:, None], cns[:, None], lam)[0])
+        mse, cns = population_scores(params, coeffs)
+        return float(_objective_per_trial(np.array(mse)[:, None], np.array(cns)[:, None], lam)[0])
 
-    return _select(params, lam, law.moments, fit_linear_exact(params, lam), score)
+    return _select(params, lam, law_moments(params), fit_linear_exact(params, lam), score)
 
 
 def select_linear_coefficients(

@@ -17,10 +17,12 @@ fault patterns come from `itertools.combinations` here, not from the fusers'
 subset tables or their e_k recurrence, so the oracle stays independent of
 the fusers it checks.
 
-`law_moments` gives the exact first and second moments of the trial law
-that fit-linear scores the linear fusers on, in closed form from lattice
-sums over the precisions (`_lattice_sums`, which `optimal.fit_linear_exact`
-reads too) in Python floats; it draws no trials.
+`law_moments` gives the trial law's exact `MomentSet`, the type that
+`optimal.estimate_moments` samples: fit-linear feeds it to the two-agent
+recipe and scores the linear fusers on it (`optimal.population_scores`).  It
+is formed in closed form, in Python floats, from lattice sums over the
+precisions (`_lattice_sums`, cached per x_max, which
+`optimal.fit_linear_exact` reads too); it draws no trials.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "InconsistentReadingsError",
     "PiecewiseDensity",
     "MomentSet",
-    "LawMoments",
     "implied_precision",
     "posterior_rows",
     "posterior_density",
@@ -222,21 +223,7 @@ class MomentSet:
             raise ValueError("variances must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LawMoments:
-    """Exact moments of the trial law, and of the linear fits' per-agent features.
-
-    moments holds agent 1's `MomentSet`, its fields Python floats.  gram is
-    the (2m, 2m) matrix E[F F^T] of the features F_j = (sum L_j - n*E[L],
-    sum U_j - n*E[U]) of agents j = 1..m, in the order (F_1L, F_1U, ...,
-    F_mL, F_mU), and target is E[X F] in the same order.
-    """
-
-    moments: MomentSet
-    gram: np.ndarray
-    target: np.ndarray
-
-
+@lru_cache(maxsize=64)
 def _lattice_sums(x_max: int) -> tuple[float, float]:
     """A = sum_p (1 - 1/p^2) and B = A^2 + sum_{p,q} (gcd(p,q)^2 - 1)/(p^2 q^2), over precisions 1..x_max.
 
@@ -248,7 +235,8 @@ def _lattice_sums(x_max: int) -> tuple[float, float]:
     an integer ratio rounded once, and math.fsum rounds the exact sum of its
     terms once, so the bits depend on no summation order and no BLAS or SIMD
     kernel.  Terms are >= 0, so nothing cancels.  Time grows as x_max^2
-    (about 0.1 s at x_max = 1000); memory does not grow.
+    (about 0.1 s at x_max = 1000) and memory does not grow; the sums are
+    cached, so a process forms them once per x_max.
     """
     a = math.fsum((p * p - 1) / (p * p) for p in range(1, x_max + 1))
     # pairs of coprime precisions add 0; (p, q) and (q, p) add one term twice
@@ -257,8 +245,8 @@ def _lattice_sums(x_max: int) -> tuple[float, float]:
     return a, math.fsum(itertools.chain((a * a,), pairs))
 
 
-def law_moments(params: ScenarioParams) -> LawMoments:
-    """The exact moments of the trial law at params, computed from the law; no trial is drawn.
+def law_moments(params: ScenarioParams) -> MomentSet:
+    """The exact MomentSet of the trial law at params, computed from the law; no trial is drawn.
 
     A reading has one marginal law whether truthful or faulty: a precision p
     uniform on 1..x_max, then each of its p cells with probability 1/p.  A
@@ -278,13 +266,14 @@ def law_moments(params: ScenarioParams) -> LawMoments:
     where B/3 is the covariance of two truthful readings' endpoints, the
     same for L, U and L with U since u - l does not depend on x.  At n = 1
     there is no distinct pair, and the cross-sensor fields repeat the
-    same-sensor ones, as `optimal.estimate_moments` does.  Every field is
-    formed from Python ints and floats, H and Q with math.fsum, so its bits
-    follow no summation order and no BLAS or SIMD kernel; the Gram and
-    target are built elementwise from the fields.  Time grows as x_max^2,
-    the pairs of precisions that _lattice_sums visits; memory does not grow.
+    same-sensor ones, as `optimal.estimate_moments` does.  The result
+    depends on params only through n, tau and x_max.  Every field is formed
+    from Python ints and floats, H and Q with math.fsum, so its bits follow
+    no summation order and no BLAS or SIMD kernel.  The first call at an
+    x_max takes time x_max^2, the pairs of precisions that _lattice_sums
+    visits, and later ones time x_max; memory does not grow.
     """
-    n, m, tau, x_max = params.n, params.m, params.tau, params.x_max
+    n, tau, x_max = params.n, params.tau, params.x_max
     harmonic = math.fsum(1.0 / p for p in range(1, x_max + 1))
     inverse_squares = math.fsum(1.0 / (p * p) for p in range(1, x_max + 1))
     a, b = _lattice_sums(x_max)
@@ -298,18 +287,7 @@ def law_moments(params: ScenarioParams) -> LawMoments:
     else:
         cov_ll, cov_uu, cov_lu_cross = var, var, cov_lu
     cov_x = keep * x_max * a / 3.0
-    moments = MomentSet(
+    return MomentSet(
         mean_x=0.0, var_x=x_max * x_max / 3.0, mean_l=-harmonic, mean_u=harmonic, var_l=var, cov_ll=cov_ll,
         var_u=var, cov_uu=cov_uu, cov_lu_same=cov_lu, cov_lu_cross=cov_lu_cross, cov_lx=cov_x, cov_ux=cov_x,
     )
-
-    # one sensor's readings at two agents are one reading when it is truthful and
-    # independent when faulty; two distinct sensors covary as cov_ll etc. at one
-    # agent or at two
-    nn1 = n * (n - 1)
-    pair = nn1 * np.array([[cov_ll, cov_lu_cross], [cov_lu_cross, cov_uu]])
-    same = n * np.array([[var, cov_lu], [cov_lu, var]])
-    agent = np.arange(2 * m) // 2
-    gram = np.where(agent[:, None] == agent[None, :], np.tile(same + pair, (m, m)),
-                    np.tile(keep * same + pair, (m, m)))
-    return LawMoments(moments=moments, gram=gram, target=np.full(2 * m, n * moments.cov_lx))

@@ -19,10 +19,10 @@ The moment estimates and the linear fit here are literal copies of the
 package's formulas before their products and sensor sums were formed once,
 in place: every endpoint product is formed again for its row sums, and each
 agent's sensor sums come from `sum(axis=1)`.  The exact fit here is the
-package's before it took its closed form: `oracle.law_moments`' Gram and
-target, the quadratic system of `optimal._quadratic_system` and the
-minimum-norm solution of `np.linalg.lstsq`, whose last bits follow the
-BLAS kernel.
+package's before it took its closed form, on the Fraction reference's Gram
+and target rounded to floats: the quadratic system of
+`optimal._quadratic_system` and the minimum-norm solution of
+`np.linalg.lstsq`, whose last bits follow the BLAS kernel.
 
 The two-agent recipe's search engine, objective kernel and root formula
 here are literal copies of the package's before the engine held its simplex
@@ -35,6 +35,7 @@ The law's exact moments here are a `fractions.Fraction` reference for
 `oracle.law_moments`, built another way: every pair of cells of two
 truthful readings is enumerated with the length of their overlap, and the
 feature Gram sums the covariance of every (sensor, agent) pair of endpoints.
+The linear fusers' exact mse and cns are formed from that Gram and target.
 
 The quadratic objective here is reconstructed from direction moments alone,
 independently of the solver code: with unit-variance zero-mean directions
@@ -47,6 +48,7 @@ and the objective is lam * sum_j accuracy_j plus (1-lam)/(m-1) times the sum
 of gap over unordered pairs.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -183,12 +185,13 @@ def reference_fit_linear_empirical(params, lam, samples, rng):
 
 
 def reference_fit_linear_lstsq(params, lam):
-    """`fit_linear_exact` as a least-squares solve of the quadratic system on `law_moments`."""
-    law = oracle.law_moments(params)
-    q, b = optimal._quadratic_system(law.gram, law.target, lam, per_agent=2)
+    """`fit_linear_exact` as a least-squares solve of the quadratic system on `reference_law_moments`."""
+    fields, gram, target = reference_law_moments(params.n, params.m, params.tau, params.x_max)
+    gram = np.array([[float(g) for g in row] for row in gram])
+    q, b = optimal._quadratic_system(gram, np.array([float(t) for t in target]), lam, per_agent=2)
     v = np.linalg.lstsq(q, b, rcond=None)[0]
     eps, delta = v[0::2], v[1::2]
-    gamma = -params.n * (eps * law.moments.mean_l + delta * law.moments.mean_u)
+    gamma = -params.n * (eps * float(fields["mean_l"]) + delta * float(fields["mean_u"]))
     return optimal._shared_coefficients(eps, delta, gamma, params.n)
 
 
@@ -349,13 +352,20 @@ def _reading_law(x_max):
     return one, two
 
 
+@functools.cache
 def reference_law_moments(n, m, tau, x_max):
-    """MomentSet fields, feature Gram and E[X F] of the law at (n, m, tau, x_max), as Fractions."""
+    """MomentSet fields, feature Gram and E[X F] of the law at (n, m, tau, x_max), as Fractions.
+
+    At n = 1 the cross-sensor fields repeat the same-sensor ones, the
+    package's convention when there is no distinct pair.  Cached: callers
+    read the result and never change it.
+    """
     one, two = _reading_law(x_max)
     keep = Fraction(n - tau, n)
-    both = Fraction((n - tau) * (n - tau - 1), n * (n - 1))
+    both = Fraction((n - tau) * (n - tau - 1), n * (n - 1)) if n > 1 else None
     mean = {"L": one["L"], "U": one["U"]}
 
+    @functools.cache
     def cov(a, b, same_sensor, same_agent):
         """Cov(A_ij, B_i'k) of endpoints a, b of sensors i, i' at agents j, k."""
         key = a + b if a + b in one else b + a
@@ -367,18 +377,42 @@ def reference_law_moments(n, m, tau, x_max):
 
     fields = dict(
         mean_x=Fraction(0), var_x=Fraction(x_max * x_max, 3), mean_l=one["L"], mean_u=one["U"],
-        var_l=cov("L", "L", True, True), cov_ll=cov("L", "L", False, True),
-        var_u=cov("U", "U", True, True), cov_uu=cov("U", "U", False, True),
-        cov_lu_same=cov("L", "U", True, True), cov_lu_cross=cov("L", "U", False, True),
+        var_l=cov("L", "L", True, True), cov_ll=cov("L", "L", n == 1, True),
+        var_u=cov("U", "U", True, True), cov_uu=cov("U", "U", n == 1, True),
+        cov_lu_same=cov("L", "U", True, True), cov_lu_cross=cov("L", "U", n == 1, True),
         cov_lx=keep * one["XL"], cov_ux=keep * one["XU"],
     )
     features = [(j, a) for j in range(m) for a in "LU"]
+    # every ordered pair of sensors (i, k), counted by whether i == k
+    sensor_pairs = collections.Counter(i == k for i in range(n) for k in range(n))
     gram = [
-        [sum(cov(a, b, i == k, j == l) for i in range(n) for k in range(n)) for l, b in features]
+        [sum(count * cov(a, b, same, j == l) for same, count in sensor_pairs.items()) for l, b in features]
         for j, a in features
     ]
     target = [n * keep * one["X" + a] for _, a in features]
     return fields, gram, target
+
+
+def reference_population_scores(n, tau, x_max, coeffs):
+    """Exact per-agent mse and per-pair cns of shared-coefficient fusers, from `reference_law_moments`, as Fractions.
+
+    Each score is formed from the Gram and target as a quadratic form in the
+    coefficients, read as the Fractions of their float values.
+    """
+    m = len(coeffs)
+    fields, gram, target = reference_law_moments(n, m, tau, x_max)
+    v = [(Fraction(c.eps[0]), Fraction(c.delta[0])) for c in coeffs]
+    offset = [Fraction(c.gamma) + n * (e * fields["mean_l"] + d * fields["mean_u"]) for c, (e, d) in zip(coeffs, v)]
+
+    def quad(j, k):
+        return sum(v[j][a] * gram[2 * j + a][2 * k + b] * v[k][b] for a in range(2) for b in range(2))
+
+    mse = [fields["var_x"] + fields["mean_x"] ** 2 + quad(j, j) + offset[j] ** 2
+           - 2 * (e * target[2 * j] + d * target[2 * j + 1] + offset[j] * fields["mean_x"])
+           for j, (e, d) in enumerate(v)]
+    cns = [quad(j, j) + quad(k, k) - 2 * quad(j, k) + (offset[j] - offset[k]) ** 2
+           for j, k in itertools.combinations(range(m), 2)]
+    return mse, cns
 
 
 def reference_delta_roots(xi1: float, xi2: float, xi3: float) -> tuple[float, ...]:

@@ -10,14 +10,12 @@ for a truthful sensor; fault mixing rescales the target covariances by
 """
 
 import dataclasses
-import itertools
 import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -33,6 +31,7 @@ from helpers import (
     reference_fit_linear_lstsq,
     reference_law_moments,
     reference_nelder_mead,
+    reference_population_scores,
     reference_recipe_kernel,
 )
 from hypothesis import given, settings
@@ -62,6 +61,7 @@ from intervalfusion import (
     select_linear_exact,
     solve_linear_two_agent,
 )
+from intervalfusion.cli import RunConfig, run_fit_linear, run_sweep
 from intervalfusion.fusion import linear_rows
 from intervalfusion.metrics import _objective_per_trial
 from intervalfusion.scenario import ReadingRows, TrialBatch
@@ -690,7 +690,7 @@ class TestNelderMead:
         # feeds the recipe; on sampled moments, run to maxiter 600 their
         # searches took 30,081-37,190 evaluations, and the fixed-point stop
         # about 9,400
-        moments = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=4242)).moments
+        moments = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=4242))
         calls = 0
         search = optimal._recipe_search
 
@@ -731,7 +731,7 @@ def assert_same_kernel(moments, lam, n, points):
             assert kernel_bits(got) == kernel_bits(want), (e1, e2, got, want)
 
 
-SWEEP_FIT_MOMENTS = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=4242)).moments
+SWEEP_FIT_MOMENTS = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=4242))
 
 
 @st.composite
@@ -929,9 +929,31 @@ class TestFitLinearEmpirical:
             fit_linear_empirical(bad, 0.5, 10_000, np.random.default_rng(0))
 
 
-def population_objective(law, coeffs, lam):
-    mse, cns = population_scores(law, coeffs)
-    return float(_objective_per_trial(mse[:, None], cns[:, None], lam)[0])
+def population_objective(params, coeffs, lam):
+    mse, cns = population_scores(params, coeffs)
+    return float(_objective_per_trial(np.array(mse)[:, None], np.array(cns)[:, None], lam)[0])
+
+
+def amplitude_scalars(params, lam):
+    """fit_linear_exact's per-agent c by the amplitude theorem, on law_moments' fields.
+
+    The directions are the agents' endpoint sums S_j, centred and scaled to
+    unit variance, so agent j's estimate c_j*f_j is (c_j / sd(S)) * S_j: one
+    sensor's sum covaries with itself at one agent fully and at two agents
+    by keep = (n-tau)/n, and two distinct sensors' sums alike at one agent
+    or at two.
+    """
+    mo = law_moments(params)
+    n, m = params.n, params.m
+    one = mo.var_l + 2.0 * mo.cov_lu_same + mo.var_u
+    two = mo.cov_ll + 2.0 * mo.cov_lu_cross + mo.cov_uu
+    var_s = n * one + n * (n - 1) * two
+    cov_s = (n - params.tau) / n * n * one + n * (n - 1) * two
+    sd = math.sqrt(var_s)
+    cross = np.full((m, m), cov_s / var_s)
+    np.fill_diagonal(cross, 1.0)
+    dm = DirectionMoments(cross=cross, target=np.full(m, n * (mo.cov_lx + mo.cov_ux) / sd))
+    return (amplitude_solution(dm, mo.mean_x, lam).c / sd).tolist()
 
 
 def shared(n, point, mean_l, mean_u):
@@ -982,23 +1004,23 @@ class TestFitLinearExact:
         # +-1% bumps of the exact one never score lower on the law
         for m in (2, 3, 4):
             params = ScenarioParams(n=6, m=m, tau=2, x_max=5, seed=63)
-            law = law_moments(params)
-            mean_l, mean_u = law.moments.mean_l, law.moments.mean_u
+            moments = law_moments(params)
             fit = fit_linear_exact(params, lam)
-            base = population_objective(law, fit, lam)
+            base = population_objective(params, fit, lam)
             sampled = fit_linear_empirical(params, lam, 10_000, np.random.default_rng(m))
-            assert population_objective(law, sampled, lam) >= base
+            assert population_objective(params, sampled, lam) >= base
             point = np.array([[c.eps[0], c.delta[0]] for c in fit])
             for j in range(m):
                 for c in range(2):
                     for sign in (1.0, -1.0):
                         bumped = point.copy()
                         bumped[j, c] *= 1.0 + sign * 0.01
-                        assert population_objective(law, shared(6, bumped, mean_l, mean_u), lam) >= base * (1 - 1e-12)
+                        bumped_fit = shared(6, bumped, moments.mean_l, moments.mean_u)
+                        assert population_objective(params, bumped_fit, lam) >= base * (1 - 1e-12)
 
     def test_closed_form_is_the_lstsq_solution(self):
-        # the least-squares solve of the full 2m x 2m system on the law's Gram
-        # finds the closed form's scalar to rounding, with the intercepts'
+        # the least-squares solve of the full 2m x 2m system on the Fraction
+        # reference's Gram finds the closed form's scalar to rounding, with the intercepts'
         # cancelling terms left over; where the closed form is 0 it is 0 too
         for m in (2, 3, 4):
             for n in (1, 2, 5, 10, 16):
@@ -1034,22 +1056,50 @@ class TestFitLinearExact:
 
     def test_large_lattice_is_quick_and_small(self):
         # about 500,000 pairs of precisions at x_max = 1000, which the closed
-        # form streams through its lattice sums.  Timed without tracemalloc
+        # form streams through its lattice sums.  The sums are cached per
+        # x_max, so each measured call starts from an empty cache.  Timed
+        # without tracemalloc
         params = ScenarioParams(n=10, m=2, tau=3, x_max=1000, seed=78)
+        oracle._lattice_sums.cache_clear()
         start = time.perf_counter()
         fit = fit_linear_exact(params, 0.5)
         elapsed = time.perf_counter() - start
+        oracle._lattice_sums.cache_clear()
         tracemalloc.start()
         try:
             fit_linear_exact(params, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert oracle._lattice_sums.cache_info().misses == 1
         assert elapsed < 0.5, f"{elapsed:.2f} s"
         assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
-        c = fit[0].eps[0]
-        for want in reference_fit_linear_lstsq(params, 0.5):
-            assert np.abs(np.concatenate([want.eps, want.delta]) - c).max() <= 1e-12 * c
+        # the Fraction reference cannot enumerate this lattice's cells; the
+        # amplitude theorem on law_moments' fields stands in for it
+        assert amplitude_scalars(params, 0.5) == pytest.approx([c.eps[0] for c in fit], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_equals_the_amplitude_solution_on_the_law(self, m):
+        # the amplitude theorem with the unit-variance endpoint sums as
+        # directions, on the law's own fields, gives the closed form's c
+        for n, tau, x_max in ((10, 3, 5), (6, 0, 4), (5, 4, 20), (2, 1, 3), (16, 7, 40)):
+            params = ScenarioParams(n=n, m=m, tau=tau, x_max=x_max, seed=80)
+            for lam in (0.1, 0.5, 0.9, 1.0):
+                want = [c.eps[0] for c in fit_linear_exact(params, lam)]
+                assert amplitude_scalars(params, lam) == pytest.approx(want, rel=1e-12, abs=0.0), (n, tau, x_max, lam)
+
+    def test_sweep_and_fit_linear_form_the_lattice_sums_once(self):
+        # three lambdas over seven taus: 21 fits in a sweep, and seven
+        # selections in fit-linear, each of which reads the sums twice, run
+        # the uncached body once per x_max
+        config = RunConfig(n=10, m=2, x_max=7, seed=81, taus=tuple(range(1, 8)), lambdas=(0.1, 0.5, 0.9),
+                           algorithms=("linear",), trials=100, output_path="unused.csv", format="csv")
+        for run in (run_sweep, lambda config: run_fit_linear(config, 0.5)):
+            oracle._lattice_sums.cache_clear()
+            run(config)
+            assert oracle._lattice_sums.cache_info().misses == 1
+            run(dataclasses.replace(config, x_max=8))
+            assert oracle._lattice_sums.cache_info().misses == 2
 
     def test_builds_no_lattice_and_solves_nothing(self, monkeypatch):
         # the scalar comes from Python ints and floats: no law_moments call
@@ -1081,11 +1131,10 @@ class TestFitLinearExact:
 class TestPopulationScores:
     def test_match_evaluate_within_four_standard_errors(self):
         params = ScenarioParams(n=8, m=3, tau=2, x_max=4, seed=67)
-        law = law_moments(params)
         rng = np.random.default_rng(3)
         coeffs = tuple(LinearCoefficients(np.full(8, e), np.full(8, d), g)
                        for e, d, g in rng.normal(scale=0.1, size=(3, 3)))
-        mse, cns = population_scores(law, coeffs)
+        mse, cns = population_scores(params, coeffs)
         report, = evaluate([AlgorithmSpec(kind="linear", coeffs=coeffs)], params, 20_000)
         assert np.all(np.abs(report.mse - mse) <= 4.0 * report.mse_stderr)
         assert np.all(np.abs(report.cns - cns) <= 4.0 * report.cns_stderr)
@@ -1095,47 +1144,36 @@ class TestPopulationScores:
         # mse and cns formed exactly from the Fraction reference's moments,
         # Gram and target, at the scored coefficients
         n, tau, x_max = 8, 2, 4
-        fields, gram, target = reference_law_moments(n, m, tau, x_max)
-        law = law_moments(ScenarioParams(n=n, m=m, tau=tau, x_max=x_max, seed=70))
         coeffs = tuple(LinearCoefficients(np.full(n, e), np.full(n, d), g)
                        for e, d, g in np.random.default_rng(m).normal(scale=0.1, size=(m, 3)))
-        v = [(Fraction(c.eps[0]), Fraction(c.delta[0])) for c in coeffs]
-        offset = [Fraction(c.gamma) + n * (e * fields["mean_l"] + d * fields["mean_u"]) for c, (e, d) in zip(coeffs, v)]
-
-        def quad(j, k):
-            return sum(v[j][a] * gram[2 * j + a][2 * k + b] * v[k][b] for a in range(2) for b in range(2))
-
-        mse, cns = population_scores(law, coeffs)
-        assert mse.shape == (m,) and cns.shape == (m * (m - 1) // 2,)
-        for j, (e, d) in enumerate(v):
-            want = (fields["var_x"] + fields["mean_x"] ** 2 + quad(j, j) + offset[j] ** 2
-                    - 2 * (e * target[2 * j] + d * target[2 * j + 1] + offset[j] * fields["mean_x"]))
-            assert mse[j] == pytest.approx(float(want), rel=1e-12, abs=0.0), j
-        for got, (j, k) in zip(cns, itertools.combinations(range(m), 2)):
-            want = quad(j, j) + quad(k, k) - 2 * quad(j, k) + (offset[j] - offset[k]) ** 2
-            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), (j, k)
+        mse, cns = population_scores(ScenarioParams(n=n, m=m, tau=tau, x_max=x_max, seed=70), coeffs)
+        want_mse, want_cns = reference_population_scores(n, tau, x_max, coeffs)
+        assert len(mse) == m and len(cns) == m * (m - 1) // 2
+        assert all(type(score) is float for score in mse + cns)
+        for j, (got, want) in enumerate(zip(mse + cns, want_mse + want_cns)):
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0), j
 
     def test_constant_fusers_by_hand(self):
         # constant estimates c_j: mse_j = Var(X) + c_j^2 and cns = (c_j - c_k)^2
-        law = law_moments(ScenarioParams(n=4, m=3, tau=1, x_max=5, seed=68))
+        params = ScenarioParams(n=4, m=3, tau=1, x_max=5, seed=68)
         coeffs = tuple(LinearCoefficients(np.zeros(4), np.zeros(4), g) for g in (0.0, 1.0, -2.0))
-        mse, cns = population_scores(law, coeffs)
-        assert mse.tolist() == pytest.approx([25.0 / 3.0, 25.0 / 3.0 + 1.0, 25.0 / 3.0 + 4.0], rel=1e-15)
-        assert cns.tolist() == [1.0, 4.0, 9.0]
+        mse, cns = population_scores(params, coeffs)
+        assert mse == pytest.approx([25.0 / 3.0, 25.0 / 3.0 + 1.0, 25.0 / 3.0 + 4.0], rel=1e-15)
+        assert cns == [1.0, 4.0, 9.0]
 
     def test_refuses_per_sensor_and_miscounted_coefficients(self):
-        law = law_moments(ScenarioParams(n=3, m=2, tau=1, x_max=5, seed=69))
+        params = ScenarioParams(n=3, m=2, tau=1, x_max=5, seed=69)
         mixed = LinearCoefficients(np.array([0.1, 0.2, 0.1]), np.full(3, 0.1), 0.0)
         flat = LinearCoefficients(np.full(3, 0.1), np.full(3, 0.1), 0.0)
         with pytest.raises(ValueError, match="shared"):
-            population_scores(law, (flat, mixed))
+            population_scores(params, (flat, mixed))
         with pytest.raises(ValueError, match="one coefficient set per agent"):
-            population_scores(law, (flat,))
+            population_scores(params, (flat,))
 
     def test_overflow_scores_non_finite(self):
-        law = law_moments(ScenarioParams(n=3, m=2, tau=1, x_max=5, seed=69))
+        params = ScenarioParams(n=3, m=2, tau=1, x_max=5, seed=69)
         huge = LinearCoefficients(np.full(3, 1e308), np.full(3, 1e308), 0.0)
-        mse, cns = population_scores(law, (huge, huge))
+        mse, cns = population_scores(params, (huge, huge))
         assert not np.isfinite(mse).any()
 
 
@@ -1316,13 +1354,12 @@ class TestSelectLinearExact:
         # the benchmark's cell: the recipe runs on the exact moments, scores
         # thousands of times the fit's population objective and is rejected
         params = ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=70)
-        law = law_moments(params)
         sel = select_linear_exact(params, lam)
         fit = fit_linear_exact(params, lam)
-        closed = solve_linear_two_agent(law.moments, lam, 10).to_coefficients(10)
+        closed = solve_linear_two_agent(law_moments(params), lam, 10).to_coefficients(10)
         assert not sel.closed_form_used and sel.closed_form_error is None
-        assert sel.empirical_objective == population_objective(law, fit, lam)
-        assert sel.closed_form_objective == population_objective(law, closed, lam)
+        assert sel.empirical_objective == population_objective(params, fit, lam)
+        assert sel.closed_form_objective == population_objective(params, closed, lam)
         assert sel.closed_form_objective > 100.0 * sel.empirical_objective
         for got, want in zip(sel.coeffs, fit, strict=True):
             assert bits([*got.eps, *got.delta, got.gamma]) == bits([*want.eps, *want.delta, want.gamma])
@@ -1363,15 +1400,14 @@ class TestSelectLinearExact:
         # every candidate scores the infinite penalty on these moments; the
         # selection records why and keeps the fit
         params = ScenarioParams(n=2, m=2, tau=1, x_max=5, seed=74)
-        law = law_moments(params)
         fit = fit_linear_exact(params, 0.5)
         sel = optimal._select(params, 0.5, zero_moments(**HUGE_MOMENTS), fit,
-                              lambda coeffs: population_objective(law, coeffs, 0.5))
+                              lambda coeffs: population_objective(params, coeffs, 0.5))
         assert not sel.closed_form_used
         assert sel.closed_form_objective is None
         assert "no start reached a finite objective" in sel.closed_form_error
         assert sel.coeffs == fit
-        assert sel.empirical_objective == population_objective(law, fit, 0.5)
+        assert sel.empirical_objective == population_objective(params, fit, 0.5)
 
     def test_close_recipe_is_kept(self, monkeypatch):
         # a recipe candidate within 5% of the fit's population objective is selected

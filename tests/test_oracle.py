@@ -1,6 +1,7 @@
 """Exact posterior-mean reference: closed-form values, normalization, grid
 agreement, and the batch oracle against a copy of the scalar loop.  The
-law's exact moments against a Fraction reference and against sampling."""
+law's exact moments, and the linear fusers' scores formed from them,
+against a Fraction reference and against sampling."""
 
 import dataclasses
 import itertools
@@ -9,13 +10,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_law_moments, reference_posterior_rows
+from helpers import reference_law_moments, reference_population_scores, reference_posterior_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalfusion import (
     InconsistentReadingsError,
     Interval,
+    LinearCoefficients,
     MomentSet,
     OffLatticeError,
     PiecewiseDensity,
@@ -27,8 +29,9 @@ from intervalfusion import (
     law_moments,
     make_trial,
     make_trials,
-    posterior_density,
     optimal,
+    oracle,
+    posterior_density,
     posterior_mean_exact,
 )
 from intervalfusion.oracle import posterior_rows
@@ -469,24 +472,26 @@ class TestLawMoments:
     def test_equals_the_fraction_reference(self, x_max):
         for n in range(2, 11):
             for tau in range(n):
-                law = law_moments(ScenarioParams(n=n, m=2, tau=tau, x_max=x_max, seed=0))
-                fields, gram, target = reference_law_moments(n, 2, tau, x_max)
+                moments = law_moments(ScenarioParams(n=n, m=2, tau=tau, x_max=x_max, seed=0))
+                fields, _, _ = reference_law_moments(n, 2, tau, x_max)
                 for name, want in fields.items():
-                    assert_close(getattr(law.moments, name), want, (n, tau, name))
-                for i, j in itertools.product(range(4), repeat=2):
-                    assert_close(law.gram[i, j], gram[i][j], (n, tau, "gram", i, j))
-                for i in range(4):
-                    assert_close(law.target[i], target[i], (n, tau, "target", i))
+                    assert_close(getattr(moments, name), want, (n, tau, name))
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_gram_beyond_two_agents(self, m):
-        law = law_moments(ScenarioParams(n=5, m=m, tau=2, x_max=4, seed=0))
-        _, gram, target = reference_law_moments(5, m, 2, 4)
-        assert law.gram.shape == (2 * m, 2 * m) and law.target.shape == (2 * m,)
-        for i, j in itertools.product(range(2 * m), repeat=2):
-            assert_close(law.gram[i, j], gram[i][j], ("gram", i, j))
-        for i in range(2 * m):
-            assert_close(law.target[i], target[i], ("target", i))
+        # the feature Gram's blocks, at one agent and at two, and E[X F] as
+        # population_scores forms them from the law's fields: its mse and cns
+        # of random shared coefficients against the Fraction reference's
+        # quadratic forms, over the grid
+        for x_max, n, tau in LAW_GRID:
+            params = ScenarioParams(n=n, m=m, tau=tau, x_max=x_max, seed=0)
+            coeffs = tuple(LinearCoefficients(np.full(n, e), np.full(n, d), g)
+                           for e, d, g in np.random.default_rng((m, x_max, n, tau)).normal(scale=0.1, size=(m, 3)))
+            mse, cns = optimal.population_scores(params, coeffs)
+            want_mse, want_cns = reference_population_scores(n, tau, x_max, coeffs)
+            assert len(mse) == m and len(cns) == m * (m - 1) // 2
+            for j, (got, want) in enumerate(zip(mse + cns, want_mse + want_cns)):
+                assert_close(got, want, (x_max, n, tau, j))
 
     def test_sampled_estimates_lie_within_four_standard_errors(self, monkeypatch):
         # estimate_moments on 20,000 trials per cell of the grid, its standard
@@ -497,7 +502,7 @@ class TestLawMoments:
         worst = 0.0
         for x_max, n, tau in LAW_GRID:
             params = ScenarioParams(n=n, m=2, tau=tau, x_max=x_max, seed=0)
-            exact = law_moments(params).moments
+            exact = law_moments(params)
             got = estimate_moments(params, 20_000, np.random.default_rng((x_max, n, tau)))
             terms, fields = moment_terms(drawn.pop())
             for name, (a, b, c) in fields.items():
@@ -511,40 +516,45 @@ class TestLawMoments:
     def test_fields_are_python_floats(self):
         # the recipe's search runs in pure Python, where numpy scalars cost
         # about 1.7x as much per evaluation
-        moments = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=0)).moments
+        moments = law_moments(ScenarioParams(n=10, m=2, tau=3, x_max=5, seed=0))
         for field in dataclasses.fields(MomentSet):
             assert type(getattr(moments, field.name)) is float, field.name
 
     def test_depends_on_the_law_only(self):
+        # on n, tau and x_max: not on the seed, nor on the number of agents
         a = law_moments(ScenarioParams(n=7, m=3, tau=2, x_max=5, seed=1))
-        b = law_moments(ScenarioParams(n=7, m=3, tau=2, x_max=5, seed=2))
-        assert a.moments == b.moments
-        assert np.array_equal(a.gram, b.gram) and np.array_equal(a.target, b.target)
+        b = law_moments(ScenarioParams(n=7, m=2, tau=2, x_max=5, seed=2))
+        assert type(a) is MomentSet and a == b
 
     def test_one_sensor_repeats_the_same_sensor_fields(self):
         # as estimate_moments does, with no distinct pair to pool
-        moments = law_moments(ScenarioParams(n=1, m=2, tau=0, x_max=5, seed=0)).moments
+        moments = law_moments(ScenarioParams(n=1, m=2, tau=0, x_max=5, seed=0))
         assert moments.cov_ll == moments.var_l
         assert moments.cov_uu == moments.var_u
         assert moments.cov_lu_cross == moments.cov_lu_same
 
     def test_large_lattice_is_quick_and_small(self):
         # about 500,000 pairs of precisions at x_max = 1000, summed one Python
-        # float at a time: time grows as x_max^2, memory not at all.  Timed
-        # without tracemalloc, which hooks every float the sums form
+        # float at a time: time grows as x_max^2, memory not at all.  The
+        # sums are cached per x_max, so each measured call starts from an
+        # empty cache.  Timed without tracemalloc, which hooks every float
+        # the sums form
         params = ScenarioParams(n=10, m=2, tau=3, x_max=1000, seed=0)
+        oracle._lattice_sums.cache_clear()
         start = time.perf_counter()
-        law = law_moments(params)
+        moments = law_moments(params)
         elapsed = time.perf_counter() - start
+        oracle._lattice_sums.cache_clear()
         tracemalloc.start()
         try:
             law_moments(params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert oracle._lattice_sums.cache_info().misses == 1
         assert elapsed < 1.0, f"{elapsed:.2f} s"
         assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
         # E[L] = -H(x_max), the harmonic number, by symmetry E[U] = H(x_max)
         harmonic = sum(1.0 / p for p in range(1, 1001))
-        assert law.moments.mean_l == pytest.approx(-harmonic, rel=1e-12)
-        assert law.moments.mean_u == pytest.approx(harmonic, rel=1e-12)
+        assert moments.mean_l == pytest.approx(-harmonic, rel=1e-12)
+        assert moments.mean_u == pytest.approx(harmonic, rel=1e-12)
