@@ -948,7 +948,7 @@ def amplitude_scalars(params, lam):
     one = mo.var_l + 2.0 * mo.cov_lu_same + mo.var_u
     two = mo.cov_ll + 2.0 * mo.cov_lu_cross + mo.cov_uu
     var_s = n * one + n * (n - 1) * two
-    cov_s = (n - params.tau) / n * n * one + n * (n - 1) * two
+    cov_s = (n - params.tau) * one + n * (n - 1) * two  # n * keep = n - tau
     sd = math.sqrt(var_s)
     cross = np.full((m, m), cov_s / var_s)
     np.fill_diagonal(cross, 1.0)
@@ -1020,8 +1020,9 @@ class TestFitLinearExact:
 
     def test_closed_form_is_the_lstsq_solution(self):
         # the least-squares solve of the full 2m x 2m system on the Fraction
-        # reference's Gram finds the closed form's scalar to rounding, with the intercepts'
-        # cancelling terms left over; where the closed form is 0 it is 0 too
+        # reference's Gram finds the closed form's scalar to rounding, with
+        # the intercepts' cancelling terms left over; where the closed form
+        # is 0 it is 0 too
         for m in (2, 3, 4):
             for n in (1, 2, 5, 10, 16):
                 for x_max in (1, 2, 3, 5, 20):
