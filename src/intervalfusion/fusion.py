@@ -108,7 +108,8 @@ class TransitionProfile:
         """
         if tau not in self._memo:
             keep = self.counts >= self.lo.shape[1] - tau
-            cells = (*np.nonzero(keep), ~keep.any(axis=1))
+            # np.nonzero's (row, region) pairs, from one flat index
+            cells = (*np.divmod(np.flatnonzero(keep), keep.shape[1]), ~keep.any(axis=1))
             for array in cells:
                 array.setflags(write=False)
             self._memo[tau] = cells

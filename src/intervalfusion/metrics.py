@@ -216,7 +216,10 @@ def evaluate_taus(
     turn, and every algorithm of that tau fuses the whole chunk at once.  A
     trial's values never depend on the chunk it falls in, and the chunks do
     not depend on the taus, so each tau's reports equal `evaluate`'s at that
-    tau bit for bit.  Every report carries its per-trial arrays as views.
+    tau bit for bit.  Every tau's per-trial squared errors and gaps fill one
+    array per score, a slice of its algorithm axis per tau, so the means and
+    standard errors run once per call, not once per tau; every report
+    carries its per-trial arrays as views of those arrays.
     Every check runs before the first trial is drawn; a non-finite estimate
     or squared error raises ValueError naming the algorithm and tau.
     """
@@ -229,9 +232,15 @@ def evaluate_taus(
 
     m = params.m
     pairs = np.triu_indices(m, 1)
-    sq_err = {tau: np.empty((len(algos), m, trials)) for tau, algos in specs.items()}
-    gap_sq = {tau: np.empty((len(algos), pairs[0].size, trials)) for tau, algos in specs.items()}
-    degenerate = {tau: np.zeros(len(algos), dtype=int) for tau, algos in specs.items()}
+    # every tau's algorithms side by side on one algorithm axis; tau's own
+    # are the slice spans[tau] of it
+    spans, first = {}, 0
+    for tau, algos in specs.items():
+        spans[tau] = slice(first, first + len(algos))
+        first += len(algos)
+    sq_err = np.empty((first, m, trials))
+    gap_sq = np.empty((first, pairs[0].size, trials))
+    degenerate = np.zeros(first, dtype=int)
 
     # two substream blocks per kernel call: fewer numpy calls per trial than one
     chunk = 2 * _BLOCK_TRIALS
@@ -249,14 +258,16 @@ def evaluate_taus(
             if not finite.all():
                 raise ValueError(f"algorithm {algos[int(np.argmin(finite))].label!r} gave a non-finite "
                                  f"estimate or squared error at tau={tau}")
-            degenerate[tau] += flagged
-            sq_err[tau][:, :, start:stop], gap_sq[tau][:, :, start:stop] = err, gap
+            span = spans[tau]
+            degenerate[span] += flagged
+            sq_err[span, :, start:stop], gap_sq[span, :, start:stop] = err, gap
 
-    reports = {}
-    for tau, algos in specs.items():
-        mse, mse_se = _mean_stderr(sq_err[tau])
-        cns, cns_se = _mean_stderr(gap_sq[tau])
-        reports[tau] = [
+    # each statistic runs once over every tau's rows; a row's mean and
+    # stderr do not depend on the rows beside it
+    mse, mse_se = _mean_stderr(sq_err)
+    cns, cns_se = _mean_stderr(gap_sq)
+    return {
+        tau: [
             MetricsReport(
                 algorithm=spec.label,
                 tau=tau,
@@ -264,13 +275,14 @@ def evaluate_taus(
                 mse_stderr=mse_se[a],
                 cns=cns[a],
                 cns_stderr=cns_se[a],
-                degenerate_count=int(degenerate[tau][a]),
-                sq_err=sq_err[tau][a],
-                pair_gap_sq=gap_sq[tau][a],
+                degenerate_count=int(degenerate[a]),
+                sq_err=sq_err[a],
+                pair_gap_sq=gap_sq[a],
             )
-            for a, spec in enumerate(algos)
+            for a, spec in enumerate(algos, start=spans[tau].start)
         ]
-    return reports
+        for tau, algos in specs.items()
+    }
 
 
 def evaluate(

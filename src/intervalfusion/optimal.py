@@ -560,10 +560,10 @@ def fit_linear_exact(params: ScenarioParams, lam: float) -> tuple[LinearCoeffici
     agents' readings coincide), c = 0, the minimum-norm minimizer that a
     least-squares solve returns.  The value is formed from Python ints and
     floats only, so its bits do not depend on the host's BLAS or SIMD
-    kernels.  No trial is drawn.  The lattice sums take time x_max^2 the
-    first time an x_max is fitted and are cached, so a sweep or a
-    fit-linear run forms them once per x_max.  Needs m >= 2: at m = 1 the
-    consensus term has no pairs.
+    kernels.  No trial is drawn.  The lattice sums take time
+    x_max log log x_max the first time an x_max is fitted and are cached,
+    so a sweep or a fit-linear run forms them once per x_max.  Needs
+    m >= 2: at m = 1 the consensus term has no pairs.
     """
     _check_fit(params, lam)
     n, m, tau, x_max = params.n, params.m, params.tau, params.x_max

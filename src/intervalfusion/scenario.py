@@ -11,10 +11,12 @@ information about the target and are mutually independent across agents.
 
 `draw_batch` is the one implementation of this law.  It draws a `TrialDraw`,
 which holds everything but tau: each sensor's rank in a random fault order,
-the target, the truthful cells and a phantom cell for every (sensor, agent)
-slot.  Its `at(tau)` marks the sensors ranked below tau faulty and masks
-their phantom cells in, so one draw serves every tau, and the faulty sets of
-a draw are nested in tau.  `sample_batch` is `draw_batch` at params.tau.
+the target, the truthful cells and a phantom cell for every (agent, sensor)
+slot, stored agent-major.  Its `at(tau)` marks the sensors ranked below tau
+faulty and masks their phantom cells in, so one draw serves every tau, and
+the faulty sets of a draw are nested in tau.  The masked block comes out in
+the fusers' row layout, one (trials, n) block per agent, so the batch's
+`rows()` copies nothing.  `sample_batch` is `draw_batch` at params.tau.
 
 `draw_trials` numbers the trials of the stream rooted at a seed: with B = 128
 trials per block, trial t is row t % B of block t // B, and block b is
@@ -31,7 +33,7 @@ a (B, n, 2) stack, or by `TrialBatch.rows` from a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -143,7 +145,9 @@ class TrialBatch:
     x has shape (size,), lo/hi (size, n, m), faulty and precisions (size, n).
     [lo[t, i, j], hi[t, i, j]] is sensor i's interval as seen by agent j in
     trial t, and precisions[t, i] is sensor i's truthful cell count, as in
-    TrialData.
+    TrialData.  A batch from `TrialDraw.at` holds lo/hi as transposed views
+    of agent-major (m, size, n) arrays; one from `sample_batch` holds
+    C-ordered copies.
     """
 
     x: np.ndarray
@@ -157,7 +161,10 @@ class TrialBatch:
         return self.x.shape[0]
 
     def rows(self) -> ReadingRows:
-        """Every agent's readings of every trial; row j * size + t is agent j's in trial t."""
+        """Every agent's readings of every trial; row j * size + t is agent j's in trial t.
+
+        A view of lo/hi when they are agent-major, as `TrialDraw.at` makes them; a copy otherwise.
+        """
         size, n, m = self.lo.shape
         return ReadingRows(self.lo.transpose(2, 0, 1).reshape(m * size, n),
                            self.hi.transpose(2, 0, 1).reshape(m * size, n))
@@ -210,8 +217,9 @@ class TrialDraw:
     rank has shape (size, n): each sensor's place, 0 to n-1, in a random
     order of its trial's sensors; the sensors ranked below tau are faulty.
     x has shape (size,), precisions and true_lo/true_hi (size, n): the
-    truthful cells.  fake_lo/fake_hi have shape (size, n, m): the phantom
-    cell of every (sensor, agent) slot, sent when the sensor is faulty.
+    truthful cells.  fake_lo/fake_hi are stored agent-major, shape
+    (m, size, n): fake_lo[j, t, i] is the phantom cell sensor i sends agent j
+    in trial t when it is faulty.
     """
 
     rank: np.ndarray
@@ -227,20 +235,18 @@ class TrialDraw:
         return self.x.shape[0]
 
     def at(self, tau: int) -> TrialBatch:
-        """These trials with their sensors ranked below tau faulty."""
+        """These trials with their sensors ranked below tau faulty.
+
+        The masked endpoints are formed agent-major, one (size, n) block per
+        agent, so the batch's `rows()` is a view of them.
+        """
         _check_tau(tau, self.rank.shape[1])
         faulty = self.rank < tau
-        # np.where runs faster on contiguous (size, n, m) operands than when
-        # it broadcasts (size, n) ones over the short agent axis
-        shape = self.fake_lo.shape
-
-        def per_agent(a: np.ndarray) -> np.ndarray:
-            return np.repeat(a, shape[2], axis=1).reshape(shape)
-
-        mask = per_agent(faulty)
-        lo = np.where(mask, self.fake_lo, per_agent(self.true_lo))
-        hi = np.where(mask, self.fake_hi, per_agent(self.true_hi))
-        return TrialBatch(x=self.x, lo=lo, hi=hi, faulty=faulty, precisions=self.precisions)
+        # the (size, n) mask and truthful cells broadcast over the leading agent axis
+        lo = np.where(faulty, self.fake_lo, self.true_lo)
+        hi = np.where(faulty, self.fake_hi, self.true_hi)
+        return TrialBatch(x=self.x, lo=lo.transpose(1, 2, 0), hi=hi.transpose(1, 2, 0), faulty=faulty,
+                          precisions=self.precisions)
 
 
 def draw_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> TrialDraw:
@@ -254,26 +260,32 @@ def draw_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> T
         raise ValueError(f"size must be >= 1, got {size}")
     n, m, x_max = params.n, params.m, params.x_max
 
-    order = np.argsort(rng.random((size, n)), axis=1)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(n), axis=1)
-    del order  # holding it to the end would add a (size, n) array to the draw's peak memory
+    # each sensor's place in a random order of its trial's sensors: the inverse
+    # permutation of that order, whose array is freed before the cells are drawn
+    rank = np.argsort(np.argsort(rng.random((size, n)), axis=1), axis=1)
 
     precisions = rng.integers(1, x_max + 1, size=(size, n))
     x = rng.uniform(-x_max, x_max, size=size)
 
     true_lo, true_hi = _cells_from_targets(x[:, None], precisions, x_max)
 
-    fake_prec = rng.integers(1, x_max + 1, size=(size, n, m))
-    phantom = rng.uniform(-x_max, x_max, size=(size, n, m))
+    # drawn (size, n, m) as ever, then stored agent-major: the same values, one transpose per block
+    fake_prec = np.ascontiguousarray(rng.integers(1, x_max + 1, size=(size, n, m)).transpose(2, 0, 1))
+    phantom = np.ascontiguousarray(rng.uniform(-x_max, x_max, size=(size, n, m)).transpose(2, 0, 1))
     fake_lo, fake_hi = _cells_from_targets(phantom, fake_prec, x_max)
     return TrialDraw(rank=rank, x=x, precisions=precisions, true_lo=true_lo, true_hi=true_hi,
                      fake_lo=fake_lo, fake_hi=fake_hi)
 
 
 def sample_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> TrialBatch:
-    """Draw `size` independent trials as arrays: `draw_batch` at params.tau."""
-    return draw_batch(params, size, rng).at(params.tau)
+    """Draw `size` independent trials as arrays: `draw_batch` at params.tau.
+
+    lo and hi are C-ordered (size, n, m) copies, not `at`'s agent-major
+    views: the fits reduce agent 0's (size, n) slice, and numpy's reductions
+    over a contiguous slice round differently from those over a strided one.
+    """
+    batch = draw_batch(params, size, rng).at(params.tau)
+    return replace(batch, lo=np.ascontiguousarray(batch.lo), hi=np.ascontiguousarray(batch.hi))
 
 
 def _block(params: ScenarioParams, index: int) -> TrialDraw:
@@ -292,10 +304,15 @@ def draw_trials(params: ScenarioParams, start: int, stop: int) -> TrialDraw:
     first = start // _BLOCK_TRIALS
     blocks = [_block(params, b) for b in range(first, (stop - 1) // _BLOCK_TRIALS + 1)]
     rows = slice(start - first * _BLOCK_TRIALS, stop - first * _BLOCK_TRIALS)
-    return TrialDraw(**{
-        f.name: np.concatenate([getattr(block, f.name) for block in blocks])[rows]
-        for f in fields(TrialDraw)
-    })
+
+    def join(name: str) -> np.ndarray:
+        # the phantom fields hold trials on their second axis, every other field on its first
+        axis = 1 if name in ("fake_lo", "fake_hi") else 0
+        parts = [getattr(block, name) for block in blocks]
+        whole = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+        return whole[(slice(None),) * axis + (rows,)]
+
+    return TrialDraw(**{f.name: join(f.name) for f in fields(TrialDraw)})
 
 
 def make_trials(params: ScenarioParams, start: int, stop: int) -> TrialBatch:

@@ -18,7 +18,9 @@ through a (rows, patterns, regions) membership array.
 The moment estimates and the linear fit here are literal copies of the
 package's formulas before their products and sensor sums were formed once,
 in place: every endpoint product is formed again for its row sums, and each
-agent's sensor sums come from `sum(axis=1)`.  The exact fit here is the
+agent's sensor sums come from `sum(axis=1)`.  They read the package's
+`sample_batch` unless given another draw, such as the one-tau generator
+here, whose C-ordered arrays pin the bits of the package's sampled views.  The exact fit here is the
 package's before it took its closed form, on the Fraction reference's Gram
 and target rounded to floats: the quadratic system of
 `optimal._quadratic_system` and the minimum-norm solution of
@@ -36,6 +38,9 @@ The law's exact moments here are a `fractions.Fraction` reference for
 truthful readings is enumerated with the length of their overlap, and the
 feature Gram sums the covariance of every (sensor, agent) pair of endpoints.
 The linear fusers' exact mse and cns are formed from that Gram and target.
+The lattice sum B is also given by its definition, as a Fraction, and by
+the package's pair-by-pair route before its Jordan-totient sieve, a literal
+copy renamed to reference_lattice_b_by_pairs.
 
 The quadratic objective here is reconstructed from direction moments alone,
 independently of the solver code: with unit-variance zero-mean directions
@@ -121,9 +126,9 @@ def reference_evaluate(algos, params, trials):
     return sq_err, gap_sq, degenerate
 
 
-def reference_estimate_moments(params, samples, rng):
-    """`estimate_moments` with each endpoint product formed again for its row sums."""
-    batch = sample_batch(params, samples, rng)
+def reference_estimate_moments(params, samples, rng, draw=sample_batch):
+    """`estimate_moments` with each endpoint product formed again for its row sums, on draw's batch."""
+    batch = draw(params, samples, rng)
     n = params.n
     L = batch.lo[:, :, 0]
     U = batch.hi[:, :, 0]
@@ -163,9 +168,9 @@ def reference_estimate_moments(params, samples, rng):
     )
 
 
-def reference_fit_linear_empirical(params, lam, samples, rng):
-    """`fit_linear_empirical` with each agent's sensor sums from `sum(axis=1)`."""
-    batch = sample_batch(params, samples, rng)
+def reference_fit_linear_empirical(params, lam, samples, rng, draw=sample_batch):
+    """`fit_linear_empirical` with each agent's sensor sums from `sum(axis=1)`, on draw's batch."""
+    batch = draw(params, samples, rng)
     n, m = params.n, params.m
     mean_l = float(batch.lo[:, :, 0].mean())
     mean_u = float(batch.hi[:, :, 0].mean())
@@ -391,6 +396,21 @@ def reference_law_moments(n, m, tau, x_max):
     ]
     target = [n * keep * one["X" + a] for _, a in features]
     return fields, gram, target
+
+
+def reference_lattice_b_by_pairs(x_max):
+    """`oracle._lattice_sums`' B before its sieve: every pair of precisions with a common factor, through math.fsum."""
+    a = math.fsum((p * p - 1) / (p * p) for p in range(1, x_max + 1))
+    pairs = ((2 - (p == q)) * (g * g - 1) / (p * p * q * q)
+             for p in range(2, x_max + 1) for q in range(p, x_max + 1) if (g := math.gcd(p, q)) > 1)
+    return math.fsum(itertools.chain((a * a,), pairs))
+
+
+def reference_lattice_b(x_max):
+    """B = A^2 + sum_{p,q} (gcd(p,q)^2 - 1)/(p^2 q^2) over precisions 1..x_max, as a Fraction, by its definition."""
+    a = sum(Fraction(p * p - 1, p * p) for p in range(1, x_max + 1))
+    return a * a + sum(Fraction(math.gcd(p, q) ** 2 - 1, p * p * q * q)
+                       for p in range(1, x_max + 1) for q in range(1, x_max + 1))
 
 
 def reference_population_scores(n, tau, x_max, coeffs):

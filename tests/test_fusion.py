@@ -752,6 +752,20 @@ class TestSharedKeptCells:
             want_values, want_flags = reference_gbi_rows(rows.lo, rows.hi, tau)
             assert np.array_equal(values.view(np.int64), want_values.view(np.int64)) and np.array_equal(flags, want_flags)
 
+    def test_flat_index_equals_nonzero_and_the_empty_row_flags(self):
+        # the (row, region) cells found from one flat index are np.nonzero's,
+        # and the flags mark exactly the rows that hold none: every third row
+        # from the third on, at every tau
+        rows = self.block(uncovered=True)
+        profile = coverage_rows(rows)
+        for tau in range(self.N):
+            keep = profile.counts >= self.N - tau
+            cell_rows, cell_regions, empty = profile._kept(tau)
+            for got, want in zip((cell_rows, cell_regions), np.nonzero(keep), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want), tau
+            assert np.array_equal(empty, ~keep.any(axis=1)), tau
+            assert empty[2::3].all() and not np.isin(np.flatnonzero(empty), cell_rows).any(), tau
+
     def test_memoised_cells_refuse_writes(self):
         rows = self.block(uncovered=False)
         profile = coverage_rows(rows)

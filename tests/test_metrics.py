@@ -313,6 +313,24 @@ class TestEvaluateTaus:
                 for f in dataclasses.fields(a):
                     assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (tau, f.name)
 
+    def test_taus_with_different_algorithm_lists_equal_evaluate(self):
+        # every tau's rows share one array per score, a slice of its own
+        # length per tau, and one statistics pass over all of them gives what
+        # evaluate gives at each tau alone, bit for bit
+        params = ScenarioParams(n=6, m=3, tau=0, x_max=5, seed=82)
+        algos = self.specs_for(2, 3)
+        specs = {2: algos, 0: algos[3:4], 4: [algos[1], algos[4]], 1: algos[:3]}
+        reports = evaluate_taus(specs, params, 300)
+        for tau, tau_algos in specs.items():
+            assert [report.algorithm for report in reports[tau]] == [spec.label for spec in tau_algos]
+            alone = evaluate(tau_algos, dataclasses.replace(params, tau=tau), 300)
+            for a, b in zip(alone, reports[tau], strict=True):
+                for f in dataclasses.fields(a):
+                    got, want = np.asarray(getattr(b, f.name)), np.asarray(getattr(a, f.name))
+                    if got.dtype == float:
+                        got, want = got.view(np.int64), want.view(np.int64)
+                    assert np.array_equal(got, want), (tau, f.name)
+
     @pytest.mark.parametrize("specs, match", [
         ({1: [AlgorithmSpec(kind="bi")], 4: [AlgorithmSpec(kind="marzullo")]}, "marzullo"),
         ({1: [AlgorithmSpec(kind="bi")], 5: [AlgorithmSpec(kind="bi")]}, "tau"),

@@ -33,6 +33,7 @@ from helpers import (
     reference_nelder_mead,
     reference_population_scores,
     reference_recipe_kernel,
+    reference_sample_batch,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +145,17 @@ class TestEstimateMoments:
         params = ScenarioParams(n=n, m=m, tau=n // 2, x_max=5, seed=34)
         got = estimate_moments(params, 20_000, np.random.default_rng(9))
         want = reference_estimate_moments(params, 20_000, np.random.default_rng(9))
+        for name, value in vars(want).items():
+            assert bits([getattr(got, name)]) == bits([value]), name
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_bits_pinned_on_the_reference_draw(self, m):
+        # the formulas on the one-tau reference generator's C-ordered
+        # (size, n, m) batch: the estimates keep their bits whatever layout
+        # the trial layer stores its masked blocks in
+        params = ScenarioParams(n=10, m=m, tau=4, x_max=5, seed=35)
+        got = estimate_moments(params, 20_000, np.random.default_rng(10))
+        want = reference_estimate_moments(params, 20_000, np.random.default_rng(10), draw=reference_sample_batch)
         for name, value in vars(want).items():
             assert bits([getattr(got, name)]) == bits([value]), name
 
@@ -918,6 +930,21 @@ class TestFitLinearEmpirical:
         for g, w in zip(got, want):
             assert bits([*g.eps, *g.delta, g.gamma]) == bits([*w.eps, *w.delta, w.gamma])
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_bits_pinned_on_the_reference_draw(self, m):
+        # as TestEstimateMoments' pin: the fit, and the validation score
+        # select_linear_coefficients gives it, keep their bits on the one-tau
+        # reference generator's C-ordered batch
+        params = ScenarioParams(n=10, m=m, tau=4, x_max=5, seed=55)
+        got = fit_linear_empirical(params, 0.5, 20_000, np.random.default_rng(12))
+        want = reference_fit_linear_empirical(params, 0.5, 20_000, np.random.default_rng(12),
+                                              draw=reference_sample_batch)
+        for g, w in zip(got, want, strict=True):
+            assert bits([*g.eps, *g.delta, g.gamma]) == bits([*w.eps, *w.delta, w.gamma])
+        scores = [empirical_objective(draw(params, 20_000, np.random.default_rng(13)), got, 0.5)
+                  for draw in (sample_batch, reference_sample_batch)]
+        assert bits(scores[:1]) == bits(scores[1:])
+
     def test_input_validation(self):
         params = ScenarioParams(n=5, m=2, tau=1, x_max=5, seed=53)
         with pytest.raises(ValueError):
@@ -1056,10 +1083,10 @@ class TestFitLinearExact:
                     assert both * b / 3.0 == pytest.approx(float(mo["cov_ll"]), rel=1e-12, abs=0.0)
 
     def test_large_lattice_is_quick_and_small(self):
-        # about 500,000 pairs of precisions at x_max = 1000, which the closed
-        # form streams through its lattice sums.  The sums are cached per
-        # x_max, so each measured call starts from an empty cache.  Timed
-        # without tracemalloc
+        # x_max = 1000, where a pair-by-pair lattice sum would visit about
+        # 500,000 pairs of precisions.  The sums are cached per x_max, so
+        # each measured call starts from an empty cache.  Timed without
+        # tracemalloc
         params = ScenarioParams(n=10, m=2, tau=3, x_max=1000, seed=78)
         oracle._lattice_sums.cache_clear()
         start = time.perf_counter()

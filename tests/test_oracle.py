@@ -5,12 +5,20 @@ against a Fraction reference and against sampling."""
 
 import dataclasses
 import itertools
+import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import reference_law_moments, reference_population_scores, reference_posterior_rows
+from helpers import (
+    reference_lattice_b,
+    reference_lattice_b_by_pairs,
+    reference_law_moments,
+    reference_population_scores,
+    reference_posterior_rows,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -435,6 +443,12 @@ def assert_close(got, want, where):
     assert abs(got - want) <= (1e-12 * abs(want) if want else 1e-12), (where, got, want)
 
 
+def assert_relative(got, exact, bound):
+    """got within bound relative of the Fraction exact, measured exactly; exactly 0 where exact is 0."""
+    error = abs(Fraction(got) - exact)
+    assert (error <= bound * abs(exact)) if exact else (error == 0), (got, float(exact))
+
+
 def moment_terms(batch):
     """Per-trial terms whose means make up estimate_moments' fields.
 
@@ -513,6 +527,46 @@ class TestLawMoments:
                     worst = max(worst, miss / se)
         assert worst > 2.0  # the errors are sampling errors, not all zero
 
+    @pytest.mark.parametrize("x_max", range(1, 13))
+    def test_lattice_b_is_the_fraction_reference(self, x_max):
+        # B = 3*cov_ll at n = 2, tau = 0, where both readings are truthful
+        fields, _, _ = reference_law_moments(2, 1, 0, x_max)
+        assert 3 * fields["cov_ll"] == reference_lattice_b(x_max)
+        assert_relative(oracle._lattice_sums(x_max)[1], reference_lattice_b(x_max), 1e-15)
+
+    def test_lattice_b_by_sieve_keeps_the_pair_sums_bits_or_nears_the_exact_value(self):
+        # x_max 1-40 against B's definition; where the sieve's bits differ
+        # from the pair-by-pair sum's (x_max = 3), the sieve lies nearer the
+        # exact value
+        moved = []
+        for x_max in range(1, 41):
+            b, exact = oracle._lattice_sums(x_max)[1], reference_lattice_b(x_max)
+            assert_relative(b, exact, 1e-15)
+            pairwise = reference_lattice_b_by_pairs(x_max)
+            if b != pairwise:
+                moved.append(x_max)
+                assert abs(Fraction(b) - exact) < abs(Fraction(pairwise) - exact), x_max
+        assert moved == [3]
+
+    @pytest.mark.parametrize("x_max", [1000, 2000])
+    def test_lattice_b_by_sieve_equals_the_pair_sums_at_scale(self, x_max):
+        assert_relative(oracle._lattice_sums(x_max)[1], Fraction(reference_lattice_b_by_pairs(x_max)), 1e-15)
+
+    def test_lattice_sums_at_a_hundred_thousand_are_quick(self):
+        # the sieve's time grows as x_max log log x_max: at 10^5 the
+        # pair-by-pair sum would take about 15 minutes
+        oracle._lattice_sums.cache_clear()
+        start = time.perf_counter()
+        a, b = oracle._lattice_sums(100_000)
+        elapsed = time.perf_counter() - start
+        assert oracle._lattice_sums.cache_info().misses == 1
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+        # A = x_max - H_2(x_max), and B - A^2 tends to
+        # zeta(2)^3/zeta(4) - zeta(2)^2 = 5 pi^2/12 - pi^4/36 as x_max grows
+        n = 100_000
+        assert a == pytest.approx(n - (math.pi ** 2 / 6 - 1 / n + 1 / (2 * n * n)), rel=1e-15)
+        assert b - a * a == pytest.approx(5 * math.pi ** 2 / 12 - math.pi ** 4 / 36, abs=1e-3)
+
     def test_fields_are_python_floats(self):
         # the recipe's search runs in pure Python, where numpy scalars cost
         # about 1.7x as much per evaluation
@@ -534,11 +588,11 @@ class TestLawMoments:
         assert moments.cov_lu_cross == moments.cov_lu_same
 
     def test_large_lattice_is_quick_and_small(self):
-        # about 500,000 pairs of precisions at x_max = 1000, summed one Python
-        # float at a time: time grows as x_max^2, memory not at all.  The
-        # sums are cached per x_max, so each measured call starts from an
-        # empty cache.  Timed without tracemalloc, which hooks every float
-        # the sums form
+        # x_max = 1000, where a pair-by-pair sum would visit about 500,000
+        # pairs of precisions; the sieve's time grows as x_max log log x_max
+        # and its memory as x_max.  The sums are cached per x_max, so each
+        # measured call starts from an empty cache.  Timed without
+        # tracemalloc, which hooks every number the sums form
         params = ScenarioParams(n=10, m=2, tau=3, x_max=1000, seed=0)
         oracle._lattice_sums.cache_clear()
         start = time.perf_counter()

@@ -487,16 +487,35 @@ class TestDrawTrials:
             assert np.array_equal(got, want), name
 
     def test_at_equals_the_broadcast_mask(self):
-        # the masked endpoints at every tau of one draw, against np.where
-        # broadcasting the (size, n) mask and truthful cells over the agents
+        # the masked endpoints at every tau of one draw, against np.where on
+        # the (size, n, m) view of the agent-major phantom cells, with the
+        # (size, n) mask and truthful cells broadcast over the trailing agent axis
         draw = draw_batch(params_for(n=10, m=3), 2_000, np.random.default_rng(7))
+        assert draw.fake_lo.shape == draw.fake_hi.shape == (3, 2_000, 10)
         for tau in range(10):
             batch = draw.at(tau)
             mask = (draw.rank < tau)[:, :, None]
             assert np.array_equal(batch.faulty, mask[:, :, 0])
             for got, fake, true in ((batch.lo, draw.fake_lo, draw.true_lo), (batch.hi, draw.fake_hi, draw.true_hi)):
-                want = np.where(mask, fake, true[:, :, None])
+                want = np.where(mask, fake.transpose(1, 2, 0), true[:, :, None])
                 assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), tau
+
+    @pytest.mark.parametrize("start, stop", [(0, 128), (0, 300), (130, 200)])
+    def test_rows_are_a_view_of_the_masked_block(self, start, stop):
+        # one block, several blocks joined, and a slice of one block
+        batch = draw_trials(params_for(n=7, m=3), start, stop).at(2)
+        rows = batch.rows()
+        assert np.shares_memory(rows.lo, batch.lo) and np.shares_memory(rows.hi, batch.hi)
+        assert rows.lo.flags.c_contiguous and rows.hi.flags.c_contiguous
+        for j in range(3):
+            agent = slice(j * batch.size, (j + 1) * batch.size)
+            assert np.array_equal(rows.lo[agent], batch.lo[:, :, j])
+            assert np.array_equal(rows.hi[agent], batch.hi[:, :, j])
+
+    def test_sample_batch_holds_c_ordered_copies(self):
+        # the fits reduce agent 0's slice, whose bits follow its memory layout
+        batch = sample_batch(params_for(n=7, m=3), 1_000, np.random.default_rng(8))
+        assert batch.lo.flags.c_contiguous and batch.hi.flags.c_contiguous
 
     def test_rank_rows_are_permutations(self):
         draw = draw_trials(params_for(n=9), 0, 300)
