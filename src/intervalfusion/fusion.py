@@ -102,14 +102,24 @@ class TransitionProfile:
         return self.points[..., 1:]
 
     def _kept(self, tau: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (row, region) cells n - tau readings cover, in row-major order,
-        and a flag per row that holds none: found on the first call at tau,
-        then shared.  The arrays are read-only, since each kernel gets the same.
+        """The cells n - tau readings cover, in row-major order, as each cell's
+        row and the flat index of its left bound in points.ravel(), whose next
+        entry is its right bound, and a flag per row that holds none: found on
+        the first call at tau, then shared.  The arrays are read-only, since
+        each kernel gets the same.
         """
         if tau not in self._memo:
             keep = self.counts >= self.lo.shape[1] - tau
-            # np.nonzero's (row, region) pairs, from one flat index
-            cells = (*np.divmod(np.flatnonzero(keep), keep.shape[1]), ~keep.any(axis=1))
+            at = np.flatnonzero(keep)
+            rows = at // keep.shape[1]
+            # cell (r, k) is flat entry r * (2n - 1) + k of counts and its left
+            # bound flat entry r * 2n + k of points, r entries further on
+            at += rows
+            # a row holds no cell unless one of the cells names it: a scatter,
+            # which costs less than an any() over each row's 2n - 1 regions
+            empty = np.ones(keep.shape[0], dtype=bool)
+            empty[rows] = False
+            cells = (rows, at, empty)
             for array in cells:
                 array.setflags(write=False)
             self._memo[tau] = cells
@@ -130,7 +140,7 @@ def coverage_rows(rows: ReadingRows) -> TransitionProfile:
     counts = np.cumsum(lower[:, :-1], axis=1)
     counts *= 2
     counts -= np.arange(1, 2 * n)
-    counts[points[:, 1:] <= points[:, :-1]] = 0
+    counts *= points[:, 1:] > points[:, :-1]
     return TransitionProfile(points=points, counts=counts, lo=lo, hi=hi)
 
 
@@ -162,15 +172,15 @@ def _row_means(rows: np.ndarray, weights: np.ndarray, points: np.ndarray, filled
 def bi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
     """Brooks-Iyengar estimates and degenerate flags of B rows; see `fuse_bi_with_flag`."""
     _check_tau(tau, cov.lo.shape[1])
-    rows, regions, degenerate = cov._kept(tau)
-    counts = cov.counts
-    mids = (cov.left[rows, regions] + cov.right[rows, regions]) / 2.0
-    values = _row_means(rows, counts[rows, regions].astype(float), mids, ~degenerate)
+    rows, at, degenerate = cov._kept(tau)
+    points = cov.points.ravel()
+    mids = (points[at] + points[1:][at]) / 2.0
+    values = _row_means(rows, cov.counts.ravel()[at - rows].astype(float), mids, ~degenerate)
     if degenerate.any():
         # a degenerate row uses its maximal-coverage regions instead; a row where
         # nothing covers any open region (top 0) uses none of its gaps
         flagged = np.flatnonzero(degenerate)
-        part = counts[flagged]
+        part = cov.counts[flagged]
         top = part.max(axis=1)
         rows, regions = np.nonzero((part >= top[:, None]) & (part > 0))
         mids = (cov.left[flagged[rows], regions] + cov.right[flagged[rows], regions]) / 2.0
@@ -334,27 +344,37 @@ def gbi_rows(cov: TransitionProfile, tau: int) -> tuple[np.ndarray, np.ndarray]:
 
     The recurrence runs over the kept (row, region) cells, forming one
     sensor's factors over them at a time, so its memory is O((k + 1) * cells)
-    for k = n - tau, with no (cells, n) table of all sensors' factors.
+    for k = n - tau, with no (cells, n) table of all sensors' factors.  Each
+    cell's bounds are read from the flattened endpoints by one flat index
+    (see `TransitionProfile._kept`), and each row's shortest width comes
+    from one reduction across the rows.
     """
     n = cov.lo.shape[1]
     _check_tau(tau, n)
-    widths = cov.hi - cov.lo
-    shortest = widths.min(axis=1, keepdims=True)
+    # the widths sensor-major, (n, B): each row's shortest width is then one
+    # reduction across n contiguous (B,) rows, not B reductions of n values,
+    # and each sensor's scaled inverse widths are one contiguous row.  A
+    # minimum is exact, so the order of the reduction cannot matter
+    widths = np.ascontiguousarray((cov.hi - cov.lo).T)
+    shortest = widths.min(axis=0)
     if (shortest <= 0).any():
         raise ValueError("every reading must have positive width")
     k = n - tau
-    # the DP runs over the kept (row, region) cells only, in row-major order
-    rows, regions, degenerate = cov._kept(tau)
-    left, right = cov.left[rows, regions], cov.right[rows, regions]
+    # the DP runs over the kept cells only, in row-major order
+    rows, at, degenerate = cov._kept(tau)
+    points = cov.points.ravel()
+    # each cell's bounds: its left one at its flat index and the next
+    # endpoint, read through the view one entry further on
+    left, right = points[at], points[1:][at]
     # e_k(c*v) = c^k e_k(v) cancels in the ratio; scaling each row's inverse
     # widths so that the largest is 1 keeps every product in range
-    scaled = (shortest / widths).T
+    scaled = shortest / widths
     esym = np.zeros((k + 1, rows.size))
     esym[0] = 1.0
-    for i in range(n):
+    for i, (factor, lo, hi) in enumerate(zip(scaled, cov.lo.T, cov.hi.T)):
         # sensor i's factor at each kept cell: its scaled inverse width where it
         # covers the cell, else +0.0
-        row = scaled[i][rows] * ((cov.lo[:, i][rows] <= left) & (cov.hi[:, i][rows] >= right))
+        row = factor[rows] * ((lo[rows] <= left) & (hi[rows] >= right))
         # after sensor i a degree above i + 1 would only add row * 0.0 = +0.0, and
         # one below k - (n - 1 - i) can no longer reach degree k; the product is
         # formed before the in-place add, so it reads the previous degree's values

@@ -129,12 +129,23 @@ def _score(
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error over the last (trial) axis."""
+    """Mean and standard error over the last (trial) axis.
+
+    numpy's own mean and std(ddof=1) steps, in their order, with the sum
+    that both open with taken once; so the results are those of
+    values.mean(-1) and values.std(-1, ddof=1) / sqrt(t) bit for bit.
+    """
     t = values.shape[-1]
-    mean = values.mean(axis=-1)
+    total = values.sum(axis=-1, keepdims=True)
+    total /= t
+    mean = total[..., 0]
     if t < 2:
         return mean, np.zeros_like(mean)
-    return mean, values.std(axis=-1, ddof=1) / np.sqrt(t)
+    deviation = values - total
+    deviation *= deviation
+    variance = deviation.sum(axis=-1)
+    variance /= t - 1
+    return mean, np.sqrt(variance) / np.sqrt(t)
 
 
 def _objective_per_trial(sq_err: np.ndarray, gap_sq: np.ndarray, lam: float) -> np.ndarray:

@@ -267,14 +267,18 @@ def draw_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> T
     precisions = rng.integers(1, x_max + 1, size=(size, n))
     x = rng.uniform(-x_max, x_max, size=size)
 
-    true_lo, true_hi = _cells_from_targets(x[:, None], precisions, x_max)
-
-    # drawn (size, n, m) as ever, then stored agent-major: the same values, one transpose per block
-    fake_prec = np.ascontiguousarray(rng.integers(1, x_max + 1, size=(size, n, m)).transpose(2, 0, 1))
-    phantom = np.ascontiguousarray(rng.uniform(-x_max, x_max, size=(size, n, m)).transpose(2, 0, 1))
-    fake_lo, fake_hi = _cells_from_targets(phantom, fake_prec, x_max)
-    return TrialDraw(rank=rank, x=x, precisions=precisions, true_lo=true_lo, true_hi=true_hi,
-                     fake_lo=fake_lo, fake_hi=fake_hi)
+    # one (m + 1, size, n) stack of targets and precisions, the truthful ones
+    # in slot 0 and each agent's phantom ones in slots 1 to m, gives every
+    # cell in one _cells_from_targets call; the phantoms are drawn
+    # (size, n, m) as ever and stored agent-major
+    targets = np.empty((m + 1, size, n))
+    prec = np.empty((m + 1, size, n), dtype=precisions.dtype)
+    targets[0], prec[0] = x[:, None], precisions
+    prec[1:] = rng.integers(1, x_max + 1, size=(size, n, m)).transpose(2, 0, 1)
+    targets[1:] = rng.uniform(-x_max, x_max, size=(size, n, m)).transpose(2, 0, 1)
+    lo, hi = _cells_from_targets(targets, prec, x_max)
+    return TrialDraw(rank=rank, x=x, precisions=precisions, true_lo=lo[0], true_hi=hi[0],
+                     fake_lo=lo[1:], fake_hi=hi[1:])
 
 
 def sample_batch(params: ScenarioParams, size: int, rng: np.random.Generator) -> TrialBatch:

@@ -74,13 +74,12 @@ def _reference_cells(x, prec, x_max):
     return lo, hi
 
 
-def reference_sample_batch(params, size, rng):
-    """`size` trials at params.tau, drawn as the one-tau generator drew them."""
+def reference_draw(params, size, rng):
+    """The one-tau generator's draws: the fault order (size, n), the targets,
+    the precisions and truthful cells (size, n) and the phantom cells (size, n, m)."""
     n, m, x_max = params.n, params.m, params.x_max
 
     order = np.argsort(rng.random((size, n)), axis=1)
-    faulty = np.zeros((size, n), dtype=bool)
-    np.put_along_axis(faulty, order[:, : params.tau], True, axis=1)
 
     precisions = rng.integers(1, x_max + 1, size=(size, n))
     x = rng.uniform(-x_max, x_max, size=size)
@@ -90,6 +89,14 @@ def reference_sample_batch(params, size, rng):
     fake_prec = rng.integers(1, x_max + 1, size=(size, n, m))
     phantom = rng.uniform(-x_max, x_max, size=(size, n, m))
     fake_lo, fake_hi = _reference_cells(phantom, fake_prec, x_max)
+    return order, x, precisions, true_lo, true_hi, fake_lo, fake_hi
+
+
+def reference_sample_batch(params, size, rng):
+    """`size` trials at params.tau, drawn as the one-tau generator drew them."""
+    order, x, precisions, true_lo, true_hi, fake_lo, fake_hi = reference_draw(params, size, rng)
+    faulty = np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(faulty, order[:, : params.tau], True, axis=1)
 
     mask = faulty[:, :, None]
     lo = np.where(mask, fake_lo, true_lo[:, :, None])

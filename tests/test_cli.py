@@ -1,6 +1,7 @@
 """Config loading, override precedence, and the three subcommands."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -294,6 +295,21 @@ class TestSweep:
         second = open(raw["output_path"], "rb").read()
         assert first == second
         assert len(first) > 100
+
+    @pytest.mark.parametrize("fields, digest", [
+        ({"n": 16, "taus": (4, 8, 12), "algorithms": ("gbi_oneopt", "marzullo"), "trials": 200},
+         "582bb0fee75a1f6542ef9ad6094f86230f48e9b0bbbf82b0500fb3882cde43e0"),
+        ({"n": 10, "taus": (1, 2, 3, 4, 5, 6, 7), "algorithms": ("marzullo", "bi", "gbi_oneopt"), "trials": 500},
+         "99ad1fc63c652d81caf9b30f52bbaeb7929827dfaeca3653798ecab82db6d4a0"),
+    ], ids=["gbi-wide", "sweep-eval"])
+    def test_fuser_rows_keep_their_bytes(self, tmp_path, fields, digest):
+        # the benchmark's gbi-wide and sweep-eval configs at seed 777: a change
+        # to the trial layer or the Marzullo, BI and region GBI kernels must
+        # leave every row's bytes as they are
+        config = cli.RunConfig(m=2, x_max=5, seed=777, lambdas=(), output_path=str(tmp_path / "rows.csv"),
+                               format="csv", **fields)
+        cli.write_rows(run_sweep(config), config)
+        assert hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest() == digest
 
     def test_seed_flag_lands_in_rows(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTERVALFUSION_SEED", "777")

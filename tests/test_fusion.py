@@ -511,6 +511,18 @@ class TestBatchKernels:
         points = np.sort(np.concatenate([lo, hi], axis=1), axis=1)
         assert np.array_equal(cov.points.view(np.uint64), points.view(np.uint64))
 
+    def test_zero_width_gaps_count_zero(self):
+        # row 0 ties endpoints of distinct readings ([0, 1] and [1, 2] meet at
+        # 1, two readings share 0), row 1 holds zero-width readings at 0.5 and
+        # 2, both inside [0, 3], row 2 only zero-width readings; every gap
+        # between equal endpoints counts 0, in the platform's default integer type
+        lo = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 2.0], [1.0, 1.0, 4.0]])
+        hi = np.array([[1.0, 2.0, 1.0], [0.5, 3.0, 2.0], [1.0, 1.0, 4.0]])
+        cov = coverage_rows(ReadingRows(lo, hi))
+        assert cov.counts.dtype == np.int_
+        assert cov.counts.tolist() == [[0, 2, 0, 0, 1], [1, 0, 1, 0, 1], [0, 0, 0, 0, 0]]
+        assert (cov.counts[cov.right <= cov.left] == 0).all()
+
     def test_gbi_rows_equal_cover_reference(self):
         # in-model trials over n 1-40, x_max 1/2/5 and four taus each, then every
         # tau at three n, then half-integer stacks whose disjoint readings leave
@@ -753,16 +765,21 @@ class TestSharedKeptCells:
             assert np.array_equal(values.view(np.int64), want_values.view(np.int64)) and np.array_equal(flags, want_flags)
 
     def test_flat_index_equals_nonzero_and_the_empty_row_flags(self):
-        # the (row, region) cells found from one flat index are np.nonzero's,
-        # and the flags mark exactly the rows that hold none: every third row
-        # from the third on, at every tau
+        # the cells' rows and flat indices are np.nonzero's (row, region)
+        # pairs, each cell's flat index reads its bounds from the flattened
+        # endpoints, and the flags mark exactly the rows that hold none: every
+        # third row from the third on, at every tau
         rows = self.block(uncovered=True)
         profile = coverage_rows(rows)
         for tau in range(self.N):
             keep = profile.counts >= self.N - tau
-            cell_rows, cell_regions, empty = profile._kept(tau)
-            for got, want in zip((cell_rows, cell_regions), np.nonzero(keep), strict=True):
+            cell_rows, at, empty = profile._kept(tau)
+            want_rows, want_regions = np.nonzero(keep)
+            for got, want in zip((cell_rows, at), (want_rows, want_rows * 2 * self.N + want_regions), strict=True):
                 assert got.dtype == want.dtype and np.array_equal(got, want), tau
+            points = profile.points.ravel()
+            assert np.array_equal(points[at], profile.left[want_rows, want_regions]), tau
+            assert np.array_equal(points[at + 1], profile.right[want_rows, want_regions]), tau
             assert np.array_equal(empty, ~keep.any(axis=1)), tau
             assert empty[2::3].all() and not np.isin(np.flatnonzero(empty), cell_rows).any(), tau
 

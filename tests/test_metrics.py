@@ -381,6 +381,36 @@ class TestEvaluateTaus:
             evaluate_taus(specs, params, 200)
 
 
+def _layouts():
+    # C- and Fortran-ordered stacks, strided views, (algorithms, m, trials)
+    # slices and one row, whose reductions round by their memory layout
+    c = np.random.default_rng(41).exponential(size=(5, 3, 257))
+    wide = np.random.default_rng(42).exponential(size=(5, 6, 514))
+    return {"C": c, "Fortran": np.asfortranarray(c), "strided": wide[:, ::2, ::2], "reversed": c[..., ::-1],
+            "algorithm slice": c[1:4], "agent slice": c[:, 1], "one row": c[2, 1], "transposed": c.transpose(1, 0, 2)}
+
+
+class TestMeanStderr:
+    """The mean and standard error keep the bits of numpy's mean and std(ddof=1) on every layout."""
+
+    @pytest.mark.parametrize("layout", list(_layouts()))
+    def test_equal_numpy_mean_and_std(self, layout):
+        values = _layouts()[layout]
+        t = values.shape[-1]
+        mean, stderr = metrics._mean_stderr(values)
+        want_mean, want_stderr = values.mean(axis=-1), values.std(axis=-1, ddof=1) / np.sqrt(t)
+        for got, want in ((mean, want_mean), (stderr, want_stderr)):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64)), layout
+
+    @pytest.mark.parametrize("layout", ["C", "agent slice", "one row"])
+    def test_one_trial_has_zero_stderr(self, layout):
+        values = _layouts()[layout][..., :1]
+        mean, stderr = metrics._mean_stderr(values)
+        assert np.array_equal(mean, values[..., 0]) and np.shape(stderr) == np.shape(mean)
+        assert not np.any(stderr)
+
+
 class TestCombineObjective:
     def test_matches_direct_evaluation(self):
         # the mean and standard error of the per-trial objective, by hand

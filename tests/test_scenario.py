@@ -23,7 +23,7 @@ from intervalfusion import (
 )
 from intervalfusion.scenario import TrialData, _cells_from_targets
 
-from helpers import _reference_cells, reference_sample_batch, reference_trials
+from helpers import _reference_cells, reference_draw, reference_sample_batch, reference_trials
 
 
 def params_for(n=5, m=2, tau=1, x_max=5, seed=1234):
@@ -462,6 +462,19 @@ class TestDrawTrials:
                 for name in _FIELDS:
                     got, want = getattr(batch, name), getattr(reference, name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), (tau, name)
+
+    @pytest.mark.parametrize("n,m,x_max", [(1, 1, 1), (10, 2, 5), (16, 3, 50)])
+    def test_draw_batch_fields_equal_the_reference_cells(self, n, m, x_max):
+        # the truthful and phantom cells come from one stacked kernel call;
+        # each field keeps the reference's bits, and rank inverts its fault order
+        params = params_for(n=n, m=m, tau=0, x_max=x_max, seed=97)
+        draw = draw_batch(params, 300, np.random.default_rng(9))
+        order, x, precisions, true_lo, true_hi, fake_lo, fake_hi = reference_draw(params, 300, np.random.default_rng(9))
+        assert np.array_equal(np.take_along_axis(draw.rank, order, axis=1), np.broadcast_to(np.arange(n), order.shape))
+        assert np.array_equal(draw.precisions, precisions) and np.array_equal(bits(draw.x), bits(x))
+        for got, want in ((draw.true_lo, true_lo), (draw.true_hi, true_hi),
+                          (draw.fake_lo, fake_lo.transpose(2, 0, 1)), (draw.fake_hi, fake_hi.transpose(2, 0, 1))):
+            assert got.shape == want.shape and np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("tau", [0, 3, 9])
     def test_sample_batch_equals_one_tau_reference(self, tau):
