@@ -259,6 +259,12 @@ def gbi_bayes_weights(readings: Sequence[Interval] | np.ndarray, tau: int) -> Gb
     to the one-row call on readings[b].  Zero-width readings are rejected
     (their inverse width is undefined); for a stack the message names the
     first row holding one.
+
+    The subsets' members are folded in one column at a time, over (S, B)
+    tables gathered from sensor-major (n, B) copies of the endpoints and
+    inverse widths, in place; the stacked table's weights and midpoints are
+    (B, S) transposed views of them, so each row is a strided view, and
+    `fuse_gbi` reduces a contiguous copy.
     """
     stacked = isinstance(readings, np.ndarray) and readings.ndim == 3
     rows = ReadingRows.of_stack(readings) if stacked else ReadingRows.of(readings)
@@ -270,19 +276,26 @@ def gbi_bayes_weights(readings: Sequence[Interval] | np.ndarray, tau: int) -> Gb
     if flat.any():
         raise ValueError("every reading must have positive width" + _first_row(flat, stacked))
     idx = _subset_indices(n, n - tau)
-    inv = 1.0 / widths
     # members are folded in one column at a time, in the left-to-right order of
-    # a product along each subset's row, over (B, S) arrays
+    # a product along each subset's row
+    lo_t, hi_t, inv_t = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T), np.ascontiguousarray((1.0 / widths).T)
     cols = idx.T
-    max_lo, min_hi, scale = lo[:, cols[0]], hi[:, cols[0]], inv[:, cols[0]]
+    max_lo, min_hi, scale = lo_t[cols[0]], hi_t[cols[0]], inv_t[cols[0]]
     # an overflowing product leaves inf or nan weights, which fuse_gbi reports
     with np.errstate(over="ignore", invalid="ignore"):
         for col in cols[1:]:
-            max_lo = np.maximum(max_lo, lo[:, col])
-            min_hi = np.minimum(min_hi, hi[:, col])
-            scale = scale * inv[:, col]
-        weights = np.maximum(min_hi - max_lo, 0.0) * scale
-    midpoints = np.where(weights > 0, (min_hi + max_lo) / 2.0, 0.0)
+            np.maximum(max_lo, lo_t[col], out=max_lo)
+            np.minimum(min_hi, hi_t[col], out=min_hi)
+            scale *= inv_t[col]
+        weights = min_hi - max_lo
+        np.maximum(weights, 0.0, out=weights)
+        weights *= scale
+    # min_hi's buffer becomes the midpoints
+    midpoints = min_hi
+    midpoints += max_lo
+    midpoints /= 2.0
+    np.copyto(midpoints, 0.0, where=~(weights > 0))
+    weights, midpoints = weights.T, midpoints.T
     if not stacked:
         weights, midpoints = weights[0], midpoints[0]
     return GbiWeights(subsets=idx, weights=weights, midpoints=midpoints)

@@ -13,7 +13,10 @@ summed into the counts and gathered at the kept regions.  The exact
 posterior rows here are a literal copy of the oracle before it summed over
 the cells n - tau readings cover: every pattern's truthful intersection from
 a (rows, patterns, n - tau) gather, and its level summed into every region
-through a (rows, patterns, regions) membership array.
+through a (rows, patterns, regions) membership array.  The enumerative GBI
+weight table here is a literal copy of `fusion.gbi_bayes_weights`'s fold
+before it ran over sensor-major (S, B) tables: the members folded in over
+(B, S) arrays gathered from the row-major readings.
 
 The moment estimates and the linear fit here are literal copies of the
 package's formulas before their products and sensor sums were formed once,
@@ -280,6 +283,24 @@ def reference_posterior_rows(lo, hi, params):
     member = (b > a) & (a <= left) & (right <= b)
     levels = np.einsum("rp,rpg->rg", coeff, member)
     return oracle.PiecewiseDensity(breakpoints=points, levels=levels)
+
+
+def reference_gbi_bayes_weights(lo, hi, tau):
+    """The (B, S) GBI weights and midpoints of B reading rows, folded over row-major (B, S) arrays."""
+    n = lo.shape[1]
+    widths = hi - lo
+    idx = fusion._subset_indices(n, n - tau)
+    inv = 1.0 / widths
+    cols = idx.T
+    max_lo, min_hi, scale = lo[:, cols[0]], hi[:, cols[0]], inv[:, cols[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in cols[1:]:
+            max_lo = np.maximum(max_lo, lo[:, col])
+            min_hi = np.minimum(min_hi, hi[:, col])
+            scale = scale * inv[:, col]
+        weights = np.maximum(min_hi - max_lo, 0.0) * scale
+    midpoints = np.where(weights > 0, (min_hi + max_lo) / 2.0, 0.0)
+    return weights, midpoints
 
 
 def random_direction_moments(rng, m):

@@ -17,6 +17,7 @@ from intervalfusion import (
     fusion,
     gbi_bayes_weights,
     optimal,
+    posterior_rows,
     scenario,
     select_linear_exact,
 )
@@ -450,6 +451,25 @@ class TestOracleCheck:
         assert 0 <= trial < 120
         assert agent in (0, 1)
         assert dev > 1e-9
+
+    def test_oracle_pass_keeps_its_bytes(self):
+        # the benchmark's oracle-check config at seed 777, pass by pass: the
+        # exact means, the region estimates and the enumerative weight table
+        # must keep their bytes (the worst deviation and fuse_gbi's dot follow
+        # the BLAS kernel, so they are left out)
+        config = cli.RunConfig(n=8, m=2, x_max=5, seed=777, taus=(1, 2, 3, 4, 5, 6), trials=300,
+                               algorithms=("gbi_oneopt",), lambdas=(), output_path="unused.csv", format="csv")
+        digest = hashlib.sha256()
+        for start in range(0, config.trials, 128):
+            draw = scenario.draw_trials(config.scenario(config.taus[0]), start, min(start + 128, config.trials))
+            for tau in config.taus:
+                rows = draw.at(tau).rows()
+                table = gbi_bayes_weights(np.stack([rows.lo, rows.hi], axis=2), tau)
+                for array in (posterior_rows(rows, config.scenario(tau)).means(),
+                              fusion.gbi_rows(fusion.coverage_rows(rows), tau)[0],
+                              table.weights, table.midpoints):
+                    digest.update(array.tobytes())
+        assert digest.hexdigest() == "70fbbb3084b28e8e82345d2abaf5242dc3376eeb1eebfe094039b95c593f7551"
 
     def test_one_weight_call_per_block(self, tmp_path):
         # the hook sees each 128-trial block once per tau, as a (B, n, 2)

@@ -33,7 +33,7 @@ from intervalfusion.fusion import bi_rows, coverage_rows, gbi_rows, linear_rows,
 from intervalfusion.oracle import posterior_rows
 from intervalfusion.scenario import ReadingRows, draw_trials
 
-from helpers import reference_bi_rows, reference_gbi_rows
+from helpers import reference_bi_rows, reference_gbi_bayes_weights, reference_gbi_rows
 
 
 def ivs(*pairs):
@@ -278,6 +278,41 @@ class TestStackedGbiWeights:
             fused = fuse_gbi_oneopt(stack[good], tau)
             assert fused.shape == (len(good),)
             assert fused.tolist() == [values[b] for b in good]
+
+    @given(reading_stack(), st.sampled_from([1.0, 1e-160, 1e160]))
+    @settings(max_examples=250, deadline=None)
+    def test_table_equals_the_row_major_fold(self, drawn, scale):
+        # at a scale of 1e-160 the inverse-width products of two or more
+        # members overflow (inf weights, nan where the intersection is empty);
+        # at 1e160 they underflow
+        stack, tau = drawn
+        stack = stack * scale
+        table = gbi_bayes_weights(stack, tau)
+        want = reference_gbi_bayes_weights(stack[..., 0], stack[..., 1], tau)
+        for got, ref in zip((table.weights, table.midpoints), want):
+            assert got.shape == ref.shape == (stack.shape[0], len(table.subsets))
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_overflowing_and_one_column_tables_equal_the_row_major_fold(self):
+        # inverse widths of 1e200: three members overflow to inf, and to nan
+        # where their intersection is empty; at tau = n - 1 the table has one
+        # column per sensor and the fold runs no step
+        stack = np.array([[(0.0, 1e-200), (0.0, 1e-200), (0.0, 1e-200), (5e-201, 1.5e-200)],
+                          [(0.0, 1e-200), (2e-200, 3e-200), (0.0, 1e-200), (0.0, 1e-200)]])
+        for tau in range(4):
+            table = gbi_bayes_weights(stack, tau)
+            want = reference_gbi_bayes_weights(stack[..., 0], stack[..., 1], tau)
+            assert np.array_equal(table.weights.view(np.int64), want[0].view(np.int64))
+            assert np.array_equal(table.midpoints.view(np.int64), want[1].view(np.int64))
+            for b, row in enumerate(stack):
+                one = gbi_bayes_weights(row, tau)
+                assert one.weights.shape == one.midpoints.shape == (len(table.subsets),)
+                assert np.array_equal(one.weights.view(np.int64), want[0][b].view(np.int64))
+                assert np.array_equal(one.midpoints.view(np.int64), want[1][b].view(np.int64))
+        assert np.isinf(gbi_bayes_weights(stack, 0).weights[0]).all()
+        assert np.isnan(gbi_bayes_weights(stack, 0).weights[1]).all()
+        assert np.isnan(gbi_bayes_weights(stack, 1).weights).any()
+        assert gbi_bayes_weights(stack, 3).weights.shape == (2, 4)
 
     def test_zero_width_row_named(self):
         stack = np.array([[(0.0, 2.0), (1.0, 3.0)]] * 3)

@@ -375,9 +375,11 @@ class TestBatchOracle:
             for tau in range(n):
                 params = ScenarioParams(n=n, m=3, tau=tau, x_max=x_max, seed=89 * n + tau)
                 assert_bit_equal(make_trials(params, 0, 40).rows(), params)
-        for tau in (4, 8, 12):
-            params = ScenarioParams(n=16, m=2, tau=tau, x_max=5, seed=16 + tau)
-            assert_bit_equal(draw_trials(params, 0, 16).at(tau).rows(), params)
+        # the study's n and taus, and the wide n
+        for n, taus in ((10, range(1, 8)), (16, (4, 8, 12))):
+            for tau in taus:
+                params = ScenarioParams(n=n, m=2, tau=tau, x_max=5, seed=n + tau)
+                assert_bit_equal(draw_trials(params, 0, 16).at(tau).rows(), params)
         # tied endpoints, readings past +-x_max, endpoints on +-x_max, touching
         # readings and signed zeros, all on the lattice of x_max = 5
         hand = np.array([
